@@ -2,7 +2,8 @@
 
 Subcommands: solve, solve-hfree, separator, check-pkfree, generate, bench.
 Reports go to stdout as JSON; diagnostics go to stderr as JSON. Exit codes:
-0 success, 2 input error, 3 invariant violation.
+0 success, 2 input error, 3 invariant violation, 4 recursion limit,
+5 out of memory, 130 interrupted.
 
 Environment overrides: QMWIS_ASSERT sets the default assertion level,
 QMWIS_BRUTEFORCE_CAP the default size cap of brute-force oracles.
@@ -34,6 +35,9 @@ from .separators import balanced_separator_core, verify_balanced
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
+EXIT_RECURSION = 4
+EXIT_MEMORY = 5
+EXIT_INTERRUPTED = 130
 
 ASSERT_CHOICES = ("off", "fair", "paranoid")
 
@@ -351,6 +355,15 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(error_document("io-error", str(exc)))
         return EXIT_INPUT
+    except RecursionError as exc:
+        sys.stderr.write(error_document("recursion-limit", str(exc)))
+        return EXIT_RECURSION
+    except MemoryError:
+        sys.stderr.write(error_document("out-of-memory", "the run ran out of memory"))
+        return EXIT_MEMORY
+    except KeyboardInterrupt:
+        sys.stderr.write(error_document("interrupted", "the run was interrupted"))
+        return EXIT_INTERRUPTED
 
 
 def main() -> None:

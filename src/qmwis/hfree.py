@@ -42,6 +42,8 @@ from .instrumentation import (
     MeasureH,
     RunStats,
     assert_recurrence_step,
+    check_level_growth,
+    check_level_sizes,
     max_measure_h,
     measure_h,
 )
@@ -50,9 +52,9 @@ from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
 from .pkfree import (
     ASSERT_FAIR,
     ASSERT_OFF,
-    EMPTY_FAMILY,
     SolveResult,
     _parse_level,
+    branch_sets,
     collect_witness,
     solve_pkfree,
     verify_witness,
@@ -182,54 +184,55 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
     Deterministic: mapping h's vertices in increasing id order, the chosen
     embedding is the lexicographically smallest image sequence. Works for
     disconnected h too (component images must be mutually non-adjacent, as
-    induced embedding already requires).
+    induced embedding already requires). The backtracking search keeps one
+    candidate mask per pattern position on an explicit stack, so its depth
+    is not bounded by the interpreter's recursion limit.
     """
     order = h.vertex_ids()
     if not order:
         return frozenset()
     if h.n > g.n:
         return None
-    g_ids = g.vertex_ids()
-    images: list[int] = []
-    used: set[int] = set()
-    # For position t: which earlier positions are h-adjacent to order[t].
-    back_edges = [
-        [(idx, h.has_edge(hv, order[idx])) for idx in range(pos)]
-        for pos, hv in enumerate(order)
-    ]
+    adj, live = g.table.adj, g.mask
+    size = len(order)
+    # An image of order[t] must have at least its degree and, among the
+    # images already placed, be adjacent to exactly those of anchors[t].
+    position = {hv: t for t, hv in enumerate(order)}
+    anchors = [[position[u] for u in h.adj(hv) if position[u] < t] for t, hv in enumerate(order)]
     degrees = [h.degree(hv) for hv in order]
-
-    def extend(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        anchors = [images[idx] for idx, adj in back_edges[pos] if adj]
-        if anchors:
-            pool = set(g.adj(anchors[0]))
-            for a in anchors[1:]:
-                pool &= g.adj(a)
-            candidates = sorted(pool - used)
+    images = [0] * size
+    pending = [0] * size
+    wants = [0] * size
+    used = 0
+    pos = 0
+    pending[0] = live
+    while True:
+        candidates = pending[pos]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            r = low.bit_length() - 1
+            if adj[r] & used == wants[pos] and (adj[r] & live).bit_count() >= degrees[pos]:
+                break
         else:
-            candidates = [u for u in g_ids if u not in used]
-        for u in candidates:
-            if g.degree(u) < degrees[pos]:
-                continue
-            ok = True
-            for idx, adj in back_edges[pos]:
-                if not adj and g.has_edge(u, images[idx]):
-                    ok = False
-                    break
-            if ok:
-                images.append(u)
-                used.add(u)
-                if extend(pos + 1):
-                    return True
-                images.pop()
-                used.discard(u)
-        return False
-
-    if extend(0):
-        return frozenset(images)
-    return None
+            if pos == 0:
+                return None
+            pos -= 1
+            used ^= 1 << images[pos]
+            continue
+        pending[pos] = candidates
+        images[pos] = r
+        used |= low
+        pos += 1
+        if pos == size:
+            return frozenset(g.table.ids[r] for r in images)
+        candidates = live & ~used
+        want = 0
+        for j in anchors[pos]:
+            candidates &= adj[images[j]]
+            want |= 1 << images[j]
+        pending[pos] = candidates
+        wants[pos] = want
 
 
 def is_h_free(g: Graph, h: Graph) -> bool:
@@ -308,11 +311,11 @@ def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, ctx: _Context) 
     # Level emptiness rests on a pigeonhole over level log(N), which only
     # exists for N >= 2; a single-vertex budget with a lone-vertex pattern
     # component legitimately occupies level 1 = log(1) + 1.
-    if n_cap >= 2 and family.level(log_n + 1):
+    if n_cap >= 2 and family.max_multiplicity() > log_n:
         raise InvariantViolation(
             "level-emptiness",
             f"L(F, {log_n + 1}) is non-empty with N = {n_cap}",
-            {"level": log_n + 1, "occupancy": len(family.level(log_n + 1))},
+            {"level": log_n + 1, "occupancy": family.level_sizes()[log_n]},
         )
     # The family bound is proven for pattern-free roots with N >= 2; a
     # single-vertex budget legitimately adds one copy when a component is
@@ -328,18 +331,7 @@ def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, ctx: _Context) 
         return None
 
     ctx.stats.record_levels(family)
-    i = 1
-    while True:
-        li = family.level(i)
-        if not li:
-            break
-        if len(li) * 2 ** (i - 1) > size * n_cap * len(family):
-            raise InvariantViolation(
-                "level-size",
-                f"|L(F, {i})| = {len(li)} exceeds its |H| bound",
-                {"level": i, "occupancy": len(li), "family_size": len(family)},
-            )
-        i += 1
+    check_level_sizes(family, size * n_cap, "|H|")
     if not ctx.assume_hfree or n_cap < 2:
         return None
     mu = measure_h(g.n, n_cap, family, size, c)
@@ -363,30 +355,6 @@ def _check_edge(parent_mu: int | None, child: Alg2Instance, rule: str, ctx: _Con
         parent_mu, child_mu, rule, {"pattern_size": size, "pattern_components": c}
     )
     ctx.stats.record_measure(rule, parent_mu, child_mu)
-
-
-def _check_neighborhood_growth(
-    family: VertexMultiFamily, grown: VertexMultiFamily, n_cap: int, ctx: _Context
-) -> None:
-    # Adding one copy's neighborhood grows level i by at most |H| Delta_(i-1)
-    # vertices; integer form (growth) * 2^(i-1) <= |H| N. Holds on every
-    # run: it only needs that no vertex was branchable at the addition.
-    if ctx.level < 2:
-        return
-    size = ctx.pattern.total_size
-    i = 1
-    while True:
-        new_level = grown.level(i)
-        if not new_level:
-            break
-        growth = len(new_level) - len(family.level(i))
-        if growth * 2 ** (i - 1) > size * n_cap:
-            raise InvariantViolation(
-                "level-growth",
-                f"level {i} grew by {growth}, over its |H| bound",
-                {"level": i, "growth": growth, "N": n_cap, "pattern_size": size},
-            )
-        i += 1
 
 
 def _invoke_oracle(
@@ -425,7 +393,7 @@ def _witness_by_reduction(
     remaining = g
     chosen: set[int] = set()
     while remaining.n:
-        v = min(remaining.vertices)
+        v = remaining.vertex_ids()[0]
         without = remove_vertices(remaining, {v})
         if _invoke_oracle(without, w, comp_index, False, ctx) == need:
             remaining = without
@@ -475,8 +443,8 @@ def _alg2_gen(
         v = find_branchable(g, LevelView(family, n_cap))
         if v is not None:
             ctx.stats.branch_steps += 1
-            delete_child = Alg2Instance(remove_vertices(g, {v}), w, n_cap, family.subtract({v}))
-            closed_v = g.closed(v)
+            bit, closed_v = branch_sets(g, v)
+            delete_child = Alg2Instance(remove_vertices(g, bit), w, n_cap, family.subtract(bit))
             take_child = Alg2Instance(
                 remove_vertices(g, closed_v), w, n_cap, family.subtract(closed_v)
             )
@@ -495,8 +463,13 @@ def _alg2_gen(
                     {"chain": adds_in_a_row, "n": g.n, "N": n_cap},
                 )
             ctx.stats.record_neighborhood(tuple(sorted(copy)))
-            grown = family.add(closed_neighborhood(g, copy))
-            _check_neighborhood_growth(family, grown, n_cap, ctx)
+            grown = family.add(closed_neighborhood(g, g.table.mask(copy)))
+            if ctx.level >= 2:
+                # Adding one copy's neighborhood grows level i by at most
+                # |H| Delta_(i-1) vertices; this needs no freeness claim.
+                size = ctx.pattern.total_size
+                details = {"N": n_cap, "pattern_size": size}
+                check_level_growth(family, grown, size * n_cap, "|H|", details)
             child = Alg2Instance(g, w, n_cap, grown)
             _check_edge(parent_mu, child, RULE_ADD_NEIGHBORHOOD, ctx)
             family = grown
@@ -559,12 +532,11 @@ def solve_hfree(
     level = _parse_level(assertion_level)
     stats = RunStats(trace_limit=trace_limit)
     ctx = _Context(pattern, oracles, level, assume_hfree, stats, trace_limit)
-    root = Alg2Instance(g, w, max(1, g.n), EMPTY_FAMILY)
+    root = Alg2Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
     if parallel is not None and parallel > 1:
         with BranchPool(parallel) as pool:
             weight, witness = drive(root, _alg2_gen, ctx, pool)
     else:
         weight, witness = drive(root, _alg2_gen, ctx)
-    if level >= 1:
-        verify_witness(g, w, weight, witness)
+    verify_witness(g, w, weight, witness)
     return SolveResult(weight=weight, witness=witness, stats=stats)

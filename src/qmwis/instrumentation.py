@@ -63,14 +63,7 @@ class MeasureH:
 
 
 def _level_term(family: VertexMultiFamily) -> int:
-    total = 0
-    i = 1
-    while True:
-        li = family.level(i)
-        if not li:
-            return total
-        total += len(li) << (i - 1)
-        i += 1
+    return sum(size << i for i, size in enumerate(family.level_sizes()))
 
 
 def measure_k(
@@ -156,6 +149,32 @@ def max_measure_h(capacity_n: int, pattern_size: int, pattern_components: int) -
     """Proven ceiling 4 |H|^2 c N log^2(N) for the pattern-solver potential."""
     log_n = ceil_log2(capacity_n)
     return 4 * pattern_size * pattern_size * pattern_components * capacity_n * log_n * log_n
+
+
+def check_level_sizes(family: VertexMultiFamily, bound: int, label: str) -> None:
+    """Raise unless |L(F, i)| 2^(i-1) <= bound |F| on every level."""
+    for i, size in enumerate(family.level_sizes(), 1):
+        if size << (i - 1) > bound * len(family):
+            raise InvariantViolation(
+                "level-size",
+                f"|L(F, {i})| = {size} exceeds its {label} bound",
+                {"level": i, "occupancy": size, "family_size": len(family)},
+            )
+
+
+def check_level_growth(
+    family: VertexMultiFamily, grown: VertexMultiFamily, bound: int, label: str, details: dict
+) -> None:
+    """Raise unless every level of grown exceeds family's by at most bound / 2^(i-1)."""
+    before = family.level_sizes()
+    for i, size in enumerate(grown.level_sizes(), 1):
+        growth = size - (before[i - 1] if i <= len(before) else 0)
+        if growth << (i - 1) > bound:
+            raise InvariantViolation(
+                "level-growth",
+                f"level {i} grew by {growth}, over its {label} bound",
+                {"level": i, "growth": growth, **details},
+            )
 
 
 RULE_COMPONENT = "component-recurse"
@@ -266,14 +285,9 @@ class RunStats:
             self.max_graph_size = graph_size
 
     def record_levels(self, family: VertexMultiFamily) -> None:
-        i = 1
-        while True:
-            li = family.level(i)
-            if not li:
-                return
-            if len(li) > self.max_level_occupancy.get(i, 0):
-                self.max_level_occupancy[i] = len(li)
-            i += 1
+        for i, size in enumerate(family.level_sizes(), 1):
+            if size > self.max_level_occupancy.get(i, 0):
+                self.max_level_occupancy[i] = size
 
     def record_measure(self, rule: str, parent_value: int, child_value: int) -> None:
         self.measure_trace.append((rule, parent_value, child_value))

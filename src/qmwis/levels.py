@@ -5,6 +5,13 @@ members are kept and counted: subtraction replaces each member S by S - X
 without dropping anything, so the family size is invariant under subtraction.
 The i-th level L(F, i) collects the vertices lying in at least i members.
 
+Members and levels are int masks over a VertexTable (see graph.py), where
+bit r stands for the vertex of rank r. Inside the solvers a family shares
+its graph's table, so adding a member updates the levels with one AND/OR
+per level and subtracting X is one AND per member and per level; nothing is
+recounted. Frozensets of ids appear only at the public boundary: members,
+level(i) and multiplicity(v).
+
 A vertex v is branchable relative to (F, N) when its closed neighborhood
 covers at least Delta_i = N / 2^i vertices of level i for some i >= 1.
 Levels are monotone decreasing in i and Delta_i <= 1 once i >= ceil(log2 N),
@@ -18,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .graph import Graph
+from .graph import Graph, VertexSet, VertexTable
 
 
 def ceil_log2(x: int) -> int:
@@ -31,67 +38,119 @@ def ceil_log2(x: int) -> int:
 class VertexMultiFamily:
     """Ordered multiset of vertex sets with level-set queries.
 
-    Immutable. Multiplicity counts and level sets are computed once and
-    shared by every query.
+    Immutable. masks holds the members and level_masks the non-empty
+    levels L(F, 1), L(F, 2), ... as masks over table. A family built from
+    ids without a table gets its own table over the ids it holds. add and
+    subtract take ids or a mask over the family's table: appending member m
+    sets L(F, i + 1) |= L(F, i) & m, and subtracting X clears X from every
+    member and every level.
     """
 
-    __slots__ = ("_members", "_counts", "_levels")
+    __slots__ = ("table", "masks", "level_masks")
 
-    def __init__(self, members: Iterable[Iterable[int]] = ()):
-        self._members: tuple[frozenset[int], ...] = tuple(frozenset(m) for m in members)
-        counts: dict[int, int] = {}
-        for member in self._members:
-            for v in member:
-                counts[v] = counts.get(v, 0) + 1
-        self._counts = counts
-        self._levels: dict[int, frozenset[int]] = {}
+    def __init__(self, members: Iterable[Iterable[int]] = (), table: VertexTable | None = None):
+        sets = [frozenset(m) for m in members]
+        if table is None:
+            table = VertexTable(frozenset().union(*sets))
+        self.table = table
+        self.masks = tuple(table.mask(m) for m in sets)
+        self.level_masks: tuple[int, ...] = ()
+        for m in self.masks:
+            self.level_masks = _with_member(self.level_masks, m)
+
+    @classmethod
+    def _make(cls, table: VertexTable, masks: tuple[int, ...], level_masks: tuple[int, ...]):
+        fam = object.__new__(cls)
+        fam.table, fam.masks, fam.level_masks = table, masks, level_masks
+        return fam
 
     @property
     def members(self) -> tuple[frozenset[int], ...]:
-        return self._members
+        return tuple(map(self.table.decode, self.masks))
+
+    def level_sizes(self) -> tuple[int, ...]:
+        """|L(F, i)| for every non-empty level, i = 1, 2, ..."""
+        return tuple(map(int.bit_count, self.level_masks))
+
+    def over(self, table: VertexTable) -> "VertexMultiFamily":
+        """The same family over table; ids the table lacks are dropped."""
+        if table is self.table:
+            return self
+        return VertexMultiFamily(([v for v in m if v in table.rank] for m in self.members), table)
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[frozenset[int]]:
-        return iter(self._members)
+        return iter(self.members)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexMultiFamily):
             return NotImplemented
-        return self._members == other._members
+        if self.table is other.table:
+            return self.masks == other.masks
+        return self.members == other.members
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self.members)
 
     def __repr__(self) -> str:
-        return f"VertexMultiFamily({list(map(sorted, self._members))!r})"
+        return f"VertexMultiFamily({list(map(sorted, self.members))!r})"
 
     def multiplicity(self, v: int) -> int:
         """Number of members containing v."""
-        return self._counts.get(v, 0)
+        r = self.table.rank.get(v)
+        if r is None:
+            return 0
+        return sum(m >> r & 1 for m in self.masks)
 
     def max_multiplicity(self) -> int:
-        return max(self._counts.values(), default=0)
+        return len(self.level_masks)
 
     def level(self, i: int) -> frozenset[int]:
         """L(F, i): vertices contained in at least i members."""
         if i < 1:
             raise ValueError(f"level index must be >= 1, got {i}")
-        cached = self._levels.get(i)
-        if cached is None:
-            cached = frozenset(v for v, c in self._counts.items() if c >= i)
-            self._levels[i] = cached
-        return cached
+        if i > len(self.level_masks):
+            return frozenset()
+        return self.table.decode(self.level_masks[i - 1])
 
-    def add(self, member: Iterable[int]) -> "VertexMultiFamily":
-        """New family with one more member appended."""
-        return VertexMultiFamily(self._members + (frozenset(member),))
+    def add(self, member: VertexSet) -> "VertexMultiFamily":
+        """New family with one more member (ids or a mask) appended."""
+        if not isinstance(member, int):
+            ids = frozenset(member)
+            if not all(v in self.table.rank for v in ids):
+                return VertexMultiFamily(self.members + (ids,))
+            member = self.table.mask(ids)
+        return self._make(self.table, self.masks + (member,), _with_member(self.level_masks, member))
 
-    def subtract(self, xs: Iterable[int]) -> "VertexMultiFamily":
-        """F - X: every member minus X, order and count preserved."""
-        xset = frozenset(xs)
-        return VertexMultiFamily(m - xset for m in self._members)
+    def subtract(self, xs: VertexSet) -> "VertexMultiFamily":
+        """F - X for ids or a mask: every member minus X, order and count preserved."""
+        if not isinstance(xs, int):
+            rank = self.table.rank
+            xs = self.table.mask(v for v in xs if v in rank)
+        if not self.level_masks or not self.level_masks[0] & xs:
+            return self
+        keep = ~xs
+        levels = [level & keep for level in self.level_masks]
+        while levels and not levels[-1]:
+            levels.pop()
+        return self._make(self.table, tuple(m & keep for m in self.masks), tuple(levels))
+
+
+def _with_member(levels: tuple[int, ...], member: int) -> tuple[int, ...]:
+    # Levels are nested, so the vertices moving up from level i are
+    # L(F, i) & member and the carry can only shrink.
+    out = list(levels)
+    carry = member
+    for i, level in enumerate(levels):
+        out[i] = level | carry
+        carry &= level
+        if not carry:
+            return tuple(out)
+    if carry:
+        out.append(carry)
+    return tuple(out)
 
 
 def level_set(family: VertexMultiFamily, i: int) -> frozenset[int]:
@@ -136,28 +195,20 @@ def find_branchable(g: Graph, view: LevelView) -> int | None:
     1 <= i <= ceil(log2 N) + 1, checked as the integer comparison
     |N[v] cap L(F, i)| * 2^i >= N. Among qualifying vertices the one with
     the largest violation max_i |N[v] cap L(F, i)| * 2^i wins; ties go to
-    the smallest vertex id.
+    the smallest vertex id. Each count is one popcount,
+    ((adj | bit) & level_i).bit_count().
     """
-    n_cap = view.capacity_n
-    levels: list[frozenset[int]] = []
-    for i in range(1, view.max_level_index() + 1):
-        li = view.family.level(i)
-        if not li:
-            break
-        levels.append(li)
+    live = g.mask
+    levels = [level & live for level in view.family.over(g.table).level_masks]
+    levels = [level for level in levels[: view.max_level_index()] if level]
     if not levels:
         return None
-    best: int | None = None
-    best_score = 0
-    for v in g.vertex_ids():
-        closed = g.adj(v) | {v}
-        score = 0
-        for idx, li in enumerate(levels):
-            hits = len(closed & li)
-            if hits == 0:
-                break
-            score = max(score, hits << (idx + 1))
-        if score >= n_cap and score > best_score:
-            best = v
-            best_score = score
-    return best
+    adj = g.table.adj
+    ranks = list(g.table.ranks(live))
+    closed = [adj[r] | 1 << r for r in ranks]
+    rows = [[(c & level).bit_count() << i for c in closed] for i, level in enumerate(levels, 1)]
+    scores = list(map(max, *rows)) if len(rows) > 1 else rows[0]
+    best = max(scores)
+    if best < view.capacity_n:
+        return None
+    return g.table.ids[ranks[scores.index(best)]]

@@ -139,7 +139,9 @@ def longest_induced_path_at_most(g: Graph, k: int) -> bool:
 
     Depth-first extension of induced paths: the next vertex must be adjacent
     to the current endpoint and non-adjacent to every earlier path vertex.
-    Returns as soon as one k-vertex induced path is found.
+    Returns as soon as one k-vertex induced path is found. The search keeps
+    one candidate mask per path vertex on an explicit stack, so k is not
+    bounded by the interpreter's recursion limit.
     """
     if k < 1:
         raise ValueError(f"path length must be >= 1, got {k}")
@@ -148,20 +150,23 @@ def longest_induced_path_at_most(g: Graph, k: int) -> bool:
     if k == 2:
         return g.edge_count == 0
 
-    def extend(path: list[int], banned: frozenset[int]) -> bool:
-        # banned holds N[path without the endpoint]; candidates keep the
-        # path induced.
-        if len(path) == k:
-            return True
-        tail = path[-1]
-        for nxt in sorted(g.adj(tail) - banned):
-            if extend(path + [nxt], banned | g.adj(tail) | {tail}):
-                return True
-        return False
-
-    for start in g.vertex_ids():
-        if extend([start], frozenset({start})):
-            return False
+    adj, live = g.table.adj, g.mask
+    for start in g.table.ranks(live):
+        # Frames (tail, banned, untried): banned is N[path before tail] plus
+        # tail (tail lies in N(previous tail)), untried the extensions past
+        # tail not yet explored.
+        stack = [(start, 1 << start, adj[start] & live)]
+        while stack:
+            tail, banned, untried = stack.pop()
+            if not untried:
+                continue
+            low = untried & -untried
+            stack.append((tail, banned, untried ^ low))
+            if len(stack) + 1 == k:
+                return False
+            reach = banned | adj[tail]
+            nxt = low.bit_length() - 1
+            stack.append((nxt, reach, adj[nxt] & live & ~reach))
     return True
 
 

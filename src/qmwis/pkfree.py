@@ -28,7 +28,7 @@ from .graph import (
     Graph,
     WeightMap,
     closed_neighborhood,
-    connected_components,
+    component_masks,
     induced_subgraph,
     is_independent_set,
     remove_vertices,
@@ -44,6 +44,8 @@ from .instrumentation import (
     MeasureK,
     RunStats,
     assert_recurrence_step,
+    check_level_growth,
+    check_level_sizes,
     max_measure_k,
     measure_k,
 )
@@ -54,8 +56,6 @@ ASSERT_OFF = "off"
 ASSERT_FAIR = "fair"
 ASSERT_PARANOID = "paranoid"
 _LEVELS = {ASSERT_OFF: 0, ASSERT_FAIR: 1, ASSERT_PARANOID: 2}
-
-EMPTY_FAMILY = VertexMultiFamily()
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +104,20 @@ def collect_witness(
     return delete_weight, delete_witness
 
 
+def branch_sets(g: Graph, v: int) -> tuple[int, int]:
+    """The masks of {v} and N[v] in g, the sets the two branch children drop."""
+    r = g.table.rank[v]
+    bit = 1 << r
+    return bit, g.table.adj[r] & g.mask | bit
+
+
+def _rooted_family(g: Graph, family: VertexMultiFamily) -> VertexMultiFamily:
+    # The recursion keeps F over the graph's table; members must lie in V(G).
+    if not all(v in g for member in family for v in member):
+        raise ValueError("family members must be vertex sets of the instance's graph")
+    return family.over(g.table)
+
+
 class _Context:
     __slots__ = ("level", "k", "stats", "trace_limit")
 
@@ -137,11 +151,11 @@ def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, ctx: _Context) 
             "fair-shape", f"|V(G)| = {g.n} exceeds N = {n_cap}", {"n": g.n, "N": n_cap}
         )
     log_n = ceil_log2(n_cap)
-    if family.level(log_n + 1):
+    if family.max_multiplicity() > log_n:
         raise InvariantViolation(
             "level-emptiness",
             f"L(F, {log_n + 1}) is non-empty with N = {n_cap}",
-            {"level": log_n + 1, "occupancy": len(family.level(log_n + 1))},
+            {"level": log_n + 1, "occupancy": family.level_sizes()[log_n]},
         )
     if ctx.k is not None and len(family) > 10 * ctx.k * log_n:
         raise InvariantViolation(
@@ -155,28 +169,17 @@ def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, ctx: _Context) 
 
     ctx.stats.record_levels(family)
     quarter = Fraction(n_cap, 4)
-    for member in family.members:
+    for member in family.masks:
         if not verify_balanced(g, member, quarter):
             raise InvariantViolation(
                 "separator-balance",
                 f"a family member is not an N/4-balanced separator (N = {n_cap})",
-                {"member": sorted(member), "N": n_cap},
+                {"member": sorted(g.table.decode(member)), "N": n_cap},
             )
     if ctx.k is None:
         return None
 
-    i = 1
-    while True:
-        li = family.level(i)
-        if not li:
-            break
-        if len(li) * 2 ** (i - 1) > 8 * ctx.k * n_cap * len(family):
-            raise InvariantViolation(
-                "level-size",
-                f"|L(F, {i})| = {len(li)} exceeds its 8k bound",
-                {"level": i, "occupancy": len(li), "family_size": len(family)},
-            )
-        i += 1
+    check_level_sizes(family, 8 * ctx.k * n_cap, "8k")
     mu = measure_k(g.n, n_cap, family, ctx.k)
     ceiling = max_measure_k(n_cap, ctx.k)
     if not 0 <= mu.value <= ceiling:
@@ -196,28 +199,6 @@ def _check_edge(parent_mu: int | None, child: Alg1Instance, rule: str, ctx: _Con
     ctx.stats.record_measure(rule, parent_mu, child_mu)
 
 
-def _check_separator_growth(
-    family: VertexMultiFamily, grown: VertexMultiFamily, n_cap: int, ctx: _Context
-) -> None:
-    # After adding one separator neighborhood, level i may grow by at most
-    # 8k Delta_(i-1) vertices; integer form (growth) * 2^(i-1) <= 8 k N.
-    if ctx.level < 2 or ctx.k is None:
-        return
-    i = 1
-    while True:
-        new_level = grown.level(i)
-        if not new_level:
-            break
-        growth = len(new_level) - len(family.level(i))
-        if growth * 2 ** (i - 1) > 8 * ctx.k * n_cap:
-            raise InvariantViolation(
-                "level-growth",
-                f"level {i} grew by {growth}, over its 8k bound",
-                {"level": i, "growth": growth, "N": n_cap, "k": ctx.k},
-            )
-        i += 1
-
-
 def _alg1_gen(
     inst: Alg1Instance, ctx: _Context
 ) -> Generator[list[Alg1Instance], list[tuple[int, frozenset[int]]], tuple[int, frozenset[int]]]:
@@ -234,14 +215,16 @@ def _alg1_gen(
         parent_mu = _check_call(g, n_cap, family, ctx)
 
         if g.n <= 1:
-            return total_weight(w, g.vertices), frozenset(g.vertices)
+            leaf = g.vertices
+            return total_weight(w, leaf), leaf
 
-        components = connected_components(g)
-        if 2 * max(len(c) for c in components) <= n_cap:
+        components = component_masks(g.table.adj, g.mask)
+        if 2 * max(map(int.bit_count, components)) <= n_cap:
             ctx.stats.component_recursions += 1
+            empty = VertexMultiFamily(table=g.table)
             children = []
             for comp in components:
-                child = Alg1Instance(induced_subgraph(g, comp), w, len(comp), EMPTY_FAMILY)
+                child = Alg1Instance(induced_subgraph(g, comp), w, comp.bit_count(), empty)
                 _check_edge(parent_mu, child, RULE_COMPONENT, ctx)
                 children.append(child)
             results = yield children
@@ -252,8 +235,8 @@ def _alg1_gen(
         v = find_branchable(g, LevelView(family, n_cap))
         if v is not None:
             ctx.stats.branch_steps += 1
-            delete_child = Alg1Instance(remove_vertices(g, {v}), w, n_cap, family.subtract({v}))
-            closed_v = g.closed(v)
+            bit, closed_v = branch_sets(g, v)
+            delete_child = Alg1Instance(remove_vertices(g, bit), w, n_cap, family.subtract(bit))
             take_child = Alg1Instance(
                 remove_vertices(g, closed_v), w, n_cap, family.subtract(closed_v)
             )
@@ -263,7 +246,7 @@ def _alg1_gen(
             return collect_witness(results[0], results[1], v, w[v])
 
         core = balanced_separator_core(g, 2)
-        separator = closed_neighborhood(g, core.core)
+        separator = closed_neighborhood(g, g.table.mask(core.core))
         if not separator:
             raise InvariantViolation(
                 "add-separator", "computed an empty separator neighborhood", {"n": g.n, "N": n_cap}
@@ -277,7 +260,10 @@ def _alg1_gen(
             )
         ctx.stats.separators_added += 1
         grown = family.add(separator)
-        _check_separator_growth(family, grown, n_cap, ctx)
+        if ctx.level >= 2 and ctx.k is not None:
+            # Adding one separator neighborhood grows level i by at most
+            # 8k Delta_(i-1) vertices: growth * 2^(i-1) <= 8 k N.
+            check_level_growth(family, grown, 8 * ctx.k * n_cap, "8k", {"N": n_cap, "k": ctx.k})
         child = Alg1Instance(g, w, n_cap, grown)
         _check_edge(parent_mu, child, RULE_ADD_SEPARATOR, ctx)
         family = grown
@@ -307,6 +293,8 @@ def alg1_call(
     if parallel is not None and parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     validate_weights(inst.graph, inst.weights)
+    family = _rooted_family(inst.graph, inst.family)
+    inst = Alg1Instance(inst.graph, inst.weights, inst.capacity_n, family)
     if stats is None:
         stats = RunStats(trace_limit=trace_limit)
     ctx = _Context(_parse_level(assertion_level), k_hint, stats, trace_limit)
@@ -346,9 +334,8 @@ def solve_pkfree(
     """
     if k_hint is not None and k_hint < 1:
         raise ValueError(f"k_hint must be >= 1, got {k_hint}")
-    level = _parse_level(assertion_level)
     stats = RunStats(trace_limit=trace_limit)
-    root = Alg1Instance(g, w, max(1, g.n), EMPTY_FAMILY)
+    root = Alg1Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
     weight, witness = alg1_call(
         root,
         k_hint=k_hint,
@@ -357,14 +344,16 @@ def solve_pkfree(
         trace_limit=trace_limit,
         stats=stats,
     )
-    if level >= 1:
-        verify_witness(g, w, weight, witness)
+    verify_witness(g, w, weight, witness)
     return SolveResult(weight=weight, witness=witness, stats=stats)
 
 
 def verify_witness(g: Graph, w: WeightMap, weight: int, witness: frozenset[int]) -> None:
-    """Raise unless witness is independent in g and weighs exactly weight."""
-    foreign = witness - g.vertices
+    """Raise unless witness is independent in g and weighs exactly weight.
+
+    Runs at every assertion level; the cost is O(|witness|) mask operations.
+    """
+    foreign = [v for v in witness if v not in g]
     if foreign:
         raise InvariantViolation(
             "witness", f"witness contains vertices outside the graph: {sorted(foreign)}", {}

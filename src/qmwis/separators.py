@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-from .graph import Graph, closed_neighborhood, connected_components, induced_subgraph, remove_vertices
+from .graph import Graph, VertexSet, VertexTable, component_masks, remove_vertices
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,31 @@ class SeparatorCore:
     balance_bound: Fraction
 
 
-def _largest_component(components: list[frozenset[int]]) -> frozenset[int]:
-    # Ties broken by smallest contained vertex id; the component list is
-    # already ordered by smallest id, so the first maximum wins.
-    return max(components, key=len)
+def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
+    """The Gyarfas path from rank tail inside the connected mask current.
+
+    Each step keeps the largest component C of current - N[tail] (the first
+    of equal size, i.e. the one with the smallest id) and moves to the
+    smallest neighbour of C. N(C) within current lies inside N(tail), so
+    that neighbour is the first vertex of N(tail) adjacent to C.
+    """
+    path = [tail]
+    while True:
+        rest = current & ~(adj[tail] | 1 << tail)
+        if not rest:
+            return path
+        largest = max(component_masks(adj, rest), key=int.bit_count)
+        if 2 * largest.bit_count() <= current.bit_count():
+            return path
+        candidates = adj[tail] & current
+        while True:
+            low = candidates & -candidates
+            tail = low.bit_length() - 1
+            if adj[tail] & largest:
+                break
+            candidates ^= low
+        current = largest | low
+        path.append(tail)
 
 
 def gyarfas_path(g: Graph, start: int) -> list[int]:
@@ -56,27 +77,23 @@ def gyarfas_path(g: Graph, start: int) -> list[int]:
     """
     if start not in g:
         raise ValueError(f"start vertex {start} is not in the graph")
-    if len(connected_components(g)) != 1:
+    if len(component_masks(g.table.adj, g.mask)) != 1:
         raise ValueError("gyarfas_path requires a connected graph")
+    ids = g.table.ids
+    return [ids[r] for r in _path_ranks(g.table.adj, g.mask, g.table.rank[start])]
 
-    path = [start]
-    current = g
-    tail = start
-    while True:
-        rest = remove_vertices(current, current.closed(tail))
-        components = connected_components(rest)
-        if not components:
-            return path
-        largest = _largest_component(components)
-        if 2 * len(largest) <= current.n:
-            return path
-        # N(C) of a component C of g - N[tail] lies inside N(tail), so the
-        # smallest neighbor of C is a valid next path vertex.
-        neighbors = closed_neighborhood(current, largest) - largest
-        nxt = min(neighbors)
-        current = induced_subgraph(current, largest | {nxt})
-        path.append(nxt)
-        tail = nxt
+
+def _core_mask(table: VertexTable, live: int, n: int, i: int) -> int:
+    # Paths are grown inside every component of live - N[X'] that breaks the
+    # bound, X' being the level i - 1 core (empty at i = 1), starting at the
+    # component's smallest id.
+    core = 0 if i == 1 else _core_mask(table, live, n, i - 1)
+    adj = table.adj
+    for comp in component_masks(adj, live & ~table.closed(core)):
+        if comp.bit_count() << i > n:
+            for r in _path_ranks(adj, comp, (comp & -comp).bit_length() - 1):
+                core |= 1 << r
+    return core
 
 
 def balanced_separator_core(g: Graph, i: int) -> SeparatorCore:
@@ -100,26 +117,11 @@ def balanced_separator_core(g: Graph, i: int) -> SeparatorCore:
     bound = Fraction(n, 2**i)
     if 2**i >= n:
         return SeparatorCore(core=g.vertices, parameter_i=i, balance_bound=bound)
-
-    if i == 1:
-        core: set[int] = set()
-        for comp in connected_components(g):
-            if 2 * len(comp) > n:
-                sub = induced_subgraph(g, comp)
-                core.update(gyarfas_path(sub, min(comp)))
-        return SeparatorCore(core=frozenset(core), parameter_i=1, balance_bound=bound)
-
-    inner = balanced_separator_core(g, i - 1)
-    core = set(inner.core)
-    rest = remove_vertices(g, closed_neighborhood(g, inner.core))
-    for comp in connected_components(rest):
-        if len(comp) * 2**i > n:
-            sub = induced_subgraph(g, comp)
-            core.update(gyarfas_path(sub, min(comp)))
-    return SeparatorCore(core=frozenset(core), parameter_i=i, balance_bound=bound)
+    core = _core_mask(g.table, g.mask, n, i)
+    return SeparatorCore(core=g.table.decode(core), parameter_i=i, balance_bound=bound)
 
 
-def verify_balanced(g: Graph, separator: frozenset[int], bound: Rational) -> bool:
-    """True iff every component of g - separator has at most bound vertices."""
+def verify_balanced(g: Graph, separator: VertexSet, bound: Rational) -> bool:
+    """True iff every component of g - separator (ids or a mask) has at most bound vertices."""
     rest = remove_vertices(g, separator)
-    return all(len(c) <= bound for c in connected_components(rest))
+    return all(c.bit_count() <= bound for c in component_masks(g.table.adj, rest.mask))

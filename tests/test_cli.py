@@ -86,6 +86,49 @@ def test_invariant_violation_exit_code(c5_file, capsys, monkeypatch):
     assert doc["error"]["details"]["rule"] == "level-emptiness"
 
 
+@pytest.mark.parametrize(
+    "exc, code, kind",
+    [
+        (RecursionError("maximum recursion depth exceeded"), 4, "recursion-limit"),
+        (MemoryError(), 5, "out-of-memory"),
+        (KeyboardInterrupt(), 130, "interrupted"),
+    ],
+    ids=["recursion", "memory", "interrupt"],
+)
+def test_runtime_failures_end_in_json_errors(exc, code, kind, c5_file, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_pkfree", boom)
+    got, out, err = run(["solve", c5_file], capsys)
+    assert got == code
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == kind
+
+
+@pytest.fixture()
+def long_path_file(tmp_path):
+    # Far deeper than the interpreter's default recursion limit.
+    n = 1500
+    path = tmp_path / "p1500.graph"
+    path.write_text(f"p {n} {n - 1}\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, n)))
+    return str(path)
+
+
+def test_check_pkfree_on_a_long_path(long_path_file, capsys):
+    code, out, err = run(["check-pkfree", "1400", long_path_file], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pk_free"] is False
+
+
+def test_solve_hfree_with_a_long_path_pattern(long_path_file, c5_file, capsys):
+    code, out, err = run(
+        ["solve-hfree", c5_file, "--pattern", long_path_file, "--oracle", "pk:1500"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["weight"] == 4
+
+
 def test_unknown_subcommand_is_input_error(capsys):
     code, _, _ = run(["frobnicate"], capsys)
     assert code == 2

@@ -324,3 +324,20 @@ def test_mixed_oracles_for_mixed_pattern():
         want, _ = brute_force_mwis(g, w)
         r = solve_hfree(pattern, g, w, oracles)
         assert r.weight == want
+
+
+def test_off_level_verifies_the_witness(monkeypatch):
+    import qmwis.hfree as hfree
+
+    real_drive = hfree.drive
+
+    def corrupted(*args, **kwargs):
+        weight, witness = real_drive(*args, **kwargs)
+        return weight + 1, witness
+
+    monkeypatch.setattr(hfree, "drive", corrupted)
+    g = Graph([1, 2, 3], [(1, 2), (2, 3)])
+    oracles = [make_bruteforce_oracle()] * 2
+    with pytest.raises(InvariantViolation) as info:
+        solve_hfree(two_k2(), g, {1: 1, 2: 1, 3: 1}, oracles, assertion_level="off")
+    assert info.value.rule == "witness"

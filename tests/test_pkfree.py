@@ -248,3 +248,19 @@ def test_solver_agrees_with_brute_force_property(data):
     assert got.weight == want
     assert is_independent_set(g, got.witness)
     assert total_weight(w, got.witness) == want
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_every_level_verifies_the_witness(level, monkeypatch):
+    import qmwis.pkfree as pkfree
+
+    real_drive = pkfree.drive
+
+    def corrupted(*args, **kwargs):
+        weight, witness = real_drive(*args, **kwargs)
+        return weight, witness | {2}
+
+    monkeypatch.setattr(pkfree, "drive", corrupted)
+    with pytest.raises(InvariantViolation) as info:
+        solve_pkfree(path_graph(3), {1: 1, 2: 1, 3: 1}, assertion_level=level)
+    assert info.value.rule == "witness"
