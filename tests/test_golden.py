@@ -1,15 +1,29 @@
 """Pinned results of the generator corpus.
 
 Call counts, weights, witnesses and the exact CLI report bytes must not move
-when the graph representation changes: every tie-break ("smallest id wins")
-is part of the pinned behaviour.
+when the graph representation or the recursion's code changes: every
+tie-break ("smallest id wins") is part of the pinned behaviour. So are the
+rule, message and details of the audit failures the shared recursion raises.
 """
 
 import hashlib
 
 import pytest
 
-from qmwis import GeneratorSpec, emit_graph, generate, solve_pkfree
+from qmwis import (
+    Alg1Instance,
+    GeneratorSpec,
+    Graph,
+    InvariantViolation,
+    VertexMultiFamily,
+    alg1_call,
+    emit_graph,
+    generate,
+    make_bruteforce_oracle,
+    make_pk_oracle,
+    solve_hfree,
+    solve_pkfree,
+)
 from qmwis.cli import cli_main
 
 GOLDEN = [
@@ -72,3 +86,102 @@ def test_golden_corpus(spec, calls, weight, witness, report_sha256, tmp_path, ca
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha256
+
+
+P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+
+GOLDEN_HFREE = [
+    (
+        GeneratorSpec(kind="random-gnp", size=28, seed=1, p=0.3),
+        765,
+        337,
+        92,
+        560,
+        [2, 4, 12, 16, 21, 22, 24, 26],
+        "ecf096456045569b9f8171cc2cf826a00a18bf1461de493b36e0d37ee49b6d28",
+    ),
+    (
+        GeneratorSpec(kind="random-gnp", size=28, seed=2, p=0.3),
+        689,
+        296,
+        98,
+        567,
+        [1, 2, 3, 12, 17, 20, 25, 26, 27],
+        "c7163401e29133ee0ce9ffa15dabee6808436687ee9aecdab3ee50cab35b777c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, calls, oracle_calls, neighborhoods, weight, witness, report_sha256",
+    GOLDEN_HFREE,
+    ids=[f"p4k3-{spec.kind}-{spec.size}-seed{spec.seed}" for spec, *_ in GOLDEN_HFREE],
+)
+def test_golden_hfree(
+    spec, calls, oracle_calls, neighborhoods, weight, witness, report_sha256, tmp_path, capsys
+):
+    g, w = generate(spec)
+    result = solve_hfree(P4_K3, g, w, [make_pk_oracle(4), make_bruteforce_oracle()])
+    assert result.stats.calls == calls
+    assert result.stats.oracle_calls == oracle_calls
+    assert result.stats.neighborhoods_added_count == neighborhoods
+    assert result.weight == weight
+    assert sorted(result.witness) == witness
+
+    path = tmp_path / "g.graph"
+    path.write_text(emit_graph(g, w))
+    pattern = tmp_path / "p.graph"
+    pattern.write_text(emit_graph(P4_K3, {v: 1 for v in P4_K3.vertex_ids()}))
+    argv = ["solve-hfree", str(path), "--pattern", str(pattern), "--oracle", "pk:4"]
+    argv += ["--oracle", "bruteforce", "--assert", "paranoid", "--witness"]
+    code = cli_main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == report_sha256
+
+
+def _path(n):
+    return Graph(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
+
+
+GOLDEN_AUDIT = [
+    (
+        3,
+        [{1}] * 3,
+        {},
+        "level-emptiness",
+        "level-emptiness: L(F, 3) is non-empty with N = 3",
+        {"level": 3, "occupancy": 1},
+    ),
+    (
+        3,
+        [set()] * 21,
+        {"k_hint": 1},
+        "family-size",
+        "family-size: |F| = 21 exceeds 10k log(N) = 20",
+        {"family_size": 21, "bound": 20},
+    ),
+    (
+        8,
+        [{1}],
+        {"assertion_level": "paranoid"},
+        "separator-balance",
+        "separator-balance: a family member is not an N/4-balanced separator (N = 8)",
+        {"member": [1], "N": 8},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "n, members, options, rule, message, details",
+    GOLDEN_AUDIT,
+    ids=[row[3] for row in GOLDEN_AUDIT],
+)
+def test_golden_audit_failures(n, members, options, rule, message, details):
+    g = _path(n)
+    inst = Alg1Instance(g, {v: 1 for v in g.vertex_ids()}, n, VertexMultiFamily(members))
+    with pytest.raises(InvariantViolation) as info:
+        alg1_call(inst, **options)
+    assert info.value.rule == rule
+    assert str(info.value) == message
+    assert info.value.details == details
