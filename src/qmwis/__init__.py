@@ -32,7 +32,6 @@ from .graphio import (
     parse_graph,
 )
 from .hfree import (
-    Alg2Instance,
     ComponentOracle,
     PatternGraph,
     find_induced_copy,
@@ -58,15 +57,7 @@ from .instrumentation import (
     measure_h,
     measure_k,
 )
-from .levels import (
-    LevelView,
-    VertexMultiFamily,
-    branch_threshold,
-    ceil_log2,
-    family_subtract,
-    find_branchable,
-    level_set,
-)
+from .levels import VertexMultiFamily, branch_threshold, ceil_log2, find_branchable
 from .oracle import (
     DEFAULT_BRUTE_FORCE_CAP,
     GenerationError,
@@ -76,13 +67,12 @@ from .oracle import (
     enumerate_mwis,
     generate,
     longest_induced_path_at_most,
-    make_bruteforce_solver,
 )
 from .pkfree import (
     ASSERT_FAIR,
     ASSERT_OFF,
     ASSERT_PARANOID,
-    Alg1Instance,
+    Instance,
     SolveResult,
     alg1_call,
     collect_witness,
@@ -98,8 +88,6 @@ __all__ = [
     "ASSERT_FAIR",
     "ASSERT_OFF",
     "ASSERT_PARANOID",
-    "Alg1Instance",
-    "Alg2Instance",
     "ComponentOracle",
     "DEFAULT_BRUTE_FORCE_CAP",
     "GenerationError",
@@ -107,8 +95,8 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "GraphTooLarge",
+    "Instance",
     "InvariantViolation",
-    "LevelView",
     "MeasureH",
     "MeasureK",
     "PARSE_ERROR_KINDS",
@@ -137,7 +125,6 @@ __all__ = [
     "emit_graph",
     "enumerate_mwis",
     "error_document",
-    "family_subtract",
     "find_branchable",
     "find_induced_copy",
     "generate",
@@ -146,10 +133,8 @@ __all__ = [
     "instance_measure",
     "is_h_free",
     "is_independent_set",
-    "level_set",
     "longest_induced_path_at_most",
     "make_bruteforce_oracle",
-    "make_bruteforce_solver",
     "make_pk_oracle",
     "max_measure_h",
     "max_measure_k",

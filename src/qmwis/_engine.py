@@ -1,125 +1,56 @@
-"""Explicit-stack driver for the branching solvers.
+"""Explicit-stack driver for the branching recursion.
 
 Solver recursion depth grows like n * log(N) * k through alternating branch
-and separator-add steps, far past CPython's recursion limit, so solver rules
-are written as generators. A generator yields one batch (a list) of child
-instances whenever it needs their results, receives the list of results via
-send(), and returns its own result through StopIteration. The driver keeps
-the frames on an explicit stack.
-
-Sibling batches are independent, so with a thread pool attached the driver
-farms out all but the first child of a batch to worker threads when tokens
-are free. Tokens cap outstanding submissions at threads - 1, which keeps at
-least one worker making progress and rules out deadlock. Each offloaded
-child runs with its own statistics object; the parent folds child stats back
-in batch order, so all counters come out the same no matter how the work was
-scheduled.
+and family-growth steps, far past CPython's recursion limit, so the shared
+recursion of pkfree.py is written as a generator. A generator yields one
+batch (a list) of child instances whenever it needs their results, receives
+the list of results via send(), and returns its own result through
+StopIteration. The driver keeps the frames on an explicit stack and runs a
+batch's children one after another, in batch order, so every counter comes
+out the same on every run.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Generator, Protocol
-
-
-class SolverContext(Protocol):
-    """What the driver needs from a solver context."""
-
-    stats: Any
-
-    def clone_for_worker(self) -> "SolverContext": ...
-
+from typing import Any, Callable, Generator
 
 Expand = Callable[[Any, Any], Generator[list[Any], list[Any], Any]]
 
 
-class BranchPool:
-    """Thread pool with a token budget of threads - 1 concurrent offloads."""
-
-    def __init__(self, threads: int):
-        if threads < 2:
-            raise ValueError(f"a branch pool needs >= 2 threads, got {threads}")
-        self._executor = ThreadPoolExecutor(max_workers=threads)
-        self._tokens = threading.Semaphore(threads - 1)
-
-    def try_acquire(self) -> bool:
-        return self._tokens.acquire(blocking=False)
-
-    def release(self) -> None:
-        self._tokens.release()
-
-    def submit(self, fn: Callable[..., Any], *args: Any) -> Future:
-        return self._executor.submit(fn, *args)
-
-    def shutdown(self) -> None:
-        self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> "BranchPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.shutdown()
-
-
 class _Frame:
-    __slots__ = ("gen", "pending", "results", "futures", "awaiting_index", "started")
+    __slots__ = ("gen", "pending", "results", "started")
 
     def __init__(self, gen: Generator):
         self.gen = gen
-        self.pending: list[tuple[int, Any]] | None = None
+        self.pending: list[Any] | None = None
         self.results: list[Any] | None = None
-        self.futures: list[tuple[int, Future]] | None = None
-        self.awaiting_index = -1
         self.started = False
 
 
-def _offload(inst: Any, expand: Expand, ctx: Any, pool: BranchPool, depth: int) -> tuple[Any, Any]:
-    worker_ctx = ctx.clone_for_worker()
-    try:
-        result = drive(inst, expand, worker_ctx, pool, base_depth=depth)
-    finally:
-        pool.release()
-    return result, worker_ctx.stats
+def drive(root: Any, expand: Expand, ctx: Any) -> Any:
+    """Run expand(root, ctx) to completion on an explicit stack.
 
-
-def drive(
-    root: Any,
-    expand: Expand,
-    ctx: Any,
-    pool: BranchPool | None = None,
-    base_depth: int = 0,
-) -> Any:
-    """Run expand(root, ctx) to completion on an explicit stack."""
+    ctx.stats, when not None, gets the deepest stack height in max_depth.
+    """
     stack = [_Frame(expand(root, ctx))]
     stats = ctx.stats
-    if stats is not None and base_depth + 1 > stats.max_depth:
-        stats.max_depth = base_depth + 1
+    if stats is not None and stats.max_depth < 1:
+        stats.max_depth = 1
     send_value: Any = None
     final: Any = None
     while stack:
         frame = stack[-1]
 
         if frame.pending:
-            index, child = frame.pending.pop(0)
-            frame.awaiting_index = index
-            stack.append(_Frame(expand(child, ctx)))
-            if stats is not None and base_depth + len(stack) > stats.max_depth:
-                stats.max_depth = base_depth + len(stack)
-            send_value = None
+            stack.append(_Frame(expand(frame.pending.pop(), ctx)))
+            if stats is not None and len(stack) > stats.max_depth:
+                stats.max_depth = len(stack)
             continue
 
         if frame.results is not None:
-            if frame.futures:
-                for index, future in frame.futures:
-                    child_result, child_stats = future.result()
-                    frame.results[index] = child_result
-                    if stats is not None:
-                        stats.merge(child_stats)
             send_value = frame.results
             frame.pending = None
             frame.results = None
-            frame.futures = None
 
         try:
             if frame.started:
@@ -130,21 +61,14 @@ def drive(
         except StopIteration as stop:
             stack.pop()
             if stack:
-                parent = stack[-1]
-                parent.results[parent.awaiting_index] = stop.value
+                stack[-1].results.append(stop.value)
             else:
                 final = stop.value
             send_value = None
             continue
 
         send_value = None
-        frame.results = [None] * len(batch)
-        frame.futures = []
-        frame.pending = []
-        depth_here = base_depth + len(stack)
-        for index, child in enumerate(batch):
-            if index > 0 and pool is not None and pool.try_acquire():
-                frame.futures.append((index, pool.submit(_offload, child, expand, ctx, pool, depth_here)))
-            else:
-                frame.pending.append((index, child))
+        frame.results = []
+        # Reversed, so pop() hands out the children in batch order.
+        frame.pending = batch[::-1]
     return final

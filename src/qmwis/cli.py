@@ -56,12 +56,19 @@ def _default_bruteforce_cap() -> int:
     return cap if cap >= 1 else DEFAULT_BRUTE_FORCE_CAP
 
 
+class _Parser(argparse.ArgumentParser):
+    # Subparsers inherit this class, so every usage error raises instead of
+    # printing usage text and exiting; cli_main reports it as an input error.
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmwis",
         description="Exact maximum-weight independent set via separator-guided branching.",
     )
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--assert",
         dest="assertion_level",
@@ -73,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--stats", metavar="PATH", help="write run statistics JSON to PATH")
     common.add_argument("--witness", action="store_true", help="include the witness in the report")
     common.add_argument("--k-hint", type=int, default=None, help="claimed induced-path bound")
-    common.add_argument("--parallel", type=int, default=None, help="solver worker threads")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -176,13 +182,7 @@ def _parse_oracle_spec(spec: str) -> ComponentOracle:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g, w = _read_graph(args.file)
-    result = solve_pkfree(
-        g,
-        w,
-        k_hint=args.k_hint,
-        assertion_level=args.assertion_level,
-        parallel=args.parallel,
-    )
+    result = solve_pkfree(g, w, k_hint=args.k_hint, assertion_level=args.assertion_level)
     report = ReportDocument(
         command="solve",
         assertion_level=args.assertion_level,
@@ -203,13 +203,7 @@ def _cmd_solve_hfree(args: argparse.Namespace) -> int:
         )
     oracles = [_parse_oracle_spec(spec) for spec in specs]
     result = solve_hfree(
-        pattern,
-        g,
-        w,
-        oracles,
-        assume_hfree=args.assume_hfree,
-        assertion_level=args.assertion_level,
-        parallel=args.parallel,
+        pattern, g, w, oracles, assume_hfree=args.assume_hfree, assertion_level=args.assertion_level
     )
     payload = _solver_payload(result, args, g)
     payload["pattern"] = {
@@ -292,13 +286,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     total_calls = 0
     for path in sorted(root.glob("*.graph")):
         g, w = parse_graph(path.read_bytes())
-        result = solve_pkfree(
-            g,
-            w,
-            k_hint=args.k_hint,
-            assertion_level=args.assertion_level,
-            parallel=args.parallel,
-        )
+        result = solve_pkfree(g, w, k_hint=args.k_hint, assertion_level=args.assertion_level)
         total_weight += result.weight
         total_calls += result.stats.calls
         rows.append(
@@ -334,13 +322,11 @@ _COMMANDS = {
 
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.subcommand](args)
+    except SystemExit as exc:  # --help
+        return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     except InvariantViolation as exc:
         sys.stderr.write(error_document("invariant-violation", str(exc), {"rule": exc.rule}))
         return EXIT_VIOLATION

@@ -5,30 +5,30 @@ solver owns one oracle per component; an oracle must be exact on graphs with
 no induced copy of its component and may do anything elsewhere, because the
 solver only consults it on graphs it has verified to be that-component-free.
 
-Each call on (G, w, N, F) picks i = |F| mod c and applies the first rule
-that fits:
+The pattern scheme below drives the shared recursion of pkfree.py. Each
+call on (G, w, N, F) picks i = |F| mod c and applies the first rule that
+fits:
 
   1. a branchable vertex v exists: best of solving without v and solving
      without N[v] plus w(v);
   2. G has an induced copy X of H_i: grow F by N[X] and retry;
   3. neither: return the i-th oracle's answer, valid since G is H_i-free.
 
-N never changes and there is no component rule. The result is exact for
+N never changes and there is no component split. The result is exact for
 every input graph as long as the oracles honor their contract. The
-assume_hfree flag enables the pattern-dependent instrumentation bounds,
-which are proven only for runs whose root graph has no induced H.
+assume_hfree flag enables the pattern-dependent audit bounds, which are
+proven only for runs whose root graph has no induced H.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
-from ._engine import BranchPool, drive
+from ._engine import drive
 from .graph import (
     Graph,
     WeightMap,
-    closed_neighborhood,
     connected_components,
     induced_subgraph,
     remove_vertices,
@@ -36,26 +36,22 @@ from .graph import (
 )
 from .instrumentation import (
     RULE_ADD_NEIGHBORHOOD,
-    RULE_BRANCH_DELETE,
-    RULE_BRANCH_TAKE,
     InvariantViolation,
     MeasureH,
     RunStats,
-    assert_recurrence_step,
-    check_level_growth,
-    check_level_sizes,
     max_measure_h,
     measure_h,
 )
-from .levels import LevelView, VertexMultiFamily, ceil_log2, find_branchable
+from .levels import VertexMultiFamily
 from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
 from .pkfree import (
     ASSERT_FAIR,
     ASSERT_OFF,
+    Instance,
+    Scheme,
     SolveResult,
+    _expand,
     _parse_level,
-    branch_sets,
-    collect_witness,
     solve_pkfree,
     verify_witness,
 )
@@ -126,8 +122,7 @@ class ComponentOracle:
     solver never calls it otherwise. claimed_pattern None means the oracle
     is exact on every graph. solve_with_witness, when given, must return a
     matching (weight, vertex-set) pair; without it the solver recovers a
-    witness through repeated solve calls on induced subgraphs. Oracles must
-    tolerate concurrent calls when the solver runs with a thread pool.
+    witness through repeated solve calls on induced subgraphs.
     """
 
     name: str
@@ -240,242 +235,110 @@ def is_h_free(g: Graph, h: Graph) -> bool:
     return find_induced_copy(g, h) is None
 
 
-@dataclass(frozen=True, eq=False)
-class Alg2Instance:
-    """One recursion node: graph, weights, vertex budget N, family F."""
-
-    graph: Graph
-    weights: WeightMap
-    capacity_n: int
-    family: VertexMultiFamily
-
-    def __post_init__(self) -> None:
-        if self.capacity_n < 1:
-            raise ValueError(f"N must be >= 1, got {self.capacity_n}")
-
-
-def pattern_measure(inst: Alg2Instance, pattern: PatternGraph) -> MeasureH:
+def pattern_measure(inst: Instance, pattern: PatternGraph) -> MeasureH:
     """The instance's potential for the given pattern."""
-    return measure_h(
-        inst.graph.n,
-        inst.capacity_n,
-        inst.family,
-        pattern.total_size,
-        len(pattern.components),
-    )
+    size, c = pattern.total_size, len(pattern.components)
+    return measure_h(inst.graph.n, inst.capacity_n, inst.family, size, c)
 
 
-class _Context:
-    __slots__ = ("pattern", "oracles", "level", "assume_hfree", "stats", "trace_limit")
+class _PatternScheme(Scheme):
+    """Induced-copy growth and oracle leaves for a pattern with c components.
+
+    F grows by N[X] for an induced copy X of component i = |F| mod c, and a
+    graph with no such copy goes to oracle i. assume_hfree claims the root
+    graph has no induced copy of the whole pattern; only then are the family
+    bound and the potential audited.
+    """
+
+    noun = "neighborhood"
+    growth_rule = RULE_ADD_NEIGHBORHOOD
+    chain_rule = "neighborhood-chain"
+    audit_from_n = 2
 
     def __init__(
-        self,
-        pattern: PatternGraph,
-        oracles: tuple[ComponentOracle, ...],
-        level: int,
-        assume_hfree: bool,
-        stats: RunStats,
-        trace_limit: int,
+        self, level: int, stats: RunStats, pattern: PatternGraph, oracles: tuple, assume_hfree: bool
     ):
-        self.pattern = pattern
-        self.oracles = oracles
-        self.level = level
-        self.assume_hfree = assume_hfree
-        self.stats = stats
-        self.trace_limit = trace_limit
+        self.level, self.stats = level, stats
+        self.pattern, self.oracles, self.assume_hfree = pattern, oracles, assume_hfree
+        self.size, self.c = pattern.total_size, len(pattern.components)
+        self.params = {"pattern_size": self.size, "pattern_components": self.c}
 
-    def clone_for_worker(self) -> "_Context":
-        return _Context(
-            self.pattern,
-            self.oracles,
-            self.level,
-            self.assume_hfree,
-            RunStats(trace_limit=self.trace_limit),
-            self.trace_limit,
-        )
+    def anchor(self, g: Graph, family: VertexMultiFamily) -> frozenset[int] | None:
+        return find_induced_copy(g, self.pattern.components[len(family) % self.c])
 
+    def record_growth(self, anchor: frozenset[int]) -> None:
+        self.stats.record_neighborhood(tuple(sorted(anchor)))
 
-def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, ctx: _Context) -> int | None:
-    """Per-call invariant checks. Returns the potential when measurable."""
-    ctx.stats.on_call(g.n, len(family))
-    if ctx.level < 1:
-        return None
+    def family_excess(self, size: int, log_n: int) -> tuple[str, int] | None:
+        bound = self.c * self.size * log_n
+        if not self.assume_hfree or size < bound:
+            return None
+        return f"|F| = {size} reached c |H| log(N) = {bound}", bound
 
-    size = ctx.pattern.total_size
-    c = len(ctx.pattern.components)
-    if g.n > n_cap:
-        raise InvariantViolation(
-            "fair-shape", f"|V(G)| = {g.n} exceeds N = {n_cap}", {"n": g.n, "N": n_cap}
-        )
-    log_n = ceil_log2(n_cap)
-    # Level emptiness rests on a pigeonhole over level log(N), which only
-    # exists for N >= 2; a single-vertex budget with a lone-vertex pattern
-    # component legitimately occupies level 1 = log(1) + 1.
-    if n_cap >= 2 and family.max_multiplicity() > log_n:
-        raise InvariantViolation(
-            "level-emptiness",
-            f"L(F, {log_n + 1}) is non-empty with N = {n_cap}",
-            {"level": log_n + 1, "occupancy": family.level_sizes()[log_n]},
-        )
-    # The family bound is proven for pattern-free roots with N >= 2; a
-    # single-vertex budget legitimately adds one copy when a component is
-    # a lone vertex, so it is exempt.
-    if ctx.assume_hfree and n_cap >= 2 and len(family) >= c * size * log_n:
-        raise InvariantViolation(
-            "family-size",
-            f"|F| = {len(family)} reached c |H| log(N) = {c * size * log_n}",
-            {"family_size": len(family), "bound": c * size * log_n},
-        )
-    ctx.stats.assertions_checked += 1
-    if ctx.level < 2:
-        return None
+    def level_bound(self, n_cap: int) -> tuple[int, str, dict]:
+        # Adding one copy's neighborhood grows level i by at most
+        # |H| Delta_(i-1) vertices; this needs no freeness claim.
+        return self.size * n_cap, "|H|", {"N": n_cap, "pattern_size": self.size}
 
-    ctx.stats.record_levels(family)
-    check_level_sizes(family, size * n_cap, "|H|")
-    if not ctx.assume_hfree or n_cap < 2:
-        return None
-    mu = measure_h(g.n, n_cap, family, size, c)
-    ceiling = max_measure_h(n_cap, size, c)
-    if not 0 <= mu.value <= ceiling:
-        raise InvariantViolation(
-            "measure-bounds",
-            f"potential {mu.value} outside [0, {ceiling}]",
-            {"measure": mu.value, "ceiling": ceiling},
-        )
-    return mu.value
+    def potential(self, graph_size: int, n_cap: int, family: VertexMultiFamily) -> int | None:
+        if not self.assume_hfree or n_cap < 2:
+            return None
+        return measure_h(graph_size, n_cap, family, self.size, self.c).value
 
+    def ceiling(self, n_cap: int) -> int:
+        return max_measure_h(n_cap, self.size, self.c)
 
-def _check_edge(parent_mu: int | None, child: Alg2Instance, rule: str, ctx: _Context) -> None:
-    if parent_mu is None or ctx.level < 2 or not ctx.assume_hfree:
-        return
-    size = ctx.pattern.total_size
-    c = len(ctx.pattern.components)
-    child_mu = measure_h(child.graph.n, child.capacity_n, child.family, size, c).value
-    assert_recurrence_step(
-        parent_mu, child_mu, rule, {"pattern_size": size, "pattern_components": c}
-    )
-    ctx.stats.record_measure(rule, parent_mu, child_mu)
-
-
-def _invoke_oracle(
-    g: Graph,
-    w: WeightMap,
-    comp_index: int,
-    with_witness: bool,
-    ctx: _Context,
-) -> int | tuple[int, frozenset[int]]:
-    oracle = ctx.oracles[comp_index]
-    if ctx.level >= 2:
-        component = ctx.pattern.components[comp_index]
-        if not is_h_free(g, component):
-            raise InvariantViolation(
-                "oracle-validity",
-                f"graph handed to oracle {comp_index} ({oracle.name}) has an induced copy "
-                "of its forbidden component",
-                {"oracle": comp_index, "n": g.n},
-            )
-    ctx.stats.record_oracle_call(comp_index)
-    if with_witness:
-        return oracle.solve_with_witness(g, w)
-    return oracle.solve(g, w)
-
-
-def _witness_by_reduction(
-    g: Graph, w: WeightMap, comp_index: int, ctx: _Context
-) -> tuple[int, frozenset[int]]:
-    """Recover a witness from a weight-only oracle.
-
-    Freeness is hereditary, so the oracle stays valid on the induced
-    subgraphs this walks through. One oracle call per vertex decision.
-    """
-    best = _invoke_oracle(g, w, comp_index, False, ctx)
-    need = best
-    remaining = g
-    chosen: set[int] = set()
-    while remaining.n:
-        v = remaining.vertex_ids()[0]
-        without = remove_vertices(remaining, {v})
-        if _invoke_oracle(without, w, comp_index, False, ctx) == need:
-            remaining = without
-        else:
-            chosen.add(v)
-            need -= w[v]
-            remaining = remove_vertices(remaining, remaining.closed(v))
-    if need != 0:
-        raise InvariantViolation(
-            "oracle-consistency",
-            f"weight residue {need} left after witness reduction "
-            f"(oracle {comp_index} is not self-consistent)",
-            {"oracle": comp_index, "residue": need, "reported": best},
-        )
-    return best, frozenset(chosen)
-
-
-def _oracle_leaf(
-    g: Graph, w: WeightMap, comp_index: int, ctx: _Context
-) -> tuple[int, frozenset[int]]:
-    oracle = ctx.oracles[comp_index]
-    if oracle.solve_with_witness is not None:
-        weight, witness = _invoke_oracle(g, w, comp_index, True, ctx)
-        if ctx.level >= 2:
+    def leaf(self, g: Graph, w: WeightMap, family: VertexMultiFamily) -> tuple[int, frozenset[int]]:
+        index = len(family) % self.c
+        oracle = self._oracle(g, index)
+        if oracle.solve_with_witness is None:
+            return self._witness_by_reduction(g, w, index, oracle.solve(g, w))
+        weight, witness = oracle.solve_with_witness(g, w)
+        if self.level >= 2:
             verify_witness(g, w, weight, witness)
         return weight, witness
-    return _witness_by_reduction(g, w, comp_index, ctx)
 
-
-def _alg2_gen(
-    inst: Alg2Instance, ctx: _Context
-) -> Generator[list[Alg2Instance], list[tuple[int, frozenset[int]]], tuple[int, frozenset[int]]]:
-    g = inst.graph
-    w = inst.weights
-    n_cap = inst.capacity_n
-    family = inst.family
-    c = len(ctx.pattern.components)
-
-    # Consecutive neighborhood additions keep the same graph, so they run
-    # as a loop in this frame rather than growing the stack. Every
-    # iteration is one call of the scheme and is counted and checked.
-    adds_in_a_row = 0
-    while True:
-        parent_mu = _check_call(g, n_cap, family, ctx)
-        comp_index = len(family) % c
-
-        v = find_branchable(g, LevelView(family, n_cap))
-        if v is not None:
-            ctx.stats.branch_steps += 1
-            bit, closed_v = branch_sets(g, v)
-            delete_child = Alg2Instance(remove_vertices(g, bit), w, n_cap, family.subtract(bit))
-            take_child = Alg2Instance(
-                remove_vertices(g, closed_v), w, n_cap, family.subtract(closed_v)
+    def _oracle(self, g: Graph, index: int) -> ComponentOracle:
+        """Oracle index, counted as one call on g; at "paranoid" g must be free of its component."""
+        oracle = self.oracles[index]
+        if self.level >= 2 and not is_h_free(g, self.pattern.components[index]):
+            raise InvariantViolation(
+                "oracle-validity",
+                f"graph handed to oracle {index} ({oracle.name}) has an induced copy "
+                "of its forbidden component",
+                {"oracle": index, "n": g.n},
             )
-            _check_edge(parent_mu, delete_child, RULE_BRANCH_DELETE, ctx)
-            _check_edge(parent_mu, take_child, RULE_BRANCH_TAKE, ctx)
-            results = yield [delete_child, take_child]
-            return collect_witness(results[0], results[1], v, w[v])
+        self.stats.record_oracle_call(index)
+        return oracle
 
-        copy = find_induced_copy(g, ctx.pattern.components[comp_index])
-        if copy is not None:
-            adds_in_a_row += 1
-            if ctx.level >= 1 and n_cap >= 2 and adds_in_a_row > g.n * ceil_log2(n_cap):
-                raise InvariantViolation(
-                    "neighborhood-chain",
-                    f"{adds_in_a_row} neighborhood additions in a row exceeds |V(G)| log(N)",
-                    {"chain": adds_in_a_row, "n": g.n, "N": n_cap},
-                )
-            ctx.stats.record_neighborhood(tuple(sorted(copy)))
-            grown = family.add(closed_neighborhood(g, g.table.mask(copy)))
-            if ctx.level >= 2:
-                # Adding one copy's neighborhood grows level i by at most
-                # |H| Delta_(i-1) vertices; this needs no freeness claim.
-                size = ctx.pattern.total_size
-                details = {"N": n_cap, "pattern_size": size}
-                check_level_growth(family, grown, size * n_cap, "|H|", details)
-            child = Alg2Instance(g, w, n_cap, grown)
-            _check_edge(parent_mu, child, RULE_ADD_NEIGHBORHOOD, ctx)
-            family = grown
-            continue
+    def _witness_by_reduction(
+        self, g: Graph, w: WeightMap, index: int, best: int
+    ) -> tuple[int, frozenset[int]]:
+        """Recover a witness from a weight-only oracle that reported best on g.
 
-        return _oracle_leaf(g, w, comp_index, ctx)
+        Freeness is hereditary, so the oracle stays valid on the induced
+        subgraphs this walks through. One oracle call per vertex decision.
+        """
+        need = best
+        remaining = g
+        chosen: set[int] = set()
+        while remaining.n:
+            v = remaining.vertex_ids()[0]
+            without = remove_vertices(remaining, {v})
+            if self._oracle(without, index).solve(without, w) == need:
+                remaining = without
+            else:
+                chosen.add(v)
+                need -= w[v]
+                remaining = remove_vertices(remaining, remaining.closed(v))
+        if need != 0:
+            raise InvariantViolation(
+                "oracle-consistency",
+                f"weight residue {need} left after witness reduction "
+                f"(oracle {index} is not self-consistent)",
+                {"oracle": index, "residue": need, "reported": best},
+            )
+        return best, frozenset(chosen)
 
 
 def solve_hfree(
@@ -485,7 +348,6 @@ def solve_hfree(
     oracles: Sequence[ComponentOracle],
     assume_hfree: bool = False,
     assertion_level: str = ASSERT_FAIR,
-    parallel: int | None = None,
     trace_limit: int = 4096,
 ) -> SolveResult:
     """Maximum-weight independent set of g, excluding pattern via oracles.
@@ -504,7 +366,6 @@ def solve_hfree(
         oracles: one per pattern component, order-matched.
         assume_hfree: claim that g has no induced copy of the pattern.
         assertion_level: "off", "fair", or "paranoid".
-        parallel: worker threads for independent branches.
         trace_limit: ring-buffer size for the potential trace in the stats.
 
     Returns:
@@ -512,8 +373,6 @@ def solve_hfree(
     """
     if isinstance(pattern, Graph):
         pattern = PatternGraph.from_graph(pattern)
-    if parallel is not None and parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
     validate_weights(g, w)
     oracles = tuple(oracles)
     c = len(pattern.components)
@@ -529,14 +388,9 @@ def solve_hfree(
                 f"oracle {idx} ({oracle.name}) claims a pattern that is not "
                 f"isomorphic to component {idx}"
             )
-    level = _parse_level(assertion_level)
     stats = RunStats(trace_limit=trace_limit)
-    ctx = _Context(pattern, oracles, level, assume_hfree, stats, trace_limit)
-    root = Alg2Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
-    if parallel is not None and parallel > 1:
-        with BranchPool(parallel) as pool:
-            weight, witness = drive(root, _alg2_gen, ctx, pool)
-    else:
-        weight, witness = drive(root, _alg2_gen, ctx)
+    scheme = _PatternScheme(_parse_level(assertion_level), stats, pattern, oracles, assume_hfree)
+    root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
+    weight, witness = drive(root, _expand, scheme)
     verify_witness(g, w, weight, witness)
     return SolveResult(weight=weight, witness=witness, stats=stats)

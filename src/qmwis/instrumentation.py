@@ -249,9 +249,8 @@ def assert_recurrence_step(
 class RunStats:
     """Exact counters for one solver run.
 
-    Mutable during a run; merge() folds a finished child run (from a
-    parallel branch) into this one. measure_trace and neighborhoods_added
-    are ring buffers so deep runs stay bounded in memory.
+    Mutable during a run. measure_trace and neighborhoods_added are ring
+    buffers so deep runs stay bounded in memory.
     """
 
     calls: int = 0
@@ -299,26 +298,6 @@ class RunStats:
     def record_neighborhood(self, copy_vertices: tuple[int, ...]) -> None:
         self.neighborhoods_added_count += 1
         self.neighborhoods_added.append(copy_vertices)
-
-    def merge(self, other: "RunStats") -> None:
-        """Fold a child run's counters into this one (batch order)."""
-        self.calls += other.calls
-        self.component_recursions += other.component_recursions
-        self.branch_steps += other.branch_steps
-        self.separators_added += other.separators_added
-        self.neighborhoods_added_count += other.neighborhoods_added_count
-        self.oracle_calls += other.oracle_calls
-        for idx, c in other.oracle_calls_by_index.items():
-            self.oracle_calls_by_index[idx] = self.oracle_calls_by_index.get(idx, 0) + c
-        self.max_family_size = max(self.max_family_size, other.max_family_size)
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.max_graph_size = max(self.max_graph_size, other.max_graph_size)
-        for i, occ in other.max_level_occupancy.items():
-            if occ > self.max_level_occupancy.get(i, 0):
-                self.max_level_occupancy[i] = occ
-        self.assertions_checked += other.assertions_checked
-        self.measure_trace.extend(other.measure_trace)
-        self.neighborhoods_added.extend(other.neighborhoods_added)
 
     def to_dict(self) -> dict[str, Any]:
         """Stable-key snapshot for reports."""

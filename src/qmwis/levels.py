@@ -21,7 +21,6 @@ later non-empty level already qualifies at the cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -153,16 +152,6 @@ def _with_member(levels: tuple[int, ...], member: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def level_set(family: VertexMultiFamily, i: int) -> frozenset[int]:
-    """L(F, i) as a standalone operation."""
-    return family.level(i)
-
-
-def family_subtract(family: VertexMultiFamily, xs: Iterable[int]) -> VertexMultiFamily:
-    """F - X as a standalone operation."""
-    return family.subtract(xs)
-
-
 def branch_threshold(capacity_n: int, i: int) -> Fraction:
     """Delta_i = N / 2^i as an exact rational."""
     if capacity_n < 1:
@@ -172,24 +161,8 @@ def branch_threshold(capacity_n: int, i: int) -> Fraction:
     return Fraction(capacity_n, 2**i)
 
 
-@dataclass(frozen=True)
-class LevelView:
-    """A family paired with the capacity N it is measured against."""
-
-    family: VertexMultiFamily
-    capacity_n: int
-
-    def __post_init__(self) -> None:
-        if self.capacity_n < 1:
-            raise ValueError(f"N must be >= 1, got {self.capacity_n}")
-
-    def max_level_index(self) -> int:
-        """The level search cap, ceil(log2 N) + 1."""
-        return ceil_log2(self.capacity_n) + 1
-
-
-def find_branchable(g: Graph, view: LevelView) -> int | None:
-    """A branchable vertex of g relative to view, or None.
+def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int | None:
+    """A branchable vertex of g relative to (family, capacity_n), or None.
 
     A vertex qualifies when |N[v] cap L(F, i)| >= N / 2^i for some
     1 <= i <= ceil(log2 N) + 1, checked as the integer comparison
@@ -198,9 +171,11 @@ def find_branchable(g: Graph, view: LevelView) -> int | None:
     the smallest vertex id. Each count is one popcount,
     ((adj | bit) & level_i).bit_count().
     """
+    if capacity_n < 1:
+        raise ValueError(f"N must be >= 1, got {capacity_n}")
     live = g.mask
-    levels = [level & live for level in view.family.over(g.table).level_masks]
-    levels = [level for level in levels[: view.max_level_index()] if level]
+    levels = [level & live for level in family.over(g.table).level_masks]
+    levels = [level for level in levels[: ceil_log2(capacity_n) + 1] if level]
     if not levels:
         return None
     adj = g.table.adj
@@ -209,6 +184,6 @@ def find_branchable(g: Graph, view: LevelView) -> int | None:
     rows = [[(c & level).bit_count() << i for c in closed] for i, level in enumerate(levels, 1)]
     scores = list(map(max, *rows)) if len(rows) > 1 else rows[0]
     best = max(scores)
-    if best < view.capacity_n:
+    if best < capacity_n:
         return None
     return g.table.ids[ranks[scores.index(best)]]

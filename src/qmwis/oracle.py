@@ -279,11 +279,3 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, WeightMap]:
     weights = {v: rng.randint(lo, hi) for v in sorted(graph.vertices)}
     return graph, weights
 
-
-def make_bruteforce_solver(max_size: int = DEFAULT_BRUTE_FORCE_CAP):
-    """A (graph, weights) -> weight callable around brute_force_mwis."""
-
-    def solve(g: Graph, w: WeightMap) -> int:
-        return brute_force_mwis(g, w, max_size=max_size)[0]
-
-    return solve

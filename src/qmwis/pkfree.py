@@ -1,29 +1,37 @@
 """Exact maximum-weight independent set by separator-guided branching.
 
-The solver recurses on instances (G, w, N, F) where N is the vertex budget
-fixed when the current recursion root was entered and F is a multi-family of
-separator neighborhoods accumulated since. Four rules apply in order:
+Both solvers run one recursion on instances (G, w, N, F): N is the vertex
+budget fixed when the current recursion root was entered and F a
+multi-family of vertex sets accumulated since. A call applies the first of
+these rules that fits:
 
-  1. at most one vertex: return its weight;
-  2. every component has at most N/2 vertices: solve components
-     independently, resetting N to the component size and F to empty;
-  3. a branchable vertex v exists: best of solving without v and solving
+  1. the scheme's split: a leaf answer, or components to solve apart;
+  2. a branchable vertex v exists: best of solving without v and solving
      without N[v] plus w(v);
-  4. otherwise: grow F by the closed neighborhood of a balanced separator
-     core and retry (this makes level sets grow until rule 3 can fire).
+  3. the scheme finds a vertex set X: grow F by N[X] and retry (level sets
+     grow until rule 2 can fire);
+  4. otherwise: the scheme's leaf answer.
+
+The shared core owns the per-call audit, the branch rule and the F-growth
+loop with its chain, level-growth and per-edge potential checks; a scheme
+supplies only what differs. The path scheme here (solve_pkfree) answers
+graphs of at most one vertex, splits a graph whose components all have at
+most N/2 vertices (each with N reset to its size and F to empty), and grows
+F by the closed neighborhood of a balanced separator core, so rule 4 never
+fires. The pattern scheme lives in hfree.py.
 
 Correctness never depends on the input being path-free; the quasi-polynomial
-call bound does. The optional k_hint enables the k-dependent instrumentation
-bounds and never influences the computed result.
+call bound does. The optional k_hint enables the k-dependent audit bounds
+and never influences the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Generator
+from typing import Any, Generator
 
-from ._engine import BranchPool, drive
+from ._engine import drive
 from .graph import (
     Graph,
     WeightMap,
@@ -49,7 +57,7 @@ from .instrumentation import (
     max_measure_k,
     measure_k,
 )
-from .levels import LevelView, VertexMultiFamily, ceil_log2, find_branchable
+from .levels import VertexMultiFamily, ceil_log2, find_branchable
 from .separators import balanced_separator_core, verify_balanced
 
 ASSERT_OFF = "off"
@@ -59,7 +67,7 @@ _LEVELS = {ASSERT_OFF: 0, ASSERT_FAIR: 1, ASSERT_PARANOID: 2}
 
 
 @dataclass(frozen=True, eq=False)
-class Alg1Instance:
+class Instance:
     """One recursion node: graph, weights, vertex budget N, family F."""
 
     graph: Graph
@@ -79,7 +87,7 @@ class SolveResult:
     stats: RunStats
 
 
-def instance_measure(inst: Alg1Instance, k: int) -> MeasureK:
+def instance_measure(inst: Instance, k: int) -> MeasureK:
     """The instance's potential for parameter k."""
     return measure_k(inst.graph.n, inst.capacity_n, inst.family, k)
 
@@ -118,19 +126,6 @@ def _rooted_family(g: Graph, family: VertexMultiFamily) -> VertexMultiFamily:
     return family.over(g.table)
 
 
-class _Context:
-    __slots__ = ("level", "k", "stats", "trace_limit")
-
-    def __init__(self, level: int, k: int | None, stats: RunStats, trace_limit: int):
-        self.level = level
-        self.k = k
-        self.stats = stats
-        self.trace_limit = trace_limit
-
-    def clone_for_worker(self) -> "_Context":
-        return _Context(self.level, self.k, RunStats(trace_limit=self.trace_limit), self.trace_limit)
-
-
 def _parse_level(assertion_level: str) -> int:
     try:
         return _LEVELS[assertion_level]
@@ -140,10 +135,43 @@ def _parse_level(assertion_level: str) -> int:
         ) from None
 
 
-def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, ctx: _Context) -> int | None:
+class Scheme:
+    """What one solver supplies to the shared recursion, and the run's state.
+
+    A scheme holds the assertion level and the run's stats, and names the
+    member F grows by (noun), the rules of growth edges and of the chain
+    audit, the recurrence parameters (params) and the least N at which the
+    emptiness, family and chain bounds are audited (audit_from_n). Hooks:
+
+      split(g, w, N)       a leaf answer, component masks, or None;
+      anchor(g, F)         the vertex set X whose N[X] grows F, or None;
+      record_growth(X)     count one growth of F in stats;
+      leaf(g, w, F)        the answer when anchor finds nothing;
+      family_excess(s, L)  (message, bound) if |F| = s breaks its bound at
+                           log(N) = L;
+      check_members(g, F, N)  paranoid checks of F's members;
+      level_bound(N)       (bound, label, details) of the level-size and
+                           level-growth audits, or None when unclaimed;
+      potential(n, N, F)   the integer potential, or None when unclaimed;
+      ceiling(N)           the potential's proven ceiling.
+    """
+
+    level: int
+    stats: RunStats
+    audit_from_n = 1
+
+    def split(self, g: Graph, w: WeightMap, n_cap: int) -> Any:
+        return None
+
+    def check_members(self, g: Graph, family: VertexMultiFamily, n_cap: int) -> None:
+        return None
+
+
+def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, scheme: Scheme) -> int | None:
     """Per-call invariant checks. Returns the potential when measurable."""
-    ctx.stats.on_call(g.n, len(family))
-    if ctx.level < 1:
+    stats = scheme.stats
+    stats.on_call(g.n, len(family))
+    if scheme.level < 1:
         return None
 
     if g.n > n_cap:
@@ -151,133 +179,186 @@ def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, ctx: _Context) 
             "fair-shape", f"|V(G)| = {g.n} exceeds N = {n_cap}", {"n": g.n, "N": n_cap}
         )
     log_n = ceil_log2(n_cap)
-    if family.max_multiplicity() > log_n:
-        raise InvariantViolation(
-            "level-emptiness",
-            f"L(F, {log_n + 1}) is non-empty with N = {n_cap}",
-            {"level": log_n + 1, "occupancy": family.level_sizes()[log_n]},
-        )
-    if ctx.k is not None and len(family) > 10 * ctx.k * log_n:
-        raise InvariantViolation(
-            "family-size",
-            f"|F| = {len(family)} exceeds 10k log(N) = {10 * ctx.k * log_n}",
-            {"family_size": len(family), "bound": 10 * ctx.k * log_n},
-        )
-    ctx.stats.assertions_checked += 1
-    if ctx.level < 2:
-        return None
-
-    ctx.stats.record_levels(family)
-    quarter = Fraction(n_cap, 4)
-    for member in family.masks:
-        if not verify_balanced(g, member, quarter):
+    # Level emptiness rests on a pigeonhole over level log(N). The pattern
+    # scheme audits it and the family and chain bounds only from N = 2: at
+    # N = 1 a lone-vertex component legitimately adds a member to level 1.
+    if n_cap >= scheme.audit_from_n:
+        if family.max_multiplicity() > log_n:
             raise InvariantViolation(
-                "separator-balance",
-                f"a family member is not an N/4-balanced separator (N = {n_cap})",
-                {"member": sorted(g.table.decode(member)), "N": n_cap},
+                "level-emptiness",
+                f"L(F, {log_n + 1}) is non-empty with N = {n_cap}",
+                {"level": log_n + 1, "occupancy": family.level_sizes()[log_n]},
             )
-    if ctx.k is None:
+        excess = scheme.family_excess(len(family), log_n)
+        if excess is not None:
+            message, bound = excess
+            raise InvariantViolation(
+                "family-size", message, {"family_size": len(family), "bound": bound}
+            )
+    stats.assertions_checked += 1
+    if scheme.level < 2:
         return None
 
-    check_level_sizes(family, 8 * ctx.k * n_cap, "8k")
-    mu = measure_k(g.n, n_cap, family, ctx.k)
-    ceiling = max_measure_k(n_cap, ctx.k)
-    if not 0 <= mu.value <= ceiling:
+    stats.record_levels(family)
+    scheme.check_members(g, family, n_cap)
+    bound = scheme.level_bound(n_cap)
+    if bound is not None:
+        check_level_sizes(family, bound[0], bound[1])
+    mu = scheme.potential(g.n, n_cap, family)
+    if mu is None:
+        return None
+    ceiling = scheme.ceiling(n_cap)
+    if not 0 <= mu <= ceiling:
         raise InvariantViolation(
             "measure-bounds",
-            f"potential {mu.value} outside [0, {ceiling}]",
-            {"measure": mu.value, "ceiling": ceiling},
+            f"potential {mu} outside [0, {ceiling}]",
+            {"measure": mu, "ceiling": ceiling},
         )
-    return mu.value
+    return mu
 
 
-def _check_edge(parent_mu: int | None, child: Alg1Instance, rule: str, ctx: _Context) -> None:
-    if parent_mu is None or ctx.k is None or ctx.level < 2:
+def _check_edge(parent_mu: int | None, child: Instance, rule: str, scheme: Scheme) -> None:
+    # A parent potential exists only at "paranoid" with a claimed bound.
+    if parent_mu is None:
         return
-    child_mu = measure_k(child.graph.n, child.capacity_n, child.family, ctx.k).value
-    assert_recurrence_step(parent_mu, child_mu, rule, {"k": ctx.k})
-    ctx.stats.record_measure(rule, parent_mu, child_mu)
+    child_mu = scheme.potential(child.graph.n, child.capacity_n, child.family)
+    assert_recurrence_step(parent_mu, child_mu, rule, scheme.params)
+    scheme.stats.record_measure(rule, parent_mu, child_mu)
 
 
-def _alg1_gen(
-    inst: Alg1Instance, ctx: _Context
-) -> Generator[list[Alg1Instance], list[tuple[int, frozenset[int]]], tuple[int, frozenset[int]]]:
-    g = inst.graph
-    w = inst.weights
-    n_cap = inst.capacity_n
-    family = inst.family
+def _expand(
+    inst: Instance, scheme: Scheme
+) -> Generator[list[Instance], list[tuple[int, frozenset[int]]], tuple[int, frozenset[int]]]:
+    """The shared recursion on one instance, as a generator for drive()."""
+    g, w, n_cap, family = inst.graph, inst.weights, inst.capacity_n, inst.family
+    stats = scheme.stats
 
-    # Consecutive separator additions keep the same graph, so they run as a
-    # loop in this frame rather than growing the stack. Every iteration is
-    # one call of the four-rule scheme and is counted and checked as such.
+    # Consecutive growths of F keep the same graph, so they run as a loop
+    # in this frame rather than growing the stack. Every iteration is one
+    # call of the recursion and is counted and checked as such.
     adds_in_a_row = 0
     while True:
-        parent_mu = _check_call(g, n_cap, family, ctx)
+        parent_mu = _check_call(g, n_cap, family, scheme)
 
-        if g.n <= 1:
-            leaf = g.vertices
-            return total_weight(w, leaf), leaf
-
-        components = component_masks(g.table.adj, g.mask)
-        if 2 * max(map(int.bit_count, components)) <= n_cap:
-            ctx.stats.component_recursions += 1
+        split = scheme.split(g, w, n_cap)
+        if split is not None:
+            if isinstance(split, tuple):
+                return split
+            stats.component_recursions += 1
             empty = VertexMultiFamily(table=g.table)
             children = []
-            for comp in components:
-                child = Alg1Instance(induced_subgraph(g, comp), w, comp.bit_count(), empty)
-                _check_edge(parent_mu, child, RULE_COMPONENT, ctx)
+            for comp in split:
+                child = Instance(induced_subgraph(g, comp), w, comp.bit_count(), empty)
+                _check_edge(parent_mu, child, RULE_COMPONENT, scheme)
                 children.append(child)
             results = yield children
-            weight = sum(r[0] for r in results)
-            witness = frozenset().union(*(r[1] for r in results))
-            return weight, witness
+            return sum(r[0] for r in results), frozenset().union(*(r[1] for r in results))
 
-        v = find_branchable(g, LevelView(family, n_cap))
+        v = find_branchable(g, family, n_cap)
         if v is not None:
-            ctx.stats.branch_steps += 1
+            stats.branch_steps += 1
             bit, closed_v = branch_sets(g, v)
-            delete_child = Alg1Instance(remove_vertices(g, bit), w, n_cap, family.subtract(bit))
-            take_child = Alg1Instance(
-                remove_vertices(g, closed_v), w, n_cap, family.subtract(closed_v)
-            )
-            _check_edge(parent_mu, delete_child, RULE_BRANCH_DELETE, ctx)
-            _check_edge(parent_mu, take_child, RULE_BRANCH_TAKE, ctx)
+            delete_child = Instance(remove_vertices(g, bit), w, n_cap, family.subtract(bit))
+            take_child = Instance(remove_vertices(g, closed_v), w, n_cap, family.subtract(closed_v))
+            _check_edge(parent_mu, delete_child, RULE_BRANCH_DELETE, scheme)
+            _check_edge(parent_mu, take_child, RULE_BRANCH_TAKE, scheme)
             results = yield [delete_child, take_child]
             return collect_witness(results[0], results[1], v, w[v])
 
-        core = balanced_separator_core(g, 2)
-        separator = closed_neighborhood(g, g.table.mask(core.core))
-        if not separator:
+        anchor = scheme.anchor(g, family)
+        if anchor is None:
+            return scheme.leaf(g, w, family)
+        member = closed_neighborhood(g, g.table.mask(anchor))
+        if not member:
             raise InvariantViolation(
-                "add-separator", "computed an empty separator neighborhood", {"n": g.n, "N": n_cap}
+                scheme.growth_rule,
+                f"computed an empty {scheme.noun} neighborhood",
+                {"n": g.n, "N": n_cap},
             )
         adds_in_a_row += 1
-        if ctx.level >= 1 and adds_in_a_row > g.n * ceil_log2(n_cap):
-            raise InvariantViolation(
-                "separator-chain",
-                f"{adds_in_a_row} separator additions in a row exceeds |V(G)| log(N)",
-                {"chain": adds_in_a_row, "n": g.n, "N": n_cap},
-            )
-        ctx.stats.separators_added += 1
-        grown = family.add(separator)
-        if ctx.level >= 2 and ctx.k is not None:
-            # Adding one separator neighborhood grows level i by at most
-            # 8k Delta_(i-1) vertices: growth * 2^(i-1) <= 8 k N.
-            check_level_growth(family, grown, 8 * ctx.k * n_cap, "8k", {"N": n_cap, "k": ctx.k})
-        child = Alg1Instance(g, w, n_cap, grown)
-        _check_edge(parent_mu, child, RULE_ADD_SEPARATOR, ctx)
+        if scheme.level >= 1 and n_cap >= scheme.audit_from_n:
+            if adds_in_a_row > g.n * ceil_log2(n_cap):
+                raise InvariantViolation(
+                    scheme.chain_rule,
+                    f"{adds_in_a_row} {scheme.noun} additions in a row exceeds |V(G)| log(N)",
+                    {"chain": adds_in_a_row, "n": g.n, "N": n_cap},
+                )
+        scheme.record_growth(anchor)
+        grown = family.add(member)
+        if scheme.level >= 2:
+            bound = scheme.level_bound(n_cap)
+            if bound is not None:
+                check_level_growth(family, grown, *bound)
+        child = Instance(g, w, n_cap, grown)
+        _check_edge(parent_mu, child, scheme.growth_rule, scheme)
         family = grown
 
 
+class _PathScheme(Scheme):
+    """Component split and separator growth; k is the claimed path bound."""
+
+    noun = "separator"
+    growth_rule = RULE_ADD_SEPARATOR
+    chain_rule = "separator-chain"
+
+    def __init__(self, level: int, stats: RunStats, k: int | None):
+        self.level, self.stats, self.k, self.params = level, stats, k, {"k": k}
+
+    def split(self, g: Graph, w: WeightMap, n_cap: int) -> Any:
+        if g.n <= 1:
+            leaf = g.vertices
+            return total_weight(w, leaf), leaf
+        components = component_masks(g.table.adj, g.mask)
+        if 2 * max(map(int.bit_count, components)) <= n_cap:
+            return components
+        return None
+
+    def anchor(self, g: Graph, family: VertexMultiFamily) -> frozenset[int]:
+        return balanced_separator_core(g, 2).core
+
+    def record_growth(self, anchor: frozenset[int]) -> None:
+        self.stats.separators_added += 1
+
+    def family_excess(self, size: int, log_n: int) -> tuple[str, int] | None:
+        bound = 10 * (self.k or 0) * log_n
+        if self.k is None or size <= bound:
+            return None
+        return f"|F| = {size} exceeds 10k log(N) = {bound}", bound
+
+    def check_members(self, g: Graph, family: VertexMultiFamily, n_cap: int) -> None:
+        quarter = Fraction(n_cap, 4)
+        for member in family.masks:
+            if not verify_balanced(g, member, quarter):
+                raise InvariantViolation(
+                    "separator-balance",
+                    f"a family member is not an N/4-balanced separator (N = {n_cap})",
+                    {"member": sorted(g.table.decode(member)), "N": n_cap},
+                )
+
+    def level_bound(self, n_cap: int) -> tuple[int, str, dict] | None:
+        # Adding one separator neighborhood grows level i by at most
+        # 8k Delta_(i-1) vertices: growth * 2^(i-1) <= 8 k N.
+        if self.k is None:
+            return None
+        return 8 * self.k * n_cap, "8k", {"N": n_cap, "k": self.k}
+
+    def potential(self, graph_size: int, n_cap: int, family: VertexMultiFamily) -> int | None:
+        if self.k is None:
+            return None
+        return measure_k(graph_size, n_cap, family, self.k).value
+
+    def ceiling(self, n_cap: int) -> int:
+        return max_measure_k(n_cap, self.k)
+
+
 def alg1_call(
-    inst: Alg1Instance,
+    inst: Instance,
     k_hint: int | None = None,
     assertion_level: str = ASSERT_FAIR,
-    parallel: int | None = None,
     trace_limit: int = 4096,
     stats: RunStats | None = None,
 ) -> tuple[int, frozenset[int]]:
-    """Run the four-rule recursion on one instance.
+    """Run the path-scheme recursion on one instance.
 
     The instance must satisfy |V(G)| <= N; that shape is preserved by every
     rule and is what guarantees termination. Pass a RunStats to keep the
@@ -290,18 +371,12 @@ def alg1_call(
         raise ValueError(
             f"instance is not fair-shaped: |V(G)| = {inst.graph.n} > N = {inst.capacity_n}"
         )
-    if parallel is not None and parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
     validate_weights(inst.graph, inst.weights)
     family = _rooted_family(inst.graph, inst.family)
-    inst = Alg1Instance(inst.graph, inst.weights, inst.capacity_n, family)
+    inst = Instance(inst.graph, inst.weights, inst.capacity_n, family)
     if stats is None:
         stats = RunStats(trace_limit=trace_limit)
-    ctx = _Context(_parse_level(assertion_level), k_hint, stats, trace_limit)
-    if parallel is not None and parallel > 1:
-        with BranchPool(parallel) as pool:
-            return drive(inst, _alg1_gen, ctx, pool)
-    return drive(inst, _alg1_gen, ctx)
+    return drive(inst, _expand, _PathScheme(_parse_level(assertion_level), stats, k_hint))
 
 
 def solve_pkfree(
@@ -309,7 +384,6 @@ def solve_pkfree(
     w: WeightMap,
     k_hint: int | None = None,
     assertion_level: str = ASSERT_FAIR,
-    parallel: int | None = None,
     trace_limit: int = 4096,
 ) -> SolveResult:
     """Maximum-weight independent set of g under w.
@@ -325,8 +399,6 @@ def solve_pkfree(
         w: non-negative integer weights, defined on every vertex.
         k_hint: claimed induced-path bound; instrumentation only.
         assertion_level: "off", "fair", or "paranoid".
-        parallel: worker threads for independent branches (None or 1 runs
-            single-threaded; reports are byte-stable only single-threaded).
         trace_limit: ring-buffer size for the potential trace in the stats.
 
     Returns:
@@ -335,15 +407,8 @@ def solve_pkfree(
     if k_hint is not None and k_hint < 1:
         raise ValueError(f"k_hint must be >= 1, got {k_hint}")
     stats = RunStats(trace_limit=trace_limit)
-    root = Alg1Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
-    weight, witness = alg1_call(
-        root,
-        k_hint=k_hint,
-        assertion_level=assertion_level,
-        parallel=parallel,
-        trace_limit=trace_limit,
-        stats=stats,
-    )
+    root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
+    weight, witness = alg1_call(root, k_hint=k_hint, assertion_level=assertion_level, stats=stats)
     verify_witness(g, w, weight, witness)
     return SolveResult(weight=weight, witness=witness, stats=stats)
 

@@ -138,6 +138,27 @@ def test_no_arguments_is_input_error(capsys):
     assert run([], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "f", "--nonsense", "2"], "qmwis: unrecognized arguments: --nonsense 2"),
+        (["solve", "f", "--parallel", "2"], "qmwis: unrecognized arguments: --parallel 2"),
+        (["solve"], "qmwis solve: the following arguments are required: file"),
+    ],
+    ids=["unknown-flag", "removed-parallel-flag", "missing-file"],
+)
+def test_usage_errors_end_in_json_error_document(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"kind": "input-error", "message": message, "details": {}}
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(["solve", "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: qmwis solve")
+
+
 def test_assert_level_flag_and_env(c5_file, capsys, monkeypatch):
     code, out, _ = run(["solve", c5_file, "--assert", "paranoid"], capsys)
     assert json.loads(out)["assertion_level"] == "paranoid"

@@ -1,17 +1,14 @@
-"""Direct tests of the recursion driver and its worker pool."""
+"""Direct tests of the recursion driver."""
 
 import pytest
 
-from qmwis._engine import BranchPool, drive
+from qmwis._engine import drive
 from qmwis.instrumentation import RunStats
 
 
 class Ctx:
     def __init__(self):
         self.stats = RunStats()
-
-    def clone_for_worker(self):
-        return Ctx()
 
 
 def doubling_tree(n, ctx):
@@ -28,15 +25,6 @@ def test_drive_sequential_tree():
     assert drive(4, doubling_tree, ctx) == 16
     assert ctx.stats.calls == 2**5 - 1
     assert ctx.stats.max_depth == 5
-
-
-def test_drive_with_pool_matches_sequential():
-    for threads in (2, 3, 8):
-        ctx = Ctx()
-        with BranchPool(threads) as pool:
-            assert drive(6, doubling_tree, ctx, pool) == 64
-        # merged worker stats keep the exact call count
-        assert ctx.stats.calls == 2**7 - 1
 
 
 def test_drive_linear_chain_depth():
@@ -93,33 +81,15 @@ def test_drive_propagates_exceptions():
         drive(1, expand, Ctx())
 
 
-def test_drive_propagates_exceptions_from_pool():
-    def expand(inst, ctx):
-        if inst == 0:
-            raise RuntimeError("worker crashed")
-        results = yield [0, 0, 0]
-        return results
-
-    with BranchPool(4) as pool:
-        with pytest.raises(RuntimeError, match="worker crashed"):
-            drive(1, expand, Ctx(), pool)
-
-
-def test_branch_pool_requires_two_threads():
-    with pytest.raises(ValueError):
-        BranchPool(1)
-
-
 def test_results_arrive_in_batch_order():
-    import time
-
     def expand(inst, ctx):
         if isinstance(inst, tuple):
-            # slower child carries a smaller payload
-            time.sleep(inst[1])
+            # children of different depths still report in batch order
+            if inst[1]:
+                results = yield [(inst[0], inst[1] - 1)]
+                return results[0]
             return inst[0]
-        results = yield [("a", 0.02), ("b", 0.0), ("c", 0.01)]
+        results = yield [("a", 2), ("b", 0), ("c", 1)]
         return results
 
-    with BranchPool(4) as pool:
-        assert drive("root", expand, Ctx(), pool) == ["a", "b", "c"]
+    assert drive("root", expand, Ctx()) == ["a", "b", "c"]

@@ -11,9 +11,9 @@ import hashlib
 import pytest
 
 from qmwis import (
-    Alg1Instance,
     GeneratorSpec,
     Graph,
+    Instance,
     InvariantViolation,
     VertexMultiFamily,
     alg1_call,
@@ -179,7 +179,7 @@ GOLDEN_AUDIT = [
 )
 def test_golden_audit_failures(n, members, options, rule, message, details):
     g = _path(n)
-    inst = Alg1Instance(g, {v: 1 for v in g.vertex_ids()}, n, VertexMultiFamily(members))
+    inst = Instance(g, {v: 1 for v in g.vertex_ids()}, n, VertexMultiFamily(members))
     with pytest.raises(InvariantViolation) as info:
         alg1_call(inst, **options)
     assert info.value.rule == rule

@@ -301,18 +301,6 @@ def test_empty_graph():
     assert r.witness == frozenset()
 
 
-def test_parallel_matches_sequential():
-    rng = random.Random(33)
-    pattern = PatternGraph.from_graph(two_k2())
-    oracles = [make_bruteforce_oracle(), make_bruteforce_oracle()]
-    for _ in range(8):
-        g, w = random_graph(rng, rng.randint(6, 12), 0.35)
-        seq = solve_hfree(pattern, g, w, oracles)
-        par = solve_hfree(pattern, g, w, oracles, parallel=4)
-        assert (par.weight, par.witness) == (seq.weight, seq.witness)
-        assert par.stats.oracle_calls == seq.stats.oracle_calls
-
-
 def test_mixed_oracles_for_mixed_pattern():
     # P4 component gets the path solver, triangle component gets brute force
     h = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])

@@ -168,27 +168,6 @@ def test_run_stats_counters_and_maxima():
     assert s.max_level_occupancy == {1: 3, 2: 1}
 
 
-def test_run_stats_merge():
-    a = RunStats()
-    a.on_call(4, 1)
-    a.record_oracle_call(0)
-    a.max_depth = 3
-    b = RunStats()
-    b.on_call(9, 5)
-    b.record_oracle_call(0)
-    b.record_oracle_call(2)
-    b.max_depth = 7
-    b.assertions_checked = 11
-    a.merge(b)
-    assert a.calls == 2
-    assert a.max_graph_size == 9
-    assert a.max_family_size == 5
-    assert a.max_depth == 7
-    assert a.oracle_calls == 3
-    assert a.oracle_calls_by_index == {0: 2, 2: 1}
-    assert a.assertions_checked == 11
-
-
 def test_run_stats_trace_ring_buffer():
     s = RunStats(trace_limit=2)
     s.record_measure("a", 3, 2)

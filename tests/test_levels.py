@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 
 from qmwis import (
     Graph,
-    LevelView,
     VertexMultiFamily,
     branch_threshold,
     ceil_log2,
-    family_subtract,
     find_branchable,
-    level_set,
 )
 
 
@@ -44,7 +41,6 @@ def test_family_levels_count_multiplicity():
     assert fam.multiplicity(1) == 1
     assert fam.multiplicity(99) == 0
     assert fam.max_multiplicity() == 2
-    assert level_set(fam, 2) == {2}
 
 
 def test_empty_family():
@@ -68,7 +64,6 @@ def test_subtract_keeps_order_and_empty_members():
     drained = fam.subtract({1, 2, 3})
     assert len(drained) == 3
     assert drained.level(1) == frozenset()
-    assert family_subtract(fam, {2}) == out
 
 
 def test_add_appends():
@@ -93,53 +88,41 @@ def test_branch_threshold():
         branch_threshold(4, 0)
 
 
-def test_max_level_index():
-    assert LevelView(VertexMultiFamily(), 1).max_level_index() == 1
-    assert LevelView(VertexMultiFamily(), 2).max_level_index() == 2
-    assert LevelView(VertexMultiFamily(), 8).max_level_index() == 4
-    assert LevelView(VertexMultiFamily(), 9).max_level_index() == 5
-
-
 def test_find_branchable_empty_family_is_none():
     g = Graph([1, 2], [(1, 2)])
-    assert find_branchable(g, LevelView(VertexMultiFamily(), 2)) is None
+    assert find_branchable(g, VertexMultiFamily(), 2) is None
 
 
 def test_find_branchable_smallest_id_wins_ties():
     g = Graph([1, 2], [(1, 2)])
-    view = LevelView(VertexMultiFamily([{1, 2}]), 2)
-    assert find_branchable(g, view) == 1
+    assert find_branchable(g, VertexMultiFamily([{1, 2}]), 2) == 1
 
 
 def test_find_branchable_prefers_larger_coverage():
     # star center 3: leaf 1 qualifies but the center covers more of the level
     g = Graph([1, 2, 3, 4], [(3, 1), (3, 2), (3, 4)])
-    view = LevelView(VertexMultiFamily([{1, 2, 3, 4}]), 4)
-    assert find_branchable(g, view) == 3
+    assert find_branchable(g, VertexMultiFamily([{1, 2, 3, 4}]), 4) == 3
 
 
 def test_find_branchable_uses_deeper_levels():
     g = Graph([1, 2, 3, 4], [(1, 2), (2, 3)])
-    view = LevelView(VertexMultiFamily([{1, 2}, {2, 3}]), 4)
-    assert find_branchable(g, view) == 2
+    assert find_branchable(g, VertexMultiFamily([{1, 2}, {2, 3}]), 4) == 2
 
 
 def test_find_branchable_below_threshold_is_none():
     g = Graph([1, 2], [(1, 2)])
-    view = LevelView(VertexMultiFamily([{1}]), 8)
-    assert find_branchable(g, view) is None
+    assert find_branchable(g, VertexMultiFamily([{1}]), 8) is None
 
 
 def test_find_branchable_qualifies_at_cap():
     g = Graph([1], [])
-    view = LevelView(VertexMultiFamily([{1}, {1}, {1}]), 2)
-    assert find_branchable(g, view) == 1
+    assert find_branchable(g, VertexMultiFamily([{1}, {1}, {1}]), 2) == 1
 
 
-def _qualifies(g: Graph, view: LevelView, v: int) -> bool:
+def _qualifies(g: Graph, family: VertexMultiFamily, n_cap: int, v: int) -> bool:
     closed = g.closed(v)
-    for i in range(1, view.max_level_index() + 1):
-        if len(closed & view.family.level(i)) >= branch_threshold(view.capacity_n, i):
+    for i in range(1, ceil_log2(n_cap) + 2):
+        if len(closed & family.level(i)) >= branch_threshold(n_cap, i):
             return True
     return False
 
@@ -160,9 +143,9 @@ def test_find_branchable_agrees_with_definition(data):
     members = data.draw(
         st.lists(st.sets(st.sampled_from(ids), max_size=n), max_size=4), label="family"
     )
-    view = LevelView(VertexMultiFamily(members), n_cap)
-    got = find_branchable(g, view)
-    qualifiers = [v for v in ids if _qualifies(g, view, v)]
+    family = VertexMultiFamily(members)
+    got = find_branchable(g, family, n_cap)
+    qualifiers = [v for v in ids if _qualifies(g, family, n_cap, v)]
     if got is None:
         assert qualifiers == []
     else:

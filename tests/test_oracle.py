@@ -15,7 +15,6 @@ from qmwis import (
     generate,
     is_independent_set,
     longest_induced_path_at_most,
-    make_bruteforce_solver,
     total_weight,
 )
 
@@ -188,14 +187,6 @@ def test_generate_validates_spec():
         generate(GeneratorSpec(kind="random-gnp", size=5, seed=0, p=0.5, weight_range=(8, 2)))
     with pytest.raises(ValueError):
         generate(GeneratorSpec(kind="nonsense", size=5, seed=0))
-
-
-def test_make_bruteforce_solver_cap():
-    solver = make_bruteforce_solver(max_size=4)
-    g = path_graph(4)
-    assert solver(g, {v: 1 for v in g.vertices}) == 2
-    with pytest.raises(GraphTooLarge):
-        solver(path_graph(5), {v: 1 for v in range(1, 6)})
 
 
 @settings(max_examples=120, deadline=None)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmwis import (
-    Alg1Instance,
     Graph,
+    Instance,
     InvariantViolation,
     RunStats,
     VertexMultiFamily,
@@ -130,7 +130,7 @@ def test_k_hint_on_cographs_runs_clean_at_paranoid():
         want, _ = brute_force_mwis(g, w)
         r = solve_pkfree(g, w, k_hint=4, assertion_level="paranoid")
         assert r.weight == want
-        mu = instance_measure(Alg1Instance(g, w, max(1, g.n), VertexMultiFamily()), 4)
+        mu = instance_measure(Instance(g, w, max(1, g.n), VertexMultiFamily()), 4)
         assert 0 <= mu.value <= max_measure_k(max(1, g.n), 4)
 
 
@@ -152,7 +152,7 @@ def test_weights_validated():
 
 
 def test_alg1_call_rejects_oversized_graph():
-    inst = Alg1Instance(path_graph(3), unit_weights(path_graph(3)), 2, VertexMultiFamily())
+    inst = Instance(path_graph(3), unit_weights(path_graph(3)), 2, VertexMultiFamily())
     with pytest.raises(ValueError):
         alg1_call(inst)
 
@@ -160,7 +160,7 @@ def test_alg1_call_rejects_oversized_graph():
 def test_alg1_call_with_preloaded_family_is_still_exact():
     g = path_graph(4)
     w = {1: 2, 2: 9, 3: 9, 4: 2}
-    inst = Alg1Instance(g, w, 4, VertexMultiFamily([{1, 2, 3, 4}]))
+    inst = Instance(g, w, 4, VertexMultiFamily([{1, 2, 3, 4}]))
     weight, witness = alg1_call(inst, assertion_level="off")
     assert weight == 11
     assert is_independent_set(g, witness)
@@ -169,7 +169,7 @@ def test_alg1_call_with_preloaded_family_is_still_exact():
 
 def test_alg1_call_shares_stats_object():
     stats = RunStats()
-    inst = Alg1Instance(path_graph(3), unit_weights(path_graph(3)), 3, VertexMultiFamily())
+    inst = Instance(path_graph(3), unit_weights(path_graph(3)), 3, VertexMultiFamily())
     weight, _ = alg1_call(inst, stats=stats)
     assert weight == 2
     assert stats.calls > 0
@@ -197,22 +197,6 @@ def test_verify_witness_accepts_and_rejects():
         verify_witness(g, w, 2, frozenset({1, 2}))
     with pytest.raises(InvariantViolation):
         verify_witness(g, w, 5, frozenset({9}))
-
-
-def test_parallel_matches_sequential():
-    rng = random.Random(55)
-    for _ in range(12):
-        g, w = random_graph(rng, rng.randint(6, 16), 0.35)
-        seq = solve_pkfree(g, w)
-        par = solve_pkfree(g, w, parallel=4)
-        assert par.weight == seq.weight
-        assert par.witness == seq.witness
-        assert par.stats.calls == seq.stats.calls
-
-
-def test_parallel_validation():
-    with pytest.raises(ValueError):
-        solve_pkfree(path_graph(2), {1: 1, 2: 1}, parallel=0)
 
 
 def test_stats_depth_and_size_tracking():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from qmwis import (
     Graph,
-    LevelView,
     VertexMultiFamily,
     brute_force_mwis,
     closed_neighborhood,
@@ -169,11 +168,11 @@ def test_family_levels_and_branching_match_the_set_reference(gd, data):
     assert rooted.subtract(cut).members == tuple(frozenset(m) for m in after)
 
     expected = ref_find_branchable(adj, members, n_cap)
-    assert find_branchable(g, LevelView(standalone, n_cap)) == expected
-    assert find_branchable(g, LevelView(rooted, n_cap)) == expected
+    assert find_branchable(g, standalone, n_cap) == expected
+    assert find_branchable(g, rooted, n_cap) == expected
     sub_ids = set(ids) - cut
     sub = remove_vertices(g, cut)
-    assert find_branchable(sub, LevelView(rooted.subtract(cut), n_cap)) == ref_find_branchable(
+    assert find_branchable(sub, rooted.subtract(cut), n_cap) == ref_find_branchable(
         ref_induced(adj, sub_ids), after, n_cap
     )
 
