@@ -1,12 +1,14 @@
 """Pinned results of the generator corpus.
 
-Call counts, weights, witnesses and the exact CLI report bytes must not move
-when the graph representation or the recursion's code changes: every
-tie-break ("smallest id wins") is part of the pinned behaviour. So are the
-rule, message and details of the audit failures the shared recursion raises.
+Call counts, weights, witnesses, the exact CLI report bytes and the full run
+stats must not move when the graph representation or the recursion's code
+changes: every tie-break ("smallest id wins") is part of the pinned
+behaviour. So are the rule, message and details of the audit failures the
+shared recursion raises.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -88,6 +90,53 @@ def test_golden_corpus(spec, calls, weight, witness, report_sha256, tmp_path, ca
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha256
 
 
+def _stats_sha256(result):
+    return hashlib.sha256(json.dumps(result.stats.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the sorted-key JSON of stats.to_dict() per GOLDEN row and level;
+# the reports above lack max_depth, max_graph_size, level occupancy and the
+# measure trace, which the driver's bookkeeping and the audit produce.
+GOLDEN_STATS = {
+    "random-gnp-30-seed1": {
+        "off": "cbddecab229c5f8eeaa05785305e66a8eb5d6d3d95a5fb43ee0027297accc822",
+        "fair": "f1ec9ff5366a6abbb793ba4416d1c8df5f073fcb4045fa8bfa26828f1631e4a0",
+        "paranoid": "a7c32e34edc02d49dfd8471c135dbee1aae81d48390630f3cf88862c7713625d",
+    },
+    "random-gnp-30-seed2": {
+        "off": "44bba9e380cdae76b15555aa6857aadf6e1181425cfb2c1857f1540e7cfabfc1",
+        "fair": "5af795c9068313eb16dc39319aa42b7d0e0ce8c3dc1207df82d24e1714606d4c",
+        "paranoid": "80c07a454790c34404cbe89b6ec67b281e6aab3ad4a324a0375eaa6c9c341be4",
+    },
+    "random-gnp-30-seed3": {
+        "off": "c96abca4efe3762b98ad64c914c50946e1fa5c686737492332b379dc70db8db3",
+        "fair": "83be144effba825e5648beac560b480f875dde9fc829c28cb3ed6e479426e533",
+        "paranoid": "a4633c3c4bfa13ca8ad0dfb83b4e6b275dfbe0d5c539a60abc675f52ebe6b1e0",
+    },
+    "cograph-128-seed1": {
+        "off": "98c11b3c84ff458287c1672b12543cd1f4aeb878a5a85257279e822e2a0d6ecd",
+        "fair": "01d2857647f6ce3338030a08c1d3aa22dcb3d2bda4a7734296c74113a0946146",
+        "paranoid": "80bdabbc7d1bc7d0b14880a74ff3610a11651a2f9c628234fb7420a34cc83505",
+    },
+    "cograph-128-seed2": {
+        "off": "7b8ad291a11ad5da44bb10f8347f2499d690dbaf76933558d701c71cef29689c",
+        "fair": "bb897979ff8d788a7992faad45b5e66d1acb892ab69e331f409ebf249c76c208",
+        "paranoid": "c294a0f3800cc602480fca7c496ffc039413f2ee16ad2584967825b5be8708f8",
+    },
+}
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+@pytest.mark.parametrize(
+    "spec", [row[0] for row in GOLDEN], ids=[f"{s.kind}-{s.size}-seed{s.seed}" for s, *_ in GOLDEN]
+)
+def test_golden_stats(spec, level):
+    g, w = generate(spec)
+    k_hint = 4 if level == "paranoid" else None
+    result = solve_pkfree(g, w, k_hint=k_hint, assertion_level=level)
+    assert _stats_sha256(result) == GOLDEN_STATS[f"{spec.kind}-{spec.size}-seed{spec.seed}"][level]
+
+
 P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
 
 GOLDEN_HFREE = [
@@ -138,6 +187,24 @@ def test_golden_hfree(
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha256
+
+
+# sha256 of the stats of each GOLDEN_HFREE row's solve at "fair".
+GOLDEN_HFREE_STATS = {
+    1: "825fc1db6e623bba9763a264da356bdfa976d4a8ae4575a32659472996ad270d",
+    2: "974d69ad78c4b4cfceb00b05204c05492166067f2ba187b64c826c6e54fbcc0a",
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [row[0] for row in GOLDEN_HFREE],
+    ids=[f"p4k3-{spec.kind}-{spec.size}-seed{spec.seed}" for spec, *_ in GOLDEN_HFREE],
+)
+def test_golden_hfree_stats(spec):
+    g, w = generate(spec)
+    result = solve_hfree(P4_K3, g, w, [make_pk_oracle(4), make_bruteforce_oracle()])
+    assert _stats_sha256(result) == GOLDEN_HFREE_STATS[spec.seed]
 
 
 def _path(n):
