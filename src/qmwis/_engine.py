@@ -5,70 +5,62 @@ and family-growth steps, far past CPython's recursion limit, so the shared
 recursion of pkfree.py is written as a generator. A generator yields one
 batch (a list) of child instances whenever it needs their results, receives
 the list of results via send(), and returns its own result through
-StopIteration. The driver keeps the frames on an explicit stack and runs a
-batch's children one after another, in batch order, so every counter comes
-out the same on every run.
+StopIteration. expand may also return a finished answer instead of a
+generator, as it does for leaves: the driver then hands that answer to the
+parent without making a frame, and counts its depth as if it had made one.
+The driver keeps the frames on an explicit stack and runs a batch's children
+one after another, in batch order, so every counter comes out the same on
+every run.
 """
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Callable, Generator
 
-Expand = Callable[[Any, Any], Generator[list[Any], list[Any], Any]]
-
-
-class _Frame:
-    __slots__ = ("gen", "pending", "results", "started")
-
-    def __init__(self, gen: Generator):
-        self.gen = gen
-        self.pending: list[Any] | None = None
-        self.results: list[Any] | None = None
-        self.started = False
+Expand = Callable[[Any, Any], Generator[list[Any], list[Any], Any] | Any]
 
 
 def drive(root: Any, expand: Expand, ctx: Any) -> Any:
     """Run expand(root, ctx) to completion on an explicit stack.
 
-    ctx.stats, when not None, gets the deepest stack height in max_depth.
+    ctx.stats, when not None, gets the deepest stack height in max_depth,
+    where an answer returned without a generator counts as one frame.
     """
-    stack = [_Frame(expand(root, ctx))]
     stats = ctx.stats
-    if stats is not None and stats.max_depth < 1:
-        stats.max_depth = 1
-    send_value: Any = None
-    final: Any = None
-    while stack:
-        frame = stack[-1]
-
-        if frame.pending:
-            stack.append(_Frame(expand(frame.pending.pop(), ctx)))
-            if stats is not None and len(stack) > stats.max_depth:
-                stats.max_depth = len(stack)
-            continue
-
-        if frame.results is not None:
-            send_value = frame.results
-            frame.pending = None
-            frame.results = None
-
-        try:
-            if frame.started:
-                batch = frame.gen.send(send_value)
-            else:
-                frame.started = True
-                batch = frame.gen.send(None)
-        except StopIteration as stop:
-            stack.pop()
-            if stack:
-                stack[-1].results.append(stop.value)
-            else:
-                final = stop.value
-            send_value = None
-            continue
-
-        send_value = None
-        frame.results = []
-        # Reversed, so pop() hands out the children in batch order.
-        frame.pending = batch[::-1]
-    return final
+    deepest = 1
+    # A frame is [generator, children still to run (reversed), their results].
+    stack: list[list[Any]] = []
+    try:
+        answer = expand(root, ctx)
+        if type(answer) is GeneratorType:
+            stack.append([answer, None, None])
+        while stack:
+            frame = stack[-1]
+            pending = frame[1]
+            if pending:
+                if len(stack) >= deepest:
+                    deepest = len(stack) + 1
+                answer = expand(pending.pop(), ctx)
+                if type(answer) is GeneratorType:
+                    stack.append([answer, None, None])
+                else:
+                    frame[2].append(answer)
+                continue
+            try:
+                # A fresh generator gets None, a resumed one its batch's results.
+                batch = frame[0].send(frame[2])
+            except StopIteration as stop:
+                stack.pop()
+                if stack:
+                    stack[-1][2].append(stop.value)
+                else:
+                    answer = stop.value
+                continue
+            # Reversed, so pop() hands out the children in batch order.
+            frame[1] = batch[::-1]
+            frame[2] = []
+        return answer
+    finally:
+        if stats is not None and deepest > stats.max_depth:
+            stats.max_depth = deepest

@@ -5,7 +5,7 @@ budget fixed when the current recursion root was entered and F a
 multi-family of vertex sets accumulated since. A call applies the first of
 these rules that fits:
 
-  1. the scheme's split: a leaf answer, or components to solve apart;
+  1. the scheme's split: components to solve apart;
   2. a branchable vertex v exists: best of solving without v and solving
      without N[v] plus w(v);
   3. the scheme finds a vertex set X: grow F by N[X] and retry (level sets
@@ -15,10 +15,11 @@ these rules that fits:
 The shared core owns the per-call audit, the branch rule and the F-growth
 loop with its chain, level-growth and per-edge potential checks; a scheme
 supplies only what differs. The path scheme here (solve_pkfree) answers
-graphs of at most one vertex, splits a graph whose components all have at
-most N/2 vertices (each with N reset to its size and F to empty), and grows
-F by the closed neighborhood of a balanced separator core, so rule 4 never
-fires. The pattern scheme lives in hfree.py.
+graphs of at most one vertex in _call, without a generator frame, splits a
+graph whose components all have at most N/2 vertices (each with N reset to
+its size and F to empty), and grows F by the closed neighborhood of a
+balanced separator core, so rule 4 never fires. The pattern scheme lives in
+hfree.py.
 
 Correctness never depends on the input being path-free; the quasi-polynomial
 call bound does. The optional k_hint enables the k-dependent audit bounds
@@ -66,18 +67,21 @@ ASSERT_PARANOID = "paranoid"
 _LEVELS = {ASSERT_OFF: 0, ASSERT_FAIR: 1, ASSERT_PARANOID: 2}
 
 
-@dataclass(frozen=True, eq=False)
 class Instance:
-    """One recursion node: graph, weights, vertex budget N, family F."""
+    """One recursion node: graph, weights, vertex budget N, family F.
 
-    graph: Graph
-    weights: WeightMap
-    capacity_n: int
-    family: VertexMultiFamily
+    The recursion makes one per call and treats it as immutable; a plain
+    slotted class keeps that cheap. N must be at least 1.
+    """
 
-    def __post_init__(self) -> None:
-        if self.capacity_n < 1:
-            raise ValueError(f"N must be >= 1, got {self.capacity_n}")
+    __slots__ = ("graph", "weights", "capacity_n", "family")
+
+    def __init__(
+        self, graph: Graph, weights: WeightMap, capacity_n: int, family: VertexMultiFamily
+    ):
+        if capacity_n < 1:
+            raise ValueError(f"N must be >= 1, got {capacity_n}")
+        self.graph, self.weights, self.capacity_n, self.family = graph, weights, capacity_n, family
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +147,7 @@ class Scheme:
     audit, the recurrence parameters (params) and the least N at which the
     emptiness, family and chain bounds are audited (audit_from_n). Hooks:
 
-      split(g, w, N)       a leaf answer, component masks, or None;
+      split(g, N)          component masks to solve apart, or None;
       anchor(g, F)         the vertex set X whose N[X] grows F, or None;
       record_growth(X)     count one growth of F in stats;
       leaf(g, w, F)        the answer when anchor finds nothing;
@@ -160,23 +164,25 @@ class Scheme:
     stats: RunStats
     audit_from_n = 1
 
-    def split(self, g: Graph, w: WeightMap, n_cap: int) -> Any:
+    def split(self, g: Graph, n_cap: int) -> list[int] | None:
         return None
 
     def check_members(self, g: Graph, family: VertexMultiFamily, n_cap: int) -> None:
         return None
 
 
-def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, scheme: Scheme) -> int | None:
-    """Per-call invariant checks. Returns the potential when measurable."""
-    stats = scheme.stats
-    stats.on_call(g.n, len(family))
+def _check_call(
+    g: Graph, n: int, n_cap: int, family: VertexMultiFamily, scheme: Scheme
+) -> int | None:
+    """Per-call invariant checks on g with n = |V(g)|. Returns the potential when measurable."""
+    stats, size = scheme.stats, len(family)
+    stats.on_call(n, size)
     if scheme.level < 1:
         return None
 
-    if g.n > n_cap:
+    if n > n_cap:
         raise InvariantViolation(
-            "fair-shape", f"|V(G)| = {g.n} exceeds N = {n_cap}", {"n": g.n, "N": n_cap}
+            "fair-shape", f"|V(G)| = {n} exceeds N = {n_cap}", {"n": n, "N": n_cap}
         )
     log_n = ceil_log2(n_cap)
     # Level emptiness rests on a pigeonhole over level log(N). The pattern
@@ -189,11 +195,11 @@ def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, scheme: Scheme)
                 f"L(F, {log_n + 1}) is non-empty with N = {n_cap}",
                 {"level": log_n + 1, "occupancy": family.level_sizes()[log_n]},
             )
-        excess = scheme.family_excess(len(family), log_n)
+        excess = scheme.family_excess(size, log_n)
         if excess is not None:
             message, bound = excess
             raise InvariantViolation(
-                "family-size", message, {"family_size": len(family), "bound": bound}
+                "family-size", message, {"family_size": size, "bound": bound}
             )
     stats.assertions_checked += 1
     if scheme.level < 2:
@@ -204,7 +210,7 @@ def _check_call(g: Graph, n_cap: int, family: VertexMultiFamily, scheme: Scheme)
     bound = scheme.level_bound(n_cap)
     if bound is not None:
         check_level_sizes(family, bound[0], bound[1])
-    mu = scheme.potential(g.n, n_cap, family)
+    mu = scheme.potential(n, n_cap, family)
     if mu is None:
         return None
     ceiling = scheme.ceiling(n_cap)
@@ -231,6 +237,7 @@ def _expand(
 ) -> Generator[list[Instance], list[tuple[int, frozenset[int]]], tuple[int, frozenset[int]]]:
     """The shared recursion on one instance, as a generator for drive()."""
     g, w, n_cap, family = inst.graph, inst.weights, inst.capacity_n, inst.family
+    n = g.n
     stats = scheme.stats
 
     # Consecutive growths of F keep the same graph, so they run as a loop
@@ -238,12 +245,10 @@ def _expand(
     # call of the recursion and is counted and checked as such.
     adds_in_a_row = 0
     while True:
-        parent_mu = _check_call(g, n_cap, family, scheme)
+        parent_mu = _check_call(g, n, n_cap, family, scheme)
 
-        split = scheme.split(g, w, n_cap)
+        split = scheme.split(g, n_cap)
         if split is not None:
-            if isinstance(split, tuple):
-                return split
             stats.component_recursions += 1
             empty = VertexMultiFamily(table=g.table)
             children = []
@@ -273,15 +278,15 @@ def _expand(
             raise InvariantViolation(
                 scheme.growth_rule,
                 f"computed an empty {scheme.noun} neighborhood",
-                {"n": g.n, "N": n_cap},
+                {"n": n, "N": n_cap},
             )
         adds_in_a_row += 1
         if scheme.level >= 1 and n_cap >= scheme.audit_from_n:
-            if adds_in_a_row > g.n * ceil_log2(n_cap):
+            if adds_in_a_row > n * ceil_log2(n_cap):
                 raise InvariantViolation(
                     scheme.chain_rule,
                     f"{adds_in_a_row} {scheme.noun} additions in a row exceeds |V(G)| log(N)",
-                    {"chain": adds_in_a_row, "n": g.n, "N": n_cap},
+                    {"chain": adds_in_a_row, "n": n, "N": n_cap},
                 )
         scheme.record_growth(anchor)
         grown = family.add(member)
@@ -294,6 +299,20 @@ def _expand(
         family = grown
 
 
+def _call(inst: Instance, scheme: Scheme) -> Any:
+    """One path-scheme call for drive(): a graph of at most one vertex is
+    checked and answered here, without a frame; any other runs _expand."""
+    g = inst.graph
+    n = g.n
+    if n > 1:
+        return _expand(inst, scheme)
+    _check_call(g, n, inst.capacity_n, inst.family, scheme)
+    if not n:
+        return 0, frozenset()
+    v = g.table.ids[g.mask.bit_length() - 1]
+    return inst.weights[v], frozenset((v,))
+
+
 class _PathScheme(Scheme):
     """Component split and separator growth; k is the claimed path bound."""
 
@@ -304,10 +323,7 @@ class _PathScheme(Scheme):
     def __init__(self, level: int, stats: RunStats, k: int | None):
         self.level, self.stats, self.k, self.params = level, stats, k, {"k": k}
 
-    def split(self, g: Graph, w: WeightMap, n_cap: int) -> Any:
-        if g.n <= 1:
-            leaf = g.vertices
-            return total_weight(w, leaf), leaf
+    def split(self, g: Graph, n_cap: int) -> list[int] | None:
         components = component_masks(g.table.adj, g.mask)
         if 2 * max(map(int.bit_count, components)) <= n_cap:
             return components
@@ -376,7 +392,7 @@ def alg1_call(
     inst = Instance(inst.graph, inst.weights, inst.capacity_n, family)
     if stats is None:
         stats = RunStats(trace_limit=trace_limit)
-    return drive(inst, _expand, _PathScheme(_parse_level(assertion_level), stats, k_hint))
+    return drive(inst, _call, _PathScheme(_parse_level(assertion_level), stats, k_hint))
 
 
 def solve_pkfree(

@@ -93,3 +93,37 @@ def test_results_arrive_in_batch_order():
         return results
 
     assert drive("root", expand, Ctx()) == ["a", "b", "c"]
+
+
+def test_answers_returned_without_a_frame_match_the_generator_form():
+    # A leaf may return its answer instead of a generator; results, batch
+    # order and max_depth must equal those of a generator that returns it.
+    def tree(inst, ctx):
+        ctx.stats.on_call(0, 0)
+        results = yield [(inst, j) for j in range(inst)]
+        return [inst, results]
+
+    def leaf(inst, ctx):
+        ctx.stats.on_call(0, 0)
+        return inst
+
+    def leaf_generator(inst, ctx):
+        return leaf(inst, ctx)
+        yield
+
+    def as_generator(inst, ctx):
+        return (leaf_generator if isinstance(inst, tuple) else tree)(inst, ctx)
+
+    def as_answer(inst, ctx):
+        return (leaf if isinstance(inst, tuple) else tree)(inst, ctx)
+
+    for root in (0, 3, (5, 5)):
+        outcomes = []
+        for expand in (as_generator, as_answer):
+            ctx = Ctx()
+            outcomes.append((drive(root, expand, ctx), ctx.stats.calls, ctx.stats.max_depth))
+        assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ((5, 5), 1, 1)
+    ctx = Ctx()
+    assert drive(3, as_answer, ctx) == [3, [(3, 0), (3, 1), (3, 2)]]
+    assert (ctx.stats.calls, ctx.stats.max_depth) == (4, 2)
