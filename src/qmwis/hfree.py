@@ -183,18 +183,19 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
     candidate mask per pattern position on an explicit stack, so its depth
     is not bounded by the interpreter's recursion limit.
     """
-    order = h.vertex_ids()
+    h_adj, h_live = h.table.adj, h.mask
+    order = list(h.table.ranks(h_live))
     if not order:
         return frozenset()
-    if h.n > g.n:
+    size = len(order)
+    if size > g.n:
         return None
     adj, live = g.table.adj, g.mask
-    size = len(order)
-    # An image of order[t] must have at least its degree and, among the
-    # images already placed, be adjacent to exactly those of anchors[t].
-    position = {hv: t for t, hv in enumerate(order)}
-    anchors = [[position[u] for u in h.adj(hv) if position[u] < t] for t, hv in enumerate(order)]
-    degrees = [h.degree(hv) for hv in order]
+    # An image of pattern vertex t (t-th smallest id) must have at least its
+    # degree and, among the images already placed, be adjacent to exactly
+    # those of anchors[t].
+    anchors = [[j for j in range(t) if h_adj[order[t]] >> order[j] & 1] for t in range(size)]
+    degrees = [(h_adj[r] & h_live).bit_count() for r in order]
     images = [0] * size
     pending = [0] * size
     wants = [0] * size

@@ -48,16 +48,19 @@ def brute_force_mwis(
     if n == 0:
         return 0, frozenset()
 
-    # Sort by degree so high-degree vertices are decided first; stable
-    # tie-break on id keeps the search order deterministic.
-    ids = sorted(g.vertex_ids(), key=lambda v: (-g.degree(v), v))
-    index = {v: j for j, v in enumerate(ids)}
+    # Sort by degree so high-degree vertices are decided first; the stable
+    # sort over increasing ranks breaks ties on id, keeping the search order
+    # deterministic.
+    table, live = g.table, g.mask
+    ranks = sorted(table.ranks(live), key=lambda r: -(table.adj[r] & live).bit_count())
+    index = {r: j for j, r in enumerate(ranks)}
     adj_mask = [0] * n
-    for v in ids:
+    for j, r in enumerate(ranks):
         m = 0
-        for u in g.adj(v):
+        for u in table.ranks(table.adj[r] & live):
             m |= 1 << index[u]
-        adj_mask[index[v]] = m
+        adj_mask[j] = m
+    ids = [table.ids[r] for r in ranks]
     weights = [w[v] for v in ids]
 
     best_weight = 0
@@ -85,21 +88,23 @@ def brute_force_mwis(
             bound += clique_max
         return bound
 
-    def expand(cand: int, current: int, chosen: int) -> None:
-        nonlocal best_weight, best_set
+    # Depth-first over (candidates, weight, chosen) on an explicit stack, so
+    # the depth is not bounded by the interpreter's recursion limit. The
+    # delete branch is pushed first, so the take branch is explored first.
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        cand, current, chosen = stack.pop()
         if not cand:
             if current > best_weight:
                 best_weight = current
                 best_set = chosen
-            return
+            continue
         if current + clique_cover_bound(cand) <= best_weight:
-            return
+            continue
         j = (cand & -cand).bit_length() - 1
         bit = 1 << j
-        expand(cand & ~bit & ~adj_mask[j], current + weights[j], chosen | bit)
-        expand(cand & ~bit, current, chosen)
-
-    expand((1 << n) - 1, 0, 0)
+        stack.append((cand & ~bit, current, chosen))
+        stack.append((cand & ~bit & ~adj_mask[j], current + weights[j], chosen | bit))
     witness = frozenset(ids[j] for j in range(n) if best_set >> j & 1)
     return best_weight, witness
 

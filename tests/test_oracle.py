@@ -54,6 +54,13 @@ def test_brute_force_respects_cap():
         brute_force_mwis(g, {v: 1 for v in g.vertices}, max_size=5)
 
 
+def test_brute_force_depth_is_not_bounded_by_the_recursion_limit():
+    # Every vertex is one level of the search, 1,500 levels in all.
+    g = Graph(range(1500), [])
+    w = {v: 1 + v % 7 for v in range(1500)}
+    assert brute_force_mwis(g, w, max_size=1500) == (sum(w.values()), g.vertices)
+
+
 def test_brute_force_matches_exhaustive_enumeration():
     rng = random.Random(3)
     for _ in range(80):
