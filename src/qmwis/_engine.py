@@ -5,12 +5,14 @@ and family-growth steps, far past CPython's recursion limit, so the shared
 recursion of pkfree.py is written as a generator. A generator yields one
 batch (a list) of child instances whenever it needs their results, receives
 the list of results via send(), and returns its own result through
-StopIteration. expand may also return a finished answer instead of a
-generator, as it does for leaves: the driver then hands that answer to the
-parent without making a frame, and counts its depth as if it had made one.
-The driver keeps the frames on an explicit stack and runs a batch's children
-one after another, in batch order, so every counter comes out the same on
-every run.
+StopIteration. The driver keeps the frames on an explicit stack and runs a
+batch's children one after another, in batch order, so every counter comes
+out the same on every run.
+
+expand may also return a finished answer instead of a generator, as the
+path scheme does for graphs of at most one vertex. The driver then hands
+that answer to the parent without making a frame, and counts its depth as
+if it had made one.
 """
 
 from __future__ import annotations
