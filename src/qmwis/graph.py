@@ -82,10 +82,12 @@ class Graph:
     and mask the live vertices; both are read by the package's algorithms
     and must not be changed. Adjacency is exposed as frozensets; all
     iteration helpers yield vertices in sorted order so downstream
-    algorithms are deterministic.
+    algorithms are deterministic. _plan holds the search plan that
+    find_induced_copy builds the first time the graph is used as a pattern,
+    the way __hash__ fills _hash.
     """
 
-    __slots__ = ("table", "mask", "_hash")
+    __slots__ = ("table", "mask", "_hash", "_plan")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         vset = set()
@@ -107,6 +109,7 @@ class Graph:
         self.table = table
         self.mask = (1 << len(table.ids)) - 1
         self._hash: int | None = None
+        self._plan: tuple[list[list[int]], list[int]] | None = None
 
     @classmethod
     def _sub(cls, table: VertexTable, mask: int) -> "Graph":
@@ -114,7 +117,7 @@ class Graph:
         g = object.__new__(cls)
         g.table = table
         g.mask = mask
-        g._hash = None
+        g._hash = g._plan = None
         return g
 
     def _rank(self, v: int) -> int:

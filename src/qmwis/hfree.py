@@ -182,20 +182,28 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
     induced embedding already requires). The backtracking search keeps one
     candidate mask per pattern position on an explicit stack, so its depth
     is not bounded by the interpreter's recursion limit.
+
+    The plan, h's anchors and degrees, depends on h alone. It is built on
+    the first search for h and kept in h's _plan slot, so a pattern searched
+    on every recursion call pays its O(|V(h)|^2) set-up once.
     """
-    h_adj, h_live = h.table.adj, h.mask
-    order = list(h.table.ranks(h_live))
-    if not order:
+    size = h.n
+    if not size:
         return frozenset()
-    size = len(order)
     if size > g.n:
         return None
+    if h._plan is None:
+        # An image of pattern vertex t (t-th smallest id) must have at least
+        # its degree and, among the images already placed, be adjacent to
+        # exactly those of anchors[t].
+        h_adj, h_live = h.table.adj, h.mask
+        order = list(h.table.ranks(h_live))
+        h._plan = (
+            [[j for j in range(t) if h_adj[order[t]] >> order[j] & 1] for t in range(size)],
+            [(h_adj[r] & h_live).bit_count() for r in order],
+        )
+    anchors, degrees = h._plan
     adj, live = g.table.adj, g.mask
-    # An image of pattern vertex t (t-th smallest id) must have at least its
-    # degree and, among the images already placed, be adjacent to exactly
-    # those of anchors[t].
-    anchors = [[j for j in range(t) if h_adj[order[t]] >> order[j] & 1] for t in range(size)]
-    degrees = [(h_adj[r] & h_live).bit_count() for r in order]
     images = [0] * size
     pending = [0] * size
     wants = [0] * size

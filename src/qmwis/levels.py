@@ -170,18 +170,27 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     the largest violation max_i |N[v] cap L(F, i)| * 2^i wins; ties go to
     the smallest vertex id. Each count is one popcount,
     ((adj | bit) & level_i).bit_count().
+
+    Level i is skipped when |L(F, i) cap V(G)| * 2^i < N: no vertex reaches
+    N on it, and a qualifying vertex reaches its score on a level that is
+    kept, so the winner is unchanged. With no level left there is no
+    branchable vertex.
     """
     if capacity_n < 1:
         raise ValueError(f"N must be >= 1, got {capacity_n}")
     live = g.mask
-    levels = [level & live for level in family.over(g.table).level_masks]
-    levels = [level for level in levels[: ceil_log2(capacity_n) + 1] if level]
+    cap = ceil_log2(capacity_n) + 1
+    levels = [
+        (i, m)
+        for i, level in enumerate(family.over(g.table).level_masks[:cap], 1)
+        if (m := level & live).bit_count() << i >= capacity_n
+    ]
     if not levels:
         return None
     adj = g.table.adj
     ranks = list(g.table.ranks(live))
     closed = [adj[r] | 1 << r for r in ranks]
-    rows = [[(c & level).bit_count() << i for c in closed] for i, level in enumerate(levels, 1)]
+    rows = [[(c & level).bit_count() << i for c in closed] for i, level in levels]
     scores = list(map(max, *rows)) if len(rows) > 1 else rows[0]
     best = max(scores)
     if best < capacity_n:

@@ -3,7 +3,9 @@
 The brute-force solver is the independent reference every equivalence test
 compares against. It is deliberately simple: bitmask branch and bound with a
 greedy weighted clique-cover bound, validated in the test suite against a
-raw subset enumeration on small graphs.
+raw subset enumeration on small graphs. When the bound finds the candidates
+edgeless, taking them all is the subtree's answer and the search goes no
+deeper there.
 
 Generators are fully deterministic functions of their spec: the same kind,
 size, parameters, and seed always produce the identical graph and weights
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, WeightMap
+from .graph import Graph, WeightMap, component_masks
 
 DEFAULT_BRUTE_FORCE_CAP = 25
 
@@ -30,6 +32,12 @@ def brute_force_mwis(
     max_size: int = DEFAULT_BRUTE_FORCE_CAP,
 ) -> tuple[int, frozenset[int]]:
     """Exact maximum-weight independent set by branch and bound.
+
+    Vertices are decided by decreasing degree, ties by id, taking before
+    deleting. The witness is the first leaf of that search that is strictly
+    heavier than every leaf before it, whichever bound prunes: a subtree
+    with edgeless candidates is answered by its first leaf, which takes
+    every candidate and is the heaviest in the subtree.
 
     Args:
         g: graph, at most max_size vertices.
@@ -57,19 +65,23 @@ def brute_force_mwis(
     adj_mask = [0] * n
     for j, r in enumerate(ranks):
         m = 0
-        for u in table.ranks(table.adj[r] & live):
-            m |= 1 << index[u]
+        nbrs = table.adj[r] & live
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            m |= 1 << index[low.bit_length() - 1]
         adj_mask[j] = m
     ids = [table.ids[r] for r in ranks]
     weights = [w[v] for v in ids]
 
-    best_weight = 0
-    best_set = 0
+    best_weight = best_set = 0
 
-    def clique_cover_bound(cand: int) -> int:
+    def clique_cover_bound(cand: int) -> tuple[int, bool]:
         # Greedily pack candidates into cliques; an independent set takes at
-        # most the heaviest vertex from each clique.
+        # most the heaviest vertex from each clique. Every clique is a single
+        # vertex exactly when cand has no edge, reported as the second value.
         bound = 0
+        edgeless = True
         remaining = cand
         while remaining:
             j = (remaining & -remaining).bit_length() - 1
@@ -77,6 +89,8 @@ def brute_force_mwis(
             clique_max = weights[j]
             pool = remaining & adj_mask[j]
             remaining &= ~(1 << j)
+            if pool:
+                edgeless = False
             while pool:
                 t = (pool & -pool).bit_length() - 1
                 clique |= 1 << t
@@ -86,7 +100,7 @@ def brute_force_mwis(
                 remaining &= ~(1 << t)
                 pool &= remaining
             bound += clique_max
-        return bound
+        return bound, edgeless
 
     # Depth-first over (candidates, weight, chosen) on an explicit stack, so
     # the depth is not bounded by the interpreter's recursion limit. The
@@ -94,19 +108,17 @@ def brute_force_mwis(
     stack = [((1 << n) - 1, 0, 0)]
     while stack:
         cand, current, chosen = stack.pop()
-        if not cand:
-            if current > best_weight:
-                best_weight = current
-                best_set = chosen
+        bound, edgeless = clique_cover_bound(cand)
+        if current + bound <= best_weight:
             continue
-        if current + clique_cover_bound(cand) <= best_weight:
+        if edgeless:
+            best_weight, best_set = current + bound, chosen | cand
             continue
         j = (cand & -cand).bit_length() - 1
         bit = 1 << j
         stack.append((cand & ~bit, current, chosen))
         stack.append((cand & ~bit & ~adj_mask[j], current + weights[j], chosen | bit))
-    witness = frozenset(ids[j] for j in range(n) if best_set >> j & 1)
-    return best_weight, witness
+    return best_weight, frozenset(ids[j] for j in range(n) if best_set >> j & 1)
 
 
 def enumerate_mwis(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
@@ -146,7 +158,9 @@ def longest_induced_path_at_most(g: Graph, k: int) -> bool:
     to the current endpoint and non-adjacent to every earlier path vertex.
     Returns as soon as one k-vertex induced path is found. The search keeps
     one candidate mask per path vertex on an explicit stack, so k is not
-    bounded by the interpreter's recursion limit.
+    bounded by the interpreter's recursion limit. A path lies inside one
+    component, so only components with at least k vertices are searched;
+    within them the search still restarts from every start vertex.
     """
     if k < 1:
         raise ValueError(f"path length must be >= 1, got {k}")
@@ -156,7 +170,9 @@ def longest_induced_path_at_most(g: Graph, k: int) -> bool:
         return g.edge_count == 0
 
     adj, live = g.table.adj, g.mask
-    for start in g.table.ranks(live):
+    # Components are disjoint masks, so their sum is their union.
+    large = sum(comp for comp in component_masks(adj, live) if comp.bit_count() >= k)
+    for start in g.table.ranks(large):
         # Frames (tail, banned, untried): banned is N[path before tail] plus
         # tail (tail lies in N(previous tail)), untried the extensions past
         # tail not yet explored.

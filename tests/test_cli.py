@@ -119,6 +119,10 @@ def test_check_pkfree_on_a_long_path(long_path_file, capsys):
     code, out, err = run(["check-pkfree", "1400", long_path_file], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["pk_free"] is False
+    # No component has 1501 vertices, so there is nothing to search.
+    code, out, err = run(["check-pkfree", "1501", long_path_file], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pk_free"] is True
 
 
 def test_solve_hfree_with_a_long_path_pattern(long_path_file, c5_file, capsys):

@@ -215,3 +215,43 @@ def test_brute_force_witness_property(data):
     assert total_weight(w, witness) == weight
     # no independent superset improves it
     assert weight == enumerate_mwis(g, w)[0]
+
+
+def _unbounded_first_best(g: Graph, w: dict) -> tuple[int, frozenset[int]]:
+    # Plain search with no bound: vertices by decreasing degree (stable over
+    # increasing ids), take before delete, and the first leaf strictly
+    # heavier than every earlier leaf wins.
+    order = sorted(g.vertex_ids(), key=lambda v: -g.degree(v))
+    best = [0, frozenset()]
+
+    def search(j: int, cand: frozenset[int], chosen: frozenset[int], weight: int) -> None:
+        while j < len(order) and order[j] not in cand:
+            j += 1
+        if j == len(order):
+            if weight > best[0]:
+                best[:] = [weight, chosen]
+            return
+        v = order[j]
+        search(j + 1, cand - g.closed(v), chosen | {v}, weight + w[v])
+        search(j + 1, cand - {v}, chosen, weight)
+
+    search(0, g.vertices, frozenset(), 0)
+    return best[0], best[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_brute_force_witness_is_the_first_strictly_heavier_leaf(data):
+    # Pins the witness independently of the bound: pruning, the edgeless
+    # leaf or any later bound must not move it. Small weights make ties
+    # common, so the tie-break is exercised.
+    n = data.draw(st.integers(min_value=0, max_value=10), label="n")
+    ids = list(range(1, n + 1))
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(ids, 2)
+        if data.draw(st.booleans(), label=f"e{u},{v}")
+    ]
+    g = Graph(ids, edges)
+    w = {v: data.draw(st.integers(min_value=0, max_value=3), label=f"w{v}") for v in ids}
+    assert brute_force_mwis(g, w) == _unbounded_first_best(g, w)

@@ -207,7 +207,14 @@ def test_induced_searches_match_the_set_reference(gd, hd, data):
     drop = data.draw(st.sets(st.sampled_from(sorted(ids))) if ids else st.just(set()), label="drop")
     sub = remove_vertices(g, drop)
     sub_adj = ref_induced(adj, set(ids) - drop)
+    # The same h object is searched in several graphs, so the search plan it
+    # keeps from its first use must fit every later host and table.
+    keep = set(ids) - drop
+    fresh = Graph(keep, [(u, v) for u, v in edges if u in keep and v in keep])
+    assert find_induced_copy(g, h) == ref_first_copy(adj, h)
     assert find_induced_copy(sub, h) == ref_first_copy(sub_adj, h)
+    assert find_induced_copy(fresh, h) == ref_first_copy(sub_adj, h)
+    assert find_induced_copy(h, h) == h.vertices
     k = data.draw(st.integers(1, 5), label="k")
     assert longest_induced_path_at_most(sub, k) == (not ref_has_induced_path(sub_adj, k))
 
