@@ -236,7 +236,7 @@ def _unbounded_first_best(g: Graph, w: dict) -> tuple[int, frozenset[int]]:
         search(j + 1, cand - {v}, chosen, weight)
 
     search(0, g.vertices, frozenset(), 0)
-    return best[0], best[1]
+    return tuple(best)
 
 
 @settings(max_examples=200, deadline=None)
