@@ -16,9 +16,7 @@ from .graph import (
     connected_components,
     induced_subgraph,
     is_independent_set,
-    open_neighborhood,
     remove_vertices,
-    shortest_path,
     total_weight,
     validate_weights,
 )
@@ -38,7 +36,6 @@ from .hfree import (
     is_h_free,
     make_bruteforce_oracle,
     make_pk_oracle,
-    pattern_measure,
     solve_hfree,
 )
 from .instrumentation import (
@@ -48,8 +45,6 @@ from .instrumentation import (
     RULE_BRANCH_TAKE,
     RULE_COMPONENT,
     InvariantViolation,
-    MeasureH,
-    MeasureK,
     RunStats,
     assert_recurrence_step,
     max_measure_h,
@@ -64,7 +59,6 @@ from .oracle import (
     GeneratorSpec,
     GraphTooLarge,
     brute_force_mwis,
-    enumerate_mwis,
     generate,
     longest_induced_path_at_most,
 )
@@ -76,7 +70,6 @@ from .pkfree import (
     SolveResult,
     alg1_call,
     collect_witness,
-    instance_measure,
     solve_pkfree,
     verify_witness,
 )
@@ -97,8 +90,6 @@ __all__ = [
     "GraphTooLarge",
     "Instance",
     "InvariantViolation",
-    "MeasureH",
-    "MeasureK",
     "PARSE_ERROR_KINDS",
     "PatternGraph",
     "REPORT_FORMAT_VERSION",
@@ -123,14 +114,12 @@ __all__ = [
     "collect_witness",
     "connected_components",
     "emit_graph",
-    "enumerate_mwis",
     "error_document",
     "find_branchable",
     "find_induced_copy",
     "generate",
     "gyarfas_path",
     "induced_subgraph",
-    "instance_measure",
     "is_h_free",
     "is_independent_set",
     "longest_induced_path_at_most",
@@ -140,11 +129,8 @@ __all__ = [
     "max_measure_k",
     "measure_h",
     "measure_k",
-    "open_neighborhood",
     "parse_graph",
-    "pattern_measure",
     "remove_vertices",
-    "shortest_path",
     "solve_hfree",
     "solve_pkfree",
     "total_weight",

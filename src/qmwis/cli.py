@@ -68,26 +68,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qmwis",
         description="Exact maximum-weight independent set via separator-guided branching.",
     )
-    common = _Parser(add_help=False)
-    common.add_argument(
+    # Each subcommand takes only the shared flags it reads, so a flag it
+    # would ignore is a usage error.
+    level = _Parser(add_help=False)
+    level.add_argument(
         "--assert",
         dest="assertion_level",
         choices=ASSERT_CHOICES,
         default=_default_assert(),
         help="runtime invariant checking level (default: %(default)s)",
     )
-    common.add_argument("--seed", type=int, default=0, help="generator seed")
-    common.add_argument("--stats", metavar="PATH", help="write run statistics JSON to PATH")
-    common.add_argument("--witness", action="store_true", help="include the witness in the report")
-    common.add_argument("--k-hint", type=int, default=None, help="claimed induced-path bound")
+    output = _Parser(add_help=False)
+    output.add_argument("--stats", metavar="PATH", help="write run statistics JSON to PATH")
+    output.add_argument("--witness", action="store_true", help="include the witness in the report")
+    k_hint = _Parser(add_help=False)
+    k_hint.add_argument("--k-hint", type=int, default=None, help="claimed induced-path bound")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve one graph file")
+    p_solve = sub.add_parser("solve", parents=[level, output, k_hint], help="solve one graph file")
     p_solve.add_argument("file", help="graph file path, or - for stdin")
 
     p_hfree = sub.add_parser(
-        "solve-hfree", parents=[common], help="solve with a forbidden pattern and oracles"
+        "solve-hfree", parents=[level, output], help="solve with a forbidden pattern and oracles"
     )
     p_hfree.add_argument("file", help="graph file path, or - for stdin")
     p_hfree.add_argument("--pattern", required=True, help="pattern graph file")
@@ -104,20 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="claim the input is pattern-free; enables the pattern-dependent invariants",
     )
 
-    p_sep = sub.add_parser(
-        "separator", parents=[common], help="compute a balanced separator core"
-    )
+    p_sep = sub.add_parser("separator", parents=[level], help="compute a balanced separator core")
     p_sep.add_argument("file", help="graph file path, or - for stdin")
     p_sep.add_argument("--i", dest="parameter_i", type=int, default=2, help="balance exponent")
 
     p_check = sub.add_parser(
-        "check-pkfree", parents=[common], help="test for induced paths on k vertices"
+        "check-pkfree", parents=[level], help="test for induced paths on k vertices"
     )
     p_check.add_argument("k", type=int, help="path length to forbid")
     p_check.add_argument("file", help="graph file path, or - for stdin")
 
-    p_gen = sub.add_parser("generate", parents=[common], help="emit a generated graph file")
+    p_gen = sub.add_parser("generate", help="emit a generated graph file")
     p_gen.add_argument("kind", choices=GeneratorSpec.KINDS, help="generator family")
+    p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
     p_gen.add_argument("--size", type=int, required=True, help="vertex count")
     p_gen.add_argument("--p", type=float, default=None, help="edge probability")
     p_gen.add_argument("--path-bound", type=int, default=None, help="rejection bound k")
@@ -126,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--max-attempts", type=int, default=5000, help="rejection attempt cap")
     p_gen.add_argument("--out", default=None, help="output path (default stdout)")
 
-    p_bench = sub.add_parser("bench", parents=[common], help="solve every graph in a directory")
+    p_bench = sub.add_parser(
+        "bench", parents=[level, k_hint], help="solve every graph in a directory"
+    )
     p_bench.add_argument("dir", help="directory of .graph files")
 
     return parser
@@ -149,10 +153,13 @@ def _solver_payload(result: SolveResult, args: argparse.Namespace, g: Graph) -> 
     return payload
 
 
-def _finish(
-    report: ReportDocument, result: SolveResult | None, args: argparse.Namespace
-) -> int:
-    if args.stats and result is not None:
+def _finish(report: ReportDocument) -> int:
+    sys.stdout.write(report.to_json())
+    return EXIT_OK
+
+
+def _finish_solve(report: ReportDocument, result: SolveResult, args: argparse.Namespace) -> int:
+    if args.stats:
         Path(args.stats).write_text(
             ReportDocument(
                 command=f"{report.command}-stats",
@@ -160,8 +167,7 @@ def _finish(
                 payload={"stats": result.stats.to_dict()},
             ).to_json()
         )
-    sys.stdout.write(report.to_json())
-    return EXIT_OK
+    return _finish(report)
 
 
 def _parse_oracle_spec(spec: str) -> ComponentOracle:
@@ -188,7 +194,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         assertion_level=args.assertion_level,
         payload=_solver_payload(result, args, g),
     )
-    return _finish(report, result, args)
+    return _finish_solve(report, result, args)
 
 
 def _cmd_solve_hfree(args: argparse.Namespace) -> int:
@@ -214,7 +220,7 @@ def _cmd_solve_hfree(args: argparse.Namespace) -> int:
     report = ReportDocument(
         command="solve-hfree", assertion_level=args.assertion_level, payload=payload
     )
-    return _finish(report, result, args)
+    return _finish_solve(report, result, args)
 
 
 def _cmd_separator(args: argparse.Namespace) -> int:
@@ -240,7 +246,7 @@ def _cmd_separator(args: argparse.Namespace) -> int:
             f"core neighborhood is not {core.balance_bound}-balanced",
             {"core": sorted(core.core)},
         )
-    return _finish(report, None, args)
+    return _finish(report)
 
 
 def _cmd_check_pkfree(args: argparse.Namespace) -> int:
@@ -255,7 +261,7 @@ def _cmd_check_pkfree(args: argparse.Namespace) -> int:
             "pk_free": free,
         },
     )
-    return _finish(report, None, args)
+    return _finish(report)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -308,7 +314,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "totals": {"graphs": len(rows), "weight": total_weight, "calls": total_calls},
         },
     )
-    return _finish(report, None, args)
+    return _finish(report)
 
 
 _COMMANDS = {

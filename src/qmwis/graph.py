@@ -18,7 +18,6 @@ how the solvers pass sets to each other without decoding them.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -218,12 +217,6 @@ def closed_neighborhood(g: Graph, xs: VertexSet) -> frozenset[int] | int:
     return closed if isinstance(xs, int) else g.table.decode(closed)
 
 
-def open_neighborhood(g: Graph, xs: Iterable[int]) -> frozenset[int]:
-    """N(X) = N[X] minus X."""
-    xset = frozenset(xs)
-    return closed_neighborhood(g, xset) - xset
-
-
 def induced_subgraph(g: Graph, xs: VertexSet) -> Graph:
     """The subgraph induced by xs (ids or a mask), with vertex ids preserved."""
     return Graph._sub(g.table, _mask_in(g, xs))
@@ -264,34 +257,6 @@ def component_masks(adj: list[int], live: int) -> list[int]:
 def connected_components(g: Graph) -> list[frozenset[int]]:
     """Maximal connected vertex sets, ordered by smallest contained id."""
     return [g.table.decode(c) for c in component_masks(g.table.adj, g.mask)]
-
-
-def shortest_path(g: Graph, a: int, b: int) -> list[int] | None:
-    """A shortest a-b path as a vertex list, or None if disconnected.
-
-    BFS with neighbors explored in sorted order, so the returned path is
-    deterministic. Any shortest path in a graph is an induced path.
-    """
-    if a not in g or b not in g:
-        raise ValueError("both endpoints must be vertices of the graph")
-    if a == b:
-        return [a]
-    parent: dict[int, int] = {a: a}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(g.adj(u)):
-            if v in parent:
-                continue
-            parent[v] = u
-            if v == b:
-                path = [b]
-                while path[-1] != a:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(v)
-    return None
 
 
 def total_weight(w: WeightMap, xs: Iterable[int]) -> int:

@@ -23,6 +23,8 @@ from .graph import Graph, WeightMap
 
 REPORT_FORMAT_VERSION = 1
 
+MAX_WEIGHT = 10**9
+
 PARSE_ERROR_KINDS = (
     "malformed",
     "header",
@@ -106,8 +108,10 @@ def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
             weight = _int_field(parts[2], line_no, "weight")
             if not 1 <= vid <= n:
                 raise GraphParseError("id-range", line_no, f"vertex id {vid} outside 1..{n}")
-            if weight < 0:
-                raise GraphParseError("weight-range", line_no, f"negative weight {weight}")
+            if not 0 <= weight <= MAX_WEIGHT:
+                raise GraphParseError(
+                    "weight-range", line_no, f"weight {weight} outside 0..{MAX_WEIGHT}"
+                )
             if vid in weights:
                 raise GraphParseError("duplicate-weight", line_no, f"second weight for vertex {vid}")
             weights[vid] = weight
@@ -153,6 +157,9 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
     missing = [v for v in ids if v not in w]
     if missing:
         raise ValueError(f"weights missing for vertices {missing[:5]}")
+    outside = [v for v in ids if not 0 <= w[v] <= MAX_WEIGHT]
+    if outside:
+        raise ValueError(f"weights outside 0..{MAX_WEIGHT} for vertices {outside[:5]}")
     lines: list[str] = []
     if comment:
         lines.extend(f"c {part}" for part in comment.splitlines())
@@ -175,11 +182,10 @@ class ReportDocument:
     assertion_level: str
     payload: dict[str, Any]
     stats: dict[str, Any] | None = None
-    version: int = REPORT_FORMAT_VERSION
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
-            "format_version": self.version,
+            "format_version": REPORT_FORMAT_VERSION,
             "command": self.command,
             "assertion_level": self.assertion_level,
         }

@@ -37,7 +37,6 @@ from .graph import (
 from .instrumentation import (
     RULE_ADD_NEIGHBORHOOD,
     InvariantViolation,
-    MeasureH,
     RunStats,
     max_measure_h,
     measure_h,
@@ -244,12 +243,6 @@ def is_h_free(g: Graph, h: Graph) -> bool:
     return find_induced_copy(g, h) is None
 
 
-def pattern_measure(inst: Instance, pattern: PatternGraph) -> MeasureH:
-    """The instance's potential for the given pattern."""
-    size, c = pattern.total_size, len(pattern.components)
-    return measure_h(inst.graph.n, inst.capacity_n, inst.family, size, c)
-
-
 class _PatternScheme(Scheme):
     """Induced-copy growth and oracle leaves for a pattern with c components.
 
@@ -292,7 +285,7 @@ class _PatternScheme(Scheme):
     def potential(self, graph_size: int, n_cap: int, family: VertexMultiFamily) -> int | None:
         if not self.assume_hfree or n_cap < 2:
             return None
-        return measure_h(graph_size, n_cap, family, self.size, self.c).value
+        return measure_h(graph_size, n_cap, family, self.size, self.c)
 
     def ceiling(self, n_cap: int) -> int:
         return max_measure_h(n_cap, self.size, self.c)
@@ -357,7 +350,6 @@ def solve_hfree(
     oracles: Sequence[ComponentOracle],
     assume_hfree: bool = False,
     assertion_level: str = ASSERT_FAIR,
-    trace_limit: int = 4096,
 ) -> SolveResult:
     """Maximum-weight independent set of g, excluding pattern via oracles.
 
@@ -375,7 +367,6 @@ def solve_hfree(
         oracles: one per pattern component, order-matched.
         assume_hfree: claim that g has no induced copy of the pattern.
         assertion_level: "off", "fair", or "paranoid".
-        trace_limit: ring-buffer size for the potential trace in the stats.
 
     Returns:
         SolveResult with weight, a witness independent set, and run stats.
@@ -397,7 +388,7 @@ def solve_hfree(
                 f"oracle {idx} ({oracle.name}) claims a pattern that is not "
                 f"isomorphic to component {idx}"
             )
-    stats = RunStats(trace_limit=trace_limit)
+    stats = RunStats()
     scheme = _PatternScheme(_parse_level(assertion_level), stats, pattern, oracles, assume_hfree)
     root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
     weight, witness = drive(root, _expand, scheme)

@@ -30,38 +30,6 @@ class InvariantViolation(AssertionError):
         self.details = details or {}
 
 
-@dataclass(frozen=True)
-class MeasureK:
-    """Potential of a path-solver instance for parameter k.
-
-    value = separator_term + level_term + family_term where
-      separator_term = 400 k^2 log^2(N) (N + |V(G)|)
-      level_term     = sum_i |L(F, i)| 2^(i-1)
-      family_term    = 16 k N log(N) (10 k log(N) - |F|)
-    """
-
-    value: int
-    separator_term: int
-    level_term: int
-    family_term: int
-
-
-@dataclass(frozen=True)
-class MeasureH:
-    """Potential of a pattern-solver instance for pattern totals (h, c).
-
-    value = size_term + level_term + family_term where
-      size_term   = |V(G)|
-      level_term  = sum_i |L(F, i)| 2^(i-1)
-      family_term = 2 h N log(N) (h c log(N) - |F|)
-    """
-
-    value: int
-    size_term: int
-    level_term: int
-    family_term: int
-
-
 def _level_term(family: VertexMultiFamily) -> int:
     return sum(size << i for i, size in enumerate(family.level_sizes()))
 
@@ -71,11 +39,16 @@ def measure_k(
     capacity_n: int,
     family: VertexMultiFamily,
     k: int,
-) -> MeasureK:
+) -> int:
     """Exact potential of an instance (|V(G)|, N, F) for parameter k.
 
-    Raises InvariantViolation if the family slack term is negative, which
-    would mean the family outgrew its proven size bound.
+    The potential is separator_term + level_term + family_term where
+      separator_term = 400 k^2 log^2(N) (N + |V(G)|)
+      level_term     = sum_i |L(F, i)| 2^(i-1)
+      family_term    = 16 k N log(N) (10 k log(N) - |F|)
+
+    Raises InvariantViolation if the family term is negative, which would
+    mean the family outgrew its proven size bound.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -92,12 +65,7 @@ def measure_k(
             f"|F| = {len(family)} exceeds 10k log(N) = {10 * k * log_n}",
             {"family_size": len(family), "bound": 10 * k * log_n, "N": capacity_n, "k": k},
         )
-    return MeasureK(
-        value=separator_term + level_term + family_term,
-        separator_term=separator_term,
-        level_term=level_term,
-        family_term=family_term,
-    )
+    return separator_term + level_term + family_term
 
 
 def measure_h(
@@ -106,11 +74,16 @@ def measure_h(
     family: VertexMultiFamily,
     pattern_size: int,
     pattern_components: int,
-) -> MeasureH:
+) -> int:
     """Exact potential of a pattern-solver instance.
 
     pattern_size is |H| (total vertices over all components) and
-    pattern_components is the number of components c.
+    pattern_components is the number of components c. The potential is
+    |V(G)| + level_term + family_term where
+      level_term  = sum_i |L(F, i)| 2^(i-1)
+      family_term = 2 |H| N log(N) (|H| c log(N) - |F|)
+
+    Raises InvariantViolation if the family term is negative.
     """
     if pattern_size < 1 or pattern_components < 1:
         raise ValueError("pattern totals must be >= 1")
@@ -131,12 +104,7 @@ def measure_h(
                 "N": capacity_n,
             },
         )
-    return MeasureH(
-        value=graph_size + level_term + family_term,
-        size_term=graph_size,
-        level_term=level_term,
-        family_term=family_term,
-    )
+    return graph_size + level_term + family_term
 
 
 def max_measure_k(capacity_n: int, k: int) -> int:

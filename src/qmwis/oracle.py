@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import Graph, WeightMap, component_masks
+from .graphio import MAX_WEIGHT
 
 DEFAULT_BRUTE_FORCE_CAP = 25
 
@@ -121,36 +122,6 @@ def brute_force_mwis(
     return best_weight, frozenset(ids[j] for j in range(n) if best_set >> j & 1)
 
 
-def enumerate_mwis(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-    """Raw 2^n reference used to validate the branch-and-bound oracle."""
-    ids = g.vertex_ids()
-    n = len(ids)
-    if n > 20:
-        raise GraphTooLarge(f"raw enumeration refuses {n} > 20 vertices")
-    index = {v: j for j, v in enumerate(ids)}
-    adj_mask = [0] * n
-    for v in ids:
-        for u in g.adj(v):
-            adj_mask[index[v]] |= 1 << index[u]
-    best_weight = 0
-    best_mask = 0
-    for mask in range(1 << n):
-        ok = True
-        weight = 0
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            if adj_mask[j] & mask:
-                ok = False
-                break
-            weight += w[ids[j]]
-            m &= m - 1
-        if ok and weight > best_weight:
-            best_weight = weight
-            best_mask = mask
-    return best_weight, frozenset(ids[j] for j in range(n) if best_mask >> j & 1)
-
-
 def longest_induced_path_at_most(g: Graph, k: int) -> bool:
     """True iff g has no induced path on k vertices.
 
@@ -202,7 +173,8 @@ class GeneratorSpec:
     kind is one of random-gnp, cograph, pk-free-rejection, path, cycle,
     star, complete. Edge probability p applies to the gnp-based kinds and
     path_bound k to pk-free-rejection. Weights are drawn uniformly from
-    weight_range after the edges.
+    weight_range after the edges; the range must lie in [0, MAX_WEIGHT] so
+    every generated instance can be written in the graph format.
     """
 
     kind: str
@@ -251,12 +223,16 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, WeightMap]:
     """Build the graph and weights described by spec.
 
     Raises:
-        ValueError: on an unknown kind or missing kind parameters.
+        ValueError: on an unknown kind, missing kind parameters or an
+            invalid weight range.
         GenerationError: when rejection sampling exhausts max_attempts.
     """
     n = spec.size
     if n < 0:
         raise ValueError(f"size must be >= 0, got {n}")
+    lo, hi = spec.weight_range
+    if lo < 0 or hi < lo or hi > MAX_WEIGHT:
+        raise ValueError(f"invalid weight range {spec.weight_range}")
     rng = random.Random(spec.seed)
     vertices = list(range(1, n + 1))
 
@@ -294,9 +270,6 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, WeightMap]:
     else:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
 
-    lo, hi = spec.weight_range
-    if lo < 0 or hi < lo:
-        raise ValueError(f"invalid weight range {spec.weight_range}")
     weights = {v: rng.randint(lo, hi) for v in sorted(graph.vertices)}
     return graph, weights
 

@@ -50,7 +50,6 @@ from .instrumentation import (
     RULE_BRANCH_TAKE,
     RULE_COMPONENT,
     InvariantViolation,
-    MeasureK,
     RunStats,
     assert_recurrence_step,
     check_level_growth,
@@ -89,11 +88,6 @@ class SolveResult:
     weight: int
     witness: frozenset[int]
     stats: RunStats
-
-
-def instance_measure(inst: Instance, k: int) -> MeasureK:
-    """The instance's potential for parameter k."""
-    return measure_k(inst.graph.n, inst.capacity_n, inst.family, k)
 
 
 def collect_witness(
@@ -361,7 +355,7 @@ class _PathScheme(Scheme):
     def potential(self, graph_size: int, n_cap: int, family: VertexMultiFamily) -> int | None:
         if self.k is None:
             return None
-        return measure_k(graph_size, n_cap, family, self.k).value
+        return measure_k(graph_size, n_cap, family, self.k)
 
     def ceiling(self, n_cap: int) -> int:
         return max_measure_k(n_cap, self.k)
@@ -371,7 +365,6 @@ def alg1_call(
     inst: Instance,
     k_hint: int | None = None,
     assertion_level: str = ASSERT_FAIR,
-    trace_limit: int = 4096,
     stats: RunStats | None = None,
 ) -> tuple[int, frozenset[int]]:
     """Run the path-scheme recursion on one instance.
@@ -391,7 +384,7 @@ def alg1_call(
     family = _rooted_family(inst.graph, inst.family)
     inst = Instance(inst.graph, inst.weights, inst.capacity_n, family)
     if stats is None:
-        stats = RunStats(trace_limit=trace_limit)
+        stats = RunStats()
     return drive(inst, _call, _PathScheme(_parse_level(assertion_level), stats, k_hint))
 
 
@@ -400,7 +393,6 @@ def solve_pkfree(
     w: WeightMap,
     k_hint: int | None = None,
     assertion_level: str = ASSERT_FAIR,
-    trace_limit: int = 4096,
 ) -> SolveResult:
     """Maximum-weight independent set of g under w.
 
@@ -415,14 +407,13 @@ def solve_pkfree(
         w: non-negative integer weights, defined on every vertex.
         k_hint: claimed induced-path bound; instrumentation only.
         assertion_level: "off", "fair", or "paranoid".
-        trace_limit: ring-buffer size for the potential trace in the stats.
 
     Returns:
         SolveResult with weight, a witness independent set, and run stats.
     """
     if k_hint is not None and k_hint < 1:
         raise ValueError(f"k_hint must be >= 1, got {k_hint}")
-    stats = RunStats(trace_limit=trace_limit)
+    stats = RunStats()
     root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
     weight, witness = alg1_call(root, k_hint=k_hint, assertion_level=assertion_level, stats=stats)
     verify_witness(g, w, weight, witness)

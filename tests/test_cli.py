@@ -157,6 +157,43 @@ def test_usage_errors_end_in_json_error_document(argv, message, capsys):
     assert json.loads(err)["error"] == {"kind": "input-error", "message": message, "details": {}}
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bench", "{dir}"], ["--stats", "{dir}/stats.json"]),
+        (
+            ["solve-hfree", "{graph}", "--pattern", "{graph}", "--oracle", "bruteforce"],
+            ["--k-hint", "4"],
+        ),
+        (["check-pkfree", "4", "{graph}"], ["--witness"]),
+        (["generate", "path", "--size", "3"], ["--assert", "off"]),
+    ],
+    ids=["bench-stats", "solve-hfree-k-hint", "check-pkfree-witness", "generate-assert"],
+)
+def test_flags_a_subcommand_would_ignore_are_usage_errors(argv, flag, c5_file, tmp_path, capsys):
+    argv, flag = ([arg.format(dir=tmp_path, graph=c5_file) for arg in a] for a in (argv, flag))
+    assert run(argv, capsys)[0] == 0
+    code, out, err = run(argv + flag, capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error == {
+        "kind": "input-error",
+        "message": f"qmwis: unrecognized arguments: {' '.join(flag)}",
+        "details": {},
+    }
+    assert not (tmp_path / "stats.json").exists()
+
+
+def test_generate_weight_cap(capsys):
+    args = ["generate", "path", "--size", "3", "--weight-lo", "1000000000"]
+    code, out, _ = run([*args, "--weight-hi", "1000000000"], capsys)
+    assert code == 0
+    assert parse_graph(out)[1] == {1: 10**9, 2: 10**9, 3: 10**9}
+    code, out, err = run([*args, "--weight-hi", "1000000001"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["kind"] == "input-error"
+
+
 def test_help_exits_zero(capsys):
     code, out, err = run(["solve", "--help"], capsys)
     assert (code, err) == (0, "")

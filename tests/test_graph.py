@@ -6,9 +6,7 @@ from qmwis import (
     connected_components,
     induced_subgraph,
     is_independent_set,
-    open_neighborhood,
     remove_vertices,
-    shortest_path,
     total_weight,
     validate_weights,
 )
@@ -64,9 +62,7 @@ def test_equality_and_hash():
 def test_neighborhood_helpers():
     g = path(5)
     assert closed_neighborhood(g, {3}) == {2, 3, 4}
-    assert open_neighborhood(g, {3}) == {2, 4}
     assert closed_neighborhood(g, {1, 5}) == {1, 2, 4, 5}
-    assert open_neighborhood(g, {1, 2}) == {3}
     assert closed_neighborhood(g, set()) == frozenset()
 
 
@@ -89,14 +85,6 @@ def test_connected_components_ordered_by_min_id():
     g = Graph([1, 2, 3, 4, 5, 6], [(5, 6), (1, 2)])
     comps = connected_components(g)
     assert comps == [frozenset({1, 2}), frozenset({3}), frozenset({4}), frozenset({5, 6})]
-
-
-def test_shortest_path():
-    g = path(5)
-    assert shortest_path(g, 1, 4) == [1, 2, 3, 4]
-    assert shortest_path(g, 3, 3) == [3]
-    disconnected = Graph([1, 2, 3], [(1, 2)])
-    assert shortest_path(disconnected, 1, 3) is None
 
 
 def test_total_weight_and_validation():

@@ -104,6 +104,9 @@ def test_error_id_range():
 def test_error_weight_range():
     err = parse_err("p 2 0\nn 1 -3\n")
     assert err.kind == "weight-range" and err.line_no == 2
+    err = parse_err("p 2 0\nn 1 1\nn 2 1000000001\n")
+    assert err.kind == "weight-range" and err.line_no == 3
+    assert parse_graph("p 1 0\nn 1 1000000000\n")[1] == {1: 10**9}
 
 
 def test_error_duplicate_weight():
@@ -147,6 +150,15 @@ def test_emit_requires_contiguous_ids():
 def test_emit_requires_full_weights():
     with pytest.raises(ValueError):
         emit_graph(Graph([1, 2], []), {1: 1})
+
+
+def test_emit_enforces_the_weight_cap():
+    g = Graph([1, 2], [(1, 2)])
+    assert parse_graph(emit_graph(g, {1: 0, 2: 10**9})) == (g, {1: 0, 2: 10**9})
+    with pytest.raises(ValueError):
+        emit_graph(g, {1: 0, 2: 10**9 + 1})
+    with pytest.raises(ValueError):
+        generate(GeneratorSpec(kind="path", size=2, seed=0, weight_range=(0, 10**9 + 1)))
 
 
 def test_round_trip_identity():

@@ -20,27 +20,19 @@ EMPTY = VertexMultiFamily()
 
 
 def test_measure_k_two_vertex_example():
-    m = measure_k(2, 2, EMPTY, 5)
     # 400*25*1*(2+2) = 40000, levels empty, 16*5*2*1*(50-0) = 8000
-    assert m.separator_term == 40000
-    assert m.level_term == 0
-    assert m.family_term == 8000
-    assert m.value == 48000
+    assert measure_k(2, 2, EMPTY, 5) == 48000
 
 
 def test_measure_k_with_family():
     fam = VertexMultiFamily([{1, 2}, {2}])
-    m = measure_k(3, 4, fam, 1)
-    assert m.separator_term == 400 * 4 * 7
-    assert m.level_term == 2 * 1 + 1 * 2
-    assert m.family_term == 16 * 4 * 2 * (20 - 2)
-    assert m.value == 11200 + 4 + 2304
+    # separator 400*4*7, levels 2*1 + 1*2, family 16*4*2*(20-2)
+    assert measure_k(3, 4, fam, 1) == 11200 + 4 + 2304
 
 
 def test_measure_k_single_vertex_capacity_has_no_slack():
     # log(1) = 0 wipes both the separator and family terms
-    m = measure_k(1, 1, EMPTY, 3)
-    assert m.value == 0
+    assert measure_k(1, 1, EMPTY, 3) == 0
 
 
 def test_measure_k_family_overflow_raises():
@@ -59,20 +51,14 @@ def test_measure_k_validates_arguments():
 
 
 def test_measure_h_empty_graph_example():
-    m = measure_h(0, 2, EMPTY, 4, 2)
-    assert m.size_term == 0
-    assert m.level_term == 0
-    assert m.family_term == 2 * 4 * 2 * 1 * 8
-    assert m.value == 128
+    # size 0, levels empty, family 2*4*2*1*8
+    assert measure_h(0, 2, EMPTY, 4, 2) == 128
 
 
 def test_measure_h_counts_graph_size_directly():
-    m = measure_h(7, 8, VertexMultiFamily([{1}, {1}]), 2, 1)
-    # levels: L1 = {1}, L2 = {1} -> 1 + 2 = 3; slack = 2*1*3 - 2 = 4
-    assert m.size_term == 7
-    assert m.level_term == 3
-    assert m.family_term == 2 * 2 * 8 * 3 * 4
-    assert m.value == 7 + 3 + 384
+    # levels: L1 = {1}, L2 = {1} -> 1 + 2 = 3; slack = 2*1*3 - 2 = 4,
+    # family 2*2*8*3*4 = 384
+    assert measure_h(7, 8, VertexMultiFamily([{1}, {1}]), 2, 1) == 7 + 3 + 384
 
 
 def test_measure_h_family_overflow_raises():
@@ -95,8 +81,8 @@ def test_max_measures():
     assert max_measure_k(2, 5) == 1050 * 25 * 2
     assert max_measure_k(1, 5) == 0
     assert max_measure_h(2, 4, 2) == 4 * 16 * 2 * 2
-    assert measure_k(2, 2, EMPTY, 5).value <= max_measure_k(2, 5)
-    assert measure_h(0, 2, EMPTY, 4, 2).value <= max_measure_h(2, 4, 2)
+    assert measure_k(2, 2, EMPTY, 5) <= max_measure_k(2, 5)
+    assert measure_h(0, 2, EMPTY, 4, 2) <= max_measure_h(2, 4, 2)
 
 
 def test_recurrence_component_rule():

@@ -11,7 +11,6 @@ from qmwis import (
     Graph,
     GraphTooLarge,
     brute_force_mwis,
-    enumerate_mwis,
     generate,
     is_independent_set,
     longest_induced_path_at_most,
@@ -25,6 +24,34 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     return Graph(range(1, n + 1), [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def enumerate_mwis(g: Graph, w: dict) -> tuple[int, frozenset[int]]:
+    """Raw 2^n reference used to validate the branch-and-bound oracle."""
+    ids = g.vertex_ids()
+    n = len(ids)
+    index = {v: j for j, v in enumerate(ids)}
+    adj_mask = [0] * n
+    for v in ids:
+        for u in g.adj(v):
+            adj_mask[index[v]] |= 1 << index[u]
+    best_weight = 0
+    best_mask = 0
+    for mask in range(1 << n):
+        ok = True
+        weight = 0
+        m = mask
+        while m:
+            j = (m & -m).bit_length() - 1
+            if adj_mask[j] & mask:
+                ok = False
+                break
+            weight += w[ids[j]]
+            m &= m - 1
+        if ok and weight > best_weight:
+            best_weight = weight
+            best_mask = mask
+    return best_weight, frozenset(ids[j] for j in range(n) if best_mask >> j & 1)
 
 
 def test_brute_force_small_cases():

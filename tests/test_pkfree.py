@@ -14,9 +14,9 @@ from qmwis import (
     alg1_call,
     brute_force_mwis,
     collect_witness,
-    instance_measure,
     is_independent_set,
     max_measure_k,
+    measure_k,
     solve_pkfree,
     total_weight,
     verify_witness,
@@ -130,8 +130,8 @@ def test_k_hint_on_cographs_runs_clean_at_paranoid():
         want, _ = brute_force_mwis(g, w)
         r = solve_pkfree(g, w, k_hint=4, assertion_level="paranoid")
         assert r.weight == want
-        mu = instance_measure(Instance(g, w, max(1, g.n), VertexMultiFamily()), 4)
-        assert 0 <= mu.value <= max_measure_k(max(1, g.n), 4)
+        mu = measure_k(g.n, max(1, g.n), VertexMultiFamily(), 4)
+        assert 0 <= mu <= max_measure_k(max(1, g.n), 4)
 
 
 def test_k_hint_must_be_positive():
