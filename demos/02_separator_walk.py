@@ -2,11 +2,12 @@
 
 gyarfas_path grows an induced path whose closed neighborhood halves the
 graph; balanced_separator_core iterates that to push every leftover
-component below n / 2^i. Run: python3 demos/02_separator_walk.py
+component below n / 2^i and returns the core's vertex set. Run: python3 demos/02_separator_walk.py
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 from qmwis import (
     Graph,
@@ -41,12 +42,12 @@ def main() -> None:
     for i in (1, 2, 3):
         g = connected_random(rng, 40, 0.12)
         core = balanced_separator_core(g, i)
-        separator = closed_neighborhood(g, core.core)
-        ok = verify_balanced(g, separator, core.balance_bound)
+        separator = closed_neighborhood(g, core)
+        ok = verify_balanced(g, separator, Fraction(g.n, 2**i))
         pieces = connected_components(remove_vertices(g, separator))
         worst = max((len(c) for c in pieces), default=0)
         print(
-            f"n=40, i={i}: core size {len(core.core)}, "
+            f"n=40, i={i}: core size {len(core)}, "
             f"target <= {40 // 2**i} per piece, worst piece {worst}, balanced={ok}"
         )
 

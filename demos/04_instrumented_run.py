@@ -3,8 +3,9 @@
 Paranoid mode re-derives every proven inequality at every step of the run:
 family sizes, level occupancy, the potential measure of each instance, and
 the per-step recurrence that forces the measure downhill. The stats object
-records the same quantities for offline inspection, and the report document
-serializes them byte-deterministically. Run: python3 demos/04_instrumented_run.py
+records the same quantities for offline inspection, and a report document
+with the stats in its payload, as `qmwis solve --stats` writes, serializes
+them byte-deterministically. Run: python3 demos/04_instrumented_run.py
 """
 
 import json
@@ -35,10 +36,8 @@ def main() -> None:
     print(f"measure trace: {len(tail)} recorded steps, every step strictly downhill: {downhill}")
 
     doc = ReportDocument(
-        command="solve",
-        assertion_level="paranoid",
-        payload={"weight": result.weight, "witness": sorted(result.witness)},
-        stats=s.to_dict(),
+        command="solve-stats",
+        payload={"assertion_level": "paranoid", "weight": result.weight, "stats": s.to_dict()},
     )
     blob = doc.to_json()
     print(f"report: {len(blob)} bytes, round-trips: {json.loads(blob)['weight'] == result.weight}")

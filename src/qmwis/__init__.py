@@ -33,7 +33,6 @@ from .hfree import (
     ComponentOracle,
     PatternGraph,
     find_induced_copy,
-    is_h_free,
     make_bruteforce_oracle,
     make_pk_oracle,
     solve_hfree,
@@ -73,7 +72,7 @@ from .pkfree import (
     solve_pkfree,
     verify_witness,
 )
-from .separators import SeparatorCore, balanced_separator_core, gyarfas_path, verify_balanced
+from .separators import balanced_separator_core, gyarfas_path, verify_balanced
 
 __version__ = "0.1.0"
 
@@ -100,7 +99,6 @@ __all__ = [
     "RULE_COMPONENT",
     "ReportDocument",
     "RunStats",
-    "SeparatorCore",
     "SolveResult",
     "VertexMultiFamily",
     "WeightMap",
@@ -120,7 +118,6 @@ __all__ = [
     "generate",
     "gyarfas_path",
     "induced_subgraph",
-    "is_h_free",
     "is_independent_set",
     "longest_induced_path_at_most",
     "make_bruteforce_oracle",

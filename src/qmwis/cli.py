@@ -3,17 +3,15 @@
 Subcommands: solve, solve-hfree, separator, check-pkfree, generate, bench.
 Reports go to stdout as JSON; diagnostics go to stderr as JSON. Exit codes:
 0 success, 2 input error, 3 invariant violation, 4 recursion limit,
-5 out of memory, 130 interrupted.
-
-Environment overrides: QMWIS_ASSERT sets the default assertion level,
-QMWIS_BRUTEFORCE_CAP the default size cap of brute-force oracles.
+5 out of memory, 130 interrupted. Only the solving subcommands (solve,
+solve-hfree, bench) take --assert; their reports carry the level.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -42,20 +40,6 @@ EXIT_INTERRUPTED = 130
 ASSERT_CHOICES = ("off", "fair", "paranoid")
 
 
-def _default_assert() -> str:
-    level = os.environ.get("QMWIS_ASSERT", "fair")
-    return level if level in ASSERT_CHOICES else "fair"
-
-
-def _default_bruteforce_cap() -> int:
-    raw = os.environ.get("QMWIS_BRUTEFORCE_CAP", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        return DEFAULT_BRUTE_FORCE_CAP
-    return cap if cap >= 1 else DEFAULT_BRUTE_FORCE_CAP
-
-
 class _Parser(argparse.ArgumentParser):
     # Subparsers inherit this class, so every usage error raises instead of
     # printing usage text and exiting; cli_main reports it as an input error.
@@ -75,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--assert",
         dest="assertion_level",
         choices=ASSERT_CHOICES,
-        default=_default_assert(),
+        default="fair",
         help="runtime invariant checking level (default: %(default)s)",
     )
     output = _Parser(add_help=False)
@@ -107,13 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="claim the input is pattern-free; enables the pattern-dependent invariants",
     )
 
-    p_sep = sub.add_parser("separator", parents=[level], help="compute a balanced separator core")
+    p_sep = sub.add_parser("separator", help="compute a balanced separator core")
     p_sep.add_argument("file", help="graph file path, or - for stdin")
     p_sep.add_argument("--i", dest="parameter_i", type=int, default=2, help="balance exponent")
 
-    p_check = sub.add_parser(
-        "check-pkfree", parents=[level], help="test for induced paths on k vertices"
-    )
+    p_check = sub.add_parser("check-pkfree", help="test for induced paths on k vertices")
     p_check.add_argument("k", type=int, help="path length to forbid")
     p_check.add_argument("file", help="graph file path, or - for stdin")
 
@@ -137,13 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graph(path: str) -> tuple[Graph, WeightMap]:
-    if path == "-":
-        return parse_graph(sys.stdin.read())
-    return parse_graph(Path(path).read_bytes())
+    """Parse the graph file at path (- for stdin); a parse error names the file."""
+    data = sys.stdin.read() if path == "-" else Path(path).read_bytes()
+    try:
+        return parse_graph(data)
+    except GraphParseError as exc:
+        exc.file = path
+        raise
 
 
 def _solver_payload(result: SolveResult, args: argparse.Namespace, g: Graph) -> dict[str, Any]:
     payload: dict[str, Any] = {
+        "assertion_level": args.assertion_level,
         "input": {"vertices": g.n, "edges": g.edge_count},
         "weight": result.weight,
         "assertions_checked": result.stats.assertions_checked,
@@ -160,19 +147,14 @@ def _finish(report: ReportDocument) -> int:
 
 def _finish_solve(report: ReportDocument, result: SolveResult, args: argparse.Namespace) -> int:
     if args.stats:
-        Path(args.stats).write_text(
-            ReportDocument(
-                command=f"{report.command}-stats",
-                assertion_level=report.assertion_level,
-                payload={"stats": result.stats.to_dict()},
-            ).to_json()
-        )
+        payload = {"assertion_level": args.assertion_level, "stats": result.stats.to_dict()}
+        Path(args.stats).write_text(ReportDocument(f"{report.command}-stats", payload).to_json())
     return _finish(report)
 
 
 def _parse_oracle_spec(spec: str) -> ComponentOracle:
     if spec == "bruteforce":
-        return make_bruteforce_oracle(_default_bruteforce_cap())
+        return make_bruteforce_oracle(DEFAULT_BRUTE_FORCE_CAP)
     if spec.startswith("bruteforce:"):
         cap = int(spec.split(":", 1)[1])
         if cap < 1:
@@ -189,12 +171,7 @@ def _parse_oracle_spec(spec: str) -> ComponentOracle:
 def _cmd_solve(args: argparse.Namespace) -> int:
     g, w = _read_graph(args.file)
     result = solve_pkfree(g, w, k_hint=args.k_hint, assertion_level=args.assertion_level)
-    report = ReportDocument(
-        command="solve",
-        assertion_level=args.assertion_level,
-        payload=_solver_payload(result, args, g),
-    )
-    return _finish_solve(report, result, args)
+    return _finish_solve(ReportDocument("solve", _solver_payload(result, args, g)), result, args)
 
 
 def _cmd_solve_hfree(args: argparse.Namespace) -> int:
@@ -217,34 +194,31 @@ def _cmd_solve_hfree(args: argparse.Namespace) -> int:
         "total_size": pattern.total_size,
     }
     payload["oracle_calls"] = result.stats.oracle_calls
-    report = ReportDocument(
-        command="solve-hfree", assertion_level=args.assertion_level, payload=payload
-    )
-    return _finish_solve(report, result, args)
+    return _finish_solve(ReportDocument("solve-hfree", payload), result, args)
 
 
 def _cmd_separator(args: argparse.Namespace) -> int:
     g, _ = _read_graph(args.file)
     core = balanced_separator_core(g, args.parameter_i)
-    neighborhood = closed_neighborhood(g, core.core)
-    balanced = verify_balanced(g, neighborhood, core.balance_bound)
+    bound = Fraction(g.n, 2**args.parameter_i)
+    neighborhood = closed_neighborhood(g, core)
+    balanced = verify_balanced(g, neighborhood, bound)
     report = ReportDocument(
-        command="separator",
-        assertion_level=args.assertion_level,
-        payload={
+        "separator",
+        {
             "input": {"vertices": g.n, "edges": g.edge_count},
-            "parameter_i": core.parameter_i,
-            "core": sorted(core.core),
+            "parameter_i": args.parameter_i,
+            "core": sorted(core),
             "closed_neighborhood": sorted(neighborhood),
-            "balance_bound": str(core.balance_bound),
+            "balance_bound": str(bound),
             "balanced": balanced,
         },
     )
     if not balanced:
         raise InvariantViolation(
             "separator-balance",
-            f"core neighborhood is not {core.balance_bound}-balanced",
-            {"core": sorted(core.core)},
+            f"core neighborhood is not {bound}-balanced",
+            {"core": sorted(core)},
         )
     return _finish(report)
 
@@ -252,16 +226,8 @@ def _cmd_separator(args: argparse.Namespace) -> int:
 def _cmd_check_pkfree(args: argparse.Namespace) -> int:
     g, _ = _read_graph(args.file)
     free = longest_induced_path_at_most(g, args.k)
-    report = ReportDocument(
-        command="check-pkfree",
-        assertion_level=args.assertion_level,
-        payload={
-            "input": {"vertices": g.n, "edges": g.edge_count},
-            "k": args.k,
-            "pk_free": free,
-        },
-    )
-    return _finish(report)
+    payload = {"input": {"vertices": g.n, "edges": g.edge_count}, "k": args.k, "pk_free": free}
+    return _finish(ReportDocument("check-pkfree", payload))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -291,7 +257,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     total_weight = 0
     total_calls = 0
     for path in sorted(root.glob("*.graph")):
-        g, w = parse_graph(path.read_bytes())
+        g, w = _read_graph(str(path))
         result = solve_pkfree(g, w, k_hint=args.k_hint, assertion_level=args.assertion_level)
         total_weight += result.weight
         total_calls += result.stats.calls
@@ -306,9 +272,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             }
         )
     report = ReportDocument(
-        command="bench",
-        assertion_level=args.assertion_level,
-        payload={
+        "bench",
+        {
+            "assertion_level": args.assertion_level,
             "directory": args.dir,
             "graphs": rows,
             "totals": {"graphs": len(rows), "weight": total_weight, "calls": total_calls},
@@ -337,9 +303,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(error_document("invariant-violation", str(exc), {"rule": exc.rule}))
         return EXIT_VIOLATION
     except GraphParseError as exc:
-        sys.stderr.write(
-            error_document("parse-error", str(exc), {"kind": exc.kind, "line": exc.line_no})
-        )
+        details = {"kind": exc.kind, "line": exc.line_no, "file": exc.file}
+        sys.stderr.write(error_document("parse-error", str(exc), details))
         return EXIT_INPUT
     except (GraphTooLarge, GenerationError, ValueError) as exc:
         sys.stderr.write(error_document("input-error", str(exc)))

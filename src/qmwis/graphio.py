@@ -173,26 +173,16 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
 class ReportDocument:
     """One command's machine-readable result.
 
-    payload carries the command-specific fields (weight, witness, core,
-    ...); stats the run counters when requested. Serialization sorts keys
+    payload carries the command-specific fields (weight, witness, core, the
+    assertion level of a solving command, ...). Serialization sorts keys
     and contains no wall-clock data, so equal runs give equal bytes.
     """
 
     command: str
-    assertion_level: str
     payload: dict[str, Any]
-    stats: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "format_version": REPORT_FORMAT_VERSION,
-            "command": self.command,
-            "assertion_level": self.assertion_level,
-        }
-        doc.update(self.payload)
-        if self.stats is not None:
-            doc["stats"] = self.stats
-        return doc
+        return {"format_version": REPORT_FORMAT_VERSION, "command": self.command, **self.payload}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -66,7 +66,6 @@ class PatternGraph:
     """
 
     components: tuple[Graph, ...]
-    total_size: int
     combined: Graph
 
     def __post_init__(self) -> None:
@@ -77,10 +76,13 @@ class PatternGraph:
                 raise ValueError("pattern components must be non-empty")
             if len(connected_components(part)) != 1:
                 raise ValueError("every pattern component must be connected")
-        if self.total_size != sum(part.n for part in self.components):
-            raise ValueError("total_size does not match the components")
         if self.combined.n != self.total_size:
             raise ValueError("combined graph does not match the components")
+
+    @property
+    def total_size(self) -> int:
+        """|H|, the vertex count over all components."""
+        return sum(part.n for part in self.components)
 
     @classmethod
     def from_graph(cls, h: Graph) -> "PatternGraph":
@@ -88,7 +90,7 @@ class PatternGraph:
         if h.n == 0:
             raise ValueError("a pattern needs at least one vertex")
         parts = tuple(induced_subgraph(h, c) for c in connected_components(h))
-        return cls(components=parts, total_size=h.n, combined=h)
+        return cls(components=parts, combined=h)
 
     @classmethod
     def from_components(cls, parts: Sequence[Graph]) -> "PatternGraph":
@@ -106,11 +108,7 @@ class PatternGraph:
             vertices.extend(relabel.values())
             edges.extend((relabel[u], relabel[v]) for u, v in part.edges())
             offset += part.n
-        return cls(
-            components=parts,
-            total_size=sum(part.n for part in parts),
-            combined=Graph(vertices, edges),
-        )
+        return cls(components=parts, combined=Graph(vertices, edges))
 
 
 @dataclass(frozen=True)
@@ -238,11 +236,6 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
         wants[pos] = want
 
 
-def is_h_free(g: Graph, h: Graph) -> bool:
-    """True iff g has no induced copy of h (h may be disconnected)."""
-    return find_induced_copy(g, h) is None
-
-
 class _PatternScheme(Scheme):
     """Induced-copy growth and oracle leaves for a pattern with c components.
 
@@ -269,7 +262,7 @@ class _PatternScheme(Scheme):
         return find_induced_copy(g, self.pattern.components[len(family) % self.c])
 
     def record_growth(self, anchor: frozenset[int]) -> None:
-        self.stats.record_neighborhood(tuple(sorted(anchor)))
+        self.stats.neighborhoods_added_count += 1
 
     def family_excess(self, size: int, log_n: int) -> tuple[str, int] | None:
         bound = self.c * self.size * log_n
@@ -303,7 +296,7 @@ class _PatternScheme(Scheme):
     def _oracle(self, g: Graph, index: int) -> ComponentOracle:
         """Oracle index, counted as one call on g; at "paranoid" g must be free of its component."""
         oracle = self.oracles[index]
-        if self.level >= 2 and not is_h_free(g, self.pattern.components[index]):
+        if self.level >= 2 and find_induced_copy(g, self.pattern.components[index]) is not None:
             raise InvariantViolation(
                 "oracle-validity",
                 f"graph handed to oracle {index} ({oracle.name}) has an induced copy "

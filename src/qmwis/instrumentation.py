@@ -217,8 +217,8 @@ def assert_recurrence_step(
 class RunStats:
     """Exact counters for one solver run.
 
-    Mutable during a run. measure_trace and neighborhoods_added are ring
-    buffers so deep runs stay bounded in memory.
+    Mutable during a run. measure_trace is a ring buffer of the last 4,096
+    recorded potential steps, so deep runs stay bounded in memory.
     """
 
     calls: int = 0
@@ -233,15 +233,7 @@ class RunStats:
     max_graph_size: int = 0
     max_level_occupancy: dict[int, int] = field(default_factory=dict)
     assertions_checked: int = 0
-    trace_limit: int = 4096
     measure_trace: deque = field(default_factory=lambda: deque(maxlen=4096))
-    neighborhoods_added: deque = field(default_factory=lambda: deque(maxlen=4096))
-
-    def __post_init__(self) -> None:
-        if self.measure_trace.maxlen != self.trace_limit:
-            self.measure_trace = deque(self.measure_trace, maxlen=self.trace_limit)
-        if self.neighborhoods_added.maxlen != self.trace_limit:
-            self.neighborhoods_added = deque(self.neighborhoods_added, maxlen=self.trace_limit)
 
     def on_call(self, graph_size: int, family_size: int) -> None:
         # max_depth is maintained by the stack driver, not per call.
@@ -262,10 +254,6 @@ class RunStats:
     def record_oracle_call(self, index: int) -> None:
         self.oracle_calls += 1
         self.oracle_calls_by_index[index] = self.oracle_calls_by_index.get(index, 0) + 1
-
-    def record_neighborhood(self, copy_vertices: tuple[int, ...]) -> None:
-        self.neighborhoods_added_count += 1
-        self.neighborhoods_added.append(copy_vertices)
 
     def to_dict(self) -> dict[str, Any]:
         """Stable-key snapshot for reports."""

@@ -223,8 +223,8 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, WeightMap]:
     """Build the graph and weights described by spec.
 
     Raises:
-        ValueError: on an unknown kind, missing kind parameters or an
-            invalid weight range.
+        ValueError: on an unknown kind, missing kind parameters, an edge
+            probability p outside [0, 1] or an invalid weight range.
         GenerationError: when rejection sampling exhausts max_attempts.
     """
     n = spec.size
@@ -233,6 +233,8 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, WeightMap]:
     lo, hi = spec.weight_range
     if lo < 0 or hi < lo or hi > MAX_WEIGHT:
         raise ValueError(f"invalid weight range {spec.weight_range}")
+    if spec.p is not None and not 0 <= spec.p <= 1:
+        raise ValueError(f"edge probability p must lie in [0, 1], got {spec.p}")
     rng = random.Random(spec.seed)
     vertices = list(range(1, n + 1))
 

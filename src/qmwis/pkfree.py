@@ -324,7 +324,7 @@ class _PathScheme(Scheme):
         return None
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> frozenset[int]:
-        return balanced_separator_core(g, 2).core
+        return balanced_separator_core(g, 2)
 
     def record_growth(self, anchor: frozenset[int]) -> None:
         self.stats.separators_added += 1

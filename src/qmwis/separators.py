@@ -14,24 +14,9 @@ All balance comparisons are exact: a component C violates the bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 
 from .graph import Graph, VertexSet, VertexTable, component_masks, remove_vertices
-
-
-@dataclass(frozen=True)
-class SeparatorCore:
-    """A vertex set X whose closed neighborhood balances the source graph.
-
-    balance_bound is |V(G)|/2^i for the graph G the core was built from: no
-    component of G - N[X] has more than balance_bound vertices.
-    """
-
-    core: frozenset[int]
-    parameter_i: int
-    balance_bound: Fraction
 
 
 def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
@@ -96,8 +81,10 @@ def _core_mask(table: VertexTable, live: int, n: int, i: int) -> int:
     return core
 
 
-def balanced_separator_core(g: Graph, i: int) -> SeparatorCore:
-    """A core X with N[X] a |V(g)|/2^i-balanced separator of g.
+def balanced_separator_core(g: Graph, i: int) -> frozenset[int]:
+    """The ids of a core X with N[X] a |V(g)|/2^i-balanced separator of g.
+
+    No component of g - N[X] has more than |V(g)|/2^i vertices.
 
     For i = 1 this is the path construction applied to the one component
     that can exceed half the graph (if any). For larger i the level i - 1
@@ -114,11 +101,9 @@ def balanced_separator_core(g: Graph, i: int) -> SeparatorCore:
     if i < 1:
         raise ValueError(f"separator parameter must be >= 1, got {i}")
     n = g.n
-    bound = Fraction(n, 2**i)
     if 2**i >= n:
-        return SeparatorCore(core=g.vertices, parameter_i=i, balance_bound=bound)
-    core = _core_mask(g.table, g.mask, n, i)
-    return SeparatorCore(core=g.table.decode(core), parameter_i=i, balance_bound=bound)
+        return g.vertices
+    return g.table.decode(_core_mask(g.table, g.mask, n, i))
 
 
 def verify_balanced(g: Graph, separator: VertexSet, bound: Rational) -> bool:

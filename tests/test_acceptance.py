@@ -19,8 +19,8 @@ from qmwis import (
     closed_neighborhood,
     connected_components,
     emit_graph,
+    find_induced_copy,
     generate,
-    is_h_free,
     is_independent_set,
     longest_induced_path_at_most,
     make_bruteforce_oracle,
@@ -125,8 +125,7 @@ def test_criterion_3_separator_contracts():
         for i in (1, 2, 3):
             if 2**i >= n:
                 continue
-            core = balanced_separator_core(g, i)
-            separator = closed_neighborhood(g, core.core)
+            separator = closed_neighborhood(g, balanced_separator_core(g, i))
             rest_components = connected_components(remove_vertices(g, separator))
             bound = n // (2**i)
             for comp in rest_components:
@@ -145,7 +144,7 @@ def test_criterion_3_separator_contracts():
             if 2**i >= g.n:
                 continue
             core = balanced_separator_core(g, i)
-            assert len(core.core) <= 2 ** (i + 1) * 5, (g.n, i, len(core.core))
+            assert len(core) <= 2 ** (i + 1) * 5, (g.n, i, len(core))
             core_size_checks += 1
     print(
         f"[criterion 3] PASS - {balance_checks} exact balance checks, "
@@ -200,7 +199,7 @@ def test_criterion_5_hfree_paranoid_invariants():
         assert attempts < 20000, "rejection sampling budget exhausted"
         n = rng.randint(10, 40)
         g = _gnp(rng, n, rng.uniform(0.93, 0.99))
-        if not is_h_free(g, two_k2):
+        if find_induced_copy(g, two_k2) is not None:
             continue
         w = _weights(rng, g)
         result = solve_hfree(
@@ -266,11 +265,8 @@ def test_criterion_7_determinism_and_round_trip():
     for _ in range(2):
         g, w = corpus[0]
         result = solve_pkfree(g, w)
-        doc = ReportDocument(
-            command="solve",
-            assertion_level="fair",
-            payload={"weight": result.weight, "witness": sorted(result.witness)},
-        )
+        payload = {"weight": result.weight, "witness": sorted(result.witness)}
+        doc = ReportDocument(command="solve", payload=payload)
         reports.append(doc.to_json())
     assert reports[0] == reports[1]
 

@@ -64,8 +64,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert out == ""
     doc = json.loads(err)
     assert doc["error"]["kind"] == "parse-error"
-    assert doc["error"]["details"]["kind"] == "self-loop"
-    assert doc["error"]["details"]["line"] == 2
+    assert doc["error"]["details"] == {"kind": "self-loop", "line": 2, "file": str(bad)}
+
+
+def test_parse_error_from_stdin_names_the_dash(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("p 2 1\ne 1 3\n"))
+    code, out, err = run(["solve", "-"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["details"] == {"kind": "id-range", "line": 2, "file": "-"}
+
+
+def test_parse_error_in_pattern_file_names_it(tmp_path, c5_file, capsys):
+    pattern = tmp_path / "h.graph"
+    pattern.write_text("p 3 2\ne 1 2\n")
+    code, out, err = run(
+        ["solve-hfree", c5_file, "--pattern", str(pattern), "--oracle", "bruteforce"], capsys
+    )
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parse-error"
+    assert error["details"] == {"kind": "count-mismatch", "line": 0, "file": str(pattern)}
 
 
 def test_missing_file_exit_code(capsys):
@@ -167,8 +185,17 @@ def test_usage_errors_end_in_json_error_document(argv, message, capsys):
         ),
         (["check-pkfree", "4", "{graph}"], ["--witness"]),
         (["generate", "path", "--size", "3"], ["--assert", "off"]),
+        (["separator", "{graph}"], ["--assert", "off"]),
+        (["check-pkfree", "4", "{graph}"], ["--assert", "paranoid"]),
     ],
-    ids=["bench-stats", "solve-hfree-k-hint", "check-pkfree-witness", "generate-assert"],
+    ids=[
+        "bench-stats",
+        "solve-hfree-k-hint",
+        "check-pkfree-witness",
+        "generate-assert",
+        "separator-assert",
+        "check-pkfree-assert",
+    ],
 )
 def test_flags_a_subcommand_would_ignore_are_usage_errors(argv, flag, c5_file, tmp_path, capsys):
     argv, flag = ([arg.format(dir=tmp_path, graph=c5_file) for arg in a] for a in (argv, flag))
@@ -200,15 +227,26 @@ def test_help_exits_zero(capsys):
     assert out.startswith("usage: qmwis solve")
 
 
-def test_assert_level_flag_and_env(c5_file, capsys, monkeypatch):
+def test_assert_level_flag(c5_file, capsys):
     code, out, _ = run(["solve", c5_file, "--assert", "paranoid"], capsys)
     assert json.loads(out)["assertion_level"] == "paranoid"
-    monkeypatch.setenv("QMWIS_ASSERT", "off")
-    code, out, _ = run(["solve", c5_file], capsys)
-    assert json.loads(out)["assertion_level"] == "off"
-    monkeypatch.setenv("QMWIS_ASSERT", "bogus")
     code, out, _ = run(["solve", c5_file], capsys)
     assert json.loads(out)["assertion_level"] == "fair"
+
+
+def test_environment_variables_change_nothing(c5_file, tmp_path, capsys, monkeypatch):
+    pattern = tmp_path / "h.graph"
+    pattern.write_text("p 3 2\ne 1 2\ne 2 3\n")
+    commands = [
+        ["solve", c5_file, "--witness"],
+        ["solve-hfree", c5_file, "--pattern", str(pattern), "--oracle", "bruteforce"],
+    ]
+    before = [run(argv, capsys) for argv in commands]
+    monkeypatch.setenv("QMWIS_ASSERT", "off")
+    monkeypatch.setenv("QMWIS_BRUTEFORCE_CAP", "2")
+    assert [run(argv, capsys) for argv in commands] == before
+    assert json.loads(before[0][1])["assertion_level"] == "fair"
+    assert before[1][0] == 0
 
 
 def test_stats_file(c5_file, tmp_path, capsys):
@@ -278,7 +316,7 @@ def test_solve_hfree_pk_oracle_spec(tmp_path, capsys):
     assert json.loads(out)["weight"] == 1
 
 
-def test_bruteforce_cap_env(tmp_path, capsys, monkeypatch):
+def test_bruteforce_cap_spec(tmp_path, capsys):
     # K5 is already P3-free, so the very first call hits the oracle with
     # all 5 vertices; a cap of 2 must refuse that
     host = tmp_path / "k5.graph"
@@ -286,13 +324,11 @@ def test_bruteforce_cap_env(tmp_path, capsys, monkeypatch):
     host.write_text("p 5 10\n" + "".join(f"e {u} {v}\n" for u, v in edges))
     pattern = tmp_path / "h.graph"
     pattern.write_text("p 3 2\ne 1 2\ne 2 3\n")
-    args = ["solve-hfree", str(host), "--pattern", str(pattern), "--oracle", "bruteforce"]
-    monkeypatch.setenv("QMWIS_BRUTEFORCE_CAP", "2")
-    code, _, err = run(args, capsys)
+    args = ["solve-hfree", str(host), "--pattern", str(pattern), "--oracle"]
+    code, _, err = run([*args, "bruteforce:2"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "input-error"
-    monkeypatch.delenv("QMWIS_BRUTEFORCE_CAP")
-    code, out, _ = run(args, capsys)
+    code, out, _ = run([*args, "bruteforce"], capsys)
     assert code == 0
     assert json.loads(out)["weight"] == 1
 
@@ -305,6 +341,7 @@ def test_separator_report(c5_file, capsys):
     assert doc["parameter_i"] == 2
     assert set(doc["core"]) <= {1, 2, 3, 4, 5}
     assert doc["balance_bound"] == "5/4"
+    assert "assertion_level" not in doc
 
 
 def test_check_pkfree(c5_file, capsys):
@@ -313,6 +350,7 @@ def test_check_pkfree(c5_file, capsys):
     assert json.loads(out)["pk_free"] is True
     code, out, _ = run(["check-pkfree", "4", c5_file], capsys)
     assert json.loads(out)["pk_free"] is False
+    assert "assertion_level" not in json.loads(out)
 
 
 def test_generate_stdout_round_trips(capsys):
@@ -385,6 +423,29 @@ def test_bench_directory(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["totals"]["graphs"] == 2
     assert [row["file"] for row in doc["graphs"]] == ["g1.graph", "g2.graph"]
+
+
+def test_bench_parse_error_names_the_bad_file(tmp_path, capsys):
+    (tmp_path / "a.graph").write_text(c5_text())
+    (tmp_path / "b.graph").write_text("p 2 0\nn 1 -4\n")
+    code, out, err = run(["bench", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parse-error"
+    assert error["details"] == {
+        "kind": "weight-range",
+        "line": 2,
+        "file": str(tmp_path / "b.graph"),
+    }
+
+
+@pytest.mark.parametrize("p", ["1.7", "-0.1", "nan"])
+def test_generate_rejects_edge_probability_outside_unit_interval(p, capsys):
+    code, out, err = run(["generate", "random-gnp", "--size", "4", "--p", p], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input-error"
+    assert "edge probability" in error["message"]
 
 
 def test_bench_rejects_non_directory(capsys):

@@ -193,7 +193,7 @@ def test_round_trip_property(data):
 
 
 def test_report_document_shape():
-    doc = ReportDocument(command="solve", assertion_level="fair", payload={"weight": 9})
+    doc = ReportDocument(command="solve", payload={"assertion_level": "fair", "weight": 9})
     d = doc.to_dict()
     assert d == {
         "format_version": 1,
@@ -203,15 +203,8 @@ def test_report_document_shape():
     }
 
 
-def test_report_document_stats_key_optional():
-    doc = ReportDocument(
-        command="solve", assertion_level="off", payload={}, stats={"calls": 3}
-    )
-    assert doc.to_dict()["stats"] == {"calls": 3}
-
-
 def test_report_json_is_sorted_and_newline_terminated():
-    doc = ReportDocument(command="z", assertion_level="fair", payload={"b": 1, "a": 2})
+    doc = ReportDocument(command="z", payload={"b": 1, "a": 2})
     text = doc.to_json()
     assert text.endswith("\n")
     parsed = json.loads(text)
@@ -221,8 +214,8 @@ def test_report_json_is_sorted_and_newline_terminated():
 
 
 def test_report_json_deterministic():
-    doc1 = ReportDocument(command="solve", assertion_level="fair", payload={"x": [1, 2]})
-    doc2 = ReportDocument(command="solve", assertion_level="fair", payload={"x": [1, 2]})
+    doc1 = ReportDocument(command="solve", payload={"x": [1, 2]})
+    doc2 = ReportDocument(command="solve", payload={"x": [1, 2]})
     assert doc1.to_json() == doc2.to_json()
 
 

@@ -10,7 +10,6 @@ from qmwis import (
     PatternGraph,
     brute_force_mwis,
     find_induced_copy,
-    is_h_free,
     is_independent_set,
     make_bruteforce_oracle,
     make_pk_oracle,
@@ -66,7 +65,9 @@ def test_pattern_rejects_bad_shapes():
     with pytest.raises(ValueError):
         PatternGraph.from_components([Graph([1, 2], [])])  # disconnected part
     with pytest.raises(ValueError):
-        PatternGraph(components=(), total_size=0, combined=Graph([], []))
+        PatternGraph(components=(), combined=Graph([], []))
+    with pytest.raises(ValueError):
+        PatternGraph(components=(two_k2(),), combined=Graph([1, 2], [(1, 2)]))
 
 
 # ------------------------------------------------------- induced copies
@@ -138,10 +139,10 @@ def test_copy_search_matches_naive_enumeration():
 
 
 def test_is_h_free_spec_cases():
-    assert is_h_free(complete_graph(5), path_graph(3))
-    assert is_h_free(cycle_graph(5), path_graph(5))
-    assert is_h_free(cycle_graph(5), two_k2())
-    assert not is_h_free(cycle_graph(6), two_k2())
+    assert find_induced_copy(complete_graph(5), path_graph(3)) is None
+    assert find_induced_copy(cycle_graph(5), path_graph(5)) is None
+    assert find_induced_copy(cycle_graph(5), two_k2()) is None
+    assert find_induced_copy(cycle_graph(6), two_k2()) is not None
 
 
 # ------------------------------------------------------------- oracles

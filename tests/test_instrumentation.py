@@ -148,18 +148,20 @@ def test_run_stats_counters_and_maxima():
     s.record_oracle_call(1)
     assert s.oracle_calls == 3
     assert s.oracle_calls_by_index == {0: 2, 1: 1}
-    s.record_neighborhood((1, 2))
-    assert s.neighborhoods_added_count == 1
     s.record_levels(VertexMultiFamily([{1, 2, 3}, {3}]))
     assert s.max_level_occupancy == {1: 3, 2: 1}
 
 
 def test_run_stats_trace_ring_buffer():
-    s = RunStats(trace_limit=2)
-    s.record_measure("a", 3, 2)
-    s.record_measure("b", 2, 1)
-    s.record_measure("c", 1, 0)
-    assert [t[0] for t in s.measure_trace] == ["b", "c"]
+    s = RunStats()
+    for step in range(4096):
+        s.record_measure("branch-delete", step + 1, step)
+    assert len(s.measure_trace) == 4096
+    assert s.measure_trace[0] == ("branch-delete", 1, 0)
+    s.record_measure("branch-take", 0, 0)
+    assert len(s.measure_trace) == 4096
+    assert s.measure_trace[0] == ("branch-delete", 2, 1)
+    assert s.measure_trace[-1] == ("branch-take", 0, 0)
 
 
 def test_run_stats_to_dict_round_trips_through_json():

@@ -223,6 +223,16 @@ def test_generate_validates_spec():
         generate(GeneratorSpec(kind="nonsense", size=5, seed=0))
 
 
+def test_generate_edge_probability_must_lie_in_unit_interval():
+    for kind in ("random-gnp", "pk-free-rejection"):
+        for p, edges in ((0, 0), (1, 10)):
+            spec = GeneratorSpec(kind=kind, size=5, seed=0, p=p, path_bound=6)
+            assert generate(spec)[0].edge_count == edges
+        for p in (-1e-9, 1 + 1e-9):
+            with pytest.raises(ValueError, match="edge probability"):
+                generate(GeneratorSpec(kind=kind, size=5, seed=0, p=p, path_bound=6))
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_brute_force_witness_property(data):

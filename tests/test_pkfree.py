@@ -248,3 +248,17 @@ def test_every_level_verifies_the_witness(level, monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         solve_pkfree(path_graph(3), {1: 1, 2: 1, 3: 1}, assertion_level=level)
     assert info.value.rule == "witness"
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
+    # {1} is no N/4-balanced separator of the 8-vertex path; only the
+    # paranoid per-call audit of F's members notices.
+    g = path_graph(8)
+    inst = Instance(g, {v: 1 for v in g.vertex_ids()}, 8, VertexMultiFamily([{1}]))
+    if level != "paranoid":
+        assert alg1_call(inst, assertion_level=level)[0] == 4
+        return
+    with pytest.raises(InvariantViolation) as info:
+        alg1_call(inst, assertion_level=level)
+    assert info.value.rule == "separator-balance"
