@@ -2,7 +2,8 @@
 
 gyarfas_path grows an induced path whose closed neighborhood halves the
 graph; balanced_separator_core iterates that to push every leftover
-component below n / 2^i and returns the core's vertex set. Run: python3 demos/02_separator_walk.py
+component below n / 2^i and returns the core as a mask over the graph's
+vertex table (g.table.decode turns it into ids). Run: python3 demos/02_separator_walk.py
 """
 
 import itertools
@@ -47,7 +48,7 @@ def main() -> None:
         pieces = connected_components(remove_vertices(g, separator))
         worst = max((len(c) for c in pieces), default=0)
         print(
-            f"n=40, i={i}: core size {len(core)}, "
+            f"n=40, i={i}: core size {core.bit_count()}, "
             f"target <= {40 // 2**i} per piece, worst piece {worst}, balanced={ok}"
         )
 

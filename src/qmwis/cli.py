@@ -4,7 +4,8 @@ Subcommands: solve, solve-hfree, separator, check-pkfree, generate, bench.
 Reports go to stdout as JSON; diagnostics go to stderr as JSON. Exit codes:
 0 success, 2 input error, 3 invariant violation, 4 recursion limit,
 5 out of memory, 130 interrupted. Only the solving subcommands (solve,
-solve-hfree, bench) take --assert; their reports carry the level.
+solve-hfree, bench) take --assert; their reports carry the level. The
+separator exponent --i must lie in 1..MAX_SEPARATOR_I (4096).
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ EXIT_MEMORY = 5
 EXIT_INTERRUPTED = 130
 
 ASSERT_CHOICES = ("off", "fair", "paranoid")
+
+# separator --i runs from 1 to this. The report prints N/2^i in full, and
+# 2^4096 has 1,234 digits, below CPython's int-to-str limit of 4,300.
+MAX_SEPARATOR_I = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,17 +160,19 @@ def _finish_solve(report: ReportDocument, result: SolveResult, args: argparse.Na
 def _parse_oracle_spec(spec: str) -> ComponentOracle:
     if spec == "bruteforce":
         return make_bruteforce_oracle(DEFAULT_BRUTE_FORCE_CAP)
-    if spec.startswith("bruteforce:"):
-        cap = int(spec.split(":", 1)[1])
-        if cap < 1:
-            raise ValueError(f"brute-force cap must be >= 1, got {cap}")
-        return make_bruteforce_oracle(cap)
-    if spec.startswith("pk:"):
-        k = int(spec.split(":", 1)[1])
-        return make_pk_oracle(k)
-    raise ValueError(
-        f"unknown oracle spec {spec!r} (expected bruteforce, bruteforce:<cap>, or pk:<k>)"
-    )
+    forms = "(expected bruteforce, bruteforce:<cap>, or pk:<k>)"
+    kind, colon, arg = spec.partition(":")
+    if not colon or kind not in ("bruteforce", "pk"):
+        raise ValueError(f"unknown oracle spec {spec!r} {forms}")
+    try:
+        value = int(arg)
+    except ValueError:
+        raise ValueError(f"oracle spec {spec!r} needs an integer after the colon {forms}") from None
+    if kind == "pk":
+        return make_pk_oracle(value)
+    if value < 1:
+        raise ValueError(f"brute-force cap must be >= 1, got {value}")
+    return make_bruteforce_oracle(value)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -198,8 +205,10 @@ def _cmd_solve_hfree(args: argparse.Namespace) -> int:
 
 
 def _cmd_separator(args: argparse.Namespace) -> int:
+    if not 1 <= args.parameter_i <= MAX_SEPARATOR_I:
+        raise ValueError(f"--i must be in 1..{MAX_SEPARATOR_I}, got {args.parameter_i}")
     g, _ = _read_graph(args.file)
-    core = balanced_separator_core(g, args.parameter_i)
+    core = g.table.decode(balanced_separator_core(g, args.parameter_i))
     bound = Fraction(g.n, 2**args.parameter_i)
     neighborhood = closed_neighborhood(g, core)
     balanced = verify_balanced(g, neighborhood, bound)

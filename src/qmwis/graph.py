@@ -13,7 +13,8 @@ Bit order equals id order, so scanning bits upwards keeps every "smallest
 id wins" tie-break. Frozensets of ids appear only at the public boundary
 (Graph.vertices, Graph.adj, connected_components, witnesses); the functions
 that take a vertex set also accept a mask over the graph's table, which is
-how the solvers pass sets to each other without decoding them.
+how the solvers pass sets to each other without decoding them. The solvers'
+anchors and balanced_separator_core's core are such masks.
 """
 
 from __future__ import annotations

@@ -45,13 +45,13 @@ from .levels import VertexMultiFamily
 from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
 from .pkfree import (
     ASSERT_FAIR,
-    ASSERT_OFF,
     Instance,
     Scheme,
     SolveResult,
+    _call,
     _expand,
     _parse_level,
-    solve_pkfree,
+    _PathScheme,
     verify_witness,
 )
 
@@ -149,18 +149,21 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     """Oracle for a path component, backed by the path-free solver.
 
     The path-free solver is exact on every graph, so the oracle is too; the
-    claimed pattern just records the component it is meant for.
+    claimed pattern just records the component it is meant for. It runs that
+    solver at level "off" and trusts w, which solve_hfree has validated.
     """
     if k < 1:
         raise ValueError(f"path length must be >= 1, got {k}")
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
-    def solve(g: Graph, w: WeightMap) -> int:
-        return solve_pkfree(g, w, assertion_level=ASSERT_OFF).weight
-
     def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-        res = solve_pkfree(g, w, assertion_level=ASSERT_OFF)
-        return res.weight, res.witness
+        root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
+        weight, witness = drive(root, _call, _PathScheme(0, RunStats(), None))
+        verify_witness(g, w, weight, witness)
+        return weight, witness
+
+    def solve(g: Graph, w: WeightMap) -> int:
+        return solve_with_witness(g, w)[0]
 
     return ComponentOracle(
         name=f"p{k}",
@@ -258,10 +261,11 @@ class _PatternScheme(Scheme):
         self.size, self.c = pattern.total_size, len(pattern.components)
         self.params = {"pattern_size": self.size, "pattern_components": self.c}
 
-    def anchor(self, g: Graph, family: VertexMultiFamily) -> frozenset[int] | None:
-        return find_induced_copy(g, self.pattern.components[len(family) % self.c])
+    def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
+        copy = find_induced_copy(g, self.pattern.components[len(family.masks) % self.c])
+        return None if copy is None else g.table.mask(copy)
 
-    def record_growth(self, anchor: frozenset[int]) -> None:
+    def record_growth(self) -> None:
         self.stats.neighborhoods_added_count += 1
 
     def family_excess(self, size: int, log_n: int) -> tuple[str, int] | None:

@@ -173,8 +173,8 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
 
     Level i is skipped when |L(F, i) cap V(G)| * 2^i < N: no vertex reaches
     N on it, and a qualifying vertex reaches its score on a level that is
-    kept, so the winner is unchanged. With no level left there is no
-    branchable vertex.
+    kept, so the winner is unchanged. No level left means no branchable
+    vertex; with one left, raw counts are compared and only the best shifted.
     """
     if capacity_n < 1:
         raise ValueError(f"N must be >= 1, got {capacity_n}")
@@ -190,9 +190,13 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     adj = g.table.adj
     ranks = list(g.table.ranks(live))
     closed = [adj[r] | 1 << r for r in ranks]
-    rows = [[(c & level).bit_count() << i for c in closed] for i, level in levels]
-    scores = list(map(max, *rows)) if len(rows) > 1 else rows[0]
+    if len(levels) == 1:
+        ((i, level),) = levels
+        scores = [(c & level).bit_count() for c in closed]
+    else:
+        scores = list(map(max, *([(c & m).bit_count() << j for c in closed] for j, m in levels)))
+        i = 0
     best = max(scores)
-    if best < capacity_n:
+    if best << i < capacity_n:
         return None
     return g.table.ids[ranks[scores.index(best)]]

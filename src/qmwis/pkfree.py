@@ -141,9 +141,10 @@ class Scheme:
     audit, the recurrence parameters (params) and the least N at which the
     emptiness, family and chain bounds are audited (audit_from_n). Hooks:
 
-      split(g, N)          component masks to solve apart, or None;
-      anchor(g, F)         the vertex set X whose N[X] grows F, or None;
-      record_growth(X)     count one growth of F in stats;
+      split(g, N)          component masks to solve apart, or None; asked
+                           once per graph, as growing F cannot change it;
+      anchor(g, F)         the mask of X whose N[X] grows F, or None;
+      record_growth()      count one growth of F in stats;
       leaf(g, w, F)        the answer when anchor finds nothing;
       family_excess(s, L)  (message, bound) if |F| = s breaks its bound at
                            log(N) = L;
@@ -166,10 +167,10 @@ class Scheme:
 
 
 def _check_call(
-    g: Graph, n: int, n_cap: int, family: VertexMultiFamily, scheme: Scheme
+    g: Graph, n: int, n_cap: int, log_n: int, family: VertexMultiFamily, scheme: Scheme
 ) -> int | None:
-    """Per-call invariant checks on g with n = |V(g)|. Returns the potential when measurable."""
-    stats, size = scheme.stats, len(family)
+    """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable."""
+    stats, size = scheme.stats, len(family.masks)
     stats.on_call(n, size)
     if scheme.level < 1:
         return None
@@ -178,12 +179,11 @@ def _check_call(
         raise InvariantViolation(
             "fair-shape", f"|V(G)| = {n} exceeds N = {n_cap}", {"n": n, "N": n_cap}
         )
-    log_n = ceil_log2(n_cap)
     # Level emptiness rests on a pigeonhole over level log(N). The pattern
     # scheme audits it and the family and chain bounds only from N = 2: at
     # N = 1 a lone-vertex component legitimately adds a member to level 1.
     if n_cap >= scheme.audit_from_n:
-        if family.max_multiplicity() > log_n:
+        if len(family.level_masks) > log_n:
             raise InvariantViolation(
                 "level-emptiness",
                 f"L(F, {log_n + 1}) is non-empty with N = {n_cap}",
@@ -232,17 +232,18 @@ def _expand(
     """The shared recursion on one instance, as a generator for drive()."""
     g, w, n_cap, family = inst.graph, inst.weights, inst.capacity_n, inst.family
     n = g.n
+    log_n = ceil_log2(n_cap)
     stats = scheme.stats
 
     # Consecutive growths of F keep the same graph, so they run as a loop
     # in this frame rather than growing the stack. Every iteration is one
-    # call of the recursion and is counted and checked as such.
+    # call of the recursion and is counted and checked as such; only the
+    # first asks for the split, which depends on G and N alone.
     adds_in_a_row = 0
     while True:
-        parent_mu = _check_call(g, n, n_cap, family, scheme)
+        parent_mu = _check_call(g, n, n_cap, log_n, family, scheme)
 
-        split = scheme.split(g, n_cap)
-        if split is not None:
+        if not adds_in_a_row and (split := scheme.split(g, n_cap)) is not None:
             stats.component_recursions += 1
             empty = VertexMultiFamily(table=g.table)
             children = []
@@ -267,7 +268,7 @@ def _expand(
         anchor = scheme.anchor(g, family)
         if anchor is None:
             return scheme.leaf(g, w, family)
-        member = closed_neighborhood(g, g.table.mask(anchor))
+        member = closed_neighborhood(g, anchor)
         if not member:
             raise InvariantViolation(
                 scheme.growth_rule,
@@ -276,13 +277,13 @@ def _expand(
             )
         adds_in_a_row += 1
         if scheme.level >= 1 and n_cap >= scheme.audit_from_n:
-            if adds_in_a_row > n * ceil_log2(n_cap):
+            if adds_in_a_row > n * log_n:
                 raise InvariantViolation(
                     scheme.chain_rule,
                     f"{adds_in_a_row} {scheme.noun} additions in a row exceeds |V(G)| log(N)",
                     {"chain": adds_in_a_row, "n": n, "N": n_cap},
                 )
-        scheme.record_growth(anchor)
+        scheme.record_growth()
         grown = family.add(member)
         if scheme.level >= 2:
             bound = scheme.level_bound(n_cap)
@@ -300,7 +301,7 @@ def _call(inst: Instance, scheme: Scheme) -> Any:
     n = g.n
     if n > 1:
         return _expand(inst, scheme)
-    _check_call(g, n, inst.capacity_n, inst.family, scheme)
+    _check_call(g, n, inst.capacity_n, ceil_log2(inst.capacity_n), inst.family, scheme)
     if not n:
         return 0, frozenset()
     v = g.table.ids[g.mask.bit_length() - 1]
@@ -323,10 +324,10 @@ class _PathScheme(Scheme):
             return components
         return None
 
-    def anchor(self, g: Graph, family: VertexMultiFamily) -> frozenset[int]:
+    def anchor(self, g: Graph, family: VertexMultiFamily) -> int:
         return balanced_separator_core(g, 2)
 
-    def record_growth(self, anchor: frozenset[int]) -> None:
+    def record_growth(self) -> None:
         self.stats.separators_added += 1
 
     def family_excess(self, size: int, log_n: int) -> tuple[str, int] | None:

@@ -81,8 +81,8 @@ def _core_mask(table: VertexTable, live: int, n: int, i: int) -> int:
     return core
 
 
-def balanced_separator_core(g: Graph, i: int) -> frozenset[int]:
-    """The ids of a core X with N[X] a |V(g)|/2^i-balanced separator of g.
+def balanced_separator_core(g: Graph, i: int) -> int:
+    """The mask over g.table of a core X with N[X] a |V(g)|/2^i-balanced separator of g.
 
     No component of g - N[X] has more than |V(g)|/2^i vertices.
 
@@ -90,9 +90,9 @@ def balanced_separator_core(g: Graph, i: int) -> frozenset[int]:
     that can exceed half the graph (if any). For larger i the level i - 1
     core is refined: every component of g - N[X'] still larger than
     |V(g)|/2^i contributes the path construction run inside it. When
-    2^i >= |V(g)| the bound is at most 1 vertex per component and the whole
-    vertex set is returned; the size bound |X| <= 2^(i+1) * k for graphs
-    with no induced k-vertex path still holds since |X| <= 2^i.
+    2^i >= |V(g)| the bound is at most 1 vertex per component and g.mask,
+    the whole vertex set, is returned; the size bound |X| <= 2^(i+1) * k
+    for graphs with no induced k-vertex path still holds since |X| <= 2^i.
 
     The total number of path constructions is O(|V(g)|) across the whole
     recursion: at most 2^j of them at parameter j, each on disjoint
@@ -102,8 +102,8 @@ def balanced_separator_core(g: Graph, i: int) -> frozenset[int]:
         raise ValueError(f"separator parameter must be >= 1, got {i}")
     n = g.n
     if 2**i >= n:
-        return g.vertices
-    return g.table.decode(_core_mask(g.table, g.mask, n, i))
+        return g.mask
+    return _core_mask(g.table, g.mask, n, i)
 
 
 def verify_balanced(g: Graph, separator: VertexSet, bound: Rational) -> bool:

@@ -125,7 +125,7 @@ def test_criterion_3_separator_contracts():
         for i in (1, 2, 3):
             if 2**i >= n:
                 continue
-            separator = closed_neighborhood(g, balanced_separator_core(g, i))
+            separator = closed_neighborhood(g, g.table.decode(balanced_separator_core(g, i)))
             rest_components = connected_components(remove_vertices(g, separator))
             bound = n // (2**i)
             for comp in rest_components:
@@ -143,7 +143,7 @@ def test_criterion_3_separator_contracts():
         for i in (1, 2, 3):
             if 2**i >= g.n:
                 continue
-            core = balanced_separator_core(g, i)
+            core = g.table.decode(balanced_separator_core(g, i))
             assert len(core) <= 2 ** (i + 1) * 5, (g.n, i, len(core))
             core_size_checks += 1
     print(

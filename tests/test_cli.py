@@ -304,6 +304,18 @@ def test_solve_hfree_bad_oracle_spec(tmp_path, c5_file, capsys):
     assert "magic" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("spec", ["bruteforce:x", "pk:x", "pk:"])
+def test_solve_hfree_malformed_oracle_spec_names_the_forms(spec, tmp_path, c5_file, capsys):
+    pattern = tmp_path / "h.graph"
+    pattern.write_text("p 2 1\ne 1 2\n")
+    code, _, err = run(["solve-hfree", c5_file, "--pattern", str(pattern), "--oracle", spec], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input-error"
+    assert repr(spec) in error["message"]
+    assert "bruteforce, bruteforce:<cap>, or pk:<k>" in error["message"]
+
+
 def test_solve_hfree_pk_oracle_spec(tmp_path, capsys):
     host = tmp_path / "g.graph"
     host.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
@@ -331,6 +343,24 @@ def test_bruteforce_cap_spec(tmp_path, capsys):
     code, out, _ = run([*args, "bruteforce"], capsys)
     assert code == 0
     assert json.loads(out)["weight"] == 1
+
+
+@pytest.mark.parametrize("i", ["0", "4097", "15000"])
+def test_separator_rejects_i_outside_its_range(i, c5_file, capsys):
+    code, out, err = run(["separator", c5_file, "--i", i], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input-error"
+    assert error["message"] == f"--i must be in 1..4096, got {i}"
+
+
+def test_separator_at_the_largest_i(c5_file, capsys):
+    code, out, _ = run(["separator", c5_file, "--i", str(cli.MAX_SEPARATOR_I)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["core"] == doc["closed_neighborhood"] == [1, 2, 3, 4, 5]
+    assert doc["balance_bound"] == f"5/{2**4096}"
+    assert doc["balanced"] is True
 
 
 def test_separator_report(c5_file, capsys):

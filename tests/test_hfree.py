@@ -167,6 +167,21 @@ def test_pk_oracle_on_cographs_matches_brute_force():
         assert o.solve(g, w) == brute_force_mwis(g, w)[0]
 
 
+def test_pk_oracle_matches_solve_pkfree():
+    from qmwis import GeneratorSpec, generate, solve_pkfree
+
+    specs = [GeneratorSpec(kind="random-gnp", size=30, seed=s, p=0.3) for s in (1, 2, 3)]
+    specs += [GeneratorSpec(kind="cograph", size=128, seed=s) for s in (1, 2)]
+    graphs = [generate(spec) for spec in specs]
+    rng = random.Random(808)
+    graphs += [random_graph(rng, rng.randint(8, 12), 0.4) for _ in range(50)]
+    o = make_pk_oracle(4)
+    for g, w in graphs:
+        r = solve_pkfree(g, w, assertion_level="off")
+        assert o.solve_with_witness(g, w) == (r.weight, r.witness)
+        assert o.solve(g, w) == r.weight
+
+
 def test_pk_oracle_rejects_bad_k():
     with pytest.raises(ValueError):
         make_pk_oracle(0)

@@ -262,3 +262,28 @@ def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
     with pytest.raises(InvariantViolation) as info:
         alg1_call(inst, assertion_level=level)
     assert info.value.rule == "separator-balance"
+
+
+def test_growth_retries_never_split_again(monkeypatch):
+    # split depends on G and N alone, so each _expand frame asks for it once,
+    # on its first call, however often F grows afterwards.
+    import qmwis.pkfree as pkfree
+    from qmwis import GeneratorSpec, generate
+
+    counts = {"frames": 0, "splits": 0}
+    real_expand, real_split = pkfree._expand, pkfree._PathScheme.split
+
+    def expand(inst, scheme):
+        counts["frames"] += 1
+        return real_expand(inst, scheme)
+
+    def split(self, g, n_cap):
+        counts["splits"] += 1
+        return real_split(self, g, n_cap)
+
+    monkeypatch.setattr(pkfree, "_expand", expand)
+    monkeypatch.setattr(pkfree._PathScheme, "split", split)
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
+    result = solve_pkfree(g, w)
+    assert result.stats.separators_added > 0
+    assert counts["splits"] == counts["frames"] > 0

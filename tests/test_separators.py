@@ -82,14 +82,15 @@ def test_gyarfas_path_rejects_bad_input():
 
 def test_core_p7_parameter_2():
     g = path_graph(7)
-    core = balanced_separator_core(g, 2)
+    core = g.table.decode(balanced_separator_core(g, 2))
     assert core == {1, 2, 3, 4, 6}
     assert verify_balanced(g, closed_neighborhood(g, core), Fraction(7, 4))
 
 
 def test_core_degenerate_when_bound_is_single_vertices():
     g = Graph([1, 2], [(1, 2)])
-    assert balanced_separator_core(g, 2) == {1, 2}
+    assert balanced_separator_core(g, 2) == g.mask
+    assert g.table.decode(balanced_separator_core(g, 2)) == {1, 2}
 
 
 def test_core_parameter_must_be_positive():
@@ -98,7 +99,8 @@ def test_core_parameter_must_be_positive():
 
 
 def test_core_empty_graph():
-    assert balanced_separator_core(Graph([], []), 1) == frozenset()
+    g = Graph([], [])
+    assert g.table.decode(balanced_separator_core(g, 1)) == frozenset()
 
 
 def test_core_balances_random_graphs_exactly():
@@ -110,7 +112,7 @@ def test_core_balances_random_graphs_exactly():
         for i in (1, 2, 3):
             if 2**i >= n:
                 continue
-            sep = closed_neighborhood(g, balanced_separator_core(g, i))
+            sep = closed_neighborhood(g, g.table.decode(balanced_separator_core(g, i)))
             rest = remove_vertices(g, sep)
             for comp in connected_components(rest):
                 assert len(comp) * 2**i <= n, (trial, i, n, sorted(comp))
@@ -119,7 +121,7 @@ def test_core_balances_random_graphs_exactly():
 def test_core_handles_disconnected_graphs():
     g = Graph(range(1, 11), [(i, i + 1) for i in range(1, 5)] + [(i, i + 1) for i in range(6, 10)])
     for i in (1, 2, 3):
-        sep = closed_neighborhood(g, balanced_separator_core(g, i))
+        sep = closed_neighborhood(g, g.table.decode(balanced_separator_core(g, i)))
         assert verify_balanced(g, sep, Fraction(g.n, 2**i))
 
 
@@ -134,7 +136,7 @@ def test_core_size_bounded_on_short_path_graphs():
             continue
         produced += 1
         for i in (1, 2, 3):
-            assert len(balanced_separator_core(g, i)) <= 2 ** (i + 1) * 5
+            assert len(g.table.decode(balanced_separator_core(g, i))) <= 2 ** (i + 1) * 5
 
 
 def test_verify_balanced():
