@@ -61,25 +61,12 @@ from .oracle import (
     generate,
     longest_induced_path_at_most,
 )
-from .pkfree import (
-    ASSERT_FAIR,
-    ASSERT_OFF,
-    ASSERT_PARANOID,
-    Instance,
-    SolveResult,
-    alg1_call,
-    collect_witness,
-    solve_pkfree,
-    verify_witness,
-)
+from .pkfree import Instance, SolveResult, alg1_call, solve_pkfree, verify_witness
 from .separators import balanced_separator_core, gyarfas_path, verify_balanced
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASSERT_FAIR",
-    "ASSERT_OFF",
-    "ASSERT_PARANOID",
     "ComponentOracle",
     "DEFAULT_BRUTE_FORCE_CAP",
     "GenerationError",
@@ -109,7 +96,6 @@ __all__ = [
     "brute_force_mwis",
     "ceil_log2",
     "closed_neighborhood",
-    "collect_witness",
     "connected_components",
     "emit_graph",
     "error_document",

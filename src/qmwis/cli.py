@@ -28,7 +28,7 @@ from .oracle import (
     generate,
     longest_induced_path_at_most,
 )
-from .pkfree import SolveResult, solve_pkfree
+from .pkfree import _LEVELS, SolveResult, solve_pkfree
 from .separators import balanced_separator_core, verify_balanced
 
 EXIT_OK = 0
@@ -37,8 +37,6 @@ EXIT_VIOLATION = 3
 EXIT_RECURSION = 4
 EXIT_MEMORY = 5
 EXIT_INTERRUPTED = 130
-
-ASSERT_CHOICES = ("off", "fair", "paranoid")
 
 # separator --i runs from 1 to this. The report prints N/2^i in full, and
 # 2^4096 has 1,234 digits, below CPython's int-to-str limit of 4,300.
@@ -63,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     level.add_argument(
         "--assert",
         dest="assertion_level",
-        choices=ASSERT_CHOICES,
+        choices=tuple(_LEVELS),
         default="fair",
         help="runtime invariant checking level (default: %(default)s)",
     )
@@ -157,7 +155,9 @@ def _finish_solve(report: ReportDocument, result: SolveResult, args: argparse.Na
     return _finish(report)
 
 
-def _parse_oracle_spec(spec: str) -> ComponentOracle:
+def _parse_oracle_spec(spec: str, size: int) -> ComponentOracle | None:
+    # None stands for pk:K, K >= 1, on a component of another size: the K-vertex
+    # path could not be that component, and it takes O(K^2) bits to build.
     if spec == "bruteforce":
         return make_bruteforce_oracle(DEFAULT_BRUTE_FORCE_CAP)
     forms = "(expected bruteforce, bruteforce:<cap>, or pk:<k>)"
@@ -169,7 +169,7 @@ def _parse_oracle_spec(spec: str) -> ComponentOracle:
     except ValueError:
         raise ValueError(f"oracle spec {spec!r} needs an integer after the colon {forms}") from None
     if kind == "pk":
-        return make_pk_oracle(value)
+        return make_pk_oracle(value) if value < 1 or value == size else None
     if value < 1:
         raise ValueError(f"brute-force cap must be >= 1, got {value}")
     return make_bruteforce_oracle(value)
@@ -191,7 +191,12 @@ def _cmd_solve_hfree(args: argparse.Namespace) -> int:
             f"pattern has {len(pattern.components)} components; "
             f"pass --oracle once per component ({len(specs)} given)"
         )
-    oracles = [_parse_oracle_spec(spec) for spec in specs]
+    oracles = [_parse_oracle_spec(spec, part.n) for spec, part in zip(specs, pattern.components)]
+    if None in oracles:
+        # solve_hfree's message for a claim of the wrong size
+        i = oracles.index(None)
+        claim = f"oracle {i} (p{int(specs[i][3:])}) claims a pattern"
+        raise ValueError(f"{claim} that is not isomorphic to component {i}")
     result = solve_hfree(
         pattern, g, w, oracles, assume_hfree=args.assume_hfree, assertion_level=args.assertion_level
     )

@@ -14,10 +14,11 @@ fits:
   2. G has an induced copy X of H_i: grow F by N[X] and retry;
   3. neither: return the i-th oracle's answer, valid since G is H_i-free.
 
-N never changes and there is no component split. The result is exact for
-every input graph as long as the oracles honor their contract. The
-assume_hfree flag enables the pattern-dependent audit bounds, which are
-proven only for runs whose root graph has no induced H.
+N never changes and there is no component split. solve_hfree and the pk
+oracle start their runs in pkfree._run. The result is exact for every
+input graph as long as the oracles honor their contract. The assume_hfree
+flag enables the pattern-dependent audit bounds, which are proven only for
+runs whose root graph has no induced H.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ._engine import drive
 from .graph import (
     Graph,
     WeightMap,
@@ -44,29 +44,22 @@ from .instrumentation import (
 from .levels import VertexMultiFamily
 from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
 from .pkfree import (
-    ASSERT_FAIR,
-    Instance,
     Scheme,
     SolveResult,
     _call,
     _expand,
     _parse_level,
     _PathScheme,
+    _run,
     verify_witness,
 )
 
 
 @dataclass(frozen=True)
 class PatternGraph:
-    """A forbidden pattern split into its connected components.
-
-    components holds H_0 .. H_{c-1} in a fixed order; combined is the whole
-    pattern as one graph (used to test H-freeness of inputs as opposed to
-    freeness of a single component).
-    """
+    """A forbidden pattern, as its connected components H_0 .. H_{c-1} in a fixed order."""
 
     components: tuple[Graph, ...]
-    combined: Graph
 
     def __post_init__(self) -> None:
         if not self.components:
@@ -76,8 +69,6 @@ class PatternGraph:
                 raise ValueError("pattern components must be non-empty")
             if len(connected_components(part)) != 1:
                 raise ValueError("every pattern component must be connected")
-        if self.combined.n != self.total_size:
-            raise ValueError("combined graph does not match the components")
 
     @property
     def total_size(self) -> int:
@@ -90,25 +81,15 @@ class PatternGraph:
         if h.n == 0:
             raise ValueError("a pattern needs at least one vertex")
         parts = tuple(induced_subgraph(h, c) for c in connected_components(h))
-        return cls(components=parts, combined=h)
+        return cls(components=parts)
 
     @classmethod
     def from_components(cls, parts: Sequence[Graph]) -> "PatternGraph":
         """Assemble a pattern from already-split connected parts.
 
-        The parts keep their own vertex ids; the combined view relabels them
-        to consecutive ids so overlapping id ranges are fine.
+        The parts keep their own vertex ids, so overlapping id ranges are fine.
         """
-        parts = tuple(parts)
-        vertices: list[int] = []
-        edges: list[tuple[int, int]] = []
-        offset = 0
-        for part in parts:
-            relabel = {v: offset + j + 1 for j, v in enumerate(part.vertex_ids())}
-            vertices.extend(relabel.values())
-            edges.extend((relabel[u], relabel[v]) for u, v in part.edges())
-            offset += part.n
-        return cls(components=parts, combined=Graph(vertices, edges))
+        return cls(components=tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -150,17 +131,15 @@ def make_pk_oracle(k: int) -> ComponentOracle:
 
     The path-free solver is exact on every graph, so the oracle is too; the
     claimed pattern just records the component it is meant for. It runs that
-    solver at level "off" and trusts w, which solve_hfree has validated.
+    solver's recursion at level "off" and trusts w, which solve_hfree has
+    validated; the witness is still verified.
     """
     if k < 1:
         raise ValueError(f"path length must be >= 1, got {k}")
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
     def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-        root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
-        weight, witness = drive(root, _call, _PathScheme(0, RunStats(), None))
-        verify_witness(g, w, weight, witness)
-        return weight, witness
+        return _run(_PathScheme(0, RunStats(), None), _call, g, w)
 
     def solve(g: Graph, w: WeightMap) -> int:
         return solve_with_witness(g, w)[0]
@@ -346,7 +325,7 @@ def solve_hfree(
     w: WeightMap,
     oracles: Sequence[ComponentOracle],
     assume_hfree: bool = False,
-    assertion_level: str = ASSERT_FAIR,
+    assertion_level: str = "fair",
 ) -> SolveResult:
     """Maximum-weight independent set of g, excluding pattern via oracles.
 
@@ -387,7 +366,5 @@ def solve_hfree(
             )
     stats = RunStats()
     scheme = _PatternScheme(_parse_level(assertion_level), stats, pattern, oracles, assume_hfree)
-    root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
-    weight, witness = drive(root, _expand, scheme)
-    verify_witness(g, w, weight, witness)
+    weight, witness = _run(scheme, _expand, g, w)
     return SolveResult(weight=weight, witness=witness, stats=stats)

@@ -21,6 +21,10 @@ its size and F to empty), and grows F by the closed neighborhood of a
 balanced separator core, so rule 4 never fires. The pattern scheme lives in
 hfree.py.
 
+Every run starts in _run, which builds the root, drives the recursion and
+verifies the witness at every assertion level. Input is validated once,
+before that, by the public entry: alg1_call or solve_hfree.
+
 Correctness never depends on the input being path-free; the quasi-polynomial
 call bound does. The optional k_hint enables the k-dependent audit bounds
 and never influences the result.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Generator
 
-from ._engine import drive
+from ._engine import Expand, drive
 from .graph import (
     Graph,
     WeightMap,
@@ -60,17 +64,14 @@ from .instrumentation import (
 from .levels import VertexMultiFamily, ceil_log2, find_branchable
 from .separators import balanced_separator_core, verify_balanced
 
-ASSERT_OFF = "off"
-ASSERT_FAIR = "fair"
-ASSERT_PARANOID = "paranoid"
-_LEVELS = {ASSERT_OFF: 0, ASSERT_FAIR: 1, ASSERT_PARANOID: 2}
+_LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
 
 
 class Instance:
     """One recursion node: graph, weights, vertex budget N, family F.
 
     The recursion makes one per call and treats it as immutable; a plain
-    slotted class keeps that cheap. N must be at least 1.
+    slotted class keeps that cheap. alg1_call validates one from outside.
     """
 
     __slots__ = ("graph", "weights", "capacity_n", "family")
@@ -78,8 +79,6 @@ class Instance:
     def __init__(
         self, graph: Graph, weights: WeightMap, capacity_n: int, family: VertexMultiFamily
     ):
-        if capacity_n < 1:
-            raise ValueError(f"N must be >= 1, got {capacity_n}")
         self.graph, self.weights, self.capacity_n, self.family = graph, weights, capacity_n, family
 
 
@@ -88,40 +87,6 @@ class SolveResult:
     weight: int
     witness: frozenset[int]
     stats: RunStats
-
-
-def collect_witness(
-    delete_outcome: tuple[int, frozenset[int]],
-    take_outcome: tuple[int, frozenset[int]],
-    vertex: int,
-    vertex_weight: int,
-) -> tuple[int, frozenset[int]]:
-    """Combine the two outcomes of branching on a vertex.
-
-    delete_outcome solved the graph without the vertex, take_outcome the
-    graph without its closed neighborhood. The take side wins only when
-    strictly heavier, so ties keep the first-explored branch's witness.
-    """
-    delete_weight, delete_witness = delete_outcome
-    rest_weight, rest_witness = take_outcome
-    take_weight = rest_weight + vertex_weight
-    if take_weight > delete_weight:
-        return take_weight, rest_witness | {vertex}
-    return delete_weight, delete_witness
-
-
-def branch_sets(g: Graph, v: int) -> tuple[int, int]:
-    """The masks of {v} and N[v] in g, the sets the two branch children drop."""
-    r = g.table.rank[v]
-    bit = 1 << r
-    return bit, g.table.adj[r] & g.mask | bit
-
-
-def _rooted_family(g: Graph, family: VertexMultiFamily) -> VertexMultiFamily:
-    # The recursion keeps F over the graph's table; members must lie in V(G).
-    if not all(v in g for member in family for v in member):
-        raise ValueError("family members must be vertex sets of the instance's graph")
-    return family.over(g.table)
 
 
 def _parse_level(assertion_level: str) -> int:
@@ -257,13 +222,21 @@ def _expand(
         v = find_branchable(g, family, n_cap)
         if v is not None:
             stats.branch_steps += 1
-            bit, closed_v = branch_sets(g, v)
+            # The two children drop {v} and N[v].
+            r = g.table.rank[v]
+            bit = 1 << r
+            closed_v = g.table.adj[r] & g.mask | bit
             delete_child = Instance(remove_vertices(g, bit), w, n_cap, family.subtract(bit))
             take_child = Instance(remove_vertices(g, closed_v), w, n_cap, family.subtract(closed_v))
             _check_edge(parent_mu, delete_child, RULE_BRANCH_DELETE, scheme)
             _check_edge(parent_mu, take_child, RULE_BRANCH_TAKE, scheme)
             results = yield [delete_child, take_child]
-            return collect_witness(results[0], results[1], v, w[v])
+            (delete_weight, delete_witness), (rest_weight, rest_witness) = results
+            # The take side wins only when strictly heavier, so ties keep the
+            # first-explored (delete) branch's witness.
+            if rest_weight + w[v] > delete_weight:
+                return rest_weight + w[v], rest_witness | {v}
+            return delete_weight, delete_witness
 
         anchor = scheme.anchor(g, family)
         if anchor is None:
@@ -362,38 +335,64 @@ class _PathScheme(Scheme):
         return max_measure_k(n_cap, self.k)
 
 
+def _run(
+    scheme: Scheme,
+    expand: Expand,
+    g: Graph,
+    w: WeightMap,
+    capacity_n: int | None = None,
+    family: VertexMultiFamily | None = None,
+) -> tuple[int, frozenset[int]]:
+    """Build the validated root (g, w, N, F), drive it and verify the witness.
+
+    N defaults to max(1, |V(g)|) and F to the empty family over g's table.
+    """
+    if family is None:
+        family = VertexMultiFamily(table=g.table)
+    root = Instance(g, w, max(1, g.n) if capacity_n is None else capacity_n, family)
+    weight, witness = drive(root, expand, scheme)
+    verify_witness(g, w, weight, witness)
+    return weight, witness
+
+
 def alg1_call(
     inst: Instance,
     k_hint: int | None = None,
-    assertion_level: str = ASSERT_FAIR,
+    assertion_level: str = "fair",
     stats: RunStats | None = None,
 ) -> tuple[int, frozenset[int]]:
-    """Run the path-scheme recursion on one instance.
+    """Run the path-scheme recursion on one instance and verify its witness.
 
-    The instance must satisfy |V(G)| <= N; that shape is preserved by every
-    rule and is what guarantees termination. Pass a RunStats to keep the
-    run's counters, otherwise a throwaway one is used.
+    The instance must satisfy 1 <= N and |V(G)| <= N; that shape is
+    preserved by every rule and is what guarantees termination. Its weights
+    must cover V(G) and its family members must be vertex sets of G. Pass a
+    RunStats to keep the run's counters, otherwise a throwaway one is used.
 
     Returns:
         (weight, witness) for the instance's graph.
     """
-    if inst.graph.n > inst.capacity_n:
-        raise ValueError(
-            f"instance is not fair-shaped: |V(G)| = {inst.graph.n} > N = {inst.capacity_n}"
-        )
-    validate_weights(inst.graph, inst.weights)
-    family = _rooted_family(inst.graph, inst.family)
-    inst = Instance(inst.graph, inst.weights, inst.capacity_n, family)
+    g, n_cap = inst.graph, inst.capacity_n
+    if k_hint is not None and k_hint < 1:
+        raise ValueError(f"k_hint must be >= 1, got {k_hint}")
+    if n_cap < 1:
+        raise ValueError(f"N must be >= 1, got {n_cap}")
+    if g.n > n_cap:
+        raise ValueError(f"instance is not fair-shaped: |V(G)| = {g.n} > N = {n_cap}")
+    validate_weights(g, inst.weights)
+    # The recursion keeps F over the graph's table.
+    if not all(v in g for member in inst.family for v in member):
+        raise ValueError("family members must be vertex sets of the instance's graph")
     if stats is None:
         stats = RunStats()
-    return drive(inst, _call, _PathScheme(_parse_level(assertion_level), stats, k_hint))
+    scheme = _PathScheme(_parse_level(assertion_level), stats, k_hint)
+    return _run(scheme, _call, g, inst.weights, n_cap, inst.family.over(g.table))
 
 
 def solve_pkfree(
     g: Graph,
     w: WeightMap,
     k_hint: int | None = None,
-    assertion_level: str = ASSERT_FAIR,
+    assertion_level: str = "fair",
 ) -> SolveResult:
     """Maximum-weight independent set of g under w.
 
@@ -412,12 +411,9 @@ def solve_pkfree(
     Returns:
         SolveResult with weight, a witness independent set, and run stats.
     """
-    if k_hint is not None and k_hint < 1:
-        raise ValueError(f"k_hint must be >= 1, got {k_hint}")
     stats = RunStats()
     root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
     weight, witness = alg1_call(root, k_hint=k_hint, assertion_level=assertion_level, stats=stats)
-    verify_witness(g, w, weight, witness)
     return SolveResult(weight=weight, witness=witness, stats=stats)
 
 

@@ -316,6 +316,25 @@ def test_solve_hfree_malformed_oracle_spec_names_the_forms(spec, tmp_path, c5_fi
     assert "bruteforce, bruteforce:<cap>, or pk:<k>" in error["message"]
 
 
+def test_solve_hfree_rejects_a_pk_size_before_building_the_path(
+    tmp_path, c5_file, capsys, monkeypatch
+):
+    # pk:K claims the K-vertex path, whose adjacency takes O(K^2) bits, so a
+    # K that is not its component's size is rejected without building it.
+    def unbuilt(k):
+        raise AssertionError(f"make_pk_oracle({k}) was called")
+
+    monkeypatch.setattr(cli, "make_pk_oracle", unbuilt)
+    pattern = tmp_path / "h.graph"
+    pattern.write_text("p 2 1\ne 1 2\n")
+    argv = ["solve-hfree", c5_file, "--pattern", str(pattern), "--oracle", "pk:20000"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == cli.error_document(
+        "input-error", "oracle 0 (p20000) claims a pattern that is not isomorphic to component 0"
+    )
+
+
 def test_solve_hfree_pk_oracle_spec(tmp_path, capsys):
     host = tmp_path / "g.graph"
     host.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")

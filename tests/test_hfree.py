@@ -47,15 +47,12 @@ def test_pattern_from_graph_splits_components():
     p = PatternGraph.from_graph(two_k2())
     assert [part.vertices for part in p.components] == [frozenset({1, 2}), frozenset({3, 4})]
     assert p.total_size == 4
-    assert p.combined == two_k2()
 
 
-def test_pattern_from_components_relabels_combined():
+def test_pattern_from_components_keeps_overlapping_parts():
     k2 = Graph([1, 2], [(1, 2)])
     p = PatternGraph.from_components([k2, k2])
     assert p.total_size == 4
-    assert p.combined.n == 4
-    assert p.combined.edge_count == 2
     assert len(p.components) == 2
 
 
@@ -65,9 +62,9 @@ def test_pattern_rejects_bad_shapes():
     with pytest.raises(ValueError):
         PatternGraph.from_components([Graph([1, 2], [])])  # disconnected part
     with pytest.raises(ValueError):
-        PatternGraph(components=(), combined=Graph([], []))
+        PatternGraph(components=())
     with pytest.raises(ValueError):
-        PatternGraph(components=(two_k2(),), combined=Graph([1, 2], [(1, 2)]))
+        PatternGraph(components=(two_k2(),))  # disconnected component
 
 
 # ------------------------------------------------------- induced copies
@@ -331,17 +328,39 @@ def test_mixed_oracles_for_mixed_pattern():
 
 
 def test_off_level_verifies_the_witness(monkeypatch):
-    import qmwis.hfree as hfree
+    import qmwis.pkfree as pkfree
 
-    real_drive = hfree.drive
+    real_drive = pkfree.drive
 
     def corrupted(*args, **kwargs):
         weight, witness = real_drive(*args, **kwargs)
         return weight + 1, witness
 
-    monkeypatch.setattr(hfree, "drive", corrupted)
+    monkeypatch.setattr(pkfree, "drive", corrupted)
     g = Graph([1, 2, 3], [(1, 2), (2, 3)])
     oracles = [make_bruteforce_oracle()] * 2
     with pytest.raises(InvariantViolation) as info:
         solve_hfree(two_k2(), g, {1: 1, 2: 1, 3: 1}, oracles, assertion_level="off")
     assert info.value.rule == "witness"
+
+
+def test_a_false_freeness_claim_breaks_the_family_bound():
+    # The edgeless graph is full of K1, so assume_hfree is false here.
+    g = Graph(range(1, 9), [])
+    w = {v: 1 for v in g.vertex_ids()}
+    with pytest.raises(InvariantViolation) as info:
+        solve_hfree(Graph([1], []), g, w, [make_bruteforce_oracle()], assume_hfree=True)
+    assert info.value.rule == "family-size"
+    assert str(info.value) == "family-size: |F| = 3 reached c |H| log(N) = 3"
+    assert info.value.details == {"family_size": 3, "bound": 3}
+
+
+def test_paranoid_checks_the_graph_handed_to_an_oracle(monkeypatch):
+    import qmwis.hfree as hfree
+
+    monkeypatch.setattr(hfree._PatternScheme, "anchor", lambda self, g, family: None)
+    g, oracles = two_k2(), [make_bruteforce_oracle()] * 2
+    with pytest.raises(InvariantViolation) as info:
+        solve_hfree(g, g, {1: 1, 2: 1, 3: 1, 4: 1}, oracles, assertion_level="paranoid")
+    assert info.value.rule == "oracle-validity"
+    assert info.value.details == {"oracle": 0, "n": 4}

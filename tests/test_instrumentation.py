@@ -15,6 +15,7 @@ from qmwis import (
     measure_h,
     measure_k,
 )
+from qmwis.instrumentation import check_level_growth, check_level_sizes
 
 EMPTY = VertexMultiFamily()
 
@@ -184,3 +185,22 @@ def test_invariant_violation_carries_rule_and_details():
     assert err.rule == "demo"
     assert err.details == {"x": 1}
     assert "demo" in str(err) and "broke" in str(err)
+
+
+def test_level_size_bound():
+    family = VertexMultiFamily([{1, 2, 3}, {1, 2}])  # levels {1, 2, 3} and {1, 2}
+    check_level_sizes(family, 2, "|H|")  # 3 <= 2 * 2 and 2 * 2 <= 2 * 2
+    with pytest.raises(InvariantViolation) as info:
+        check_level_sizes(family, 1, "|H|")
+    assert str(info.value) == "level-size: |L(F, 1)| = 3 exceeds its |H| bound"
+    assert info.value.details == {"level": 1, "occupancy": 3, "family_size": 2}
+
+
+def test_level_growth_bound():
+    family = VertexMultiFamily([{1, 2, 3}])
+    grown = family.add({1, 2})  # level 1 unchanged, level 2 gains {1, 2}
+    check_level_growth(family, grown, 4, "8k", {"N": 4, "k": 1})
+    with pytest.raises(InvariantViolation) as info:
+        check_level_growth(family, grown, 3, "8k", {"N": 4, "k": 1})
+    assert str(info.value) == "level-growth: level 2 grew by 2, over its 8k bound"
+    assert info.value.details == {"level": 2, "growth": 2, "N": 4, "k": 1}

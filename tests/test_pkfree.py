@@ -13,7 +13,6 @@ from qmwis import (
     VertexMultiFamily,
     alg1_call,
     brute_force_mwis,
-    collect_witness,
     is_independent_set,
     max_measure_k,
     measure_k,
@@ -175,16 +174,19 @@ def test_alg1_call_shares_stats_object():
     assert stats.calls > 0
 
 
-def test_collect_witness_take_wins_strictly():
-    delete = (7, frozenset({2, 4}))
-    take = (6, frozenset({3}))
-    assert collect_witness(delete, take, 9, 5) == (11, frozenset({3, 9}))
+def test_branch_take_wins_only_when_strictly_heavier():
+    heavier = solve_pkfree(path_graph(3), {1: 1, 2: 3, 3: 1})
+    assert (heavier.witness, heavier.stats.branch_steps) == ({2}, 1)
+    tie = solve_pkfree(path_graph(3), {1: 1, 2: 2, 3: 1})
+    assert (tie.witness, tie.stats.branch_steps) == ({1, 3}, 1)  # the delete side
 
 
-def test_collect_witness_tie_keeps_delete_side():
-    delete = (8, frozenset({2}))
-    take = (3, frozenset({4}))
-    assert collect_witness(delete, take, 9, 5) == (8, frozenset({2}))
+def test_alg1_call_rejects_k_hint_and_n_below_one():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="k_hint must be >= 1, got 0"):
+        alg1_call(Instance(g, unit_weights(g), 3, VertexMultiFamily()), k_hint=0)
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        alg1_call(Instance(Graph([], []), {}, 0, VertexMultiFamily()))
 
 
 def test_verify_witness_accepts_and_rejects():
@@ -248,6 +250,32 @@ def test_every_level_verifies_the_witness(level, monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         solve_pkfree(path_graph(3), {1: 1, 2: 1, 3: 1}, assertion_level=level)
     assert info.value.rule == "witness"
+    inst = Instance(path_graph(3), {1: 1, 2: 1, 3: 1}, 3, VertexMultiFamily())
+    with pytest.raises(InvariantViolation) as info:
+        alg1_call(inst, assertion_level=level)
+    assert info.value.rule == "witness"
+
+
+def test_an_empty_separator_neighborhood_is_an_audit_failure(monkeypatch):
+    import qmwis.pkfree as pkfree
+
+    monkeypatch.setattr(pkfree, "balanced_separator_core", lambda g, i: 0)
+    with pytest.raises(InvariantViolation) as info:
+        solve_pkfree(path_graph(8), unit_weights(path_graph(8)))
+    assert info.value.rule == "add-separator"
+    assert str(info.value) == "add-separator: computed an empty separator neighborhood"
+    assert info.value.details == {"n": 8, "N": 8}
+
+
+def test_a_potential_over_its_ceiling_is_an_audit_failure(monkeypatch):
+    import qmwis.pkfree as pkfree
+
+    monkeypatch.setattr(pkfree._PathScheme, "ceiling", lambda self, n_cap: 0)
+    g = path_graph(3)
+    with pytest.raises(InvariantViolation) as info:
+        solve_pkfree(g, unit_weights(g), k_hint=3, assertion_level="paranoid")
+    assert info.value.rule == "measure-bounds"
+    assert info.value.details["ceiling"] == 0
 
 
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
