@@ -174,9 +174,12 @@ def test_alg1_call_shares_stats_object():
     assert stats.calls > 0
 
 
-def test_branch_take_wins_only_when_strictly_heavier():
+def test_collect_witness_take_wins_strictly():
     heavier = solve_pkfree(path_graph(3), {1: 1, 2: 3, 3: 1})
     assert (heavier.witness, heavier.stats.branch_steps) == ({2}, 1)
+
+
+def test_collect_witness_tie_keeps_delete_side():
     tie = solve_pkfree(path_graph(3), {1: 1, 2: 2, 3: 1})
     assert (tie.witness, tie.stats.branch_steps) == ({1, 3}, 1)  # the delete side
 
