@@ -122,8 +122,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graph(path: str) -> tuple[Graph, WeightMap]:
-    """Parse the graph file at path (- for stdin); a parse error names the file."""
-    data = sys.stdin.read() if path == "-" else Path(path).read_bytes()
+    """Parse the graph file at path (- for stdin); a parse error names the file.
+
+    Both are read as bytes where the stream allows it, so parse_graph's
+    UTF-8 check applies to stdin as it does to a file.
+    """
+    if path == "-":
+        data = getattr(sys.stdin, "buffer", sys.stdin).read()
+    else:
+        data = Path(path).read_bytes()
     try:
         return parse_graph(data)
     except GraphParseError as exc:

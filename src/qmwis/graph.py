@@ -11,10 +11,11 @@ meaningful at every recursion depth.
 
 Bit order equals id order, so scanning bits upwards keeps every "smallest
 id wins" tie-break. Frozensets of ids appear only at the public boundary
-(Graph.vertices, Graph.adj, connected_components, witnesses); the functions
-that take a vertex set also accept a mask over the graph's table, which is
-how the solvers pass sets to each other without decoding them. The solvers'
-anchors and balanced_separator_core's core are such masks.
+(Graph.vertices, Graph.adj, connected_components, the witness of a
+SolveResult or an oracle); the functions that take a vertex set also accept
+a mask over the graph's table, which is how the solvers pass sets to each
+other without decoding them. The solvers' anchors, balanced_separator_core's
+core and the witnesses inside the recursion are such masks.
 """
 
 from __future__ import annotations
@@ -38,16 +39,28 @@ class VertexTable:
     """Sorted vertex ids, their ranks and adjacency masks, shared by subgraphs.
 
     Built once per root graph and never changed afterwards. adj[r] is the
-    neighbour mask of the vertex of rank r in the root graph; a subgraph's
-    adjacency is adj[r] & its live mask.
+    neighbour mask of the vertex of rank r in the root graph and closed_adj[r]
+    = adj[r] | 1 << r its closed neighbourhood; a subgraph's adjacency is
+    adj[r] & its live mask. edges are id pairs; both ends must be ids of
+    the table and differ.
     """
 
-    __slots__ = ("ids", "rank", "adj")
+    __slots__ = ("ids", "rank", "adj", "closed_adj")
 
-    def __init__(self, ids: Iterable[int]):
+    def __init__(self, ids: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         self.ids: tuple[int, ...] = tuple(sorted(ids))
-        self.rank: dict[int, int] = {v: r for r, v in enumerate(self.ids)}
-        self.adj: list[int] = [0] * len(self.ids)
+        rank = self.rank = {v: r for r, v in enumerate(self.ids)}
+        adj = self.adj = [0] * len(self.ids)
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            ru = rank.get(u)
+            rv = rank.get(v)
+            if ru is None or rv is None:
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
+            adj[ru] |= 1 << rv
+            adj[rv] |= 1 << ru
+        self.closed_adj: list[int] = [a | 1 << r for r, a in enumerate(adj)]
 
     def mask(self, xs: Iterable[int]) -> int:
         """The mask of the ids in xs; raises KeyError for an unknown id."""
@@ -95,19 +108,8 @@ class Graph:
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"vertex ids must be integers >= 0, got {v!r}")
             vset.add(v)
-        table = VertexTable(vset)
-        rank, adj = table.rank, table.adj
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            ru = rank.get(u)
-            rv = rank.get(v)
-            if ru is None or rv is None:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
-            adj[ru] |= 1 << rv
-            adj[rv] |= 1 << ru
-        self.table = table
-        self.mask = (1 << len(table.ids)) - 1
+        self.table = VertexTable(vset, edges)
+        self.mask = (1 << len(vset)) - 1
         self._hash: int | None = None
         self._plan: tuple[list[list[int]], list[int]] | None = None
 
@@ -156,8 +158,7 @@ class Graph:
 
     def closed(self, v: int) -> frozenset[int]:
         """Closed neighborhood N[v]."""
-        r = self._rank(v)
-        return self.table.decode((self.table.adj[r] & self.mask) | 1 << r)
+        return self.table.decode(self.table.closed_adj[self._rank(v)] & self.mask)
 
     def degree(self, v: int) -> int:
         return (self.table.adj[self._rank(v)] & self.mask).bit_count()

@@ -241,7 +241,7 @@ class _PatternScheme(Scheme):
         self.params = {"pattern_size": self.size, "pattern_components": self.c}
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
-        copy = find_induced_copy(g, self.pattern.components[len(family.masks) % self.c])
+        copy = find_induced_copy(g, self.pattern.components[len(family) % self.c])
         return None if copy is None else g.table.mask(copy)
 
     def record_growth(self) -> None:
@@ -266,15 +266,23 @@ class _PatternScheme(Scheme):
     def ceiling(self, n_cap: int) -> int:
         return max_measure_h(n_cap, self.size, self.c)
 
-    def leaf(self, g: Graph, w: WeightMap, family: VertexMultiFamily) -> tuple[int, frozenset[int]]:
+    def leaf(self, g: Graph, w: WeightMap, family: VertexMultiFamily) -> tuple[int, int]:
+        """The oracle's answer, its witness encoded as a mask over g's table."""
         index = len(family) % self.c
         oracle = self._oracle(g, index)
         if oracle.solve_with_witness is None:
-            return self._witness_by_reduction(g, w, index, oracle.solve(g, w))
-        weight, witness = oracle.solve_with_witness(g, w)
-        if self.level >= 2:
+            weight, witness = self._witness_by_reduction(g, w, index, oracle.solve(g, w))
+        else:
+            weight, witness = oracle.solve_with_witness(g, w)
+            if self.level >= 2:
+                verify_witness(g, w, weight, witness)
+        try:
+            return weight, g.table.mask(witness)
+        except KeyError:
+            # An id outside the table, which a mask cannot hold: verify_witness
+            # rejects it as the root's check would have.
             verify_witness(g, w, weight, witness)
-        return weight, witness
+            raise
 
     def _oracle(self, g: Graph, index: int) -> ComponentOracle:
         """Oracle index, counted as one call on g; at "paranoid" g must be free of its component."""

@@ -8,9 +8,14 @@ The i-th level L(F, i) collects the vertices lying in at least i members.
 Members and levels are int masks over a VertexTable (see graph.py), where
 bit r stands for the vertex of rank r. Inside the solvers a family shares
 its graph's table, so adding a member updates the levels with one AND/OR
-per level and subtracting X is one AND per member and per level; nothing is
-recounted. Frozensets of ids appear only at the public boundary: members,
-level(i) and multiplicity(v).
+per level and subtracting X is one AND per level; nothing is recounted.
+The members themselves are masked on read: a family keeps the members it
+was built from and the union of everything subtracted since, and clears
+that union from them when they are asked for. The recursion reads only the
+levels and the member count, so below "paranoid" members are masked only
+when a new member holds vertices subtracted from the others. Frozensets of
+ids appear only at the public boundary: members, level(i) and
+multiplicity(v).
 
 A vertex v is branchable relative to (F, N) when its closed neighborhood
 covers at least Delta_i = N / 2^i vertices of level i for some i >= 1.
@@ -42,26 +47,51 @@ class VertexMultiFamily:
     ids without a table gets its own table over the ids it holds. add and
     subtract take ids or a mask over the family's table: appending member m
     sets L(F, i + 1) |= L(F, i) & m, and subtracting X clears X from every
-    member and every level.
+    level and ORs it into _removed. The members kept in _raw still hold the
+    vertices in _removed; masks clears them on its first read and caches
+    the result in _masks, and iter_masks clears them as it goes.
     """
 
-    __slots__ = ("table", "masks", "level_masks")
+    __slots__ = ("table", "_raw", "_removed", "level_masks", "_masks")
 
     def __init__(self, members: Iterable[Iterable[int]] = (), table: VertexTable | None = None):
         sets = [frozenset(m) for m in members]
         if table is None:
             table = VertexTable(frozenset().union(*sets))
         self.table = table
-        self.masks = tuple(table.mask(m) for m in sets)
+        self._raw = self._masks = tuple(table.mask(m) for m in sets)
+        self._removed = 0
         self.level_masks: tuple[int, ...] = ()
-        for m in self.masks:
+        for m in self._raw:
             self.level_masks = _with_member(self.level_masks, m)
 
     @classmethod
-    def _make(cls, table: VertexTable, masks: tuple[int, ...], level_masks: tuple[int, ...]):
+    def _make(
+        cls,
+        table: VertexTable,
+        raw: tuple[int, ...],
+        removed: int,
+        level_masks: tuple[int, ...],
+        masks: tuple[int, ...] | None,
+    ) -> "VertexMultiFamily":
+        # masks is raw with removed cleared, or None until it is read.
         fam = object.__new__(cls)
-        fam.table, fam.masks, fam.level_masks = table, masks, level_masks
+        fam.table, fam._raw, fam._removed = table, raw, removed
+        fam.level_masks, fam._masks = level_masks, masks
         return fam
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The members as masks over table, each minus everything subtracted."""
+        if self._masks is None:
+            self._masks = tuple(self.iter_masks())
+        return self._masks
+
+    def iter_masks(self) -> Iterator[int]:
+        """The members' masks in order, as masks has them, without building the tuple."""
+        if self._masks is not None:
+            return iter(self._masks)
+        return map((~self._removed).__and__, self._raw)
 
     @property
     def members(self) -> tuple[frozenset[int], ...]:
@@ -78,7 +108,7 @@ class VertexMultiFamily:
         return VertexMultiFamily(([v for v in m if v in table.rank] for m in self.members), table)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self._raw)
 
     def __iter__(self) -> Iterator[frozenset[int]]:
         return iter(self.members)
@@ -121,7 +151,15 @@ class VertexMultiFamily:
             if not all(v in self.table.rank for v in ids):
                 return VertexMultiFamily(self.members + (ids,))
             member = self.table.mask(ids)
-        return self._make(self.table, self.masks + (member,), _with_member(self.level_masks, member))
+        levels = _with_member(self.level_masks, member)
+        masks = self._masks
+        if masks is None:
+            if not member & self._removed:
+                return self._make(self.table, self._raw + (member,), self._removed, levels, None)
+            # The new member holds vertices the others lost: mask those first.
+            masks = self.masks
+        masks += (member,)
+        return self._make(self.table, masks, 0, levels, masks)
 
     def subtract(self, xs: VertexSet) -> "VertexMultiFamily":
         """F - X for ids or a mask: every member minus X, order and count preserved."""
@@ -134,7 +172,7 @@ class VertexMultiFamily:
         levels = [level & keep for level in self.level_masks]
         while levels and not levels[-1]:
             levels.pop()
-        return self._make(self.table, tuple(m & keep for m in self.masks), tuple(levels))
+        return self._make(self.table, self._raw, self._removed | xs, tuple(levels), None)
 
 
 def _with_member(levels: tuple[int, ...], member: int) -> tuple[int, ...]:
@@ -169,7 +207,7 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     |N[v] cap L(F, i)| * 2^i >= N. Among qualifying vertices the one with
     the largest violation max_i |N[v] cap L(F, i)| * 2^i wins; ties go to
     the smallest vertex id. Each count is one popcount,
-    ((adj | bit) & level_i).bit_count().
+    (closed_adj[r] & level_i).bit_count().
 
     Level i is skipped when |L(F, i) cap V(G)| * 2^i < N: no vertex reaches
     N on it, and a qualifying vertex reaches its score on a level that is
@@ -179,7 +217,7 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     if capacity_n < 1:
         raise ValueError(f"N must be >= 1, got {capacity_n}")
     live = g.mask
-    cap = ceil_log2(capacity_n) + 1
+    cap = (capacity_n - 1).bit_length() + 1
     levels = [
         (i, m)
         for i, level in enumerate(family.over(g.table).level_masks[:cap], 1)
@@ -187,13 +225,13 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     ]
     if not levels:
         return None
-    adj = g.table.adj
+    closed_adj = g.table.closed_adj
     ranks = list(g.table.ranks(live))
-    closed = [adj[r] | 1 << r for r in ranks]
     if len(levels) == 1:
         ((i, level),) = levels
-        scores = [(c & level).bit_count() for c in closed]
+        scores = [(closed_adj[r] & level).bit_count() for r in ranks]
     else:
+        closed = [closed_adj[r] for r in ranks]
         scores = list(map(max, *([(c & m).bit_count() << j for c in closed] for j, m in levels)))
         i = 0
     best = max(scores)

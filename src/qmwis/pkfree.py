@@ -23,7 +23,11 @@ hfree.py.
 
 Every run starts in _run, which builds the root, drives the recursion and
 verifies the witness at every assertion level. Input is validated once,
-before that, by the public entry: alg1_call or solve_hfree.
+before that, by the public entry: alg1_call or solve_hfree. Inside the
+recursion a witness is a mask over the root graph's table: a leaf of one
+vertex answers with its graph's mask, a branch ORs in its vertex's bit and
+a split ORs its children's masks. _run decodes the root's mask into the
+frozenset that SolveResult and the oracles' contract use.
 
 Correctness never depends on the input being path-free; the quasi-polynomial
 call bound does. The optional k_hint enables the k-dependent audit bounds
@@ -61,7 +65,7 @@ from .instrumentation import (
     max_measure_k,
     measure_k,
 )
-from .levels import VertexMultiFamily, ceil_log2, find_branchable
+from .levels import VertexMultiFamily, find_branchable
 from .separators import balanced_separator_core, verify_balanced
 
 _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
@@ -110,7 +114,8 @@ class Scheme:
                            once per graph, as growing F cannot change it;
       anchor(g, F)         the mask of X whose N[X] grows F, or None;
       record_growth()      count one growth of F in stats;
-      leaf(g, w, F)        the answer when anchor finds nothing;
+      leaf(g, w, F)        the answer when anchor finds nothing, its witness
+                           a mask over g's table;
       family_excess(s, L)  (message, bound) if |F| = s breaks its bound at
                            log(N) = L;
       check_members(g, F, N)  paranoid checks of F's members;
@@ -135,7 +140,8 @@ def _check_call(
     g: Graph, n: int, n_cap: int, log_n: int, family: VertexMultiFamily, scheme: Scheme
 ) -> int | None:
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable."""
-    stats, size = scheme.stats, len(family.masks)
+    # The member count, read without the Python-level call of len(family).
+    stats, size = scheme.stats, len(family._raw)
     stats.on_call(n, size)
     if scheme.level < 1:
         return None
@@ -182,10 +188,8 @@ def _check_call(
     return mu
 
 
-def _check_edge(parent_mu: int | None, child: Instance, rule: str, scheme: Scheme) -> None:
-    # A parent potential exists only at "paranoid" with a claimed bound.
-    if parent_mu is None:
-        return
+def _check_edge(parent_mu: int, child: Instance, rule: str, scheme: Scheme) -> None:
+    """Audit the potential's decrease from a call with potential parent_mu to child."""
     child_mu = scheme.potential(child.graph.n, child.capacity_n, child.family)
     assert_recurrence_step(parent_mu, child_mu, rule, scheme.params)
     scheme.stats.record_measure(rule, parent_mu, child_mu)
@@ -193,11 +197,16 @@ def _check_edge(parent_mu: int | None, child: Instance, rule: str, scheme: Schem
 
 def _expand(
     inst: Instance, scheme: Scheme
-) -> Generator[list[Instance], list[tuple[int, frozenset[int]]], tuple[int, frozenset[int]]]:
-    """The shared recursion on one instance, as a generator for drive()."""
+) -> Generator[list[Instance], list[tuple[int, int]], tuple[int, int]]:
+    """The shared recursion on one instance, as a generator for drive().
+
+    Answers are (weight, witness mask over g's table). A parent potential
+    exists only at "paranoid" with a claimed bound, so only then are the
+    edges to the children audited.
+    """
     g, w, n_cap, family = inst.graph, inst.weights, inst.capacity_n, inst.family
-    n = g.n
-    log_n = ceil_log2(n_cap)
+    n = g.mask.bit_count()
+    log_n = (n_cap - 1).bit_length()
     stats = scheme.stats
 
     # Consecutive growths of F keep the same graph, so they run as a loop
@@ -214,28 +223,35 @@ def _expand(
             children = []
             for comp in split:
                 child = Instance(induced_subgraph(g, comp), w, comp.bit_count(), empty)
-                _check_edge(parent_mu, child, RULE_COMPONENT, scheme)
+                if parent_mu is not None:
+                    _check_edge(parent_mu, child, RULE_COMPONENT, scheme)
                 children.append(child)
             results = yield children
-            return sum(r[0] for r in results), frozenset().union(*(r[1] for r in results))
+            weight = witness = 0
+            for r in results:
+                weight += r[0]
+                witness |= r[1]
+            return weight, witness
 
-        v = find_branchable(g, family, n_cap)
+        # A family with no level has no branchable vertex.
+        v = find_branchable(g, family, n_cap) if family.level_masks else None
         if v is not None:
             stats.branch_steps += 1
             # The two children drop {v} and N[v].
             r = g.table.rank[v]
             bit = 1 << r
-            closed_v = g.table.adj[r] & g.mask | bit
+            closed_v = g.table.closed_adj[r] & g.mask
             delete_child = Instance(remove_vertices(g, bit), w, n_cap, family.subtract(bit))
             take_child = Instance(remove_vertices(g, closed_v), w, n_cap, family.subtract(closed_v))
-            _check_edge(parent_mu, delete_child, RULE_BRANCH_DELETE, scheme)
-            _check_edge(parent_mu, take_child, RULE_BRANCH_TAKE, scheme)
+            if parent_mu is not None:
+                _check_edge(parent_mu, delete_child, RULE_BRANCH_DELETE, scheme)
+                _check_edge(parent_mu, take_child, RULE_BRANCH_TAKE, scheme)
             results = yield [delete_child, take_child]
             (delete_weight, delete_witness), (rest_weight, rest_witness) = results
             # The take side wins only when strictly heavier, so ties keep the
             # first-explored (delete) branch's witness.
             if rest_weight + w[v] > delete_weight:
-                return rest_weight + w[v], rest_witness | {v}
+                return rest_weight + w[v], rest_witness | bit
             return delete_weight, delete_witness
 
         anchor = scheme.anchor(g, family)
@@ -262,8 +278,8 @@ def _expand(
             bound = scheme.level_bound(n_cap)
             if bound is not None:
                 check_level_growth(family, grown, *bound)
-        child = Instance(g, w, n_cap, grown)
-        _check_edge(parent_mu, child, scheme.growth_rule, scheme)
+        if parent_mu is not None:
+            _check_edge(parent_mu, Instance(g, w, n_cap, grown), scheme.growth_rule, scheme)
         family = grown
 
 
@@ -271,14 +287,14 @@ def _call(inst: Instance, scheme: Scheme) -> Any:
     """One path-scheme call for drive(): a graph of at most one vertex is
     checked and answered here, without a frame; any other runs _expand."""
     g = inst.graph
-    n = g.n
+    n = g.mask.bit_count()
     if n > 1:
         return _expand(inst, scheme)
-    _check_call(g, n, inst.capacity_n, ceil_log2(inst.capacity_n), inst.family, scheme)
+    n_cap = inst.capacity_n
+    _check_call(g, n, n_cap, (n_cap - 1).bit_length(), inst.family, scheme)
     if not n:
-        return 0, frozenset()
-    v = g.table.ids[g.mask.bit_length() - 1]
-    return inst.weights[v], frozenset((v,))
+        return 0, 0
+    return inst.weights[g.table.ids[g.mask.bit_length() - 1]], g.mask
 
 
 class _PathScheme(Scheme):
@@ -311,7 +327,7 @@ class _PathScheme(Scheme):
 
     def check_members(self, g: Graph, family: VertexMultiFamily, n_cap: int) -> None:
         quarter = Fraction(n_cap, 4)
-        for member in family.masks:
+        for member in family.iter_masks():
             if not verify_balanced(g, member, quarter):
                 raise InvariantViolation(
                     "separator-balance",
@@ -346,11 +362,13 @@ def _run(
     """Build the validated root (g, w, N, F), drive it and verify the witness.
 
     N defaults to max(1, |V(g)|) and F to the empty family over g's table.
+    The recursion's witness mask is decoded here, once.
     """
     if family is None:
         family = VertexMultiFamily(table=g.table)
     root = Instance(g, w, max(1, g.n) if capacity_n is None else capacity_n, family)
-    weight, witness = drive(root, expand, scheme)
+    weight, mask = drive(root, expand, scheme)
+    witness = g.table.decode(mask)
     verify_witness(g, w, weight, witness)
     return weight, witness
 

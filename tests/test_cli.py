@@ -74,6 +74,23 @@ def test_parse_error_from_stdin_names_the_dash(capsys, monkeypatch):
     assert json.loads(err)["error"]["details"] == {"kind": "id-range", "line": 2, "file": "-"}
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_invalid_utf8_is_a_parse_error_from_file_and_stdin(source, tmp_path, capsys, monkeypatch):
+    data = b"c caf\xe9\np 2 1\ne 1 2\n"
+    path = tmp_path / "latin1.graph"
+    path.write_bytes(data)
+    if source == "stdin":
+        # A real stdin: text on top of a byte stream, strict whatever the locale.
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+        path = "-"
+    code, out, err = run(["solve", str(path)], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parse-error"
+    assert error["details"] == {"kind": "malformed", "line": 0, "file": str(path)}
+    assert "not valid UTF-8" in error["message"]
+
+
 def test_parse_error_in_pattern_file_names_it(tmp_path, c5_file, capsys):
     pattern = tmp_path / "h.graph"
     pattern.write_text("p 3 2\ne 1 2\n")

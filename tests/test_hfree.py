@@ -344,6 +344,23 @@ def test_off_level_verifies_the_witness(monkeypatch):
     assert info.value.rule == "witness"
 
 
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+@pytest.mark.parametrize("g", [complete_graph(3), cycle_graph(7)], ids=["root-leaf", "deep-leaf"])
+def test_an_oracle_witness_outside_the_graph_is_a_witness_failure(g, level):
+    def foreign(g: Graph, w) -> tuple[int, frozenset[int]]:
+        weight, witness = brute_force_mwis(g, w)
+        return weight, witness | {99}
+
+    oracle = ComponentOracle(
+        name="foreign", solve=lambda g, w: foreign(g, w)[0], solve_with_witness=foreign
+    )
+    w = {v: 1 for v in g.vertex_ids()}
+    with pytest.raises(InvariantViolation) as info:
+        solve_hfree(path_graph(3), g, w, [oracle], assertion_level=level)
+    assert info.value.rule == "witness"
+    assert str(info.value) == "witness: witness contains vertices outside the graph: [99]"
+
+
 def test_a_false_freeness_claim_breaks_the_family_bound():
     # The edgeless graph is full of K1, so assume_hfree is false here.
     g = Graph(range(1, 9), [])

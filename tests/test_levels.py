@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmwis import (
@@ -174,3 +174,54 @@ def test_levels_are_nested(members):
     fam = VertexMultiFamily(members)
     for i in range(1, 6):
         assert fam.level(i + 1) <= fam.level(i)
+
+
+_vertex_sets = st.frozensets(st.integers(min_value=1, max_value=10), max_size=6)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "subtract"]), _vertex_sets, st.booleans()),
+        st.tuples(st.just("read"), st.just(frozenset()), st.just(False)),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_ops)
+# A member added after an overlapping subtraction keeps the vertices the others lost.
+@example(ops=[("add", frozenset({1, 2}), True), ("subtract", frozenset({2}), True),
+              ("add", frozenset({2, 3}), True)])
+@example(ops=[("add", frozenset({1, 2}), False), ("subtract", frozenset({1}), False),
+              ("read", frozenset(), False), ("add", frozenset({1}), True),
+              ("subtract", frozenset({2}), True)])
+def test_family_matches_a_list_of_sets_model(ops):
+    """add/subtract sequences against a plain list of frozensets.
+
+    Each op passes its set as ids or as a mask, and "read" reads the members
+    in between. Other reads wait until the sequence is done, so the ops run
+    on families whose members were not read, as in the solvers.
+    """
+    g = Graph(range(1, 11), [])
+    fam, model = VertexMultiFamily(table=g.table), []
+    history = []
+    for op, xs, as_mask in ops:
+        arg = g.table.mask(xs) if as_mask else xs
+        if op == "add":
+            fam, model = fam.add(arg), model + [xs]
+        elif op == "subtract":
+            fam, model = fam.subtract(arg), [m - xs for m in model]
+        else:
+            assert fam.members == tuple(model)
+        history.append((fam, model))
+    for fam, model in history:
+        assert list(fam.iter_masks()) == [g.table.mask(m) for m in model]
+        counts = [sum(v in m for m in model) for v in range(1, 11)]
+        levels = tuple(sum(c >= i for c in counts) for i in range(1, max(counts, default=0) + 1))
+        assert fam.level_sizes() == levels
+        assert [fam.multiplicity(v) for v in range(0, 12)] == [0, *counts, 0]
+        assert fam.members == tuple(model)
+        assert fam.masks == tuple(g.table.mask(m) for m in model)
+        assert list(fam.iter_masks()) == list(fam.masks)
+        rebuilt = VertexMultiFamily(model, table=g.table)
+        assert fam == rebuilt and hash(fam) == hash(rebuilt)
+        assert fam == VertexMultiFamily(model) and hash(fam) == hash(VertexMultiFamily(model))

@@ -245,9 +245,10 @@ def test_every_level_verifies_the_witness(level, monkeypatch):
 
     real_drive = pkfree.drive
 
-    def corrupted(*args, **kwargs):
-        weight, witness = real_drive(*args, **kwargs)
-        return weight, witness | {2}
+    def corrupted(root, *args, **kwargs):
+        # drive answers with a witness mask over the root's table; add vertex 2.
+        weight, witness = real_drive(root, *args, **kwargs)
+        return weight, witness | root.graph.table.mask({2})
 
     monkeypatch.setattr(pkfree, "drive", corrupted)
     with pytest.raises(InvariantViolation) as info:
