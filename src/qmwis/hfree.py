@@ -57,7 +57,10 @@ from .pkfree import (
 
 @dataclass(frozen=True)
 class PatternGraph:
-    """A forbidden pattern, as its connected components H_0 .. H_{c-1} in a fixed order."""
+    """A forbidden pattern, as its connected components H_0 .. H_{c-1} in a fixed order.
+
+    Each component keeps its own vertex ids, so their id ranges may overlap.
+    """
 
     components: tuple[Graph, ...]
 
@@ -82,14 +85,6 @@ class PatternGraph:
             raise ValueError("a pattern needs at least one vertex")
         parts = tuple(induced_subgraph(h, c) for c in connected_components(h))
         return cls(components=parts)
-
-    @classmethod
-    def from_components(cls, parts: Sequence[Graph]) -> "PatternGraph":
-        """Assemble a pattern from already-split connected parts.
-
-        The parts keep their own vertex ids, so overlapping id ranges are fine.
-        """
-        return cls(components=tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,11 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
     disconnected h too (component images must be mutually non-adjacent, as
     induced embedding already requires). The backtracking search keeps one
     candidate mask per pattern position on an explicit stack, so its depth
-    is not bounded by the interpreter's recursion limit.
+    is not bounded by the interpreter's recursion limit. The mask of
+    position t holds exactly the live vertices that extend the images
+    placed so far: adjacent to the image of every earlier neighbour of t in
+    h, and neither equal nor adjacent to any other earlier image. Only the
+    degree filter is left to test per candidate.
 
     The plan, h's anchors and degrees, depends on h alone. It is built on
     the first search for h and kept in h's _plan slot, so a pattern searched
@@ -182,11 +181,9 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
             [(h_adj[r] & h_live).bit_count() for r in order],
         )
     anchors, degrees = h._plan
-    adj, live = g.table.adj, g.mask
+    adj, closed, live = g.table.adj, g.table.closed_adj, g.mask
     images = [0] * size
     pending = [0] * size
-    wants = [0] * size
-    used = 0
     pos = 0
     pending[0] = live
     while True:
@@ -195,27 +192,22 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
             low = candidates & -candidates
             candidates ^= low
             r = low.bit_length() - 1
-            if adj[r] & used == wants[pos] and (adj[r] & live).bit_count() >= degrees[pos]:
+            if (adj[r] & live).bit_count() >= degrees[pos]:
                 break
         else:
             if pos == 0:
                 return None
             pos -= 1
-            used ^= 1 << images[pos]
             continue
         pending[pos] = candidates
         images[pos] = r
-        used |= low
         pos += 1
         if pos == size:
             return frozenset(g.table.ids[r] for r in images)
-        candidates = live & ~used
-        want = 0
-        for j in anchors[pos]:
-            candidates &= adj[images[j]]
-            want |= 1 << images[j]
+        candidates = live
+        for j in range(pos):
+            candidates &= adj[images[j]] if j in anchors[pos] else ~closed[images[j]]
         pending[pos] = candidates
-        wants[pos] = want
 
 
 class _PatternScheme(Scheme):

@@ -14,8 +14,8 @@ was built from and the union of everything subtracted since, and clears
 that union from them when they are asked for. The recursion reads only the
 levels and the member count, so below "paranoid" members are masked only
 when a new member holds vertices subtracted from the others. Frozensets of
-ids appear only at the public boundary: members, level(i) and
-multiplicity(v).
+ids appear only at the public boundary, members; a caller that wants a
+level as ids decodes its mask with table.decode.
 
 A vertex v is branchable relative to (F, N) when its closed neighborhood
 covers at least Delta_i = N / 2^i vertices of level i for some i >= 1.
@@ -125,24 +125,6 @@ class VertexMultiFamily:
 
     def __repr__(self) -> str:
         return f"VertexMultiFamily({list(map(sorted, self.members))!r})"
-
-    def multiplicity(self, v: int) -> int:
-        """Number of members containing v."""
-        r = self.table.rank.get(v)
-        if r is None:
-            return 0
-        return sum(m >> r & 1 for m in self.masks)
-
-    def max_multiplicity(self) -> int:
-        return len(self.level_masks)
-
-    def level(self, i: int) -> frozenset[int]:
-        """L(F, i): vertices contained in at least i members."""
-        if i < 1:
-            raise ValueError(f"level index must be >= 1, got {i}")
-        if i > len(self.level_masks):
-            return frozenset()
-        return self.table.decode(self.level_masks[i - 1])
 
     def add(self, member: VertexSet) -> "VertexMultiFamily":
         """New family with one more member (ids or a mask) appended."""

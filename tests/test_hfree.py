@@ -49,9 +49,9 @@ def test_pattern_from_graph_splits_components():
     assert p.total_size == 4
 
 
-def test_pattern_from_components_keeps_overlapping_parts():
+def test_pattern_components_may_share_vertex_ids():
     k2 = Graph([1, 2], [(1, 2)])
-    p = PatternGraph.from_components([k2, k2])
+    p = PatternGraph(components=(k2, k2))
     assert p.total_size == 4
     assert len(p.components) == 2
 
@@ -60,7 +60,7 @@ def test_pattern_rejects_bad_shapes():
     with pytest.raises(ValueError):
         PatternGraph.from_graph(Graph([], []))
     with pytest.raises(ValueError):
-        PatternGraph.from_components([Graph([1, 2], [])])  # disconnected part
+        PatternGraph(components=(Graph([1, 2], []),))  # disconnected part
     with pytest.raises(ValueError):
         PatternGraph(components=())
     with pytest.raises(ValueError):
@@ -128,7 +128,8 @@ def _naive_contains(g: Graph, h: Graph) -> bool:
 
 def test_copy_search_matches_naive_enumeration():
     rng = random.Random(19)
-    patterns = [path_graph(2), path_graph(3), two_k2(), cycle_graph(3)]
+    fork = Graph(range(1, 6), [(1, 2), (2, 3), (3, 4), (3, 5)])
+    patterns = [path_graph(2), path_graph(3), two_k2(), cycle_graph(3), fork, cycle_graph(5)]
     for _ in range(50):
         g, _ = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.5, 0.8]))
         for h in patterns:
@@ -294,7 +295,7 @@ def test_lying_oracle_is_caught_during_reconstruction():
 
 def test_single_vertex_graph_with_single_vertex_component():
     """A one-vertex pattern component legitimately adds one neighborhood at N=1."""
-    h = PatternGraph.from_components([Graph([1], []), Graph([1, 2], [(1, 2)])])
+    h = PatternGraph(components=(Graph([1], []), Graph([1, 2], [(1, 2)])))
     g = Graph([1], [])
     r = solve_hfree(
         h,
@@ -381,3 +382,21 @@ def test_paranoid_checks_the_graph_handed_to_an_oracle(monkeypatch):
         solve_hfree(g, g, {1: 1, 2: 1, 3: 1, 4: 1}, oracles, assertion_level="paranoid")
     assert info.value.rule == "oracle-validity"
     assert info.value.details == {"oracle": 0, "n": 4}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_honest_paranoid_runs_on_cographs(seed):
+    """Cographs are P4-free, so assume_hfree is true for K3+P4 and P4+K3 alike."""
+    from qmwis import GeneratorSpec, generate, solve_pkfree
+
+    g, w = generate(GeneratorSpec(kind="cograph", size=96, seed=seed))
+    assert g.n == 96
+    expected = solve_pkfree(g, w, assertion_level="off").weight
+    k3, p4 = complete_graph(3), path_graph(4)
+    for parts, oracles in (
+        ((k3, p4), [make_bruteforce_oracle(), make_pk_oracle(4)]),
+        ((p4, k3), [make_pk_oracle(4), make_bruteforce_oracle()]),
+    ):
+        pattern = PatternGraph(components=parts)
+        r = solve_hfree(pattern, g, w, oracles, assume_hfree=True, assertion_level="paranoid")
+        assert r.weight == expected

@@ -34,25 +34,14 @@ def test_ceil_log2_rejects_nonpositive():
 
 def test_family_levels_count_multiplicity():
     fam = VertexMultiFamily([{1, 2}, {2, 3}])
-    assert fam.level(1) == {1, 2, 3}
-    assert fam.level(2) == {2}
-    assert fam.level(3) == frozenset()
-    assert fam.multiplicity(2) == 2
-    assert fam.multiplicity(1) == 1
-    assert fam.multiplicity(99) == 0
-    assert fam.max_multiplicity() == 2
+    assert [fam.table.decode(level) for level in fam.level_masks] == [{1, 2, 3}, {2}]
+    assert fam.level_sizes() == (3, 1)
 
 
 def test_empty_family():
     fam = VertexMultiFamily()
     assert len(fam) == 0
-    assert fam.level(1) == frozenset()
-    assert fam.max_multiplicity() == 0
-
-
-def test_level_index_must_be_positive():
-    with pytest.raises(ValueError):
-        VertexMultiFamily([{1}]).level(0)
+    assert fam.level_masks == ()
 
 
 def test_subtract_keeps_order_and_empty_members():
@@ -63,7 +52,7 @@ def test_subtract_keeps_order_and_empty_members():
     assert len(out) == 3
     drained = fam.subtract({1, 2, 3})
     assert len(drained) == 3
-    assert drained.level(1) == frozenset()
+    assert drained.level_masks == ()
 
 
 def test_add_appends():
@@ -122,7 +111,8 @@ def test_find_branchable_qualifies_at_cap():
 def _qualifies(g: Graph, family: VertexMultiFamily, n_cap: int, v: int) -> bool:
     closed = g.closed(v)
     for i in range(1, ceil_log2(n_cap) + 2):
-        if len(closed & family.level(i)) >= branch_threshold(n_cap, i):
+        level = {u for u in g.vertices if sum(u in m for m in family.members) >= i}
+        if len(closed & level) >= branch_threshold(n_cap, i):
             return True
     return False
 
@@ -162,18 +152,18 @@ def test_subtract_multiplicity_property(members, cut):
     out = fam.subtract(cut)
     assert len(out) == len(fam)
     for v in range(1, 11):
-        if v in cut:
-            assert out.multiplicity(v) == 0
-        else:
-            assert out.multiplicity(v) == fam.multiplicity(v)
+        count = sum(v in m for m in out.members)
+        assert count == (0 if v in cut else sum(v in m for m in fam.members))
 
 
 @settings(max_examples=100, deadline=None)
 @given(members=st.lists(st.sets(st.integers(min_value=1, max_value=12), max_size=8), max_size=6))
 def test_levels_are_nested(members):
     fam = VertexMultiFamily(members)
-    for i in range(1, 6):
-        assert fam.level(i + 1) <= fam.level(i)
+    levels = [fam.table.decode(level) for level in fam.level_masks]
+    assert all(levels)
+    for upper, lower in zip(levels[1:], levels):
+        assert upper <= lower
 
 
 _vertex_sets = st.frozensets(st.integers(min_value=1, max_value=10), max_size=6)
@@ -218,7 +208,9 @@ def test_family_matches_a_list_of_sets_model(ops):
         counts = [sum(v in m for m in model) for v in range(1, 11)]
         levels = tuple(sum(c >= i for c in counts) for i in range(1, max(counts, default=0) + 1))
         assert fam.level_sizes() == levels
-        assert [fam.multiplicity(v) for v in range(0, 12)] == [0, *counts, 0]
+        assert [fam.table.decode(level) for level in fam.level_masks] == [
+            {v for v, c in enumerate(counts, 1) if c >= i} for i in range(1, len(levels) + 1)
+        ]
         assert fam.members == tuple(model)
         assert fam.masks == tuple(g.table.mask(m) for m in model)
         assert list(fam.iter_masks()) == list(fam.masks)
