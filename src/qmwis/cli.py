@@ -17,7 +17,14 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .graph import Graph, WeightMap, closed_neighborhood
-from .graphio import GraphParseError, ReportDocument, emit_graph, error_document, parse_graph
+from .graphio import (
+    GraphParseError,
+    ReportDocument,
+    emit_graph,
+    error_document,
+    parse_decimal,
+    parse_graph,
+)
 from .hfree import ComponentOracle, PatternGraph, make_bruteforce_oracle, make_pk_oracle, solve_hfree
 from .instrumentation import InvariantViolation
 from .oracle import (
@@ -171,10 +178,9 @@ def _parse_oracle_spec(spec: str, size: int) -> ComponentOracle | None:
     kind, colon, arg = spec.partition(":")
     if not colon or kind not in ("bruteforce", "pk"):
         raise ValueError(f"unknown oracle spec {spec!r} {forms}")
-    try:
-        value = int(arg)
-    except ValueError:
-        raise ValueError(f"oracle spec {spec!r} needs an integer after the colon {forms}") from None
+    value = parse_decimal(arg)
+    if value is None:
+        raise ValueError(f"oracle spec {spec!r} needs a decimal integer after the colon {forms}")
     if kind == "pk":
         return make_pk_oracle(value) if value < 1 or value == size else None
     if value < 1:

@@ -7,10 +7,11 @@ The graph format is line based and 1-indexed:
     n <vertex-id> <weight>
     e <u> <v>
 
-The p line comes before any n/e record and appears exactly once. Vertices
-are implicitly 1..n; an n record sets a weight (default 1). Reports are
-emitted with sorted keys and no timestamps, so identical inputs produce
-byte-identical documents.
+The p line comes before any n/e record and appears exactly once. Every
+number is an ASCII decimal integer: an optional "-" and the digits 0-9,
+without "+", "_" or other digits. Vertices are implicitly 1..n; an n
+record sets a weight (default 1). Reports are emitted with sorted keys and
+no timestamps, so identical inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -48,13 +49,26 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
-def _int_field(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GraphParseError(
-            "malformed", line_no, f"{what} must be an integer, got {token!r}"
-        ) from None
+def parse_decimal(token: str) -> int | None:
+    """The value of an optional "-" followed by ASCII digits 0-9, else None.
+
+    int() also takes "1_000", "+2", blanks around the digits and non-ASCII
+    digits; graph files and oracle specs accept none of these spellings.
+    """
+    if token.isascii() and token.lstrip("-").isdigit():
+        try:
+            return int(token)
+        except ValueError:  # "--1", or more digits than int() converts
+            pass
+    return None
+
+
+def _not_decimal(parts: list[str], line_no: int, *fields: str) -> GraphParseError:
+    # The error for the first of parts[1:] that parse_decimal rejects.
+    what, token = next((f, t) for f, t in zip(fields, parts[1:]) if parse_decimal(t) is None)
+    return GraphParseError(
+        "malformed", line_no, f"{what} must be an ASCII decimal integer, got {token!r}"
+    )
 
 
 def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
@@ -94,8 +108,9 @@ def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
                 raise GraphParseError("header", line_no, "second p line")
             if len(parts) != 3:
                 raise GraphParseError("malformed", line_no, "p line needs exactly 2 numbers")
-            n = _int_field(parts[1], line_no, "vertex count")
-            declared_m = _int_field(parts[2], line_no, "edge count")
+            n, declared_m = parse_decimal(parts[1]), parse_decimal(parts[2])
+            if n is None or declared_m is None:
+                raise _not_decimal(parts, line_no, "vertex count", "edge count")
             if n < 0 or declared_m < 0:
                 raise GraphParseError("header", line_no, "counts must be non-negative")
             continue
@@ -104,8 +119,9 @@ def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
         if tag == "n":
             if len(parts) != 3:
                 raise GraphParseError("malformed", line_no, "n line needs an id and a weight")
-            vid = _int_field(parts[1], line_no, "vertex id")
-            weight = _int_field(parts[2], line_no, "weight")
+            vid, weight = parse_decimal(parts[1]), parse_decimal(parts[2])
+            if vid is None or weight is None:
+                raise _not_decimal(parts, line_no, "vertex id", "weight")
             if not 1 <= vid <= n:
                 raise GraphParseError("id-range", line_no, f"vertex id {vid} outside 1..{n}")
             if not 0 <= weight <= MAX_WEIGHT:
@@ -118,8 +134,9 @@ def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
         elif tag == "e":
             if len(parts) != 3:
                 raise GraphParseError("malformed", line_no, "e line needs two endpoints")
-            u = _int_field(parts[1], line_no, "endpoint")
-            v = _int_field(parts[2], line_no, "endpoint")
+            u, v = parse_decimal(parts[1]), parse_decimal(parts[2])
+            if u is None or v is None:
+                raise _not_decimal(parts, line_no, "endpoint", "endpoint")
             if u == v:
                 raise GraphParseError("self-loop", line_no, f"self-loop at vertex {u}")
             for endpoint in (u, v):

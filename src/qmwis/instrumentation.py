@@ -30,8 +30,20 @@ class InvariantViolation(AssertionError):
         self.details = details or {}
 
 
-def _level_term(family: VertexMultiFamily) -> int:
-    return sum(size << i for i, size in enumerate(family.level_sizes()))
+def _potential(
+    size_term: int, family: VertexMultiFamily, unit: int, bound: int, label: str, details: dict
+) -> int:
+    # size_term + sum_i |L(F, i)| 2^(i-1) + unit (bound - |F|). The last term's
+    # sign is tested, not |F| > bound: at N = 1 unit and bound are both 0, and
+    # no family outgrows them.
+    family_term = unit * (bound - len(family))
+    if family_term < 0:
+        raise InvariantViolation(
+            "family-size",
+            f"|F| = {len(family)} exceeds {label} = {bound}",
+            {"family_size": len(family), "bound": bound, **details},
+        )
+    return size_term + sum(size << i for i, size in enumerate(family.level_sizes())) + family_term
 
 
 def measure_k(
@@ -56,16 +68,8 @@ def measure_k(
         raise ValueError(f"N must be >= 1, got {capacity_n}")
     log_n = ceil_log2(capacity_n)
     separator_term = 400 * k * k * log_n * log_n * (capacity_n + graph_size)
-    level_term = _level_term(family)
-    slack = 10 * k * log_n - len(family)
-    family_term = 16 * k * capacity_n * log_n * slack
-    if family_term < 0:
-        raise InvariantViolation(
-            "family-size",
-            f"|F| = {len(family)} exceeds 10k log(N) = {10 * k * log_n}",
-            {"family_size": len(family), "bound": 10 * k * log_n, "N": capacity_n, "k": k},
-        )
-    return separator_term + level_term + family_term
+    unit, bound = 16 * k * capacity_n * log_n, 10 * k * log_n
+    return _potential(separator_term, family, unit, bound, "10k log(N)", {"N": capacity_n, "k": k})
 
 
 def measure_h(
@@ -90,21 +94,8 @@ def measure_h(
     if capacity_n < 1:
         raise ValueError(f"N must be >= 1, got {capacity_n}")
     log_n = ceil_log2(capacity_n)
-    level_term = _level_term(family)
-    slack = pattern_size * pattern_components * log_n - len(family)
-    family_term = 2 * pattern_size * capacity_n * log_n * slack
-    if family_term < 0:
-        raise InvariantViolation(
-            "family-size",
-            f"|F| = {len(family)} exceeds |H| c log(N) = "
-            f"{pattern_size * pattern_components * log_n}",
-            {
-                "family_size": len(family),
-                "bound": pattern_size * pattern_components * log_n,
-                "N": capacity_n,
-            },
-        )
-    return graph_size + level_term + family_term
+    unit, bound = 2 * pattern_size * capacity_n * log_n, pattern_size * pattern_components * log_n
+    return _potential(graph_size, family, unit, bound, "|H| c log(N)", {"N": capacity_n})
 
 
 def max_measure_k(capacity_n: int, k: int) -> int:

@@ -48,18 +48,18 @@ class VertexMultiFamily:
     subtract take ids or a mask over the family's table: appending member m
     sets L(F, i + 1) |= L(F, i) & m, and subtracting X clears X from every
     level and ORs it into _removed. The members kept in _raw still hold the
-    vertices in _removed; masks clears them on its first read and caches
-    the result in _masks, and iter_masks clears them as it goes.
+    vertices in _removed; masks and iter_masks clear them on every read and
+    hand out _raw itself while _removed is empty. Nothing is cached.
     """
 
-    __slots__ = ("table", "_raw", "_removed", "level_masks", "_masks")
+    __slots__ = ("table", "_raw", "_removed", "level_masks")
 
     def __init__(self, members: Iterable[Iterable[int]] = (), table: VertexTable | None = None):
         sets = [frozenset(m) for m in members]
         if table is None:
             table = VertexTable(frozenset().union(*sets))
         self.table = table
-        self._raw = self._masks = tuple(table.mask(m) for m in sets)
+        self._raw = tuple(table.mask(m) for m in sets)
         self._removed = 0
         self.level_masks: tuple[int, ...] = ()
         for m in self._raw:
@@ -67,31 +67,22 @@ class VertexMultiFamily:
 
     @classmethod
     def _make(
-        cls,
-        table: VertexTable,
-        raw: tuple[int, ...],
-        removed: int,
-        level_masks: tuple[int, ...],
-        masks: tuple[int, ...] | None,
+        cls, table: VertexTable, raw: tuple[int, ...], removed: int, level_masks: tuple[int, ...]
     ) -> "VertexMultiFamily":
-        # masks is raw with removed cleared, or None until it is read.
         fam = object.__new__(cls)
-        fam.table, fam._raw, fam._removed = table, raw, removed
-        fam.level_masks, fam._masks = level_masks, masks
+        fam.table, fam._raw, fam._removed, fam.level_masks = table, raw, removed, level_masks
         return fam
 
     @property
     def masks(self) -> tuple[int, ...]:
         """The members as masks over table, each minus everything subtracted."""
-        if self._masks is None:
-            self._masks = tuple(self.iter_masks())
-        return self._masks
+        return tuple(self.iter_masks()) if self._removed else self._raw
 
     def iter_masks(self) -> Iterator[int]:
         """The members' masks in order, as masks has them, without building the tuple."""
-        if self._masks is not None:
-            return iter(self._masks)
-        return map((~self._removed).__and__, self._raw)
+        if self._removed:
+            return map((~self._removed).__and__, self._raw)
+        return iter(self._raw)
 
     @property
     def members(self) -> tuple[frozenset[int], ...]:
@@ -134,14 +125,10 @@ class VertexMultiFamily:
                 return VertexMultiFamily(self.members + (ids,))
             member = self.table.mask(ids)
         levels = _with_member(self.level_masks, member)
-        masks = self._masks
-        if masks is None:
-            if not member & self._removed:
-                return self._make(self.table, self._raw + (member,), self._removed, levels, None)
+        if member & self._removed:
             # The new member holds vertices the others lost: mask those first.
-            masks = self.masks
-        masks += (member,)
-        return self._make(self.table, masks, 0, levels, masks)
+            return self._make(self.table, self.masks + (member,), 0, levels)
+        return self._make(self.table, self._raw + (member,), self._removed, levels)
 
     def subtract(self, xs: VertexSet) -> "VertexMultiFamily":
         """F - X for ids or a mask: every member minus X, order and count preserved."""
@@ -154,7 +141,7 @@ class VertexMultiFamily:
         levels = [level & keep for level in self.level_masks]
         while levels and not levels[-1]:
             levels.pop()
-        return self._make(self.table, self._raw, self._removed | xs, tuple(levels), None)
+        return self._make(self.table, self._raw, self._removed | xs, tuple(levels))
 
 
 def _with_member(levels: tuple[int, ...], member: int) -> tuple[int, ...]:

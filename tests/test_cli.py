@@ -321,7 +321,10 @@ def test_solve_hfree_bad_oracle_spec(tmp_path, c5_file, capsys):
     assert "magic" in json.loads(err)["error"]["message"]
 
 
-@pytest.mark.parametrize("spec", ["bruteforce:x", "pk:x", "pk:"])
+@pytest.mark.parametrize(
+    "spec",
+    ["bruteforce:x", "pk:x", "pk:", "pk: 4", "pk:+4", "pk:\u0664", "bruteforce:\u0662\u0665"],
+)
 def test_solve_hfree_malformed_oracle_spec_names_the_forms(spec, tmp_path, c5_file, capsys):
     pattern = tmp_path / "h.graph"
     pattern.write_text("p 2 1\ne 1 2\n")
@@ -331,6 +334,16 @@ def test_solve_hfree_malformed_oracle_spec_names_the_forms(spec, tmp_path, c5_fi
     assert error["kind"] == "input-error"
     assert repr(spec) in error["message"]
     assert "bruteforce, bruteforce:<cap>, or pk:<k>" in error["message"]
+
+
+def test_solve_rejects_integers_that_are_not_ascii_decimal(tmp_path, capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_text("p 3 0\nn 1 1_000\n")
+    code, out, err = run(["solve", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "parse-error"
+    assert (error["details"]["kind"], error["details"]["line"]) == ("malformed", 2)
 
 
 def test_solve_hfree_rejects_a_pk_size_before_building_the_path(

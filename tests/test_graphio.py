@@ -86,6 +86,32 @@ def test_error_malformed_lines():
     assert err.line_no == 2
 
 
+@pytest.mark.parametrize(
+    "text, line_no, field",
+    [
+        ("p 1 0\nn 1 1_000\n", 2, "weight"),
+        ("p 3 0\nn +2 7\n", 2, "vertex id"),
+        ("p 3 0\nn \u0663 4\n", 2, "vertex id"),  # an Arabic-Indic 3
+        ("p \uff13 0\n", 1, "vertex count"),  # a fullwidth 3
+        ("p 2 +1\n", 1, "edge count"),
+        ("c + _ \u0663\np 2 1\ne 1 2_0\n", 3, "endpoint"),
+        ("p 2 1\ne 1 --2\n", 2, "endpoint"),
+        # More digits than int() converts.
+        pytest.param("p 1 0\nn 1 " + "9" * 5000 + "\n", 2, "weight", id="5000-digits"),
+    ],
+)
+def test_error_integers_that_are_not_ascii_decimal(text, line_no, field):
+    # int() takes the first six of these spellings; the format takes none.
+    err = parse_err(text)
+    assert (err.kind, err.line_no) == ("malformed", line_no)
+    assert f"{field} must be an ASCII decimal integer" in str(err)
+
+
+def test_comments_may_hold_any_characters():
+    g, w = parse_graph("c +1_000 \u0663\np 2 1\nn 2 -0\ne 1 2\n")
+    assert list(g.edges()) == [(1, 2)] and w == {1: 1, 2: 0}
+
+
 def test_error_invalid_utf8():
     with pytest.raises(GraphParseError) as caught:
         parse_graph(b"\xff\xfe p 1 0")

@@ -41,7 +41,8 @@ def test_measure_k_family_overflow_raises():
     with pytest.raises(InvariantViolation) as err:
         measure_k(1, 2, fam, 1)
     assert err.value.rule == "family-size"
-    assert err.value.details["bound"] == 10
+    assert str(err.value) == "family-size: |F| = 11 exceeds 10k log(N) = 10"
+    assert err.value.details == {"family_size": 11, "bound": 10, "N": 2, "k": 1}
 
 
 def test_measure_k_validates_arguments():
@@ -67,6 +68,14 @@ def test_measure_h_family_overflow_raises():
     with pytest.raises(InvariantViolation) as err:
         measure_h(1, 2, fam, 1, 1)
     assert err.value.rule == "family-size"
+    assert str(err.value) == "family-size: |F| = 2 exceeds |H| c log(N) = 1"
+    assert err.value.details == {"family_size": 2, "bound": 1, "N": 2}
+
+
+def test_family_bound_is_not_checked_at_single_vertex_capacity():
+    # log(1) = 0 zeroes the family term, so no family outgrows it
+    assert measure_k(1, 1, VertexMultiFamily([{1}, {1}, {1}]), 3) == 7
+    assert measure_h(1, 1, VertexMultiFamily([{1}]), 1, 1) == 2
 
 
 def test_measure_h_validates_arguments():

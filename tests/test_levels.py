@@ -184,6 +184,10 @@ _ops = st.lists(
 @example(ops=[("add", frozenset({1, 2}), False), ("subtract", frozenset({1}), False),
               ("read", frozenset(), False), ("add", frozenset({1}), True),
               ("subtract", frozenset({2}), True)])
+# A member that misses every subtracted vertex is appended lazily after a read.
+@example(ops=[("add", frozenset({1, 2}), True), ("subtract", frozenset({2}), False),
+              ("read", frozenset(), False), ("add", frozenset({3}), False),
+              ("subtract", frozenset({1}), True), ("read", frozenset(), False)])
 def test_family_matches_a_list_of_sets_model(ops):
     """add/subtract sequences against a plain list of frozensets.
 
