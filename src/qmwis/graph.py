@@ -96,11 +96,10 @@ class Graph:
     and must not be changed. Adjacency is exposed as frozensets; all
     iteration helpers yield vertices in sorted order so downstream
     algorithms are deterministic. _plan holds the search plan that
-    find_induced_copy builds the first time the graph is used as a pattern,
-    the way __hash__ fills _hash.
+    find_induced_copy builds the first time the graph is used as a pattern.
     """
 
-    __slots__ = ("table", "mask", "_hash", "_plan")
+    __slots__ = ("table", "mask", "_plan")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
         vset = set()
@@ -110,7 +109,6 @@ class Graph:
             vset.add(v)
         self.table = VertexTable(vset, edges)
         self.mask = (1 << len(vset)) - 1
-        self._hash: int | None = None
         self._plan: tuple[list[list[int]], list[int]] | None = None
 
     @classmethod
@@ -119,7 +117,7 @@ class Graph:
         g = object.__new__(cls)
         g.table = table
         g.mask = mask
-        g._hash = g._plan = None
+        g._plan = None
         return g
 
     def _rank(self, v: int) -> int:
@@ -176,14 +174,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        if self.table is other.table:
-            return self.mask == other.mask
         return self.vertex_ids() == other.vertex_ids() and list(self.edges()) == list(other.edges())
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.vertices, frozenset(self.edges())))
-        return self._hash
+        return hash((self.vertices, frozenset(self.edges())))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

@@ -10,7 +10,8 @@ The graph format is line based and 1-indexed:
 The p line comes before any n/e record and appears exactly once. Every
 number is an ASCII decimal integer: an optional "-" and the digits 0-9,
 without "+", "_" or other digits. Vertices are implicitly 1..n; an n
-record sets a weight (default 1). Reports are emitted with sorted keys and
+record sets a weight (default 1). The p line may declare at most
+MAX_VERTICES (16,384) vertices. Reports are emitted with sorted keys and
 no timestamps, so identical inputs produce byte-identical documents.
 """
 
@@ -25,6 +26,8 @@ from .graph import Graph, WeightMap
 REPORT_FORMAT_VERSION = 1
 
 MAX_WEIGHT = 10**9
+
+MAX_VERTICES = 2**14
 
 PARSE_ERROR_KINDS = (
     "malformed",
@@ -63,12 +66,12 @@ def parse_decimal(token: str) -> int | None:
     return None
 
 
-def _not_decimal(parts: list[str], line_no: int, *fields: str) -> GraphParseError:
-    # The error for the first of parts[1:] that parse_decimal rejects.
-    what, token = next((f, t) for f, t in zip(fields, parts[1:]) if parse_decimal(t) is None)
-    return GraphParseError(
-        "malformed", line_no, f"{what} must be an ASCII decimal integer, got {token!r}"
-    )
+# Per record tag: the arity error and the names of its two numbers.
+_RECORDS = {
+    "p": ("p line needs exactly 2 numbers", "vertex count", "edge count"),
+    "n": ("n line needs an id and a weight", "vertex id", "weight"),
+    "e": ("e line needs two endpoints", "endpoint", "endpoint"),
+}
 
 
 def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
@@ -96,61 +99,56 @@ def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
     seen: set[tuple[int, int]] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         tag = parts[0]
         if tag == "c":
             continue
         if tag == "p":
             if n is not None:
                 raise GraphParseError("header", line_no, "second p line")
-            if len(parts) != 3:
-                raise GraphParseError("malformed", line_no, "p line needs exactly 2 numbers")
-            n, declared_m = parse_decimal(parts[1]), parse_decimal(parts[2])
-            if n is None or declared_m is None:
-                raise _not_decimal(parts, line_no, "vertex count", "edge count")
-            if n < 0 or declared_m < 0:
-                raise GraphParseError("header", line_no, "counts must be non-negative")
-            continue
-        if n is None:
+        elif n is None:
             raise GraphParseError("header", line_no, f"{tag!r} record before the p line")
-        if tag == "n":
-            if len(parts) != 3:
-                raise GraphParseError("malformed", line_no, "n line needs an id and a weight")
-            vid, weight = parse_decimal(parts[1]), parse_decimal(parts[2])
-            if vid is None or weight is None:
-                raise _not_decimal(parts, line_no, "vertex id", "weight")
-            if not 1 <= vid <= n:
-                raise GraphParseError("id-range", line_no, f"vertex id {vid} outside 1..{n}")
-            if not 0 <= weight <= MAX_WEIGHT:
-                raise GraphParseError(
-                    "weight-range", line_no, f"weight {weight} outside 0..{MAX_WEIGHT}"
-                )
-            if vid in weights:
-                raise GraphParseError("duplicate-weight", line_no, f"second weight for vertex {vid}")
-            weights[vid] = weight
-        elif tag == "e":
-            if len(parts) != 3:
-                raise GraphParseError("malformed", line_no, "e line needs two endpoints")
-            u, v = parse_decimal(parts[1]), parse_decimal(parts[2])
-            if u is None or v is None:
-                raise _not_decimal(parts, line_no, "endpoint", "endpoint")
-            if u == v:
-                raise GraphParseError("self-loop", line_no, f"self-loop at vertex {u}")
-            for endpoint in (u, v):
-                if not 1 <= endpoint <= n:
-                    raise GraphParseError(
-                        "id-range", line_no, f"vertex id {endpoint} outside 1..{n}"
-                    )
-            key = (u, v) if u < v else (v, u)
+        if tag not in _RECORDS:
+            raise GraphParseError("malformed", line_no, f"unknown record type {tag!r}")
+        if len(parts) != 3:
+            raise GraphParseError("malformed", line_no, _RECORDS[tag][0])
+        a, b = parse_decimal(parts[1]), parse_decimal(parts[2])
+        if a is None or b is None:
+            _, first, second = _RECORDS[tag]
+            what, token = (first, parts[1]) if a is None else (second, parts[2])
+            raise GraphParseError(
+                "malformed", line_no, f"{what} must be an ASCII decimal integer, got {token!r}"
+            )
+        if tag == "e":
+            if a == b:
+                raise GraphParseError("self-loop", line_no, f"self-loop at vertex {a}")
+            for v in (a, b):
+                if not 1 <= v <= n:
+                    raise GraphParseError("id-range", line_no, f"vertex id {v} outside 1..{n}")
+            key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise GraphParseError("duplicate-edge", line_no, f"edge {key} repeated")
             seen.add(key)
             edges.append(key)
+        elif tag == "n":
+            if not 1 <= a <= n:
+                raise GraphParseError("id-range", line_no, f"vertex id {a} outside 1..{n}")
+            if not 0 <= b <= MAX_WEIGHT:
+                raise GraphParseError(
+                    "weight-range", line_no, f"weight {b} outside 0..{MAX_WEIGHT}"
+                )
+            if a in weights:
+                raise GraphParseError("duplicate-weight", line_no, f"second weight for vertex {a}")
+            weights[a] = b
         else:
-            raise GraphParseError("malformed", line_no, f"unknown record type {tag!r}")
+            if a < 0 or b < 0:
+                raise GraphParseError("header", line_no, "counts must be non-negative")
+            # The graph's table takes about n^2/16 bytes, whatever the file's length.
+            if a > MAX_VERTICES:
+                raise GraphParseError("header", line_no, f"vertex count {a} exceeds {MAX_VERTICES}")
+            n, declared_m = a, b
 
     if n is None:
         raise GraphParseError("header", 0, "missing p line")

@@ -134,7 +134,8 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
     def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-        return _run(_PathScheme(0, RunStats(), None), _call, g, w)
+        result = _run(_PathScheme(0, None), _call, g, w)
+        return result.weight, result.witness
 
     def solve(g: Graph, w: WeightMap) -> int:
         return solve_with_witness(g, w)[0]
@@ -224,10 +225,8 @@ class _PatternScheme(Scheme):
     chain_rule = "neighborhood-chain"
     audit_from_n = 2
 
-    def __init__(
-        self, level: int, stats: RunStats, pattern: PatternGraph, oracles: tuple, assume_hfree: bool
-    ):
-        self.level, self.stats = level, stats
+    def __init__(self, level: int, pattern: PatternGraph, oracles: tuple, assume_hfree: bool):
+        self.level, self.stats = level, RunStats()
         self.pattern, self.oracles, self.assume_hfree = pattern, oracles, assume_hfree
         self.size, self.c = pattern.total_size, len(pattern.components)
         self.params = {"pattern_size": self.size, "pattern_components": self.c}
@@ -364,7 +363,5 @@ def solve_hfree(
                 f"oracle {idx} ({oracle.name}) claims a pattern that is not "
                 f"isomorphic to component {idx}"
             )
-    stats = RunStats()
-    scheme = _PatternScheme(_parse_level(assertion_level), stats, pattern, oracles, assume_hfree)
-    weight, witness = _run(scheme, _expand, g, w)
-    return SolveResult(weight=weight, witness=witness, stats=stats)
+    scheme = _PatternScheme(_parse_level(assertion_level), pattern, oracles, assume_hfree)
+    return _run(scheme, _expand, g, w)

@@ -107,8 +107,6 @@ class VertexMultiFamily:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VertexMultiFamily):
             return NotImplemented
-        if self.table is other.table:
-            return self.masks == other.masks
         return self.members == other.members
 
     def __hash__(self) -> int:

@@ -27,7 +27,8 @@ before that, by the public entry: alg1_call or solve_hfree. Inside the
 recursion a witness is a mask over the root graph's table: a leaf of one
 vertex answers with its graph's mask, a branch ORs in its vertex's bit and
 a split ORs its children's masks. _run decodes the root's mask into the
-frozenset that SolveResult and the oracles' contract use.
+frozenset that SolveResult and the oracles' contract use, and returns the
+SolveResult of every run: weight, witness and the scheme's stats.
 
 Correctness never depends on the input being path-free; the quasi-polynomial
 call bound does. The optional k_hint enables the k-dependent audit bounds
@@ -304,8 +305,8 @@ class _PathScheme(Scheme):
     growth_rule = RULE_ADD_SEPARATOR
     chain_rule = "separator-chain"
 
-    def __init__(self, level: int, stats: RunStats, k: int | None):
-        self.level, self.stats, self.k, self.params = level, stats, k, {"k": k}
+    def __init__(self, level: int, k: int | None):
+        self.level, self.stats, self.k, self.params = level, RunStats(), k, {"k": k}
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
         components = component_masks(g.table.adj, g.mask)
@@ -358,11 +359,12 @@ def _run(
     w: WeightMap,
     capacity_n: int | None = None,
     family: VertexMultiFamily | None = None,
-) -> tuple[int, frozenset[int]]:
+) -> SolveResult:
     """Build the validated root (g, w, N, F), drive it and verify the witness.
 
     N defaults to max(1, |V(g)|) and F to the empty family over g's table.
-    The recursion's witness mask is decoded here, once.
+    The recursion's witness mask is decoded here, once, into the result
+    that also carries the scheme's stats.
     """
     if family is None:
         family = VertexMultiFamily(table=g.table)
@@ -370,24 +372,21 @@ def _run(
     weight, mask = drive(root, expand, scheme)
     witness = g.table.decode(mask)
     verify_witness(g, w, weight, witness)
-    return weight, witness
+    return SolveResult(weight, witness, scheme.stats)
 
 
 def alg1_call(
-    inst: Instance,
-    k_hint: int | None = None,
-    assertion_level: str = "fair",
-    stats: RunStats | None = None,
-) -> tuple[int, frozenset[int]]:
+    inst: Instance, k_hint: int | None = None, assertion_level: str = "fair"
+) -> SolveResult:
     """Run the path-scheme recursion on one instance and verify its witness.
 
     The instance must satisfy 1 <= N and |V(G)| <= N; that shape is
     preserved by every rule and is what guarantees termination. Its weights
-    must cover V(G) and its family members must be vertex sets of G. Pass a
-    RunStats to keep the run's counters, otherwise a throwaway one is used.
+    must cover V(G) and its family members must be vertex sets of G.
 
     Returns:
-        (weight, witness) for the instance's graph.
+        SolveResult with weight, a witness independent set of the
+        instance's graph, and run stats.
     """
     g, n_cap = inst.graph, inst.capacity_n
     if k_hint is not None and k_hint < 1:
@@ -400,9 +399,7 @@ def alg1_call(
     # The recursion keeps F over the graph's table.
     if not all(v in g for member in inst.family for v in member):
         raise ValueError("family members must be vertex sets of the instance's graph")
-    if stats is None:
-        stats = RunStats()
-    scheme = _PathScheme(_parse_level(assertion_level), stats, k_hint)
+    scheme = _PathScheme(_parse_level(assertion_level), k_hint)
     return _run(scheme, _call, g, inst.weights, n_cap, inst.family.over(g.table))
 
 
@@ -429,10 +426,8 @@ def solve_pkfree(
     Returns:
         SolveResult with weight, a witness independent set, and run stats.
     """
-    stats = RunStats()
     root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
-    weight, witness = alg1_call(root, k_hint=k_hint, assertion_level=assertion_level, stats=stats)
-    return SolveResult(weight=weight, witness=witness, stats=stats)
+    return alg1_call(root, k_hint=k_hint, assertion_level=assertion_level)
 
 
 def verify_witness(g: Graph, w: WeightMap, weight: int, witness: frozenset[int]) -> None:

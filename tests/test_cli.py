@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qmwis
 import qmwis.cli as cli
 from qmwis import InvariantViolation, parse_graph
 
@@ -516,6 +521,47 @@ def test_bench_parse_error_names_the_bad_file(tmp_path, capsys):
         "line": 2,
         "file": str(tmp_path / "b.graph"),
     }
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{g}"],
+        ["solve-hfree", "{g}", "--pattern", "{ok}", "--oracle", "bruteforce"],
+        ["solve-hfree", "{ok}", "--pattern", "{g}", "--oracle", "bruteforce"],
+        ["separator", "{g}"],
+        ["check-pkfree", "3", "{g}"],
+        ["bench", "{dir}"],
+    ],
+    ids=["solve", "solve-hfree", "solve-hfree-pattern", "separator", "check-pkfree", "bench"],
+)
+def test_a_huge_declared_vertex_count_is_a_header_error(argv, tmp_path):
+    # A 15-byte file must not make any subcommand allocate for 10^9 vertices:
+    # under a 1 GiB address-space limit the run ends as a parse error.
+    (tmp_path / "huge.graph").write_text("p 1000000000 0\n")
+    ok = tmp_path / "ok.txt"
+    ok.write_text("p 1 0\n")
+    args = [a.format(g=tmp_path / "huge.graph", ok=ok, dir=tmp_path) for a in argv]
+    limited_cli = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.argv[0] = 'qmwis'\n"
+        "runpy.run_module('qmwis.cli', run_name='__main__')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(qmwis.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", limited_cli, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    error = json.loads(proc.stderr)["error"]
+    assert error["kind"] == "parse-error"
+    assert error["details"]["kind"] == "header"
+    assert error["details"]["line"] == 1
 
 
 @pytest.mark.parametrize("p", ["1.7", "-0.1", "nan"])

@@ -12,6 +12,7 @@ from qmwis import (
     emit_graph,
     error_document,
     generate,
+    graphio,
     parse_graph,
 )
 
@@ -57,6 +58,7 @@ def test_error_missing_header():
     err = parse_err("e 1 2\n")
     assert err.kind == "header"
     assert err.line_no == 1
+    assert str(err) == "line 1: 'e' record before the p line"
     err = parse_err("c only a comment\n")
     assert err.kind == "header"
     assert err.line_no == 0
@@ -66,21 +68,41 @@ def test_error_second_header():
     err = parse_err("p 2 0\np 2 0\n")
     assert err.kind == "header"
     assert err.line_no == 2
+    assert str(err) == "line 2: second p line"
 
 
 def test_error_negative_counts():
-    assert parse_err("p -1 0\n").kind == "header"
+    err = parse_err("p -1 0\n")
+    assert err.kind == "header"
+    assert str(err) == "line 1: counts must be non-negative"
     assert parse_err("p 2 -1\n").kind == "header"
 
 
+def test_error_vertex_count_over_the_cap():
+    err = parse_err("c a comment\np 16385 0\n")
+    assert (err.kind, err.line_no) == ("header", 2)
+    assert str(err) == "line 2: vertex count 16385 exceeds 16384"
+    assert parse_err("p 1000000000 0\n").kind == "header"
+    g, w = parse_graph("p 16384 0\n")
+    assert g.n == len(w) == graphio.MAX_VERTICES == 16384
+
+
 def test_error_malformed_lines():
-    assert parse_err("p 2\n").kind == "malformed"
+    err = parse_err("p 2\n")
+    assert err.kind == "malformed"
+    assert str(err) == "line 1: p line needs exactly 2 numbers"
     assert parse_err("p 2 0 9\n").kind == "malformed"
     assert parse_err("p two 0\n").kind == "malformed"
-    assert parse_err("p 2 0\nq 1 2\n").kind == "malformed"
-    assert parse_err("p 2 1\ne 1\n").kind == "malformed"
+    err = parse_err("p 2 0\nq 1 2\n")
+    assert err.kind == "malformed"
+    assert str(err) == "line 2: unknown record type 'q'"
+    err = parse_err("p 2 1\ne 1\n")
+    assert err.kind == "malformed"
+    assert str(err) == "line 2: e line needs two endpoints"
     assert parse_err("p 2 1\ne 1 2 3\n").kind == "malformed"
-    assert parse_err("p 2 0\nn 1\n").kind == "malformed"
+    err = parse_err("p 2 0\nn 1\n")
+    assert err.kind == "malformed"
+    assert str(err) == "line 2: n line needs an id and a weight"
     err = parse_err("p 2 1\ne one 2\n")
     assert err.kind == "malformed"
     assert err.line_no == 2
@@ -143,16 +165,19 @@ def test_error_duplicate_weight():
 def test_error_duplicate_edge():
     err = parse_err("p 3 2\ne 1 2\ne 2 1\n")
     assert err.kind == "duplicate-edge" and err.line_no == 3
+    assert str(err) == "line 3: edge (1, 2) repeated"
 
 
 def test_error_self_loop():
     err = parse_err("p 3 1\ne 2 2\n")
     assert err.kind == "self-loop" and err.line_no == 2
+    assert str(err) == "line 2: self-loop at vertex 2"
 
 
 def test_error_count_mismatch():
     err = parse_err("p 3 2\ne 1 2\n")
     assert err.kind == "count-mismatch" and err.line_no == 0
+    assert str(err) == "line 0: p line declared 2 edges, found 1"
     assert parse_err("p 3 0\ne 1 2\n").kind == "count-mismatch"
 
 

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmwis import (
+    GeneratorSpec,
     Graph,
     Instance,
     InvariantViolation,
     RunStats,
+    SolveResult,
     VertexMultiFamily,
     alg1_call,
     brute_force_mwis,
+    generate,
     is_independent_set,
     max_measure_k,
     measure_k,
@@ -160,18 +163,28 @@ def test_alg1_call_with_preloaded_family_is_still_exact():
     g = path_graph(4)
     w = {1: 2, 2: 9, 3: 9, 4: 2}
     inst = Instance(g, w, 4, VertexMultiFamily([{1, 2, 3, 4}]))
-    weight, witness = alg1_call(inst, assertion_level="off")
-    assert weight == 11
-    assert is_independent_set(g, witness)
-    assert total_weight(w, witness) == 11
+    result = alg1_call(inst, assertion_level="off")
+    assert result.weight == 11
+    assert is_independent_set(g, result.witness)
+    assert total_weight(w, result.witness) == 11
 
 
-def test_alg1_call_shares_stats_object():
-    stats = RunStats()
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_alg1_call_returns_the_solve_result_of_solve_pkfree(level):
+    # solve_pkfree's root: N = max(1, |V(G)|) and F empty over g's table.
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
+    inst = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
+    got = alg1_call(inst, k_hint=4, assertion_level=level)
+    want = solve_pkfree(g, w, k_hint=4, assertion_level=level)
+    assert isinstance(got, SolveResult)
+    assert (got.weight, got.witness) == (want.weight, want.witness)
+    assert got.stats.to_dict() == want.stats.to_dict()
+
+
+def test_alg1_call_takes_no_stats():
     inst = Instance(path_graph(3), unit_weights(path_graph(3)), 3, VertexMultiFamily())
-    weight, _ = alg1_call(inst, stats=stats)
-    assert weight == 2
-    assert stats.calls > 0
+    with pytest.raises(TypeError):
+        alg1_call(inst, stats=RunStats())
 
 
 def test_collect_witness_take_wins_strictly():
@@ -289,7 +302,7 @@ def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
     g = path_graph(8)
     inst = Instance(g, {v: 1 for v in g.vertex_ids()}, 8, VertexMultiFamily([{1}]))
     if level != "paranoid":
-        assert alg1_call(inst, assertion_level=level)[0] == 4
+        assert alg1_call(inst, assertion_level=level).weight == 4
         return
     with pytest.raises(InvariantViolation) as info:
         alg1_call(inst, assertion_level=level)
