@@ -110,23 +110,29 @@ def max_measure_h(capacity_n: int, pattern_size: int, pattern_components: int) -
     return 4 * pattern_size * pattern_size * pattern_components * capacity_n * log_n * log_n
 
 
-def check_level_sizes(family: VertexMultiFamily, bound: int, label: str) -> None:
-    """Raise unless |L(F, i)| 2^(i-1) <= bound |F| on every level."""
-    for i, size in enumerate(family.level_sizes(), 1):
-        if size << (i - 1) > bound * len(family):
+def check_level_sizes(sizes: tuple[int, ...], family_size: int, bound: int, label: str) -> None:
+    """Raise unless |L(F, i)| 2^(i-1) <= bound |F| on every level.
+
+    sizes is F's level_sizes() and family_size is |F|.
+    """
+    for i, size in enumerate(sizes, 1):
+        if size << (i - 1) > bound * family_size:
             raise InvariantViolation(
                 "level-size",
                 f"|L(F, {i})| = {size} exceeds its {label} bound",
-                {"level": i, "occupancy": size, "family_size": len(family)},
+                {"level": i, "occupancy": size, "family_size": family_size},
             )
 
 
 def check_level_growth(
-    family: VertexMultiFamily, grown: VertexMultiFamily, bound: int, label: str, details: dict
+    before: tuple[int, ...], after: tuple[int, ...], bound: int, label: str, details: dict
 ) -> None:
-    """Raise unless every level of grown exceeds family's by at most bound / 2^(i-1)."""
-    before = family.level_sizes()
-    for i, size in enumerate(grown.level_sizes(), 1):
+    """Raise unless every level size in after exceeds before's by at most bound / 2^(i-1).
+
+    before and after are the level_sizes() of a family and of the family
+    grown by one member.
+    """
+    for i, size in enumerate(after, 1):
         growth = size - (before[i - 1] if i <= len(before) else 0)
         if growth << (i - 1) > bound:
             raise InvariantViolation(
@@ -234,8 +240,9 @@ class RunStats:
         if graph_size > self.max_graph_size:
             self.max_graph_size = graph_size
 
-    def record_levels(self, family: VertexMultiFamily) -> None:
-        for i, size in enumerate(family.level_sizes(), 1):
+    def record_levels(self, sizes: tuple[int, ...]) -> None:
+        """Fold a family's level_sizes() into max_level_occupancy."""
+        for i, size in enumerate(sizes, 1):
             if size > self.max_level_occupancy.get(i, 0):
                 self.max_level_occupancy[i] = size
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import Graph, WeightMap, component_masks
-from .graphio import MAX_WEIGHT
+from .graphio import MAX_VERTICES, MAX_WEIGHT
 
 DEFAULT_BRUTE_FORCE_CAP = 25
 
@@ -223,13 +223,18 @@ def generate(spec: GeneratorSpec) -> tuple[Graph, WeightMap]:
     """Build the graph and weights described by spec.
 
     Raises:
-        ValueError: on an unknown kind, missing kind parameters, an edge
-            probability p outside [0, 1] or an invalid weight range.
+        ValueError: on a size outside [0, MAX_VERTICES], the largest graph
+            the graph format reads back, an unknown kind, missing kind
+            parameters, an edge probability p outside [0, 1] or an invalid
+            weight range.
         GenerationError: when rejection sampling exhausts max_attempts.
     """
     n = spec.size
     if n < 0:
         raise ValueError(f"size must be >= 0, got {n}")
+    if n > MAX_VERTICES:
+        # Checked before any graph is built: parse_graph reads no larger one.
+        raise ValueError(f"size {n} exceeds {MAX_VERTICES}, the most vertices a graph file holds")
     lo, hi = spec.weight_range
     if lo < 0 or hi < lo or hi > MAX_WEIGHT:
         raise ValueError(f"invalid weight range {spec.weight_range}")

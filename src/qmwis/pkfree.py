@@ -38,7 +38,6 @@ and never influences the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Generator
 
 from ._engine import Expand, drive
@@ -77,14 +76,18 @@ class Instance:
 
     The recursion makes one per call and treats it as immutable; a plain
     slotted class keeps that cheap. alg1_call validates one from outside.
+    potential is None until _check_edge audits the edge into the node: it
+    computes the node's potential there, once, and stores it here for the
+    node's own call to reuse instead of computing it again.
     """
 
-    __slots__ = ("graph", "weights", "capacity_n", "family")
+    __slots__ = ("graph", "weights", "capacity_n", "family", "potential")
 
     def __init__(
         self, graph: Graph, weights: WeightMap, capacity_n: int, family: VertexMultiFamily
     ):
         self.graph, self.weights, self.capacity_n, self.family = graph, weights, capacity_n, family
+        self.potential: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +141,21 @@ class Scheme:
 
 
 def _check_call(
-    g: Graph, n: int, n_cap: int, log_n: int, family: VertexMultiFamily, scheme: Scheme
+    g: Graph,
+    n: int,
+    n_cap: int,
+    log_n: int,
+    family: VertexMultiFamily,
+    scheme: Scheme,
+    mu: int | None = None,
+    sizes: tuple[int, ...] | None = None,
 ) -> int | None:
-    """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable."""
+    """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
+
+    At "paranoid", mu is the potential the edge into this call computed and
+    sizes F's level sizes, each None to compute it here; every check runs
+    on the value either way.
+    """
     # The member count, read without the Python-level call of len(family).
     stats, size = scheme.stats, len(family._raw)
     stats.on_call(n, size)
@@ -171,14 +186,17 @@ def _check_call(
     if scheme.level < 2:
         return None
 
-    stats.record_levels(family)
+    if sizes is None:
+        sizes = family.level_sizes()
+    stats.record_levels(sizes)
     scheme.check_members(g, family, n_cap)
     bound = scheme.level_bound(n_cap)
     if bound is not None:
-        check_level_sizes(family, bound[0], bound[1])
-    mu = scheme.potential(n, n_cap, family)
+        check_level_sizes(sizes, size, bound[0], bound[1])
     if mu is None:
-        return None
+        mu = scheme.potential(n, n_cap, family)
+        if mu is None:
+            return None
     ceiling = scheme.ceiling(n_cap)
     if not 0 <= mu <= ceiling:
         raise InvariantViolation(
@@ -189,11 +207,17 @@ def _check_call(
     return mu
 
 
-def _check_edge(parent_mu: int, child: Instance, rule: str, scheme: Scheme) -> None:
-    """Audit the potential's decrease from a call with potential parent_mu to child."""
-    child_mu = scheme.potential(child.graph.n, child.capacity_n, child.family)
+def _check_edge(parent_mu: int, child: Instance, rule: str, scheme: Scheme) -> int:
+    """Audit the potential's decrease from a call with potential parent_mu to child.
+
+    The child's potential is computed here, where a family-size violation
+    inside it is raised, and is stored in child.potential and returned so
+    that the child's own _check_call reuses it.
+    """
+    child_mu = child.potential = scheme.potential(child.graph.n, child.capacity_n, child.family)
     assert_recurrence_step(parent_mu, child_mu, rule, scheme.params)
     scheme.stats.record_measure(rule, parent_mu, child_mu)
+    return child_mu
 
 
 def _expand(
@@ -209,6 +233,11 @@ def _expand(
     n = g.mask.bit_count()
     log_n = (n_cap - 1).bit_length()
     stats = scheme.stats
+    # At "paranoid" each iteration's potential and level sizes are carried
+    # from where they were first computed: the edge into the call, and the
+    # level-growth audit of the growth before it.
+    audit = scheme.level >= 2
+    mu, sizes = inst.potential, family.level_sizes() if audit else None
 
     # Consecutive growths of F keep the same graph, so they run as a loop
     # in this frame rather than growing the stack. Every iteration is one
@@ -216,7 +245,7 @@ def _expand(
     # first asks for the split, which depends on G and N alone.
     adds_in_a_row = 0
     while True:
-        parent_mu = _check_call(g, n, n_cap, log_n, family, scheme)
+        parent_mu = _check_call(g, n, n_cap, log_n, family, scheme, mu, sizes)
 
         if not adds_in_a_row and (split := scheme.split(g, n_cap)) is not None:
             stats.component_recursions += 1
@@ -275,12 +304,14 @@ def _expand(
                 )
         scheme.record_growth()
         grown = family.add(member)
-        if scheme.level >= 2:
+        if audit:
+            grown_sizes = grown.level_sizes()
             bound = scheme.level_bound(n_cap)
             if bound is not None:
-                check_level_growth(family, grown, *bound)
+                check_level_growth(sizes, grown_sizes, *bound)
+            sizes = grown_sizes
         if parent_mu is not None:
-            _check_edge(parent_mu, Instance(g, w, n_cap, grown), scheme.growth_rule, scheme)
+            mu = _check_edge(parent_mu, Instance(g, w, n_cap, grown), scheme.growth_rule, scheme)
         family = grown
 
 
@@ -292,7 +323,7 @@ def _call(inst: Instance, scheme: Scheme) -> Any:
     if n > 1:
         return _expand(inst, scheme)
     n_cap = inst.capacity_n
-    _check_call(g, n, n_cap, (n_cap - 1).bit_length(), inst.family, scheme)
+    _check_call(g, n, n_cap, (n_cap - 1).bit_length(), inst.family, scheme, inst.potential)
     if not n:
         return 0, 0
     return inst.weights[g.table.ids[g.mask.bit_length() - 1]], g.mask
@@ -327,7 +358,8 @@ class _PathScheme(Scheme):
         return f"|F| = {size} exceeds 10k log(N) = {bound}", bound
 
     def check_members(self, g: Graph, family: VertexMultiFamily, n_cap: int) -> None:
-        quarter = Fraction(n_cap, 4)
+        # Component sizes are integers: |C| <= N/4 iff |C| <= N // 4.
+        quarter = n_cap // 4
         for member in family.iter_masks():
             if not verify_balanced(g, member, quarter):
                 raise InvariantViolation(

@@ -573,6 +573,16 @@ def test_generate_rejects_edge_probability_outside_unit_interval(p, capsys):
     assert "edge probability" in error["message"]
 
 
+def test_generate_refuses_a_size_over_the_file_cap(tmp_path, capsys):
+    out_path = tmp_path / "big.graph"
+    code, out, err = run(["generate", "path", "--size", "16385", "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input-error"
+    assert error["message"] == "size 16385 exceeds 16384, the most vertices a graph file holds"
+    assert not out_path.exists()
+
+
 def test_bench_rejects_non_directory(capsys):
     code, _, err = run(["bench", "/nonexistent-dir"], capsys)
     assert code == 2

@@ -385,6 +385,27 @@ def test_paranoid_checks_the_graph_handed_to_an_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
+def test_paranoid_computes_at_most_one_potential_per_call(seed, monkeypatch):
+    # Cographs are P4-free, so K3+P4 is absent; K3 copies make F grow.
+    import qmwis.hfree as hfree
+    from qmwis import GeneratorSpec, generate
+
+    real_measure, counted = hfree.measure_h, []
+
+    def measure(*args):
+        counted.append(args)
+        return real_measure(*args)
+
+    monkeypatch.setattr(hfree, "measure_h", measure)
+    g, w = generate(GeneratorSpec(kind="cograph", size=40, seed=seed))
+    pattern = PatternGraph(components=(complete_graph(3), path_graph(4)))
+    oracles = [make_bruteforce_oracle(), make_pk_oracle(4)]
+    r = solve_hfree(pattern, g, w, oracles, assume_hfree=True, assertion_level="paranoid")
+    assert r.stats.neighborhoods_added_count and r.stats.branch_steps
+    assert 0 < len(counted) <= r.stats.calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
 def test_honest_paranoid_runs_on_cographs(seed):
     """Cographs are P4-free, so assume_hfree is true for K3+P4 and P4+K3 alike."""
     from qmwis import GeneratorSpec, generate, solve_pkfree

@@ -158,7 +158,7 @@ def test_run_stats_counters_and_maxima():
     s.record_oracle_call(1)
     assert s.oracle_calls == 3
     assert s.oracle_calls_by_index == {0: 2, 1: 1}
-    s.record_levels(VertexMultiFamily([{1, 2, 3}, {3}]))
+    s.record_levels(VertexMultiFamily([{1, 2, 3}, {3}]).level_sizes())
     assert s.max_level_occupancy == {1: 3, 2: 1}
 
 
@@ -198,9 +198,9 @@ def test_invariant_violation_carries_rule_and_details():
 
 def test_level_size_bound():
     family = VertexMultiFamily([{1, 2, 3}, {1, 2}])  # levels {1, 2, 3} and {1, 2}
-    check_level_sizes(family, 2, "|H|")  # 3 <= 2 * 2 and 2 * 2 <= 2 * 2
+    check_level_sizes(family.level_sizes(), len(family), 2, "|H|")  # 3 <= 2 * 2 and 2 * 2 <= 2 * 2
     with pytest.raises(InvariantViolation) as info:
-        check_level_sizes(family, 1, "|H|")
+        check_level_sizes(family.level_sizes(), len(family), 1, "|H|")
     assert str(info.value) == "level-size: |L(F, 1)| = 3 exceeds its |H| bound"
     assert info.value.details == {"level": 1, "occupancy": 3, "family_size": 2}
 
@@ -208,8 +208,9 @@ def test_level_size_bound():
 def test_level_growth_bound():
     family = VertexMultiFamily([{1, 2, 3}])
     grown = family.add({1, 2})  # level 1 unchanged, level 2 gains {1, 2}
-    check_level_growth(family, grown, 4, "8k", {"N": 4, "k": 1})
+    before, after = family.level_sizes(), grown.level_sizes()
+    check_level_growth(before, after, 4, "8k", {"N": 4, "k": 1})
     with pytest.raises(InvariantViolation) as info:
-        check_level_growth(family, grown, 3, "8k", {"N": 4, "k": 1})
+        check_level_growth(before, after, 3, "8k", {"N": 4, "k": 1})
     assert str(info.value) == "level-growth: level 2 grew by 2, over its 8k bound"
     assert info.value.details == {"level": 2, "growth": 2, "N": 4, "k": 1}

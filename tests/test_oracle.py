@@ -223,6 +223,14 @@ def test_generate_validates_spec():
         generate(GeneratorSpec(kind="nonsense", size=5, seed=0))
 
 
+def test_generate_refuses_more_vertices_than_a_graph_file_holds():
+    from qmwis.graphio import MAX_VERTICES
+
+    # parse_graph reads no larger graph, so generate builds none.
+    with pytest.raises(ValueError, match=f"size {MAX_VERTICES + 1} exceeds {MAX_VERTICES}"):
+        generate(GeneratorSpec(kind="path", size=MAX_VERTICES + 1, seed=0))
+
+
 def test_generate_edge_probability_must_lie_in_unit_interval():
     for kind in ("random-gnp", "pk-free-rejection"):
         for p, edges in ((0, 0), (1, 10)):

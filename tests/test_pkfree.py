@@ -332,3 +332,35 @@ def test_growth_retries_never_split_again(monkeypatch):
     result = solve_pkfree(g, w)
     assert result.stats.separators_added > 0
     assert counts["splits"] == counts["frames"] > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_paranoid_computes_one_potential_per_call(seed, monkeypatch):
+    # The edge into a call computes the child's potential; the call reuses it.
+    import qmwis.pkfree as pkfree
+
+    real_measure, counted = pkfree.measure_k, []
+
+    def measure(*args):
+        counted.append(args)
+        return real_measure(*args)
+
+    monkeypatch.setattr(pkfree, "measure_k", measure)
+    g, w = generate(GeneratorSpec(kind="cograph", size=40, seed=seed))
+    stats = solve_pkfree(g, w, k_hint=4, assertion_level="paranoid").stats
+    assert stats.separators_added and stats.branch_steps and stats.component_recursions
+    assert len(counted) == stats.calls
+
+
+@pytest.mark.parametrize("seed, size", [(1, 96), (2, 112), (3, 128)])
+def test_paranoid_audit_at_benchmark_scale_matches_fair(seed, size):
+    # Cographs are P4-free, so k_hint=4 is a true claim and every audit passes.
+    g, w = generate(GeneratorSpec(kind="cograph", size=size, seed=seed))
+    fair = solve_pkfree(g, w, k_hint=4)
+    paranoid = solve_pkfree(g, w, k_hint=4, assertion_level="paranoid")
+    assert paranoid.stats.separators_added > 0
+    assert (paranoid.weight, paranoid.witness, paranoid.stats.calls) == (
+        fair.weight,
+        fair.witness,
+        fair.stats.calls,
+    )

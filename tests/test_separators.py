@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmwis import (
     Graph,
@@ -137,6 +139,22 @@ def test_core_size_bounded_on_short_path_graphs():
         produced += 1
         for i in (1, 2, 3):
             assert len(g.table.decode(balanced_separator_core(g, i))) <= 2 ** (i + 1) * 5
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_verify_balanced_takes_the_integer_quarter(data):
+    # Component sizes are integers, so |C| <= N/4 iff |C| <= N // 4.
+    n = data.draw(st.integers(min_value=0, max_value=14), label="n")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
+    ids = list(range(1, n + 1))
+    p = data.draw(st.sampled_from([0.1, 0.3, 0.6]), label="p")
+    g = Graph(ids, [(u, v) for u in ids for v in ids if u < v and rng.random() < p])
+    separator = frozenset(v for v in ids if rng.random() < 0.3)
+    cap = data.draw(st.integers(min_value=1, max_value=40), label="N")
+    assert verify_balanced(g, separator, cap // 4) == verify_balanced(g, separator, Fraction(cap, 4))
+    mask = g.table.mask(separator)
+    assert verify_balanced(g, mask, cap // 4) == verify_balanced(g, separator, Fraction(cap, 4))
 
 
 def test_verify_balanced():
