@@ -57,73 +57,88 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qmwis",
-        description="Exact maximum-weight independent set via separator-guided branching.",
-    )
-    # Each subcommand takes only the shared flags it reads, so a flag it
-    # would ignore is a usage error.
-    level = _Parser(add_help=False)
-    level.add_argument(
+# The flags that several subcommands share. Each subcommand takes only the
+# shared flags it reads, so a flag it would ignore is a usage error.
+def _add_level(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--assert",
         dest="assertion_level",
         choices=tuple(_LEVELS),
         default="fair",
         help="runtime invariant checking level (default: %(default)s)",
     )
-    output = _Parser(add_help=False)
-    output.add_argument("--stats", metavar="PATH", help="write run statistics JSON to PATH")
-    output.add_argument("--witness", action="store_true", help="include the witness in the report")
-    k_hint = _Parser(add_help=False)
-    k_hint.add_argument("--k-hint", type=int, default=None, help="claimed induced-path bound")
 
+
+def _add_output(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--stats", metavar="PATH", help="write run statistics JSON to PATH")
+    p.add_argument("--witness", action="store_true", help="include the witness in the report")
+
+
+def _add_k_hint(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--k-hint", type=int, default=None, help="claimed induced-path bound")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser; given a subcommand name, it registers only that one.
+
+    A call runs one subcommand, so cli_main builds only that subcommand's
+    parser; its help, usage and errors are those of the full parser.
+    """
+    parser = _Parser(
+        prog="qmwis",
+        description="Exact maximum-weight independent set via separator-guided branching.",
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[level, output, k_hint], help="solve one graph file")
-    p_solve.add_argument("file", help="graph file path, or - for stdin")
+    def add(name: str, help_line: str, *shared) -> argparse.ArgumentParser | None:
+        if only not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help_line)
+        for add_flags in shared:
+            add_flags(p)
+        return p
 
-    p_hfree = sub.add_parser(
-        "solve-hfree", parents=[level, output], help="solve with a forbidden pattern and oracles"
-    )
-    p_hfree.add_argument("file", help="graph file path, or - for stdin")
-    p_hfree.add_argument("--pattern", required=True, help="pattern graph file")
-    p_hfree.add_argument(
-        "--oracle",
-        action="append",
-        default=None,
-        metavar="SPEC",
-        help="oracle per pattern component, in order: bruteforce | bruteforce:<cap> | pk:<k>",
-    )
-    p_hfree.add_argument(
-        "--assume-hfree",
-        action="store_true",
-        help="claim the input is pattern-free; enables the pattern-dependent invariants",
-    )
+    if p := add("solve", "solve one graph file", _add_level, _add_output, _add_k_hint):
+        p.add_argument("file", help="graph file path, or - for stdin")
 
-    p_sep = sub.add_parser("separator", help="compute a balanced separator core")
-    p_sep.add_argument("file", help="graph file path, or - for stdin")
-    p_sep.add_argument("--i", dest="parameter_i", type=int, default=2, help="balance exponent")
+    hfree_help = "solve with a forbidden pattern and oracles"
+    if p := add("solve-hfree", hfree_help, _add_level, _add_output):
+        p.add_argument("file", help="graph file path, or - for stdin")
+        p.add_argument("--pattern", required=True, help="pattern graph file")
+        p.add_argument(
+            "--oracle",
+            action="append",
+            default=None,
+            metavar="SPEC",
+            help="oracle per pattern component, in order: bruteforce | bruteforce:<cap> | pk:<k>",
+        )
+        p.add_argument(
+            "--assume-hfree",
+            action="store_true",
+            help="claim the input is pattern-free; enables the pattern-dependent invariants",
+        )
 
-    p_check = sub.add_parser("check-pkfree", help="test for induced paths on k vertices")
-    p_check.add_argument("k", type=int, help="path length to forbid")
-    p_check.add_argument("file", help="graph file path, or - for stdin")
+    if p := add("separator", "compute a balanced separator core"):
+        p.add_argument("file", help="graph file path, or - for stdin")
+        p.add_argument("--i", dest="parameter_i", type=int, default=2, help="balance exponent")
 
-    p_gen = sub.add_parser("generate", help="emit a generated graph file")
-    p_gen.add_argument("kind", choices=GeneratorSpec.KINDS, help="generator family")
-    p_gen.add_argument("--seed", type=int, default=0, help="generator seed")
-    p_gen.add_argument("--size", type=int, required=True, help="vertex count")
-    p_gen.add_argument("--p", type=float, default=None, help="edge probability")
-    p_gen.add_argument("--path-bound", type=int, default=None, help="rejection bound k")
-    p_gen.add_argument("--weight-lo", type=int, default=0, help="minimum weight")
-    p_gen.add_argument("--weight-hi", type=int, default=100, help="maximum weight")
-    p_gen.add_argument("--max-attempts", type=int, default=5000, help="rejection attempt cap")
-    p_gen.add_argument("--out", default=None, help="output path (default stdout)")
+    if p := add("check-pkfree", "test for induced paths on k vertices"):
+        p.add_argument("k", type=int, help="path length to forbid")
+        p.add_argument("file", help="graph file path, or - for stdin")
 
-    p_bench = sub.add_parser(
-        "bench", parents=[level, k_hint], help="solve every graph in a directory"
-    )
-    p_bench.add_argument("dir", help="directory of .graph files")
+    if p := add("generate", "emit a generated graph file"):
+        p.add_argument("kind", choices=GeneratorSpec.KINDS, help="generator family")
+        p.add_argument("--seed", type=int, default=0, help="generator seed")
+        p.add_argument("--size", type=int, required=True, help="vertex count")
+        p.add_argument("--p", type=float, default=None, help="edge probability")
+        p.add_argument("--path-bound", type=int, default=None, help="rejection bound k")
+        p.add_argument("--weight-lo", type=int, default=0, help="minimum weight")
+        p.add_argument("--weight-hi", type=int, default=100, help="maximum weight")
+        p.add_argument("--max-attempts", type=int, default=5000, help="rejection attempt cap")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+
+    if p := add("bench", "solve every graph in a directory", _add_level, _add_k_hint):
+        p.add_argument("dir", help="directory of .graph files")
 
     return parser
 
@@ -322,7 +337,9 @@ _COMMANDS = {
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        only = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = build_parser(only).parse_args(argv)
         return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # --help
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK

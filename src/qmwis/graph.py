@@ -62,6 +62,20 @@ class VertexTable:
             adj[rv] |= 1 << ru
         self.closed_adj: list[int] = [a | 1 << r for r, a in enumerate(adj)]
 
+    @classmethod
+    def from_masks(cls, ids: tuple[int, ...], adj: list[int]) -> "VertexTable":
+        """Trusted fast path: a table over the sorted ids with adj as its masks.
+
+        adj[r] must be a symmetric, loop-free neighbour mask over the ranks
+        of ids; nothing is checked. The table keeps adj.
+        """
+        table = object.__new__(cls)
+        table.ids = ids
+        table.rank = {v: r for r, v in enumerate(ids)}
+        table.adj = adj
+        table.closed_adj = [a | 1 << r for r, a in enumerate(adj)]
+        return table
+
     def mask(self, xs: Iterable[int]) -> int:
         """The mask of the ids in xs; raises KeyError for an unknown id."""
         rank = self.rank

@@ -11,17 +11,27 @@ The p line comes before any n/e record and appears exactly once. Every
 number is an ASCII decimal integer: an optional "-" and the digits 0-9,
 without "+", "_" or other digits. Vertices are implicitly 1..n; an n
 record sets a weight (default 1). The p line may declare at most
-MAX_VERTICES (16,384) vertices. Reports are emitted with sorted keys and
-no timestamps, so identical inputs produce byte-identical documents.
+MAX_VERTICES (16,384) vertices. Lines end at "\n" only; other whitespace,
+a CRLF ending's "\r" included, just separates tokens.
+
+A canonical file, the form emit_graph writes (comment lines, the p line,
+then n and e records with single spaces and "\n" endings), is read in one
+pass over its bytes. Any other valid spelling is read line by line, with
+the same result; so is every invalid file, which gives each error its
+kind and line.
+
+Reports are emitted with sorted keys and no timestamps, so identical
+inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any
 
-from .graph import Graph, WeightMap
+from .graph import Graph, VertexTable, WeightMap
 
 REPORT_FORMAT_VERSION = 1
 
@@ -77,6 +87,9 @@ _RECORDS = {
 def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
     """Read a weighted graph from text.
 
+    A canonical file is read in one pass (see _parse_canonical); any other
+    input is read line by line, with the same result or error.
+
     Returns:
         (graph, weights) with vertices 1..n and every vertex weighted
         (missing n records default to weight 1).
@@ -84,21 +97,104 @@ def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
     Raises:
         GraphParseError: with .kind and .line_no describing the rejection.
     """
+    parsed = _parse_canonical(data)
+    if parsed is not None:
+        return parsed
     if isinstance(data, bytes):
         try:
-            text = data.decode("utf-8")
+            data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise GraphParseError("malformed", 0, f"not valid UTF-8: {exc}") from None
-    else:
-        text = data
+    return _parse_lines(data)
 
+
+# The canonical form, as emit_graph writes it: comment lines, the p line,
+# then n and e records, each number 1 to 10 ASCII digits, each field one
+# space apart and each line ended by "\n". Ten digits bound the int()
+# work per number.
+_CANONICAL_HEAD = re.compile(rb"(?:c(?: [^\n]*)?\n)*p ([0-9]{1,10}) ([0-9]{1,10})\n")
+_CANONICAL_RECORDS = re.compile(rb"(?:[ne] [0-9]{1,10} [0-9]{1,10}\n)*")
+
+# Bytes of records checked and converted at a time. The regular expression
+# keeps state per record it matches, so with the chunk's tokens the reader
+# holds some 50 KiB at once, whatever the file's length.
+_CHUNK = 1024
+
+
+def _parse_canonical(data: bytes | str) -> tuple[Graph, WeightMap] | None:
+    """parse_graph's result for a valid file in canonical form, else None.
+
+    Each chunk of records is checked by one regular expression and split
+    into tokens. An id token is looked up in a table of the spellings
+    "1".."n" to get its rank, and each edge sets two bits of the adjacency
+    masks directly; a self-loop or a repeated edge sets fewer, which the
+    masks' bit count shows at the end. None means only that this reader
+    cannot vouch for the input: it may be valid in a spelling the form
+    leaves out (such as an id with a leading zero), or invalid.
+    """
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError:  # lone surrogates
+            return None
+    head = _CANONICAL_HEAD.match(data)
+    if head is None:
+        return None
+    try:
+        # Records are ASCII; only comment text can be invalid UTF-8.
+        data[: head.start(1)].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    n, declared_m = int(head[1]), int(head[2])
+    if n > MAX_VERTICES:
+        return None
+    rank = {b"%d" % v: v - 1 for v in range(1, n + 1)}
+    adj = [0] * n
+    weights: dict[int, int] = {}
+    m = 0
+    pos, size = head.end(), len(data)
+    while pos < size:
+        stop = size if size - pos <= _CHUNK else data.rfind(b"\n", pos, pos + _CHUNK) + 1
+        if stop <= pos or not _CANONICAL_RECORDS.fullmatch(data, pos, stop):
+            return None
+        tokens = data[pos:stop].split()
+        tags = tokens[::3]
+        try:
+            for tag, a, b in zip(tags, tokens[1::3], tokens[2::3]):
+                if tag == b"e":
+                    ra, rb = rank[a], rank[b]
+                    adj[ra] |= 1 << rb
+                    adj[rb] |= 1 << ra
+                else:
+                    v, weight = rank[a] + 1, int(b)
+                    if v in weights or weight > MAX_WEIGHT:
+                        return None
+                    weights[v] = weight
+        except KeyError:  # an id outside 1..n, or spelled otherwise
+            return None
+        m += tags.count(b"e")
+        pos = stop
+    # Each e record sets at most two bits, and exactly two unless it is a
+    # self-loop or repeats an edge.
+    if m != declared_m or sum(map(int.bit_count, adj)) != 2 * m:
+        return None
+    table = VertexTable.from_masks(tuple(range(1, n + 1)), adj)
+    return Graph._sub(table, (1 << n) - 1), {v: weights.get(v, 1) for v in range(1, n + 1)}
+
+
+def _parse_lines(text: str) -> tuple[Graph, WeightMap]:
+    """The graph format's definition: every record and every error.
+
+    Lines end at "\n" alone. Any other whitespace, the "\r" of a CRLF
+    ending included, only separates the tokens of a line.
+    """
     n: int | None = None
     declared_m = 0
     weights: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         parts = raw.split()
         if not parts:
             continue

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -241,6 +242,39 @@ def test_generate_weight_cap(capsys):
     code, out, err = run([*args, "--weight-hi", "1000000001"], capsys)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["kind"] == "input-error"
+
+
+def _subparsers(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _action_fields(parser):
+    fields = ("option_strings", "dest", "default", "choices", "type", "required", "help")
+    return [tuple(getattr(action, f) for f in fields) for action in parser._actions]
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_a_subcommand_parser_alone_equals_its_part_of_the_full_parser(name):
+    full = _subparsers(cli.build_parser())
+    alone = _subparsers(cli.build_parser(name))
+    assert list(alone) == [name]
+    assert alone[name].format_help() == full[name].format_help()
+    assert alone[name].format_usage() == full[name].format_usage()
+    assert _action_fields(alone[name]) == _action_fields(full[name])
+
+
+@pytest.mark.parametrize(
+    "argv, only",
+    [([], None), (["--help"], None), (["bogus"], None), (["-h", "solve"], None)]
+    + [([name, "--help"], name) for name in cli._COMMANDS],
+)
+def test_a_call_builds_the_parser_of_its_subcommand_only(argv, only, capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
+    run(argv, capsys)
+    assert built == [only]
 
 
 def test_help_exits_zero(capsys):

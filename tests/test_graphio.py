@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -282,3 +283,138 @@ def test_error_document_shape():
 def test_parse_error_rejects_unknown_kind():
     with pytest.raises(ValueError):
         GraphParseError("weird", 1, "nope")
+
+
+# Characters that str.splitlines() takes as line ends and the format does not.
+_NOT_LINE_ENDS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in _NOT_LINE_ENDS])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_lines_end_only_at_newline(char, as_bytes):
+    def read(text):
+        return parse_graph(text.encode() if as_bytes else text)
+
+    # A comment line holds any text, these characters included.
+    g, w = read(f"c a{char}b\np 1 0\n")
+    assert (g.n, w) == (1, {1: 1})
+    # Inside a record they only separate tokens, so this is one line of six.
+    with pytest.raises(GraphParseError) as err:
+        read(f"p 1 0{char}n 1 5\n")
+    assert (err.value.kind, err.value.line_no) == ("malformed", 1)
+    assert str(err.value) == "line 1: p line needs exactly 2 numbers"
+    # Error lines count "\n" alone, as an editor shows them.
+    with pytest.raises(GraphParseError) as err:
+        read(f"c x{char}y{char}z\np 2 0\nq 1 2\n")
+    assert (err.value.kind, err.value.line_no) == ("malformed", 3)
+
+
+def test_crlf_lines_parse_and_count_as_one_line_each():
+    g, w = parse_graph(b"c made on Windows\r\np 2 1\r\nn 1 5\r\ne 1 2\r\n")
+    assert list(g.edges()) == [(1, 2)] and w == {1: 5, 2: 1}
+    err = parse_err("p 2 0\r\n\r\nq 1 2\r\n")
+    assert (err.kind, err.line_no) == ("malformed", 3)
+
+
+def _outcome(read, data):
+    """(graph, weights, table fields) read from data, or the error's (kind, line, message)."""
+    try:
+        g, w = read(data)
+    except GraphParseError as exc:
+        return ("error", exc.kind, exc.line_no, str(exc))
+    t = g.table
+    return ("graph", g, g.mask, list(w.items()), t.ids, t.rank, t.adj, t.closed_adj)
+
+
+def _line_loop(data):
+    return graphio._parse_lines(data.decode() if isinstance(data, bytes) else data)
+
+
+# Each mutation rewrites one line of an emitted file into a list of lines.
+_MUTATIONS = {
+    "long-number": lambda line, n: [line.replace(" ", " 0000000000", 1)],
+    "leading-zero": lambda line, n: [line.replace(" ", " 0")],
+    "minus-zero": lambda line, n: [line.rsplit(" ", 1)[0] + " -0"],
+    "plus-one": lambda line, n: [line.replace(" ", " +", 1)],
+    "append-digit": lambda line, n: [line + "1"],
+    "tab": lambda line, n: [line.replace(" ", "\t", 1)],
+    "spaces": lambda line, n: [line.replace(" ", "   ")],
+    "blank": lambda line, n: ["", line],
+    "crlf": lambda line, n: [line + "\r"],
+    "comment": lambda line, n: ["c between records", line],
+    "weight-after": lambda line, n: [line, f"n {n} 3"],
+    "second-p": lambda line, n: [line, f"p {n} 0"],
+    "vertex-cap": lambda line, n: ["p 16385 0"],
+    "duplicate": lambda line, n: [line, line],
+    "reversed": lambda line, n: [" ".join([line[:1], *line.split()[:0:-1]])],
+    "self-loop": lambda line, n: [line, "e 1 1"],
+    "id-zero": lambda line, n: [line, "e 0 1"],
+    "id-over": lambda line, n: [line, f"e 1 {n + 1}"],
+    "weight-over": lambda line, n: [line, f"n {n} 1000000001"],
+    "drop": lambda line, n: [],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_reader_equals_the_line_loop(data):
+    n = data.draw(st.integers(min_value=0, max_value=9), label="n")
+    ids = list(range(1, n + 1))
+    edges = [(u, v) for u in ids for v in ids if u < v and data.draw(st.booleans())]
+    w = {v: data.draw(st.integers(min_value=0, max_value=10**9)) for v in ids}
+    comment = data.draw(st.sampled_from([None, "made by a test", "two\nlines \u0663"]))
+    lines = emit_graph(Graph(ids, edges), w, comment=comment).split("\n")
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3), label="mutations")):
+        if not lines:
+            break
+        kind = data.draw(st.sampled_from(sorted(_MUTATIONS)), label="kind")
+        i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1), label="line")
+        lines[i : i + 1] = _MUTATIONS[kind](lines[i], n)
+    text = "\n".join(lines)
+    expected = _outcome(_line_loop, text)
+    assert _outcome(parse_graph, text) == expected
+    assert _outcome(parse_graph, text.encode()) == expected
+
+
+def _generated_file(tmp_path, size):
+    from qmwis.cli import cli_main
+
+    path = tmp_path / f"cograph{size}.graph"
+    argv = ["generate", "cograph", "--size", str(size), "--seed", "1", "--out", str(path)]
+    assert cli_main(argv) == 0
+    return path.read_bytes()
+
+
+def _peak(read, data):
+    tracemalloc.start()
+    try:
+        read(data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonical_files_take_the_one_pass_path(tmp_path, monkeypatch):
+    small = _generated_file(tmp_path, 72)
+    large = _generated_file(tmp_path, 1000)
+    assert large.startswith(b"c generated kind=cograph size=1000 seed=1\np 1000 ")
+    expected = _outcome(_line_loop, small)
+
+    def no_line_loop(text):
+        raise AssertionError("a canonical file reached the line loop")
+
+    monkeypatch.setattr(graphio, "_parse_lines", no_line_loop)
+    assert _outcome(parse_graph, small) == expected
+    g, w = parse_graph(large)
+    assert emit_graph(g, w, comment="generated kind=cograph size=1000 seed=1").encode() == large
+    for seed in range(5):
+        g, w = generate(GeneratorSpec(kind="random-gnp", size=20, seed=seed, p=0.4))
+        for comment in (None, "a comment", "\u0663   non-ASCII"):
+            text = emit_graph(g, w, comment=comment)
+            assert parse_graph(text) == parse_graph(text.encode()) == (g, w)
+    monkeypatch.undo()
+
+    assert _peak(parse_graph, small) <= _peak(_line_loop, small)
+    # The line loop holds at least the decoded text, as long as the file;
+    # tracing its peak on this file would take seconds.
+    assert _peak(parse_graph, large) <= len(large)
