@@ -26,8 +26,8 @@ Expand = Callable[[Any, Any], Generator[list[Any], list[Any], Any] | Any]
 def drive(root: Any, expand: Expand, ctx: Any) -> Any:
     """Run expand(root, ctx) to completion on an explicit stack.
 
-    ctx.stats, when not None, gets the deepest stack height in max_depth,
-    where an answer returned without a generator counts as one frame.
+    ctx.stats gets the deepest stack height in max_depth, where an answer
+    returned without a generator counts as one frame.
     """
     stats = ctx.stats
     deepest = 1
@@ -64,5 +64,5 @@ def drive(root: Any, expand: Expand, ctx: Any) -> Any:
             frame[2] = []
         return answer
     finally:
-        if stats is not None and deepest > stats.max_depth:
+        if deepest > stats.max_depth:
             stats.max_depth = deepest

@@ -273,7 +273,8 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
         raise ValueError(f"weights outside 0..{MAX_WEIGHT} for vertices {outside[:5]}")
     lines: list[str] = []
     if comment:
-        lines.extend(f"c {part}" for part in comment.splitlines())
+        # Lines end only at "\n", as in parse_graph; a trailing one adds no line.
+        lines.extend(f"c {part}" for part in comment.removesuffix("\n").split("\n"))
     lines.append(f"p {g.n} {g.edge_count}")
     lines.extend(f"n {v} {w[v]}" for v in ids)
     lines.extend(f"e {u} {v}" for u, v in g.edges())

@@ -1,9 +1,10 @@
 """Exact MWIS for graphs excluding a disconnected pattern, via oracles.
 
 The pattern H is a disjoint union of connected graphs H_0 .. H_{c-1}. The
-solver owns one oracle per component; an oracle must be exact on graphs with
-no induced copy of its component and may do anything elsewhere, because the
-solver only consults it on graphs it has verified to be that-component-free.
+solver owns one oracle per component; an oracle returns a maximum-weight
+independent set with its weight and must be exact on graphs with no induced
+copy of its component. It may do anything elsewhere, because the solver only
+consults it on graphs it has verified to be that-component-free.
 
 The pattern scheme below drives the shared recursion of pkfree.py. Each
 call on (G, w, N, F) picks i = |F| mod c and applies the first rule that
@@ -31,7 +32,6 @@ from .graph import (
     WeightMap,
     connected_components,
     induced_subgraph,
-    remove_vertices,
     validate_weights,
 )
 from .instrumentation import (
@@ -91,17 +91,17 @@ class PatternGraph:
 class ComponentOracle:
     """An exact MWIS procedure for graphs free of one pattern component.
 
-    solve may assume its input has no induced copy of claimed_pattern; the
-    solver never calls it otherwise. claimed_pattern None means the oracle
-    is exact on every graph. solve_with_witness, when given, must return a
-    matching (weight, vertex-set) pair; without it the solver recovers a
-    witness through repeated solve calls on induced subgraphs.
+    solve_with_witness returns (weight, witness), the witness a set of ids
+    of g; solve returns the same weight alone. Both are required. The
+    solver calls only solve_with_witness, and only on graphs with no
+    induced copy of claimed_pattern. claimed_pattern None means the oracle
+    is exact on every graph.
     """
 
     name: str
     solve: Callable[[Graph, WeightMap], int]
+    solve_with_witness: Callable[[Graph, WeightMap], tuple[int, frozenset[int]]]
     claimed_pattern: Graph | None = None
-    solve_with_witness: Callable[[Graph, WeightMap], tuple[int, frozenset[int]]] | None = None
 
 
 def make_bruteforce_oracle(max_size: int = DEFAULT_BRUTE_FORCE_CAP) -> ComponentOracle:
@@ -116,7 +116,6 @@ def make_bruteforce_oracle(max_size: int = DEFAULT_BRUTE_FORCE_CAP) -> Component
     return ComponentOracle(
         name=f"bruteforce<={max_size}",
         solve=solve,
-        claimed_pattern=None,
         solve_with_witness=solve_with_witness,
     )
 
@@ -143,8 +142,8 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     return ComponentOracle(
         name=f"p{k}",
         solve=solve,
-        claimed_pattern=path,
         solve_with_witness=solve_with_witness,
+        claimed_pattern=path,
     )
 
 
@@ -258,25 +257,12 @@ class _PatternScheme(Scheme):
         return max_measure_h(n_cap, self.size, self.c)
 
     def leaf(self, g: Graph, w: WeightMap, family: VertexMultiFamily) -> tuple[int, int]:
-        """The oracle's answer, its witness encoded as a mask over g's table."""
-        index = len(family) % self.c
-        oracle = self._oracle(g, index)
-        if oracle.solve_with_witness is None:
-            weight, witness = self._witness_by_reduction(g, w, index, oracle.solve(g, w))
-        else:
-            weight, witness = oracle.solve_with_witness(g, w)
-            if self.level >= 2:
-                verify_witness(g, w, weight, witness)
-        try:
-            return weight, g.table.mask(witness)
-        except KeyError:
-            # An id outside the table, which a mask cannot hold: verify_witness
-            # rejects it as the root's check would have.
-            verify_witness(g, w, weight, witness)
-            raise
+        """The oracle's answer, its witness encoded as a mask over g's table.
 
-    def _oracle(self, g: Graph, index: int) -> ComponentOracle:
-        """Oracle index, counted as one call on g; at "paranoid" g must be free of its component."""
+        Counted as one oracle call; at "paranoid" g must be free of the
+        oracle's component and the witness is verified here.
+        """
+        index = len(family) % self.c
         oracle = self.oracles[index]
         if self.level >= 2 and find_induced_copy(g, self.pattern.components[index]) is not None:
             raise InvariantViolation(
@@ -286,36 +272,16 @@ class _PatternScheme(Scheme):
                 {"oracle": index, "n": g.n},
             )
         self.stats.record_oracle_call(index)
-        return oracle
-
-    def _witness_by_reduction(
-        self, g: Graph, w: WeightMap, index: int, best: int
-    ) -> tuple[int, frozenset[int]]:
-        """Recover a witness from a weight-only oracle that reported best on g.
-
-        Freeness is hereditary, so the oracle stays valid on the induced
-        subgraphs this walks through. One oracle call per vertex decision.
-        """
-        need = best
-        remaining = g
-        chosen: set[int] = set()
-        while remaining.n:
-            v = remaining.vertex_ids()[0]
-            without = remove_vertices(remaining, {v})
-            if self._oracle(without, index).solve(without, w) == need:
-                remaining = without
-            else:
-                chosen.add(v)
-                need -= w[v]
-                remaining = remove_vertices(remaining, remaining.closed(v))
-        if need != 0:
-            raise InvariantViolation(
-                "oracle-consistency",
-                f"weight residue {need} left after witness reduction "
-                f"(oracle {index} is not self-consistent)",
-                {"oracle": index, "residue": need, "reported": best},
-            )
-        return best, frozenset(chosen)
+        weight, witness = oracle.solve_with_witness(g, w)
+        if self.level >= 2:
+            verify_witness(g, w, weight, witness)
+        try:
+            return weight, g.table.mask(witness)
+        except KeyError:
+            # An id outside the table, which a mask cannot hold: verify_witness
+            # rejects it as the root's check would have.
+            verify_witness(g, w, weight, witness)
+            raise
 
 
 def solve_hfree(

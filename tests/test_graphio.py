@@ -194,6 +194,22 @@ def test_emit_comment_lines():
     assert text.startswith("c hello\nc world\np 1 0\n")
 
 
+def test_emit_comment_breaks_lines_only_at_newline(monkeypatch):
+    g = Graph([1], [])
+    text = emit_graph(g, {1: 1}, comment="x\x0by z")
+    assert text == "c x\x0by z\np 1 0\nn 1 1\n"
+
+    def no_line_loop(text):
+        raise AssertionError("an emitted file reached the line loop")
+
+    monkeypatch.setattr(graphio, "_parse_lines", no_line_loop)
+    assert parse_graph(text) == parse_graph(text.encode()) == (g, {1: 1})
+    # With "\n" as the only break, the lines are those str.splitlines() gives.
+    for comment in ("\n", "a\n", "\na", "a\n\nb", "a\nb\n\n", " \n\n"):
+        head = "".join(f"c {part}\n" for part in comment.splitlines())
+        assert emit_graph(g, {1: 1}, comment=comment) == head + "p 1 0\nn 1 1\n"
+
+
 def test_emit_requires_contiguous_ids():
     with pytest.raises(ValueError):
         emit_graph(Graph([2, 3], [(2, 3)]), {2: 1, 3: 1})

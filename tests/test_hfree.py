@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -265,32 +266,46 @@ def test_oracle_calls_tracked_by_component_index():
     assert set(r.stats.oracle_calls_by_index) <= {0, 1}
 
 
-def test_witness_reconstruction_without_witness_oracle():
-    """Weight-only oracles force the subgraph peeling path."""
-
-    def weight_only(g: Graph, w) -> int:
-        return brute_force_mwis(g, w)[0]
-
-    oracle = ComponentOracle(name="plain", solve=weight_only)
-    rng = random.Random(5)
-    for _ in range(15):
-        g, w = random_graph(rng, rng.randint(1, 10), 0.4)
-        want, _ = brute_force_mwis(g, w)
-        r = solve_hfree(path_graph(3), g, w, [oracle])
-        assert r.weight == want
-        assert is_independent_set(g, r.witness)
-        assert total_weight(w, r.witness) == want
+def test_an_oracle_without_a_witness_is_rejected():
+    with pytest.raises(TypeError):
+        ComponentOracle(name="x", solve=lambda g, w: brute_force_mwis(g, w)[0])
 
 
-def test_lying_oracle_is_caught_during_reconstruction():
-    def lying(g: Graph, w) -> int:
-        return brute_force_mwis(g, w)[0] + 1
+def test_a_lying_oracle_is_a_witness_failure():
+    def lying(g: Graph, w) -> tuple[int, frozenset[int]]:
+        weight, witness = brute_force_mwis(g, w)
+        return weight + 1, witness
 
-    oracle = ComponentOracle(name="liar", solve=lying)
-    g = complete_graph(3)
+    oracle = ComponentOracle(name="liar", solve=lambda g, w: lying(g, w)[0], solve_with_witness=lying)
     with pytest.raises(InvariantViolation) as err:
-        solve_hfree(path_graph(3), g, {1: 1, 2: 1, 3: 1}, [oracle], assertion_level="off")
-    assert err.value.rule == "oracle-consistency"
+        solve_hfree(path_graph(3), complete_graph(3), {1: 1, 2: 1, 3: 1}, [oracle], assertion_level="off")
+    assert err.value.rule == "witness"
+
+
+def test_the_solver_calls_only_the_witness_view():
+    """Oracles rebuilt with dataclasses.replace, as a call tracer does, solve the same."""
+    from qmwis import GeneratorSpec, generate
+
+    def no_weight_view(g: Graph, w) -> int:
+        raise AssertionError("the solver called an oracle's solve")
+
+    def counted(oracle: ComponentOracle, calls: list) -> ComponentOracle:
+        def solve_with_witness(g: Graph, w):
+            calls.append(g.n)
+            return oracle.solve_with_witness(g, w)
+
+        return dataclasses.replace(oracle, solve=no_weight_view, solve_with_witness=solve_with_witness)
+
+    pattern = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=28, seed=1, p=0.3))
+    oracles = [make_pk_oracle(4), make_bruteforce_oracle()]
+    plain = solve_hfree(pattern, g, w, oracles)
+    calls: tuple[list, list] = ([], [])
+    traced = solve_hfree(pattern, g, w, [counted(o, c) for o, c in zip(oracles, calls)])
+    assert traced.weight == plain.weight == 560
+    assert traced.witness == plain.witness
+    assert traced.stats.to_dict() == plain.stats.to_dict()
+    assert [len(c) for c in calls] == [traced.stats.oracle_calls_by_index[i] for i in (0, 1)]
 
 
 def test_single_vertex_graph_with_single_vertex_component():
