@@ -252,3 +252,40 @@ def test_golden_audit_failures(n, members, options, rule, message, details):
     assert info.value.rule == rule
     assert str(info.value) == message
     assert info.value.details == details
+
+
+# sha256 of the `qmwis separator FILE --i I` report per generated file and I.
+GOLDEN_SEPARATOR = [
+    (
+        GeneratorSpec(kind="random-gnp", size=80, seed=1, p=0.04),
+        {
+            1: "72a1fb3caee641479d6eccad64cd48a095a30c1a374e26c2c183fe7a8f5bf6e7",
+            2: "143fb0993ad42f055612ccc9402a09e05582b87da202fe0d72353ad19d14d9b0",
+            3: "5eaed097a327d6ea74c6f3f6226b4e48c9c870c59dcff14a7577ad46eacabcbc",
+        },
+    ),
+    (
+        GeneratorSpec(kind="cograph", size=128, seed=3),
+        {
+            1: "774ffe94bba680cb8d45ab50a2ac71116bfdccbd40d59336ef6e9a3c84cdea3e",
+            2: "b1b1648be212ff04515066d6a6d0559cc319b3ef20ba3f113e10231b234e2995",
+            3: "f3f276bf9c842abbcc52a8ac905d83c42bd95b89cbc0cde400bf4d22acdb68e3",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+@pytest.mark.parametrize(
+    "spec, digests",
+    GOLDEN_SEPARATOR,
+    ids=[f"{spec.kind}-{spec.size}-seed{spec.seed}" for spec, _ in GOLDEN_SEPARATOR],
+)
+def test_golden_separator_report(spec, digests, i, tmp_path, capsys):
+    g, w = generate(spec)
+    path = tmp_path / "g.graph"
+    path.write_text(emit_graph(g, w))
+    code = cli_main(["separator", str(path), "--i", str(i)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[i]

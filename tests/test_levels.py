@@ -10,6 +10,7 @@ from qmwis import (
     branch_threshold,
     ceil_log2,
     find_branchable,
+    remove_vertices,
 )
 
 
@@ -140,6 +141,53 @@ def test_find_branchable_agrees_with_definition(data):
         assert qualifiers == []
     else:
         assert got in qualifiers
+
+
+@st.composite
+def _branch_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    ids = range(1, n + 1)
+    pairs = [(u, v) for u in ids for v in ids if u < v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    n_cap = draw(st.integers(min_value=1, max_value=2 * n + 2))
+    members = draw(st.lists(st.sets(st.sampled_from(ids), max_size=n), max_size=5))
+    dropped = draw(st.sets(st.sampled_from(ids), max_size=n - 1))
+    return n, edges, n_cap, members, dropped
+
+
+def _reference_winner(g: Graph, members: list[set[int]], n_cap: int) -> int | None:
+    # Score v by max_i |N[v] cap L(F, i)| * 2^i over 1 <= i <= ceil(log2 N) + 1;
+    # the top score wins, ties to the smallest id, None when it is below N.
+    best, winner = -1, None
+    for v in g.vertex_ids():
+        closed = g.closed(v)
+        score = max(
+            len({u for u in closed if sum(u in m for m in members) >= i}) << i
+            for i in range(1, ceil_log2(n_cap) + 2)
+        )
+        if score > best:
+            best, winner = score, v
+    return winner if best >= n_cap else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_branch_cases())
+# One level: vertex 1 covers the whole level and vertex 4 ties it; 1 wins.
+@example(case=(4, [(1, 2), (1, 3), (2, 4), (3, 4)], 4, [{2, 3}], set()))
+# Three levels; vertex 2 reaches N, but the top score 16 is on level 3,
+# where vertex 3 reaches it first and vertex 4 ties.
+@example(case=(4, [(1, 2), (2, 3), (3, 4)], 8, [{1, 2, 3, 4}, {3, 4}, {3, 4}], set()))
+# Level 1 is kept (|L| * 2 = N), yet no vertex covers two of its vertices.
+@example(case=(3, [], 4, [{1, 3}], set()))
+def test_find_branchable_picks_the_top_score_with_the_smallest_id(case):
+    """The exact winner, on a subgraph whose family may hold dropped vertices."""
+    n, edges, n_cap, members, dropped = case
+    g = remove_vertices(Graph(range(1, n + 1), edges), dropped)
+    live = [m & g.vertices for m in members]
+    got = find_branchable(g, VertexMultiFamily(members), n_cap)
+    assert got == _reference_winner(g, live, n_cap)
+    # A family over the graph's own table gives the same answer.
+    assert find_branchable(g, VertexMultiFamily(members, table=g.table), n_cap) == got
 
 
 @settings(max_examples=100, deadline=None)

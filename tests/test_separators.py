@@ -16,6 +16,7 @@ from qmwis import (
     remove_vertices,
     verify_balanced,
 )
+from qmwis.pkfree import _PathScheme
 
 
 def path_graph(n: int) -> Graph:
@@ -164,3 +165,95 @@ def test_verify_balanced():
     assert verify_balanced(g, frozenset(), 5)
     assert not verify_balanced(g, frozenset(), 4)
     assert verify_balanced(g, frozenset({3}), Fraction(5, 2))
+
+
+def _components(g: Graph, vertices: frozenset[int]) -> list[frozenset[int]]:
+    # Breadth-first search on frozensets, components ordered by smallest id.
+    comps, rest = [], set(vertices)
+    for v in sorted(vertices):
+        if v not in rest:
+            continue
+        comp, todo = {v}, [v]
+        rest.discard(v)
+        while todo:
+            for u in g.adj(todo.pop()) & rest:
+                rest.discard(u)
+                comp.add(u)
+                todo.append(u)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def _reference_path(g: Graph, current: frozenset[int], start: int) -> list[int]:
+    # Descend into the largest component of current - N[tail], the first of
+    # equal size, through the smallest neighbour of tail adjacent to it.
+    path, tail = [start], start
+    while True:
+        rest = current - g.closed(tail)
+        comps = _components(g, rest)
+        if not comps:
+            return path
+        largest = max(comps, key=len)
+        if 2 * len(largest) <= len(current):
+            return path
+        tail = min(u for u in g.adj(tail) & current if g.adj(u) & largest)
+        current = largest | {tail}
+        path.append(tail)
+
+
+def _reference_core(g: Graph, i: int) -> frozenset[int]:
+    if 2**i >= g.n:
+        return g.vertices
+    core = frozenset() if i == 1 else _reference_core(g, i - 1)
+    closed = frozenset().union(*(g.closed(v) for v in core))
+    for comp in _components(g, g.vertices - closed):
+        if len(comp) << i > g.n:
+            core |= frozenset(_reference_path(g, comp, min(comp)))
+    return core
+
+
+@st.composite
+def _graphs(draw, min_n=0):
+    n = draw(st.integers(min_value=min_n, max_value=24))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.7]))
+    ids = list(range(1, n + 1))
+    return Graph(ids, [(u, v) for u in ids for v in ids if u < v and rng.random() < p])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(), data=st.data())
+def test_gyarfas_path_matches_a_frozenset_reference(g, data):
+    comps = connected_components(g)
+    if len(comps) != 1:
+        return
+    start = data.draw(st.sampled_from(g.vertex_ids()), label="start")
+    assert gyarfas_path(g, start) == _reference_path(g, g.vertices, start)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(), i=st.integers(min_value=1, max_value=4))
+def test_balanced_separator_core_matches_a_frozenset_reference(g, i):
+    assert g.table.decode(balanced_separator_core(g, i)) == _reference_core(g, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(min_n=2), data=st.data())
+def test_path_split_is_none_exactly_when_a_component_passes_half(g, data):
+    # The solver asks for the split only on graphs of two or more vertices.
+    n_cap = data.draw(st.integers(min_value=g.n, max_value=2 * g.n + 2), label="N")
+    comps = connected_components(g)
+    split = _PathScheme(0, None).split(g, n_cap)
+    if any(2 * len(c) > n_cap for c in comps):
+        assert split is None
+    else:
+        assert [g.table.decode(c) for c in split] == comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(), data=st.data())
+def test_verify_balanced_matches_a_frozenset_reference(g, data):
+    separator = data.draw(st.sets(st.sampled_from(g.vertex_ids())) if g.n else st.just(set()))
+    bound = data.draw(st.one_of(st.integers(0, g.n + 1), st.fractions(0, g.n + 1)), label="bound")
+    comps = _components(g, g.vertices - separator)
+    assert verify_balanced(g, separator, bound) == all(len(c) <= bound for c in comps)
