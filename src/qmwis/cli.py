@@ -5,7 +5,8 @@ Reports go to stdout as JSON; diagnostics go to stderr as JSON. Exit codes:
 0 success, 2 input error, 3 invariant violation, 4 recursion limit,
 5 out of memory, 130 interrupted. Only the solving subcommands (solve,
 solve-hfree, bench) take --assert; their reports carry the level. The
-separator exponent --i must lie in 1..MAX_SEPARATOR_I (4096).
+separator exponent --i must lie in 1..MAX_SEPARATOR_I (4096). Integer
+flags take ASCII decimal integers only, as graph files do.
 """
 
 from __future__ import annotations
@@ -57,6 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+def _decimal(text: str) -> int:
+    # The integer flags take the spelling graph files do: int() would also
+    # accept "1_0", "+2", " 4" and non-ASCII digits.
+    value = parse_decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"must be an ASCII decimal integer, got {text!r}")
+    return value
+
+
 # The flags that several subcommands share. Each subcommand takes only the
 # shared flags it reads, so a flag it would ignore is a usage error.
 def _add_level(p: argparse.ArgumentParser) -> None:
@@ -75,7 +85,7 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_k_hint(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-hint", type=int, default=None, help="claimed induced-path bound")
+    p.add_argument("--k-hint", type=_decimal, default=None, help="claimed induced-path bound")
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -120,21 +130,21 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
     if p := add("separator", "compute a balanced separator core"):
         p.add_argument("file", help="graph file path, or - for stdin")
-        p.add_argument("--i", dest="parameter_i", type=int, default=2, help="balance exponent")
+        p.add_argument("--i", dest="parameter_i", type=_decimal, default=2, help="balance exponent")
 
     if p := add("check-pkfree", "test for induced paths on k vertices"):
-        p.add_argument("k", type=int, help="path length to forbid")
+        p.add_argument("k", type=_decimal, help="path length to forbid")
         p.add_argument("file", help="graph file path, or - for stdin")
 
     if p := add("generate", "emit a generated graph file"):
         p.add_argument("kind", choices=GeneratorSpec.KINDS, help="generator family")
-        p.add_argument("--seed", type=int, default=0, help="generator seed")
-        p.add_argument("--size", type=int, required=True, help="vertex count")
+        p.add_argument("--seed", type=_decimal, default=0, help="generator seed")
+        p.add_argument("--size", type=_decimal, required=True, help="vertex count")
         p.add_argument("--p", type=float, default=None, help="edge probability")
-        p.add_argument("--path-bound", type=int, default=None, help="rejection bound k")
-        p.add_argument("--weight-lo", type=int, default=0, help="minimum weight")
-        p.add_argument("--weight-hi", type=int, default=100, help="maximum weight")
-        p.add_argument("--max-attempts", type=int, default=5000, help="rejection attempt cap")
+        p.add_argument("--path-bound", type=_decimal, default=None, help="rejection bound k")
+        p.add_argument("--weight-lo", type=_decimal, default=0, help="minimum weight")
+        p.add_argument("--weight-hi", type=_decimal, default=100, help="maximum weight")
+        p.add_argument("--max-attempts", type=_decimal, default=5000, help="rejection attempt cap")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     if p := add("bench", "solve every graph in a directory", _add_level, _add_k_hint):

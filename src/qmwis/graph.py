@@ -21,6 +21,7 @@ core and the witnesses inside the recursion are such masks.
 from __future__ import annotations
 
 from itertools import compress
+from numbers import Rational
 from typing import Iterable, Iterator
 
 WeightMap = dict[int, int]
@@ -240,11 +241,12 @@ def remove_vertices(g: Graph, xs: VertexSet) -> Graph:
     return Graph._sub(g.table, g.mask & ~xs)
 
 
-def component_masks(adj: list[int], live: int) -> list[int]:
+def component_masks(adj: list[int], live: int, *, limit: Rational | None = None) -> list[int]:
     """Connected components of the vertices in live, as masks.
 
     adj is a table's adjacency list. Components come ordered by their lowest
-    bit, which is their smallest id.
+    bit, which is their smallest id. Given a limit, the scan ends at the
+    first component of more than limit vertices, which is then the last.
     """
     components = []
     rest = live
@@ -260,6 +262,8 @@ def component_masks(adj: list[int], live: int) -> list[int]:
                     break
                 todo |= new
         components.append(comp)
+        if limit is not None and comp.bit_count() > limit:
+            break
         rest &= ~comp
     return components
 

@@ -21,7 +21,8 @@ A vertex v is branchable relative to (F, N) when its closed neighborhood
 covers at least Delta_i = N / 2^i vertices of level i for some i >= 1.
 Levels are monotone decreasing in i and Delta_i <= 1 once i >= ceil(log2 N),
 so the search never needs to look past i = ceil(log2 N) + 1: a vertex on a
-later non-empty level already qualifies at the cap.
+later non-empty level already qualifies at the cap. It scans the vertices
+in id order and stops at the first whose score no other vertex can exceed.
 """
 
 from __future__ import annotations
@@ -179,29 +180,36 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     Level i is skipped when |L(F, i) cap V(G)| * 2^i < N: no vertex reaches
     N on it, and a qualifying vertex reaches its score on a level that is
     kept, so the winner is unchanged. No level left means no branchable
-    vertex; with one left, raw counts are compared and only the best shifted.
+    vertex. The largest |L(F, i) cap V(G)| * 2^i kept is a ceiling on every
+    score, so the scan, lowest id first, stops at the first vertex that
+    reaches it: only a strictly higher score replaces the best.
     """
     if capacity_n < 1:
         raise ValueError(f"N must be >= 1, got {capacity_n}")
     live = g.mask
     cap = (capacity_n - 1).bit_length() + 1
-    levels = [
-        (i, m)
-        for i, level in enumerate(family.over(g.table).level_masks[:cap], 1)
-        if (m := level & live).bit_count() << i >= capacity_n
-    ]
+    if family.table is not g.table:
+        family = family.over(g.table)
+    levels, ceiling = [], 0
+    for i, level in enumerate(family.level_masks[:cap], 1):
+        if (top := (m := level & live).bit_count() << i) >= capacity_n:
+            levels.append((i, m))
+            ceiling = max(ceiling, top)
     if not levels:
         return None
     closed_adj = g.table.closed_adj
-    ranks = list(g.table.ranks(live))
-    if len(levels) == 1:
-        ((i, level),) = levels
-        scores = [(closed_adj[r] & level).bit_count() for r in ranks]
-    else:
-        closed = [closed_adj[r] for r in ranks]
-        scores = list(map(max, *([(c & m).bit_count() << j for c in closed] for j, m in levels)))
-        i = 0
-    best = max(scores)
-    if best << i < capacity_n:
-        return None
-    return g.table.ids[ranks[scores.index(best)]]
+    # Only a qualifying score, at least N, can become the best.
+    best, winner, rest = capacity_n - 1, 0, live
+    while rest:
+        low = rest & -rest
+        closed = closed_adj[low.bit_length() - 1]
+        score = 0
+        for i, m in levels:
+            if (count := (closed & m).bit_count() << i) > score:
+                score = count
+        if score > best:
+            best, winner = score, low
+            if score == ceiling:
+                break
+        rest ^= low
+    return g.table.ids[winner.bit_length() - 1] if winner else None

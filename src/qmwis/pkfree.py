@@ -340,10 +340,9 @@ class _PathScheme(Scheme):
         self.level, self.stats, self.k, self.params = level, RunStats(), k, {"k": k}
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
-        components = component_masks(g.table.adj, g.mask)
-        if 2 * max(map(int.bit_count, components)) <= n_cap:
-            return components
-        return None
+        # The scan stops at a component of more than N/2 vertices.
+        components = component_masks(g.table.adj, g.mask, limit=n_cap // 2)
+        return None if 2 * components[-1].bit_count() > n_cap else components
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int:
         return balanced_separator_core(g, 2)

@@ -22,18 +22,21 @@ from .graph import Graph, VertexSet, VertexTable, component_masks, remove_vertic
 def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
     """The Gyarfas path from rank tail inside the connected mask current.
 
-    Each step keeps the largest component C of current - N[tail] (the first
-    of equal size, i.e. the one with the smallest id) and moves to the
-    smallest neighbour of C. N(C) within current lies inside N(tail), so
-    that neighbour is the first vertex of N(tail) adjacent to C.
+    Each step moves into the component C of current - N[tail] with more
+    than |current|/2 vertices, at its smallest neighbour, and the path ends
+    when there is none. At most one component is that large, so the search
+    stops at it, and it is skipped when current - N[tail] is no larger than
+    half. N(C) within current lies inside N(tail), so that neighbour is the
+    first vertex of N(tail) adjacent to C.
     """
     path = [tail]
     while True:
+        half = current.bit_count() // 2
         rest = current & ~(adj[tail] | 1 << tail)
-        if not rest:
+        if rest.bit_count() <= half:
             return path
-        largest = max(component_masks(adj, rest), key=int.bit_count)
-        if 2 * largest.bit_count() <= current.bit_count():
+        largest = component_masks(adj, rest, limit=half)[-1]
+        if largest.bit_count() <= half:
             return path
         candidates = adj[tail] & current
         while True:

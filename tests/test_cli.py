@@ -433,6 +433,41 @@ def test_bruteforce_cap_spec(tmp_path, capsys):
     assert json.loads(out)["weight"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name, token",
+    [
+        (["solve", "{graph}", "--k-hint", "1_0"], "--k-hint", "1_0"),
+        (["solve", "{graph}", "--k-hint", " 4"], "--k-hint", " 4"),
+        (["bench", "{dir}", "--k-hint", "+4"], "--k-hint", "+4"),
+        (["check-pkfree", "٣", "{graph}"], "k", "٣"),
+        (["separator", "{graph}", "--i", "+2"], "--i", "+2"),
+        (["separator", "{graph}", "--i", "２"], "--i", "２"),
+        (["generate", "path", "--size", " 4"], "--size", " 4"),
+        (["generate", "path", "--size", "3", "--seed", "1_0"], "--seed", "1_0"),
+        (["generate", "path", "--size", "3", "--path-bound", "+5"], "--path-bound", "+5"),
+        (["generate", "path", "--size", "3", "--weight-lo", "٣"], "--weight-lo", "٣"),
+        (["generate", "path", "--size", "3", "--weight-hi", "9 "], "--weight-hi", "9 "),
+        (["generate", "path", "--size", "3", "--max-attempts", "1_0"], "--max-attempts", "1_0"),
+    ],
+)
+def test_integer_flags_take_only_ascii_decimals(argv, name, token, c5_file, tmp_path, capsys):
+    argv = [arg.format(dir=tmp_path, graph=c5_file) for arg in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "kind": "input-error",
+        "message": f"qmwis {argv[0]}: argument {name}: "
+        f"must be an ASCII decimal integer, got {token!r}",
+        "details": {},
+    }
+
+
+def test_integer_flags_take_ascii_decimals_with_a_minus(capsys):
+    code, out, _ = run(["generate", "path", "--size", "3", "--seed", "-7"], capsys)
+    assert code == 0
+    assert parse_graph(out)[0].n == 3
+
+
 @pytest.mark.parametrize("i", ["0", "4097", "15000"])
 def test_separator_rejects_i_outside_its_range(i, c5_file, capsys):
     code, out, err = run(["separator", c5_file, "--i", i], capsys)
