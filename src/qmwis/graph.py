@@ -21,7 +21,6 @@ core and the witnesses inside the recursion are such masks.
 from __future__ import annotations
 
 from itertools import compress
-from numbers import Rational
 from typing import Iterable, Iterator
 
 WeightMap = dict[int, int]
@@ -241,7 +240,7 @@ def remove_vertices(g: Graph, xs: VertexSet) -> Graph:
     return Graph._sub(g.table, g.mask & ~xs)
 
 
-def component_masks(adj: list[int], live: int, *, limit: Rational | None = None) -> list[int]:
+def component_masks(adj: list[int], live: int, *, limit: int | None = None) -> list[int]:
     """Connected components of the vertices in live, as masks.
 
     adj is a table's adjacency list. Components come ordered by their lowest

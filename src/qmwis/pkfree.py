@@ -340,9 +340,9 @@ class _PathScheme(Scheme):
         self.level, self.stats, self.k, self.params = level, RunStats(), k, {"k": k}
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
-        # The scan stops at a component of more than N/2 vertices.
-        components = component_masks(g.table.adj, g.mask, limit=n_cap // 2)
-        return None if 2 * components[-1].bit_count() > n_cap else components
+        half = n_cap // 2
+        components = component_masks(g.table.adj, g.mask, limit=half)
+        return None if components[-1].bit_count() > half else components
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int:
         return balanced_separator_core(g, 2)

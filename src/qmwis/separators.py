@@ -35,17 +35,17 @@ def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
         rest = current & ~(adj[tail] | 1 << tail)
         if rest.bit_count() <= half:
             return path
-        largest = component_masks(adj, rest, limit=half)[-1]
-        if largest.bit_count() <= half:
+        big = component_masks(adj, rest, limit=half)[-1]
+        if big.bit_count() <= half:
             return path
         candidates = adj[tail] & current
         while True:
             low = candidates & -candidates
             tail = low.bit_length() - 1
-            if adj[tail] & largest:
+            if adj[tail] & big:
                 break
             candidates ^= low
-        current = largest | low
+        current = big | low
         path.append(tail)
 
 
