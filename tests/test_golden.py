@@ -207,6 +207,77 @@ def test_golden_hfree_stats(spec):
     assert _stats_sha256(result) == GOLDEN_HFREE_STATS[spec.seed]
 
 
+K3_P4 = Graph(range(1, 8), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7)])
+
+# Paranoid pattern-free solves, which the rows above do not reach: cographs
+# are P4-free, so assume_hfree is true and the mu_H measure trace and
+# max_depth enter the stats. Rows: (pattern, seed, weight, witness, stats
+# sha256) on `generate cograph --size 40`. P4+K3 puts the P4 component
+# first, so every run is one call to the pk oracle's leaf and the stats hash
+# repeats; K3+P4 grows F by triangle neighbourhoods first.
+GOLDEN_HFREE_PARANOID = [
+    (
+        "p4k3",
+        1,
+        560,
+        [18, 19, 20, 21, 22, 27, 34, 35],
+        "cb609ef6e654abb14dce2a592274697dd9d7cf52ef48550c7b62ed61f6cdddbb",
+    ),
+    (
+        "p4k3",
+        2,
+        893,
+        [1, 2, 3, 4, 15, 17, 18, 19, 20, 21, 22, 24, 26, 28, 31, 32, 33, 34],
+        "cb609ef6e654abb14dce2a592274697dd9d7cf52ef48550c7b62ed61f6cdddbb",
+    ),
+    (
+        "p4k3",
+        3,
+        359,
+        [17, 18, 21, 24, 25, 26, 27, 28, 29],
+        "cb609ef6e654abb14dce2a592274697dd9d7cf52ef48550c7b62ed61f6cdddbb",
+    ),
+    (
+        "k3p4",
+        1,
+        560,
+        [18, 19, 20, 21, 22, 27, 34, 35],
+        "d6fefbbc07fd2ca559d5f3492a79c447304a5e5dd4b83bcd0a81761356151c1e",
+    ),
+    (
+        "k3p4",
+        2,
+        893,
+        [1, 2, 3, 4, 15, 17, 18, 19, 20, 21, 22, 24, 26, 28, 31, 32, 33, 34],
+        "2e4c5bf243268c252acb22184cfb55ba2c43f292282f0792404d7153ca3e610e",
+    ),
+    (
+        "k3p4",
+        3,
+        359,
+        [17, 18, 21, 24, 25, 26, 27, 28, 29],
+        "208e0d6057e3e5e156c029b5e0429c115eca7333be97bf65f0a08d29764992ae",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "pattern, seed, weight, witness, stats_sha256",
+    GOLDEN_HFREE_PARANOID,
+    ids=[f"{pattern}-cograph-40-seed{seed}" for pattern, seed, *_ in GOLDEN_HFREE_PARANOID],
+)
+def test_golden_hfree_paranoid_stats(pattern, seed, weight, witness, stats_sha256):
+    g, w = generate(GeneratorSpec(kind="cograph", size=40, seed=seed))
+    if pattern == "p4k3":
+        h, oracles = P4_K3, [make_pk_oracle(4), make_bruteforce_oracle()]
+    else:
+        h, oracles = K3_P4, [make_bruteforce_oracle(), make_pk_oracle(4)]
+    result = solve_hfree(h, g, w, oracles, assume_hfree=True, assertion_level="paranoid")
+    assert result.weight == weight
+    assert sorted(result.witness) == witness
+    assert _stats_sha256(result) == stats_sha256
+
+
 def _path(n):
     return Graph(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
 
