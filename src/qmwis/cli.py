@@ -5,8 +5,9 @@ Reports go to stdout as JSON; diagnostics go to stderr as JSON. Exit codes:
 0 success, 2 input error, 3 invariant violation, 4 recursion limit,
 5 out of memory, 130 interrupted. Only the solving subcommands (solve,
 solve-hfree, bench) take --assert; their reports carry the level. The
-separator exponent --i must lie in 1..MAX_SEPARATOR_I (4096). Integer
-flags take ASCII decimal integers only, as graph files do.
+separator exponent --i must lie in 1..MAX_SEPARATOR_I (4096) and --k-hint
+at most MAX_K_HINT (16,385). Integer flags take ASCII decimal integers
+only, as graph files do, and generate --p ASCII digits and at most one '.'.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Any, Sequence
 
 from .graph import Graph, WeightMap, closed_neighborhood
 from .graphio import (
+    MAX_VERTICES,
     GraphParseError,
     ReportDocument,
     emit_graph,
@@ -50,6 +52,11 @@ EXIT_INTERRUPTED = 130
 # 2^4096 has 1,234 digits, below CPython's int-to-str limit of 4,300.
 MAX_SEPARATOR_I = 4096
 
+# --k-hint runs up to this. A graph file holds at most MAX_VERTICES
+# vertices, so every larger k claims the same; the potentials in the
+# --stats measure trace grow with k, past CPython's int-to-str limit.
+MAX_K_HINT = MAX_VERTICES + 1
+
 
 class _Parser(argparse.ArgumentParser):
     # Subparsers inherit this class, so every usage error raises instead of
@@ -65,6 +72,23 @@ def _decimal(text: str) -> int:
     if value is None:
         raise argparse.ArgumentTypeError(f"must be an ASCII decimal integer, got {text!r}")
     return value
+
+
+def _k_hint(text: str) -> int:
+    value = _decimal(text)
+    if value > MAX_K_HINT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_K_HINT}, got {text!r}")
+    return value
+
+
+def _probability(text: str) -> float:
+    # ASCII digits with at most one ".": float() would also take " 0.5",
+    # "0.1_5", "1e-1", "+0.5", "inf" and non-ASCII digits.
+    if not (text.isascii() and text.replace(".", "", 1).isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"edge probability must be ASCII digits with at most one '.', got {text!r}"
+        )
+    return float(text)
 
 
 # The flags that several subcommands share. Each subcommand takes only the
@@ -85,7 +109,7 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_k_hint(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-hint", type=_decimal, default=None, help="claimed induced-path bound")
+    p.add_argument("--k-hint", type=_k_hint, default=None, help="claimed induced-path bound")
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -140,7 +164,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("kind", choices=GeneratorSpec.KINDS, help="generator family")
         p.add_argument("--seed", type=_decimal, default=0, help="generator seed")
         p.add_argument("--size", type=_decimal, required=True, help="vertex count")
-        p.add_argument("--p", type=float, default=None, help="edge probability")
+        p.add_argument("--p", type=_probability, default=None, help="edge probability")
         p.add_argument("--path-bound", type=_decimal, default=None, help="rejection bound k")
         p.add_argument("--weight-lo", type=_decimal, default=0, help="minimum weight")
         p.add_argument("--weight-hi", type=_decimal, default=100, help="maximum weight")
@@ -194,9 +218,7 @@ def _finish_solve(report: ReportDocument, result: SolveResult, args: argparse.Na
     return _finish(report)
 
 
-def _parse_oracle_spec(spec: str, size: int) -> ComponentOracle | None:
-    # None stands for pk:K, K >= 1, on a component of another size: the K-vertex
-    # path could not be that component, and it takes O(K^2) bits to build.
+def _parse_oracle_spec(spec: str, index: int, size: int) -> ComponentOracle:
     if spec == "bruteforce":
         return make_bruteforce_oracle(DEFAULT_BRUTE_FORCE_CAP)
     forms = "(expected bruteforce, bruteforce:<cap>, or pk:<k>)"
@@ -207,7 +229,14 @@ def _parse_oracle_spec(spec: str, size: int) -> ComponentOracle | None:
     if value is None:
         raise ValueError(f"oracle spec {spec!r} needs a decimal integer after the colon {forms}")
     if kind == "pk":
-        return make_pk_oracle(value) if value < 1 or value == size else None
+        # A K-vertex path, K >= 1, of another size cannot be the component,
+        # and it takes O(K^2) bits to build: refuse it with solve_hfree's message.
+        if value >= 1 and value != size:
+            raise ValueError(
+                f"oracle {index} (p{value}) claims a pattern that is not "
+                f"isomorphic to component {index}"
+            )
+        return make_pk_oracle(value)
     if value < 1:
         raise ValueError(f"brute-force cap must be >= 1, got {value}")
     return make_bruteforce_oracle(value)
@@ -229,12 +258,7 @@ def _cmd_solve_hfree(args: argparse.Namespace) -> int:
             f"pattern has {len(pattern.components)} components; "
             f"pass --oracle once per component ({len(specs)} given)"
         )
-    oracles = [_parse_oracle_spec(spec, part.n) for spec, part in zip(specs, pattern.components)]
-    if None in oracles:
-        # solve_hfree's message for a claim of the wrong size
-        i = oracles.index(None)
-        claim = f"oracle {i} (p{int(specs[i][3:])}) claims a pattern"
-        raise ValueError(f"{claim} that is not isomorphic to component {i}")
+    oracles = [_parse_oracle_spec(specs[i], i, part.n) for i, part in enumerate(pattern.components)]
     result = solve_hfree(
         pattern, g, w, oracles, assume_hfree=args.assume_hfree, assertion_level=args.assertion_level
     )

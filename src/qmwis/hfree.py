@@ -16,10 +16,11 @@ fits:
   3. neither: return the i-th oracle's answer, valid since G is H_i-free.
 
 N never changes and there is no component split. solve_hfree and the pk
-oracle start their runs in pkfree._run. The result is exact for every
-input graph as long as the oracles honor their contract. The assume_hfree
-flag enables the pattern-dependent audit bounds, which are proven only for
-runs whose root graph has no induced H.
+oracle start their runs in pkfree._run, the one entry for both schemes,
+which picks where each scheme's recursion begins. The result is exact for
+every input graph as long as the oracles honor their contract. The
+assume_hfree flag enables the pattern-dependent audit bounds, which are
+proven only for runs whose root graph has no induced H.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
 from .pkfree import (
     Scheme,
     SolveResult,
-    _call,
-    _expand,
     _parse_level,
     _PathScheme,
     _run,
@@ -133,7 +132,7 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
     def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-        result = _run(_PathScheme(0, None), _call, g, w)
+        result = _run(_PathScheme(0, None), g, w)
         return result.weight, result.witness
 
     def solve(g: Graph, w: WeightMap) -> int:
@@ -221,7 +220,6 @@ class _PatternScheme(Scheme):
 
     noun = "neighborhood"
     growth_rule = RULE_ADD_NEIGHBORHOOD
-    chain_rule = "neighborhood-chain"
     audit_from_n = 2
 
     def __init__(self, level: int, pattern: PatternGraph, oracles: tuple, assume_hfree: bool):
@@ -330,4 +328,4 @@ def solve_hfree(
                 f"isomorphic to component {idx}"
             )
     scheme = _PatternScheme(_parse_level(assertion_level), pattern, oracles, assume_hfree)
-    return _run(scheme, _expand, g, w)
+    return _run(scheme, g, w)

@@ -137,8 +137,6 @@ def longest_induced_path_at_most(g: Graph, k: int) -> bool:
         raise ValueError(f"path length must be >= 1, got {k}")
     if k == 1:
         return g.n == 0
-    if k == 2:
-        return g.edge_count == 0
 
     adj, live = g.table.adj, g.mask
     # Components are disjoint masks, so their sum is their union.

@@ -12,23 +12,25 @@ these rules that fits:
      grow until rule 2 can fire);
   4. otherwise: the scheme's leaf answer.
 
-The shared core owns the per-call audit, the branch rule and the F-growth
-loop with its chain, level-growth and per-edge potential checks; a scheme
-supplies only what differs. The path scheme here (solve_pkfree) answers
-graphs of at most one vertex in _call, without a generator frame, splits a
-graph whose components all have at most N/2 vertices (each with N reset to
-its size and F to empty), and grows F by the closed neighborhood of a
-balanced separator core, so rule 4 never fires. The pattern scheme lives in
-hfree.py.
+_expand runs the recursion and a Scheme supplies only what differs. The
+path scheme here (solve_pkfree) splits a graph whose components all have
+at most N/2 vertices, each with N reset to its size and F to empty, and
+grows F by the closed neighborhood of a balanced separator core, so rule 4
+never fires. The pattern scheme lives in hfree.py.
 
-Every run starts in _run, which builds the root, drives the recursion and
-verifies the witness at every assertion level. Input is validated once,
-before that, by the public entry: alg1_call or solve_hfree. Inside the
-recursion a witness is a mask over the root graph's table: a leaf of one
-vertex answers with its graph's mask, a branch ORs in its vertex's bit and
-a split ORs its children's masks. _run decodes the root's mask into the
-frozenset that SolveResult and the oracles' contract use, and returns the
-SolveResult of every run: weight, witness and the scheme's stats.
+The depth grows like n * log(N) * k through alternating branch and growth
+steps, far past CPython's recursion limit, so _expand is a generator that
+drive runs on an explicit stack: it yields a batch of child instances and
+is sent their answers. A batch's children run one after another, in batch
+order, so every counter comes out the same on every run. The path scheme
+enters through _call, which answers a graph of at most one vertex without
+a frame; drive counts that answer's depth as if it had made one.
+
+Every run starts in _run, which drives the recursion from the scheme's
+entry and verifies the witness at every assertion level. Input is validated
+once, before that, by the public entry: alg1_call or solve_hfree. Inside
+the recursion a witness is a mask over the root graph's table, which _run
+decodes once.
 
 Correctness never depends on the input being path-free; the quasi-polynomial
 call bound does. The optional k_hint enables the k-dependent audit bounds
@@ -38,9 +40,9 @@ and never influences the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator
+from types import GeneratorType
+from typing import Any, Callable, Generator
 
-from ._engine import Expand, drive
 from .graph import (
     Graph,
     WeightMap,
@@ -110,9 +112,10 @@ class Scheme:
     """What one solver supplies to the shared recursion, and the run's state.
 
     A scheme holds the assertion level and the run's stats, and names the
-    member F grows by (noun), the rules of growth edges and of the chain
-    audit, the recurrence parameters (params) and the least N at which the
-    emptiness, family and chain bounds are audited (audit_from_n). Hooks:
+    member F grows by (noun, also naming the chain audit's rule), the rule
+    of growth edges, the recurrence parameters (params), the least N at
+    which the emptiness, family and chain bounds are audited (audit_from_n)
+    and whether its runs enter at _call, not _expand (small_leaves). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -132,6 +135,7 @@ class Scheme:
     level: int
     stats: RunStats
     audit_from_n = 1
+    small_leaves = False
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
         return None
@@ -298,7 +302,7 @@ def _expand(
         if scheme.level >= 1 and n_cap >= scheme.audit_from_n:
             if adds_in_a_row > n * log_n:
                 raise InvariantViolation(
-                    scheme.chain_rule,
+                    f"{scheme.noun}-chain",
                     f"{adds_in_a_row} {scheme.noun} additions in a row exceeds |V(G)| log(N)",
                     {"chain": adds_in_a_row, "n": n, "N": n_cap},
                 )
@@ -329,12 +333,54 @@ def _call(inst: Instance, scheme: Scheme) -> Any:
     return inst.weights[g.table.ids[g.mask.bit_length() - 1]], g.mask
 
 
+def drive(root: Any, expand: Callable[[Any, Any], Any], ctx: Any) -> Any:
+    """Run expand(root, ctx), which returns a generator or a finished
+    answer, to completion; ctx.stats.max_depth gets the deepest stack."""
+    stats = ctx.stats
+    deepest = 1
+    # A frame is [generator, children still to run (reversed), their results].
+    stack: list[list[Any]] = []
+    try:
+        answer = expand(root, ctx)
+        if type(answer) is GeneratorType:
+            stack.append([answer, None, None])
+        while stack:
+            frame = stack[-1]
+            pending = frame[1]
+            if pending:
+                if len(stack) >= deepest:
+                    deepest = len(stack) + 1
+                answer = expand(pending.pop(), ctx)
+                if type(answer) is GeneratorType:
+                    stack.append([answer, None, None])
+                else:
+                    frame[2].append(answer)
+                continue
+            try:
+                # A fresh generator gets None, a resumed one its batch's results.
+                batch = frame[0].send(frame[2])
+            except StopIteration as stop:
+                stack.pop()
+                if stack:
+                    stack[-1][2].append(stop.value)
+                else:
+                    answer = stop.value
+                continue
+            # Reversed, so pop() hands out the children in batch order.
+            frame[1] = batch[::-1]
+            frame[2] = []
+        return answer
+    finally:
+        if deepest > stats.max_depth:
+            stats.max_depth = deepest
+
+
 class _PathScheme(Scheme):
     """Component split and separator growth; k is the claimed path bound."""
 
     noun = "separator"
     growth_rule = RULE_ADD_SEPARATOR
-    chain_rule = "separator-chain"
+    small_leaves = True
 
     def __init__(self, level: int, k: int | None):
         self.level, self.stats, self.k, self.params = level, RunStats(), k, {"k": k}
@@ -385,7 +431,6 @@ class _PathScheme(Scheme):
 
 def _run(
     scheme: Scheme,
-    expand: Expand,
     g: Graph,
     w: WeightMap,
     capacity_n: int | None = None,
@@ -400,7 +445,7 @@ def _run(
     if family is None:
         family = VertexMultiFamily(table=g.table)
     root = Instance(g, w, max(1, g.n) if capacity_n is None else capacity_n, family)
-    weight, mask = drive(root, expand, scheme)
+    weight, mask = drive(root, _call if scheme.small_leaves else _expand, scheme)
     witness = g.table.decode(mask)
     verify_witness(g, w, weight, witness)
     return SolveResult(weight, witness, scheme.stats)
@@ -431,7 +476,7 @@ def alg1_call(
     if not all(v in g for member in inst.family for v in member):
         raise ValueError("family members must be vertex sets of the instance's graph")
     scheme = _PathScheme(_parse_level(assertion_level), k_hint)
-    return _run(scheme, _call, g, inst.weights, n_cap, inst.family.over(g.table))
+    return _run(scheme, g, inst.weights, n_cap, inst.family.over(g.table))
 
 
 def solve_pkfree(

@@ -404,6 +404,27 @@ def test_solve_hfree_rejects_a_pk_size_before_building_the_path(
     )
 
 
+def test_solve_hfree_reports_the_first_faulty_oracle_spec(tmp_path, c5_file, capsys):
+    # Specs are checked left to right, a pk size that cannot be its
+    # component's as soon as it is read.
+    pattern = tmp_path / "p4k3.graph"
+    pattern.write_text("p 7 6\ne 1 2\ne 2 3\ne 3 4\ne 5 6\ne 6 7\ne 5 7\n")
+    argv = ["solve-hfree", c5_file, "--pattern", str(pattern)]
+    code, out, err = run([*argv, "--oracle", "pk:9", "--oracle", "magic"], capsys)
+    assert (code, out) == (2, "")
+    assert err == cli.error_document(
+        "input-error", "oracle 0 (p9) claims a pattern that is not isomorphic to component 0"
+    )
+    code, out, err = run([*argv, "--oracle", "magic", "--oracle", "pk:9"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["message"].startswith("unknown oracle spec 'magic'")
+    code, out, err = run([*argv, "--oracle", "pk:4", "--oracle", "pk:9"], capsys)
+    assert (code, out) == (2, "")
+    assert err == cli.error_document(
+        "input-error", "oracle 1 (p9) claims a pattern that is not isomorphic to component 1"
+    )
+
+
 def test_solve_hfree_pk_oracle_spec(tmp_path, capsys):
     host = tmp_path / "g.graph"
     host.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
@@ -460,6 +481,69 @@ def test_integer_flags_take_only_ascii_decimals(argv, name, token, c5_file, tmp_
         f"must be an ASCII decimal integer, got {token!r}",
         "details": {},
     }
+
+
+@pytest.fixture()
+def cograph8_file(tmp_path, capsys):
+    path = tmp_path / "cograph8.graph"
+    argv = ["generate", "cograph", "--size", "8", "--seed", "1", "--out", str(path)]
+    assert run(argv, capsys)[0] == 0
+    return str(path)
+
+
+def test_k_hint_at_its_bound_writes_the_stats(cograph8_file, tmp_path, capsys):
+    # 16385 claims what every larger k_hint would of a graph file; its
+    # potentials print well inside CPython's int-to-str limit.
+    stats = tmp_path / "stats.json"
+    argv = ["solve", cograph8_file, "--k-hint", "16385", "--assert", "paranoid"]
+    code, out, err = run([*argv, "--stats", str(stats)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["weight"] > 0
+    assert json.loads(stats.read_text())["stats"]["measure_trace_tail"]
+
+
+@pytest.mark.parametrize(
+    "k", ["16386", "00016386", "1" + "0" * 2200], ids=["16386", "zero-padded", "2201-digits"]
+)
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_k_hint_above_its_bound_is_refused_before_reading(command, k, tmp_path, capsys):
+    stats = tmp_path / "stats.json"
+    argv = [command, str(tmp_path / "missing"), "--k-hint", k]
+    if command == "solve":
+        argv += ["--stats", str(stats)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "kind": "input-error",
+        "message": f"qmwis {command}: argument --k-hint: must be at most 16385, got {k!r}",
+        "details": {},
+    }
+    assert not stats.exists()
+
+
+@pytest.mark.parametrize(
+    "p", ["\u0660.\u0665", " 0.5", "0.5 ", "0.1_5", "1_0", "1e-1", "+0.5", "inf", "", ".", "0..5"]
+)
+def test_generate_takes_the_edge_probability_as_an_ascii_decimal(p, capsys):
+    code, out, err = run(["generate", "random-gnp", "--size", "5", "--p", p, "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "kind": "input-error",
+        "message": "qmwis generate: argument --p: edge probability must be "
+        f"ASCII digits with at most one '.', got {p!r}",
+        "details": {},
+    }
+
+
+def test_generate_edge_probability_spellings_that_stay(capsys):
+    outputs = set()
+    for p in ["0.5", ".5", "0.50", "00.5"]:
+        code, out, _ = run(["generate", "random-gnp", "--size", "6", "--p", p], capsys)
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    for p in ["0", "1", "1.", "1.0"]:
+        assert run(["generate", "random-gnp", "--size", "4", "--p", p], capsys)[0] == 0
 
 
 def test_integer_flags_take_ascii_decimals_with_a_minus(capsys):

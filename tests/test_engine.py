@@ -2,7 +2,7 @@
 
 import pytest
 
-from qmwis._engine import drive
+from qmwis.pkfree import drive
 from qmwis.instrumentation import RunStats
 
 

@@ -154,6 +154,14 @@ def _naive_has_induced_path(g: Graph, k: int) -> bool:
     return False
 
 
+def test_path_detector_on_two_vertex_paths():
+    # A P2 is an edge: the search finds one exactly when some edge exists.
+    assert longest_induced_path_at_most(Graph([], []), 2)
+    assert longest_induced_path_at_most(Graph([1, 5, 9], []), 2)
+    assert not longest_induced_path_at_most(Graph([1, 2], [(1, 2)]), 2)
+    assert not longest_induced_path_at_most(Graph([1, 2, 3, 4], [(3, 4)]), 2)
+
+
 def test_path_detector_matches_naive_search():
     rng = random.Random(17)
     for _ in range(40):
