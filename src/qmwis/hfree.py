@@ -17,7 +17,7 @@ fits:
 
 N never changes and there is no component split. solve_hfree and the pk
 oracle start their runs in pkfree._run, the one entry for both schemes,
-which picks where each scheme's recursion begins. The result is exact for
+whose drive loop begins each recursion at its root. The result is exact for
 every input graph as long as the oracles honor their contract. The
 assume_hfree flag enables the pattern-dependent audit bounds, which are
 proven only for runs whose root graph has no induced H.

@@ -12,22 +12,23 @@ these rules that fits:
      grow until rule 2 can fire);
   4. otherwise: the scheme's leaf answer.
 
-_expand runs the recursion and a Scheme supplies only what differs. The
+drive runs the recursion and a Scheme supplies only what differs. The
 path scheme here (solve_pkfree) splits a graph whose components all have
 at most N/2 vertices, each with N reset to its size and F to empty, and
 grows F by the closed neighborhood of a balanced separator core, so rule 4
 never fires. The pattern scheme lives in hfree.py.
 
 The depth grows like n * log(N) * k through alternating branch and growth
-steps, far past CPython's recursion limit, so _expand is a generator that
-drive runs on an explicit stack: it yields a batch of child instances and
-is sent their answers. A batch's children run one after another, in batch
-order, so every counter comes out the same on every run. The path scheme
-enters through _call, which answers a graph of at most one vertex without
-a frame; drive counts that answer's depth as if it had made one.
+steps, far past CPython's recursion limit, so drive runs the recursion as
+one loop over a stack of tasks, each a node (depth, G, N, F, potential). A
+split or a branch pushes its children in reverse batch order behind a
+marker that combines their answers, which collect on a results stack. A
+batch's children run one after another, in batch order, so every counter
+comes out the same on every run. The path scheme answers a graph of at
+most one vertex inline; that answer still counts as one node of depth.
 
-Every run starts in _run, which drives the recursion from the scheme's
-entry and verifies the witness at every assertion level. Input is validated
+Every run starts in _run, which drives the recursion from its root and
+verifies the witness at every assertion level. Input is validated
 once, before that, by the public entry: alg1_call or solve_hfree. Inside
 the recursion a witness is a mask over the root graph's table, which _run
 decodes once.
@@ -40,8 +41,6 @@ and never influences the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import GeneratorType
-from typing import Any, Callable, Generator
 
 from .graph import (
     Graph,
@@ -76,20 +75,16 @@ _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
 class Instance:
     """One recursion node: graph, weights, vertex budget N, family F.
 
-    The recursion makes one per call and treats it as immutable; a plain
-    slotted class keeps that cheap. alg1_call validates one from outside.
-    potential is None until _check_edge audits the edge into the node: it
-    computes the node's potential there, once, and stores it here for the
-    node's own call to reuse instead of computing it again.
+    The input of alg1_call, which validates it, and the root of a run;
+    treated as immutable.
     """
 
-    __slots__ = ("graph", "weights", "capacity_n", "family", "potential")
+    __slots__ = ("graph", "weights", "capacity_n", "family")
 
     def __init__(
         self, graph: Graph, weights: WeightMap, capacity_n: int, family: VertexMultiFamily
     ):
         self.graph, self.weights, self.capacity_n, self.family = graph, weights, capacity_n, family
-        self.potential: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +110,8 @@ class Scheme:
     member F grows by (noun, also naming the chain audit's rule), the rule
     of growth edges, the recurrence parameters (params), the least N at
     which the emptiness, family and chain bounds are audited (audit_from_n)
-    and whether its runs enter at _call, not _expand (small_leaves). Hooks:
+    and whether drive answers a graph of at most one vertex inline, without
+    split, branch or anchor (small_leaves). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -211,165 +207,149 @@ def _check_call(
     return mu
 
 
-def _check_edge(parent_mu: int, child: Instance, rule: str, scheme: Scheme) -> int:
-    """Audit the potential's decrease from a call with potential parent_mu to child.
+def _check_edge(
+    parent_mu: int, n: int, n_cap: int, family: VertexMultiFamily, rule: str, scheme: Scheme
+) -> int:
+    """Audit the potential's decrease from a call with potential parent_mu to
+    a child with n vertices, budget n_cap and family F.
 
     The child's potential is computed here, where a family-size violation
-    inside it is raised, and is stored in child.potential and returned so
-    that the child's own _check_call reuses it.
+    inside it is raised, and returned for the child's own _check_call to
+    reuse.
     """
-    child_mu = child.potential = scheme.potential(child.graph.n, child.capacity_n, child.family)
+    child_mu = scheme.potential(n, n_cap, family)
     assert_recurrence_step(parent_mu, child_mu, rule, scheme.params)
     scheme.stats.record_measure(rule, parent_mu, child_mu)
     return child_mu
 
 
-def _expand(
-    inst: Instance, scheme: Scheme
-) -> Generator[list[Instance], list[tuple[int, int]], tuple[int, int]]:
-    """The shared recursion on one instance, as a generator for drive().
+def drive(root: Instance, scheme: Scheme) -> tuple[int, int]:
+    """Run the shared recursion from root to its answer.
 
-    Answers are (weight, witness mask over g's table). A parent potential
-    exists only at "paranoid" with a claimed bound, so only then are the
-    edges to the children audited.
+    Answers are (weight, witness mask over the root's table). A task is a
+    node (depth, g, N, F, potential), the root at depth 1, or a marker that
+    combines the answers on top of the results stack: (0, count) sums a
+    split's count answers, (-1, w(v), bit) picks between a branch's delete
+    and take answers. scheme.stats.max_depth gets the deepest node, also
+    when the run raises. A parent potential exists only at "paranoid" with
+    a claimed bound, so only then are the edges to the children audited.
     """
-    g, w, n_cap, family = inst.graph, inst.weights, inst.capacity_n, inst.family
-    n = g.mask.bit_count()
-    log_n = (n_cap - 1).bit_length()
-    stats = scheme.stats
-    # At "paranoid" each iteration's potential and level sizes are carried
-    # from where they were first computed: the edge into the call, and the
-    # level-growth audit of the growth before it.
+    w, stats = root.weights, scheme.stats
     audit = scheme.level >= 2
-    mu, sizes = inst.potential, family.level_sizes() if audit else None
-
-    # Consecutive growths of F keep the same graph, so they run as a loop
-    # in this frame rather than growing the stack. Every iteration is one
-    # call of the recursion and is counted and checked as such; only the
-    # first asks for the split, which depends on G and N alone.
-    adds_in_a_row = 0
-    while True:
-        parent_mu = _check_call(g, n, n_cap, log_n, family, scheme, mu, sizes)
-
-        if not adds_in_a_row and (split := scheme.split(g, n_cap)) is not None:
-            stats.component_recursions += 1
-            empty = VertexMultiFamily(table=g.table)
-            children = []
-            for comp in split:
-                child = Instance(induced_subgraph(g, comp), w, comp.bit_count(), empty)
-                if parent_mu is not None:
-                    _check_edge(parent_mu, child, RULE_COMPONENT, scheme)
-                children.append(child)
-            results = yield children
-            weight = witness = 0
-            for r in results:
-                weight += r[0]
-                witness |= r[1]
-            return weight, witness
-
-        # A family with no level has no branchable vertex.
-        v = find_branchable(g, family, n_cap) if family.level_masks else None
-        if v is not None:
-            stats.branch_steps += 1
-            # The two children drop {v} and N[v].
-            r = g.table.rank[v]
-            bit = 1 << r
-            closed_v = g.table.closed_adj[r] & g.mask
-            delete_child = Instance(remove_vertices(g, bit), w, n_cap, family.subtract(bit))
-            take_child = Instance(remove_vertices(g, closed_v), w, n_cap, family.subtract(closed_v))
-            if parent_mu is not None:
-                _check_edge(parent_mu, delete_child, RULE_BRANCH_DELETE, scheme)
-                _check_edge(parent_mu, take_child, RULE_BRANCH_TAKE, scheme)
-            results = yield [delete_child, take_child]
-            (delete_weight, delete_witness), (rest_weight, rest_witness) = results
-            # The take side wins only when strictly heavier, so ties keep the
-            # first-explored (delete) branch's witness.
-            if rest_weight + w[v] > delete_weight:
-                return rest_weight + w[v], rest_witness | bit
-            return delete_weight, delete_witness
-
-        anchor = scheme.anchor(g, family)
-        if anchor is None:
-            return scheme.leaf(g, w, family)
-        member = closed_neighborhood(g, anchor)
-        if not member:
-            raise InvariantViolation(
-                scheme.growth_rule,
-                f"computed an empty {scheme.noun} neighborhood",
-                {"n": n, "N": n_cap},
-            )
-        adds_in_a_row += 1
-        if scheme.level >= 1 and n_cap >= scheme.audit_from_n:
-            if adds_in_a_row > n * log_n:
-                raise InvariantViolation(
-                    f"{scheme.noun}-chain",
-                    f"{adds_in_a_row} {scheme.noun} additions in a row exceeds |V(G)| log(N)",
-                    {"chain": adds_in_a_row, "n": n, "N": n_cap},
-                )
-        scheme.record_growth()
-        grown = family.add(member)
-        if audit:
-            grown_sizes = grown.level_sizes()
-            bound = scheme.level_bound(n_cap)
-            if bound is not None:
-                check_level_growth(sizes, grown_sizes, *bound)
-            sizes = grown_sizes
-        if parent_mu is not None:
-            mu = _check_edge(parent_mu, Instance(g, w, n_cap, grown), scheme.growth_rule, scheme)
-        family = grown
-
-
-def _call(inst: Instance, scheme: Scheme) -> Any:
-    """One path-scheme call for drive(): a graph of at most one vertex is
-    checked and answered here, without a frame; any other runs _expand."""
-    g = inst.graph
-    n = g.mask.bit_count()
-    if n > 1:
-        return _expand(inst, scheme)
-    n_cap = inst.capacity_n
-    _check_call(g, n, n_cap, (n_cap - 1).bit_length(), inst.family, scheme, inst.potential)
-    if not n:
-        return 0, 0
-    return inst.weights[g.table.ids[g.mask.bit_length() - 1]], g.mask
-
-
-def drive(root: Any, expand: Callable[[Any, Any], Any], ctx: Any) -> Any:
-    """Run expand(root, ctx), which returns a generator or a finished
-    answer, to completion; ctx.stats.max_depth gets the deepest stack."""
-    stats = ctx.stats
+    tasks: list[tuple] = [(1, root.graph, root.capacity_n, root.family, None)]
+    results: list[tuple[int, int]] = []
     deepest = 1
-    # A frame is [generator, children still to run (reversed), their results].
-    stack: list[list[Any]] = []
     try:
-        answer = expand(root, ctx)
-        if type(answer) is GeneratorType:
-            stack.append([answer, None, None])
-        while stack:
-            frame = stack[-1]
-            pending = frame[1]
-            if pending:
-                if len(stack) >= deepest:
-                    deepest = len(stack) + 1
-                answer = expand(pending.pop(), ctx)
-                if type(answer) is GeneratorType:
-                    stack.append([answer, None, None])
-                else:
-                    frame[2].append(answer)
+        while tasks:
+            task = tasks.pop()
+            depth = task[0]
+            if depth < 0:
+                # The take side wins only when strictly heavier, so ties keep
+                # the first-explored (delete) branch's witness.
+                take_weight, take_witness = results.pop()
+                take_weight += task[1]
+                if take_weight > results[-1][0]:
+                    results[-1] = take_weight, take_witness | task[2]
                 continue
-            try:
-                # A fresh generator gets None, a resumed one its batch's results.
-                batch = frame[0].send(frame[2])
-            except StopIteration as stop:
-                stack.pop()
-                if stack:
-                    stack[-1][2].append(stop.value)
-                else:
-                    answer = stop.value
+            if not depth:
+                weight = witness = 0
+                for _ in range(task[1]):
+                    answer = results.pop()
+                    weight += answer[0]
+                    witness |= answer[1]
+                results.append((weight, witness))
                 continue
-            # Reversed, so pop() hands out the children in batch order.
-            frame[1] = batch[::-1]
-            frame[2] = []
-        return answer
+            _, g, n_cap, family, mu = task
+            if depth > deepest:
+                deepest = depth
+            n = g.mask.bit_count()
+            log_n = (n_cap - 1).bit_length()
+            if n <= 1 and scheme.small_leaves:
+                _check_call(g, n, n_cap, log_n, family, scheme, mu)
+                results.append((w[g.table.ids[g.mask.bit_length() - 1]], g.mask) if n else (0, 0))
+                continue
+            # At "paranoid" each iteration's potential and level sizes are
+            # carried from where they were first computed: the edge into the
+            # node, and the level-growth audit of the growth before it.
+            sizes = family.level_sizes() if audit else None
+
+            # Consecutive growths of F keep the same graph, so they run as a
+            # loop in this node rather than as new ones. Every iteration is one
+            # call of the recursion and is counted and checked as such; only
+            # the first asks for the split, which depends on G and N alone.
+            adds_in_a_row = 0
+            while True:
+                parent_mu = _check_call(g, n, n_cap, log_n, family, scheme, mu, sizes)
+
+                if not adds_in_a_row and (split := scheme.split(g, n_cap)) is not None:
+                    stats.component_recursions += 1
+                    empty = VertexMultiFamily(table=g.table)
+                    children = []
+                    for comp in split:
+                        child, size, child_mu = induced_subgraph(g, comp), comp.bit_count(), None
+                        if parent_mu is not None:
+                            child_mu = _check_edge(
+                                parent_mu, size, size, empty, RULE_COMPONENT, scheme
+                            )
+                        children.append((depth + 1, child, size, empty, child_mu))
+                    tasks.append((0, len(children)))
+                    tasks += reversed(children)
+                    break
+
+                # A family with no level has no branchable vertex.
+                v = find_branchable(g, family, n_cap) if family.level_masks else None
+                if v is not None:
+                    stats.branch_steps += 1
+                    # The two children drop {v} and N[v].
+                    r = g.table.rank[v]
+                    bit = 1 << r
+                    closed_v = g.table.closed_adj[r] & g.mask
+                    delete_g, delete_f = remove_vertices(g, bit), family.subtract(bit)
+                    take_g, take_f = remove_vertices(g, closed_v), family.subtract(closed_v)
+                    delete_mu = take_mu = None
+                    if parent_mu is not None:
+                        delete_mu = _check_edge(
+                            parent_mu, n - 1, n_cap, delete_f, RULE_BRANCH_DELETE, scheme
+                        )
+                        take_n = n - closed_v.bit_count()
+                        take_mu = _check_edge(
+                            parent_mu, take_n, n_cap, take_f, RULE_BRANCH_TAKE, scheme
+                        )
+                    tasks.append((-1, w[v], bit))
+                    tasks.append((depth + 1, take_g, n_cap, take_f, take_mu))
+                    tasks.append((depth + 1, delete_g, n_cap, delete_f, delete_mu))
+                    break
+
+                anchor = scheme.anchor(g, family)
+                if anchor is None:
+                    results.append(scheme.leaf(g, w, family))
+                    break
+                member = closed_neighborhood(g, anchor)
+                if not member:
+                    raise InvariantViolation(
+                        scheme.growth_rule,
+                        f"computed an empty {scheme.noun} neighborhood",
+                        {"n": n, "N": n_cap},
+                    )
+                adds_in_a_row += 1
+                if adds_in_a_row > n * log_n and scheme.level >= 1 and n_cap >= scheme.audit_from_n:
+                    raise InvariantViolation(
+                        f"{scheme.noun}-chain",
+                        f"{adds_in_a_row} {scheme.noun} additions in a row exceeds |V(G)| log(N)",
+                        {"chain": adds_in_a_row, "n": n, "N": n_cap},
+                    )
+                scheme.record_growth()
+                grown = family.add(member)
+                if audit:
+                    grown_sizes = grown.level_sizes()
+                    bound = scheme.level_bound(n_cap)
+                    if bound is not None:
+                        check_level_growth(sizes, grown_sizes, *bound)
+                    sizes = grown_sizes
+                if parent_mu is not None:
+                    mu = _check_edge(parent_mu, n, n_cap, grown, scheme.growth_rule, scheme)
+                family = grown
+        return results[0]
     finally:
         if deepest > stats.max_depth:
             stats.max_depth = deepest
@@ -445,7 +425,7 @@ def _run(
     if family is None:
         family = VertexMultiFamily(table=g.table)
     root = Instance(g, w, max(1, g.n) if capacity_n is None else capacity_n, family)
-    weight, mask = drive(root, _call if scheme.small_leaves else _expand, scheme)
+    weight, mask = drive(root, scheme)
     witness = g.table.decode(mask)
     verify_witness(g, w, weight, witness)
     return SolveResult(weight, witness, scheme.stats)

@@ -310,28 +310,33 @@ def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
 
 
 def test_growth_retries_never_split_again(monkeypatch):
-    # split depends on G and N alone, so each _expand frame asks for it once,
-    # on its first call, however often F grows afterwards.
+    # split depends on G and N alone, so each node of two or more vertices
+    # asks for it once, on its first call, however often F grows afterwards.
+    # A growth retry is one more call on the same graph object.
     import qmwis.pkfree as pkfree
     from qmwis import GeneratorSpec, generate
 
-    counts = {"frames": 0, "splits": 0}
-    real_expand, real_split = pkfree._expand, pkfree._PathScheme.split
+    checked, split_graphs = [], []
+    real_check, real_split = pkfree._check_call, pkfree._PathScheme.split
 
-    def expand(inst, scheme):
-        counts["frames"] += 1
-        return real_expand(inst, scheme)
+    def check(g, *args):
+        checked.append(g)
+        return real_check(g, *args)
 
     def split(self, g, n_cap):
-        counts["splits"] += 1
+        split_graphs.append(g)
         return real_split(self, g, n_cap)
 
-    monkeypatch.setattr(pkfree, "_expand", expand)
+    monkeypatch.setattr(pkfree, "_check_call", check)
     monkeypatch.setattr(pkfree._PathScheme, "split", split)
     g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
-    result = solve_pkfree(g, w)
-    assert result.stats.separators_added > 0
-    assert counts["splits"] == counts["frames"] > 0
+    stats = solve_pkfree(g, w).stats
+    # The lists keep every graph alive, so no two nodes share an id().
+    frames = {id(h) for h in checked if h.n >= 2}
+    assert stats.separators_added > 0 and len(checked) == stats.calls
+    assert len(split_graphs) == len(frames) > 0
+    assert {id(h) for h in split_graphs} == frames
+    assert sum(h.n >= 2 for h in checked) - len(frames) == stats.separators_added
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
