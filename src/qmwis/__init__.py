@@ -61,7 +61,7 @@ from .oracle import (
     generate,
     longest_induced_path_at_most,
 )
-from .pkfree import Instance, SolveResult, alg1_call, solve_pkfree, verify_witness
+from .pkfree import SolveResult, solve_pkfree, verify_witness
 from .separators import balanced_separator_core, gyarfas_path, verify_balanced
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "GraphTooLarge",
-    "Instance",
     "InvariantViolation",
     "PARSE_ERROR_KINDS",
     "PatternGraph",
@@ -89,7 +88,6 @@ __all__ = [
     "SolveResult",
     "VertexMultiFamily",
     "WeightMap",
-    "alg1_call",
     "assert_recurrence_step",
     "balanced_separator_core",
     "branch_threshold",

@@ -27,11 +27,11 @@ batch's children run one after another, in batch order, so every counter
 comes out the same on every run. The path scheme answers a graph of at
 most one vertex inline; that answer still counts as one node of depth.
 
-Every run starts in _run, which drives the recursion from its root and
-verifies the witness at every assertion level. Input is validated
-once, before that, by the public entry: alg1_call or solve_hfree. Inside
-the recursion a witness is a mask over the root graph's table, which _run
-decodes once.
+Every run starts in _run, which drives the recursion from its root
+(G, w, N, F), passed as plain arguments, and verifies the witness at every
+assertion level. Input is validated once, before that, by the public
+entry: solve_pkfree or solve_hfree. Inside the recursion a witness is a
+mask over the root graph's table, which _run decodes once.
 
 Correctness never depends on the input being path-free; the quasi-polynomial
 call bound does. The optional k_hint enables the k-dependent audit bounds
@@ -70,21 +70,6 @@ from .levels import VertexMultiFamily, find_branchable
 from .separators import balanced_separator_core, verify_balanced
 
 _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
-
-
-class Instance:
-    """One recursion node: graph, weights, vertex budget N, family F.
-
-    The input of alg1_call, which validates it, and the root of a run;
-    treated as immutable.
-    """
-
-    __slots__ = ("graph", "weights", "capacity_n", "family")
-
-    def __init__(
-        self, graph: Graph, weights: WeightMap, capacity_n: int, family: VertexMultiFamily
-    ):
-        self.graph, self.weights, self.capacity_n, self.family = graph, weights, capacity_n, family
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +208,12 @@ def _check_edge(
     return child_mu
 
 
-def drive(root: Instance, scheme: Scheme) -> tuple[int, int]:
-    """Run the shared recursion from root to its answer.
+def drive(
+    scheme: Scheme, g: Graph, w: WeightMap, capacity_n: int, family: VertexMultiFamily
+) -> tuple[int, int]:
+    """Run the shared recursion from the root (g, w, N, F) to its answer.
 
-    Answers are (weight, witness mask over the root's table). A task is a
+    Answers are (weight, witness mask over g's table). A task is a
     node (depth, g, N, F, potential), the root at depth 1, or a marker that
     combines the answers on top of the results stack: (0, count) sums a
     split's count answers, (-1, w(v), bit) picks between a branch's delete
@@ -234,9 +221,9 @@ def drive(root: Instance, scheme: Scheme) -> tuple[int, int]:
     when the run raises. A parent potential exists only at "paranoid" with
     a claimed bound, so only then are the edges to the children audited.
     """
-    w, stats = root.weights, scheme.stats
+    stats = scheme.stats
     audit = scheme.level >= 2
-    tasks: list[tuple] = [(1, root.graph, root.capacity_n, root.family, None)]
+    tasks: list[tuple] = [(1, g, capacity_n, family, None)]
     results: list[tuple[int, int]] = []
     deepest = 1
     try:
@@ -416,47 +403,28 @@ def _run(
     capacity_n: int | None = None,
     family: VertexMultiFamily | None = None,
 ) -> SolveResult:
-    """Build the validated root (g, w, N, F), drive it and verify the witness.
+    """Drive the validated root (g, w, N, F) and verify the witness.
 
     N defaults to max(1, |V(g)|) and F to the empty family over g's table.
     The recursion's witness mask is decoded here, once, into the result
     that also carries the scheme's stats.
     """
+    if capacity_n is None:
+        capacity_n = max(1, g.n)
     if family is None:
         family = VertexMultiFamily(table=g.table)
-    root = Instance(g, w, max(1, g.n) if capacity_n is None else capacity_n, family)
-    weight, mask = drive(root, scheme)
+    weight, mask = drive(scheme, g, w, capacity_n, family)
     witness = g.table.decode(mask)
     verify_witness(g, w, weight, witness)
     return SolveResult(weight, witness, scheme.stats)
 
 
-def alg1_call(
-    inst: Instance, k_hint: int | None = None, assertion_level: str = "fair"
-) -> SolveResult:
-    """Run the path-scheme recursion on one instance and verify its witness.
-
-    The instance must satisfy 1 <= N and |V(G)| <= N; that shape is
-    preserved by every rule and is what guarantees termination. Its weights
-    must cover V(G) and its family members must be vertex sets of G.
-
-    Returns:
-        SolveResult with weight, a witness independent set of the
-        instance's graph, and run stats.
-    """
-    g, n_cap = inst.graph, inst.capacity_n
-    if k_hint is not None and k_hint < 1:
-        raise ValueError(f"k_hint must be >= 1, got {k_hint}")
-    if n_cap < 1:
-        raise ValueError(f"N must be >= 1, got {n_cap}")
-    if g.n > n_cap:
-        raise ValueError(f"instance is not fair-shaped: |V(G)| = {g.n} > N = {n_cap}")
-    validate_weights(g, inst.weights)
-    # The recursion keeps F over the graph's table.
-    if not all(v in g for member in inst.family for v in member):
-        raise ValueError("family members must be vertex sets of the instance's graph")
-    scheme = _PathScheme(_parse_level(assertion_level), k_hint)
-    return _run(scheme, g, inst.weights, n_cap, inst.family.over(g.table))
+def _check_positive(name: str, value: object) -> None:
+    # bool is an int subclass, refused as validate_weights refuses it.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def solve_pkfree(
@@ -464,6 +432,9 @@ def solve_pkfree(
     w: WeightMap,
     k_hint: int | None = None,
     assertion_level: str = "fair",
+    *,
+    capacity_n: int | None = None,
+    family: VertexMultiFamily | None = None,
 ) -> SolveResult:
     """Maximum-weight independent set of g under w.
 
@@ -473,17 +444,35 @@ def solve_pkfree(
     per-call separator balance, level bounds, potential bounds, and per-edge
     potential decreases).
 
+    The run is Algorithm 1's call on the instance (g, w, N, F). Its root is
+    N = max(1, |V(g)|) and F empty unless capacity_n and family say
+    otherwise; 1 <= N and |V(g)| <= N is the shape every rule preserves and
+    what guarantees termination.
+
     Args:
         g: input graph.
         w: non-negative integer weights, defined on every vertex.
-        k_hint: claimed induced-path bound; instrumentation only.
+        k_hint: claimed induced-path bound, an integer >= 1; instrumentation only.
         assertion_level: "off", "fair", or "paranoid".
+        capacity_n: the vertex budget N, an integer with |V(g)| <= N.
+        family: a preloaded family F whose members are vertex sets of g.
 
     Returns:
         SolveResult with weight, a witness independent set, and run stats.
     """
-    root = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
-    return alg1_call(root, k_hint=k_hint, assertion_level=assertion_level)
+    if k_hint is not None:
+        _check_positive("k_hint", k_hint)
+    if capacity_n is not None:
+        _check_positive("N", capacity_n)
+        if g.n > capacity_n:
+            raise ValueError(f"instance is not fair-shaped: |V(G)| = {g.n} > N = {capacity_n}")
+    validate_weights(g, w)
+    if family is not None:
+        # The recursion keeps F over the graph's table.
+        if not all(v in g for member in family for v in member):
+            raise ValueError("family members must be vertex sets of the instance's graph")
+        family = family.over(g.table)
+    return _run(_PathScheme(_parse_level(assertion_level), k_hint), g, w, capacity_n, family)
 
 
 def verify_witness(g: Graph, w: WeightMap, weight: int, witness: frozenset[int]) -> None:

@@ -449,6 +449,11 @@ def test_bruteforce_cap_spec(tmp_path, capsys):
     code, _, err = run([*args, "bruteforce:2"], capsys)
     assert code == 2
     assert json.loads(err)["error"]["kind"] == "input-error"
+    code, _, err = run([*args, "bruteforce:0"], capsys)
+    assert code == 2
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input-error"
+    assert error["message"] == "brute-force cap must be >= 1, got 0"
     code, out, _ = run([*args, "bruteforce"], capsys)
     assert code == 0
     assert json.loads(out)["weight"] == 1
@@ -733,6 +738,12 @@ def test_generate_refuses_a_size_over_the_file_cap(tmp_path, capsys):
     error = json.loads(err)["error"]
     assert error["kind"] == "input-error"
     assert error["message"] == "size 16385 exceeds 16384, the most vertices a graph file holds"
+    assert not out_path.exists()
+    code, out, err = run(["generate", "path", "--size", "-1", "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["kind"] == "input-error"
+    assert error["message"] == "size must be >= 0, got -1"
     assert not out_path.exists()
 
 

@@ -1,10 +1,10 @@
-"""Direct tests of the recursion loop, drive(root, scheme), with toy schemes."""
+"""Direct tests of the recursion loop, drive(scheme, g, w, N, F), with toy schemes."""
 
 import sys
 
 import pytest
 
-from qmwis import GeneratorSpec, Graph, Instance, VertexMultiFamily, generate, solve_pkfree
+from qmwis import GeneratorSpec, Graph, VertexMultiFamily, generate, solve_pkfree
 from qmwis.hfree import ComponentOracle, make_bruteforce_oracle, make_pk_oracle, solve_hfree
 from qmwis.instrumentation import RunStats
 from qmwis.pkfree import Scheme, _PathScheme, drive
@@ -14,10 +14,11 @@ def edgeless(n: int) -> Graph:
     return Graph(range(1, n + 1), [])
 
 
-def root(g: Graph, capacity_n: int | None = None, weights: dict | None = None) -> Instance:
+def root(g: Graph, capacity_n: int | None = None, weights: dict | None = None) -> tuple:
+    """The root (g, w, N, F) that drive takes after the scheme."""
     w = weights if weights is not None else {v: 1 for v in g.vertex_ids()}
     n_cap = max(1, g.n) if capacity_n is None else capacity_n
-    return Instance(g, w, n_cap, VertexMultiFamily(table=g.table))
+    return g, w, n_cap, VertexMultiFamily(table=g.table)
 
 
 class Toy(Scheme):
@@ -58,7 +59,7 @@ class Toy(Scheme):
 def test_drive_sequential_tree():
     # 16 vertices halve into 2^4 one-vertex leaves, each worth 1.
     g, scheme = edgeless(16), Toy()
-    assert drive(root(g), scheme) == (16, g.mask)
+    assert drive(scheme, *root(g)) == (16, g.mask)
     assert scheme.stats.calls == 2**5 - 1
     assert scheme.stats.max_depth == 5
     assert scheme.stats.component_recursions == 2**4 - 1
@@ -72,7 +73,7 @@ def test_drive_linear_chain_depth():
 
     g, scheme = edgeless(7), Chain()
     weights = {v: 10 * v for v in g.vertex_ids()}
-    assert drive(root(g, weights=weights), scheme) == (70, g.table.mask({7}))
+    assert drive(scheme, *root(g, weights=weights)) == (70, g.table.mask({7}))
     assert scheme.stats.calls == 7
     assert scheme.stats.max_depth == 7
     assert scheme.leaves == [[7]]
@@ -85,11 +86,11 @@ def test_a_root_leaf_is_one_call_of_depth_one():
             return None
 
     g, scheme = edgeless(3), Leaf()
-    assert drive(root(g), scheme) == (3, g.mask)
+    assert drive(scheme, *root(g)) == (3, g.mask)
     assert (scheme.stats.calls, scheme.stats.max_depth) == (1, 1)
     for g in (edgeless(0), edgeless(1)):
         scheme = _PathScheme(0, None)
-        assert drive(root(g), scheme) == (g.n, g.mask)
+        assert drive(scheme, *root(g)) == (g.n, g.mask)
         assert (scheme.stats.calls, scheme.stats.max_depth) == (1, 1)
 
 
@@ -99,7 +100,7 @@ def test_drive_empty_batch():
             return []
 
     scheme = Empty()
-    assert drive(root(edgeless(4)), scheme) == (0, 0)
+    assert drive(scheme, *root(edgeless(4))) == (0, 0)
     assert (scheme.stats.calls, scheme.stats.max_depth) == (1, 1)
     assert scheme.stats.component_recursions == 1
 
@@ -118,7 +119,7 @@ def test_growth_retries_stay_in_one_frame():
             return len(family), 0
 
     g, scheme = Graph([1, 2, 3], [(1, 2)]), Grow()
-    assert drive(root(g, capacity_n=10**6), scheme) == (3, 0)
+    assert drive(scheme, *root(g, capacity_n=10**6)) == (3, 0)
     assert (scheme.stats.calls, scheme.stats.max_depth, scheme.growths) == (4, 1, 3)
 
 
@@ -135,7 +136,7 @@ def test_a_branch_with_equal_children_keeps_the_delete_answer_on_ties():
     g = edgeless(1)
     for weight, answer in ((0, (0, 0)), (5, (5, g.mask))):
         scheme = Branch()
-        assert drive(root(g, weights={1: weight}), scheme) == answer
+        assert drive(scheme, *root(g, weights={1: weight})) == answer
         stats = scheme.stats
         assert (stats.calls, stats.branch_steps, stats.max_depth) == (4, 1, 2)
         assert scheme.leaves == [[], []]
@@ -150,7 +151,7 @@ def test_drive_propagates_exceptions():
 
     scheme = Unlucky()
     with pytest.raises(RuntimeError, match="unlucky"):
-        drive(root(edgeless(16)), scheme)
+        drive(scheme, *root(edgeless(16)))
     # The leaves before 13 ran, and the depth reached is still recorded.
     assert scheme.leaves == [[v] for v in range(1, 13)]
     assert scheme.stats.max_depth == 5
@@ -167,7 +168,7 @@ def test_results_arrive_in_batch_order():
 
     g, scheme = edgeless(7), Uneven()
     weights = {v: 10**v for v in g.vertex_ids()}
-    assert drive(root(g, weights=weights), scheme) == (sum(weights.values()), g.mask)
+    assert drive(scheme, *root(g, weights=weights)) == (sum(weights.values()), g.mask)
     assert scheme.leaves == [[v] for v in range(1, 8)]
     assert scheme.stats.max_depth == 4
 
@@ -179,7 +180,7 @@ def test_a_frameless_answer_counts_as_one_frame():
         outcomes = []
         for small_leaves in (False, True):
             scheme = Toy(small_leaves)
-            answer = drive(root(edgeless(n)), scheme)
+            answer = drive(scheme, *root(edgeless(n)))
             outcomes.append((answer, scheme.stats.calls, scheme.stats.max_depth))
             assert len(scheme.leaves) == (0 if small_leaves else n)
         assert outcomes[0] == outcomes[1]

@@ -15,10 +15,8 @@ import pytest
 from qmwis import (
     GeneratorSpec,
     Graph,
-    Instance,
     InvariantViolation,
     VertexMultiFamily,
-    alg1_call,
     emit_graph,
     generate,
     make_bruteforce_oracle,
@@ -317,9 +315,9 @@ GOLDEN_AUDIT = [
 )
 def test_golden_audit_failures(n, members, options, rule, message, details):
     g = _path(n)
-    inst = Instance(g, {v: 1 for v in g.vertex_ids()}, n, VertexMultiFamily(members))
+    w, family = {v: 1 for v in g.vertex_ids()}, VertexMultiFamily(members)
     with pytest.raises(InvariantViolation) as info:
-        alg1_call(inst, **options)
+        solve_pkfree(g, w, capacity_n=n, family=family, **options)
     assert info.value.rule == rule
     assert str(info.value) == message
     assert info.value.details == details

@@ -25,6 +25,8 @@ def test_basic_shape():
     assert g.adj(2) == {1, 3}
     assert g.closed(2) == {1, 2, 3}
     assert g.degree(1) == 1
+    with pytest.raises(KeyError):
+        g.degree(99)
     assert g.has_edge(1, 2) and g.has_edge(2, 1)
     assert not g.has_edge(1, 3)
     assert 2 in g and 9 not in g
@@ -34,6 +36,12 @@ def test_vertices_need_not_be_contiguous():
     g = Graph([4, 7, 12], [(4, 12)])
     assert g.vertex_ids() == (4, 7, 12)
     assert g.adj(7) == frozenset()
+
+
+@pytest.mark.parametrize("v", [-1, True, 1.0])
+def test_vertex_ids_must_be_integers_at_least_zero(v):
+    with pytest.raises(ValueError, match="vertex ids must be integers >= 0"):
+        Graph([v], [])
 
 
 def test_edge_endpoints_must_exist():
@@ -71,6 +79,10 @@ def test_induced_subgraph_keeps_only_internal_edges():
     h = induced_subgraph(g, {1, 2, 4})
     assert h.vertices == {1, 2, 4}
     assert list(h.edges()) == [(1, 2)]
+    with pytest.raises(ValueError, match="the mask has vertices outside the graph"):
+        induced_subgraph(h, g.mask)
+    with pytest.raises(ValueError, match="vertex 3 is not in the graph"):
+        induced_subgraph(h, {1, 3})
 
 
 def test_remove_vertices():
@@ -104,3 +116,4 @@ def test_is_independent_set():
     assert is_independent_set(g, {1, 3})
     assert is_independent_set(g, set())
     assert not is_independent_set(g, {1, 2})
+    assert not is_independent_set(g, [1, 1])  # a repeated vertex

@@ -133,6 +133,11 @@ def test_error_integers_that_are_not_ascii_decimal(text, line_no, field):
 def test_comments_may_hold_any_characters():
     g, w = parse_graph("c +1_000 \u0663\np 2 1\nn 2 -0\ne 1 2\n")
     assert list(g.edges()) == [(1, 2)] and w == {1: 1, 2: 0}
+    # A lone surrogate cannot be encoded, so the one-pass reader declines
+    # the str and the line loop reads it.
+    text = "c lone \ud800 surrogate\np 2 1\nn 1 1\nn 2 1\ne 1 2\n"
+    assert _outcome(parse_graph, text) == _outcome(_line_loop, text)
+    assert _outcome(parse_graph, text)[0] == "graph"
 
 
 def test_error_invalid_utf8():

@@ -1,7 +1,9 @@
-"""Repository guards: the README's flag table and the modules' imports stay honest."""
+"""Repository guards: the README's flag table and Python blocks and the modules' imports stay honest."""
 
 import argparse
 import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -44,6 +46,25 @@ def test_readme_flag_table_matches_the_parser():
         if flag not in ("-h", "--help") and sum(flag in f for f in accepted.values()) > 1
     }
     assert shared <= set(table), sorted(shared - set(table))
+
+
+def test_readme_python_blocks_run_and_print_what_they_say():
+    # The blocks run in order in one namespace, as a reader would paste them;
+    # the comment on each print line is the line it prints.
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 3
+    namespace: dict = {}
+    printed = []
+    for number, block in enumerate(blocks, 1):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+        prints = [line for line in block.splitlines() if line.startswith("print(")]
+        said = [line.split("#", 1)[1].strip() for line in prints]
+        assert out.getvalue().splitlines() == said, number
+        printed.append(said)
+    assert printed[0] == ["12 [1, 4]"]
 
 
 def test_modules_import_only_names_they_use():

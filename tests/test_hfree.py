@@ -66,6 +66,8 @@ def test_pattern_rejects_bad_shapes():
         PatternGraph(components=())
     with pytest.raises(ValueError):
         PatternGraph(components=(two_k2(),))  # disconnected component
+    with pytest.raises(ValueError, match="pattern components must be non-empty"):
+        PatternGraph(components=(Graph([1], []), Graph([], [])))
 
 
 # ------------------------------------------------------- induced copies

@@ -83,6 +83,12 @@ def test_find_branchable_empty_family_is_none():
     assert find_branchable(g, VertexMultiFamily(), 2) is None
 
 
+def test_find_branchable_rejects_n_below_one():
+    g = Graph([1, 2], [(1, 2)])
+    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+        find_branchable(g, VertexMultiFamily([{1, 2}]), 0)
+
+
 def test_find_branchable_smallest_id_wins_ties():
     g = Graph([1, 2], [(1, 2)])
     assert find_branchable(g, VertexMultiFamily([{1, 2}]), 2) == 1

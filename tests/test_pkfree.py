@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,10 @@ from hypothesis import strategies as st
 from qmwis import (
     GeneratorSpec,
     Graph,
-    Instance,
     InvariantViolation,
     RunStats,
     SolveResult,
     VertexMultiFamily,
-    alg1_call,
     brute_force_mwis,
     generate,
     is_independent_set,
@@ -154,27 +153,32 @@ def test_weights_validated():
 
 
 def test_alg1_call_rejects_oversized_graph():
-    inst = Instance(path_graph(3), unit_weights(path_graph(3)), 2, VertexMultiFamily())
-    with pytest.raises(ValueError):
-        alg1_call(inst)
+    # Algorithm 1's call on (G, w, N, F) needs |V(G)| <= N.
+    g = path_graph(3)
+    with pytest.raises(ValueError, match=r"not fair-shaped: \|V\(G\)\| = 3 > N = 2"):
+        solve_pkfree(g, unit_weights(g), capacity_n=2)
 
 
 def test_alg1_call_with_preloaded_family_is_still_exact():
     g = path_graph(4)
     w = {1: 2, 2: 9, 3: 9, 4: 2}
-    inst = Instance(g, w, 4, VertexMultiFamily([{1, 2, 3, 4}]))
-    result = alg1_call(inst, assertion_level="off")
+    family = VertexMultiFamily([{1, 2, 3, 4}])
+    result = solve_pkfree(g, w, assertion_level="off", capacity_n=4, family=family)
     assert result.weight == 11
     assert is_independent_set(g, result.witness)
     assert total_weight(w, result.witness) == 11
+    with pytest.raises(ValueError, match="family members must be vertex sets"):
+        solve_pkfree(g, w, capacity_n=4, family=VertexMultiFamily([{1, 9}]))
+    with pytest.raises(ValueError, match="family members must be vertex sets"):
+        solve_pkfree(g, w, family=VertexMultiFamily([{5}]))
 
 
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
 def test_alg1_call_returns_the_solve_result_of_solve_pkfree(level):
-    # solve_pkfree's root: N = max(1, |V(G)|) and F empty over g's table.
+    # The defaulted root: N = max(1, |V(G)|) and F empty over g's table.
     g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
-    inst = Instance(g, w, max(1, g.n), VertexMultiFamily(table=g.table))
-    got = alg1_call(inst, k_hint=4, assertion_level=level)
+    family = VertexMultiFamily(table=g.table)
+    got = solve_pkfree(g, w, 4, level, capacity_n=max(1, g.n), family=family)
     want = solve_pkfree(g, w, k_hint=4, assertion_level=level)
     assert isinstance(got, SolveResult)
     assert (got.weight, got.witness) == (want.weight, want.witness)
@@ -182,9 +186,18 @@ def test_alg1_call_returns_the_solve_result_of_solve_pkfree(level):
 
 
 def test_alg1_call_takes_no_stats():
-    inst = Instance(path_graph(3), unit_weights(path_graph(3)), 3, VertexMultiFamily())
+    g = path_graph(3)
     with pytest.raises(TypeError):
-        alg1_call(inst, stats=RunStats())
+        solve_pkfree(g, unit_weights(g), stats=RunStats())
+
+
+def test_the_root_keywords_are_keyword_only():
+    g = path_graph(3)
+    w = unit_weights(g)
+    with pytest.raises(TypeError):
+        solve_pkfree(g, w, None, "fair", 3)
+    with pytest.raises(TypeError):
+        solve_pkfree(g, w, None, "fair", 3, VertexMultiFamily())
 
 
 def test_collect_witness_take_wins_strictly():
@@ -200,9 +213,22 @@ def test_collect_witness_tie_keeps_delete_side():
 def test_alg1_call_rejects_k_hint_and_n_below_one():
     g = path_graph(3)
     with pytest.raises(ValueError, match="k_hint must be >= 1, got 0"):
-        alg1_call(Instance(g, unit_weights(g), 3, VertexMultiFamily()), k_hint=0)
+        solve_pkfree(g, unit_weights(g), k_hint=0, capacity_n=3)
     with pytest.raises(ValueError, match="N must be >= 1, got 0"):
-        alg1_call(Instance(Graph([], []), {}, 0, VertexMultiFamily()))
+        solve_pkfree(Graph([], []), {}, capacity_n=0)
+
+
+@pytest.mark.parametrize("level", ["fair", "paranoid"])
+@pytest.mark.parametrize("bad", [4.0, True, "4"], ids=["float", "bool", "str"])
+def test_k_hint_and_n_must_be_integers(bad, level):
+    # Refused before the run, as validate_weights refuses a weight: a bool
+    # is no integer here, and a float would reach int-only code mid-run.
+    g = path_graph(3)
+    w = unit_weights(g)
+    with pytest.raises(ValueError, match=f"k_hint must be an integer, got {re.escape(repr(bad))}$"):
+        solve_pkfree(g, w, k_hint=bad, assertion_level=level)
+    with pytest.raises(ValueError, match=f"N must be an integer, got {re.escape(repr(bad))}$"):
+        solve_pkfree(g, w, assertion_level=level, capacity_n=bad)
 
 
 def test_verify_witness_accepts_and_rejects():
@@ -258,18 +284,23 @@ def test_every_level_verifies_the_witness(level, monkeypatch):
 
     real_drive = pkfree.drive
 
-    def corrupted(root, *args, **kwargs):
-        # drive answers with a witness mask over the root's table; add vertex 2.
-        weight, witness = real_drive(root, *args, **kwargs)
-        return weight, witness | root.graph.table.mask({2})
+    def corrupted(scheme, g, *args, **kwargs):
+        # drive answers with a witness mask over g's table; add vertex 2.
+        weight, witness = real_drive(scheme, g, *args, **kwargs)
+        return weight, witness | g.table.mask({2})
 
     monkeypatch.setattr(pkfree, "drive", corrupted)
     with pytest.raises(InvariantViolation) as info:
         solve_pkfree(path_graph(3), {1: 1, 2: 1, 3: 1}, assertion_level=level)
     assert info.value.rule == "witness"
-    inst = Instance(path_graph(3), {1: 1, 2: 1, 3: 1}, 3, VertexMultiFamily())
     with pytest.raises(InvariantViolation) as info:
-        alg1_call(inst, assertion_level=level)
+        solve_pkfree(
+            path_graph(3),
+            {1: 1, 2: 1, 3: 1},
+            assertion_level=level,
+            capacity_n=3,
+            family=VertexMultiFamily(),
+        )
     assert info.value.rule == "witness"
 
 
@@ -300,12 +331,12 @@ def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
     # {1} is no N/4-balanced separator of the 8-vertex path; only the
     # paranoid per-call audit of F's members notices.
     g = path_graph(8)
-    inst = Instance(g, {v: 1 for v in g.vertex_ids()}, 8, VertexMultiFamily([{1}]))
+    w, family = {v: 1 for v in g.vertex_ids()}, VertexMultiFamily([{1}])
     if level != "paranoid":
-        assert alg1_call(inst, assertion_level=level).weight == 4
+        assert solve_pkfree(g, w, assertion_level=level, capacity_n=8, family=family).weight == 4
         return
     with pytest.raises(InvariantViolation) as info:
-        alg1_call(inst, assertion_level=level)
+        solve_pkfree(g, w, assertion_level=level, capacity_n=8, family=family)
     assert info.value.rule == "separator-balance"
 
 
