@@ -237,8 +237,6 @@ def _parse_oracle_spec(spec: str, index: int, size: int) -> ComponentOracle:
                 f"isomorphic to component {index}"
             )
         return make_pk_oracle(value)
-    if value < 1:
-        raise ValueError(f"brute-force cap must be >= 1, got {value}")
     return make_bruteforce_oracle(value)
 
 

@@ -14,6 +14,10 @@ fits:
      without N[v] plus w(v);
   2. G has an induced copy X of H_i: grow F by N[X] and retry;
   3. neither: return the i-th oracle's answer, valid since G is H_i-free.
+     Each distinct (i, vertex set of G) reaches oracle i at most once per
+     run: every leaf graph of a run shares the root's table and w, so a
+     repeated leaf takes the answer stored at its first visit. Every leaf,
+     repeated or not, counts as one oracle call in the run's stats.
 
 N never changes and there is no component split. solve_hfree and the pk
 oracle start their runs in pkfree._run, the one entry for both schemes,
@@ -47,6 +51,7 @@ from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
 from .pkfree import (
     Scheme,
     SolveResult,
+    _check_positive,
     _parse_level,
     _PathScheme,
     _run,
@@ -94,7 +99,10 @@ class ComponentOracle:
     of g; solve returns the same weight alone. Both are required. The
     solver calls only solve_with_witness, and only on graphs with no
     induced copy of claimed_pattern. claimed_pattern None means the oracle
-    is exact on every graph.
+    is exact on every graph. Within one solve_hfree run each distinct
+    (component, vertex set) reaches the oracle at most once; a later leaf
+    on the same vertex set reuses that first answer, so a non-deterministic
+    oracle is not asked again.
     """
 
     name: str
@@ -104,7 +112,11 @@ class ComponentOracle:
 
 
 def make_bruteforce_oracle(max_size: int = DEFAULT_BRUTE_FORCE_CAP) -> ComponentOracle:
-    """Exponential-search oracle, exact on every graph up to max_size."""
+    """Exponential-search oracle, exact on every graph up to max_size.
+
+    max_size must be an int >= 1; a bool is refused too.
+    """
+    _check_positive("brute-force cap", max_size)
 
     def solve(g: Graph, w: WeightMap) -> int:
         return brute_force_mwis(g, w, max_size=max_size)[0]
@@ -125,10 +137,10 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     The path-free solver is exact on every graph, so the oracle is too; the
     claimed pattern just records the component it is meant for. It runs that
     solver's recursion at level "off" and trusts w, which solve_hfree has
-    validated; the witness is still verified.
+    validated; the witness is still verified. k must be an int >= 1; a
+    bool is refused too.
     """
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
+    _check_positive("path length", k)
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
     def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
@@ -209,13 +221,20 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
         pending[pos] = candidates
 
 
+# The most leaf answers one run of the pattern scheme stores; later misses
+# go to their oracle unstored, so a long run's memory stays bounded.
+LEAF_MEMO_CAP = 65_536
+
+
 class _PatternScheme(Scheme):
     """Induced-copy growth and oracle leaves for a pattern with c components.
 
     F grows by N[X] for an induced copy X of component i = |F| mod c, and a
     graph with no such copy goes to oracle i. assume_hfree claims the root
     graph has no induced copy of the whole pattern; only then are the family
-    bound and the potential audited.
+    bound and the potential audited. memo maps (i, live mask) to a leaf's
+    answer; the key is complete because every leaf graph of a run shares
+    the root table and w.
     """
 
     noun = "neighborhood"
@@ -227,6 +246,7 @@ class _PatternScheme(Scheme):
         self.pattern, self.oracles, self.assume_hfree = pattern, oracles, assume_hfree
         self.size, self.c = pattern.total_size, len(pattern.components)
         self.params = {"pattern_size": self.size, "pattern_components": self.c}
+        self.memo: dict[tuple[int, int], tuple[int, int]] = {}
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
         copy = find_induced_copy(g, self.pattern.components[len(family) % self.c])
@@ -257,8 +277,9 @@ class _PatternScheme(Scheme):
     def leaf(self, g: Graph, w: WeightMap, family: VertexMultiFamily) -> tuple[int, int]:
         """The oracle's answer, its witness encoded as a mask over g's table.
 
-        Counted as one oracle call; at "paranoid" g must be free of the
-        oracle's component and the witness is verified here.
+        Counted as one oracle call, memo hit or not; only a miss invokes the
+        oracle. At "paranoid" g must be free of the oracle's component and
+        the witness is verified here, on hits too.
         """
         index = len(family) % self.c
         oracle = self.oracles[index]
@@ -270,16 +291,24 @@ class _PatternScheme(Scheme):
                 {"oracle": index, "n": g.n},
             )
         self.stats.record_oracle_call(index)
-        weight, witness = oracle.solve_with_witness(g, w)
-        if self.level >= 2:
-            verify_witness(g, w, weight, witness)
-        try:
-            return weight, g.table.mask(witness)
-        except KeyError:
-            # An id outside the table, which a mask cannot hold: verify_witness
-            # rejects it as the root's check would have.
-            verify_witness(g, w, weight, witness)
-            raise
+        key = index, g.mask
+        answer = self.memo.get(key)
+        if answer is None:
+            weight, witness = oracle.solve_with_witness(g, w)
+            if self.level >= 2:
+                verify_witness(g, w, weight, witness)
+            try:
+                answer = weight, g.table.mask(witness)
+            except KeyError:
+                # An id outside the table, which a mask cannot hold:
+                # verify_witness rejects it as the root's check would have.
+                verify_witness(g, w, weight, witness)
+                raise
+            if len(self.memo) < LEAF_MEMO_CAP:
+                self.memo[key] = answer
+        elif self.level >= 2:
+            verify_witness(g, w, answer[0], g.table.decode(answer[1]))
+        return answer
 
 
 def solve_hfree(

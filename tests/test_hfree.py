@@ -6,11 +6,13 @@ import pytest
 
 from qmwis import (
     ComponentOracle,
+    GeneratorSpec,
     Graph,
     InvariantViolation,
     PatternGraph,
     brute_force_mwis,
     find_induced_copy,
+    generate,
     is_independent_set,
     make_bruteforce_oracle,
     make_pk_oracle,
@@ -160,8 +162,6 @@ def test_pk_oracle_values():
 
 
 def test_pk_oracle_on_cographs_matches_brute_force():
-    from qmwis import GeneratorSpec, generate
-
     o = make_pk_oracle(4)
     for seed in range(6):
         g, w = generate(GeneratorSpec(kind="cograph", size=14, seed=seed))
@@ -169,7 +169,7 @@ def test_pk_oracle_on_cographs_matches_brute_force():
 
 
 def test_pk_oracle_matches_solve_pkfree():
-    from qmwis import GeneratorSpec, generate, solve_pkfree
+    from qmwis import solve_pkfree
 
     specs = [GeneratorSpec(kind="random-gnp", size=30, seed=s, p=0.3) for s in (1, 2, 3)]
     specs += [GeneratorSpec(kind="cograph", size=128, seed=s) for s in (1, 2)]
@@ -186,6 +186,13 @@ def test_pk_oracle_matches_solve_pkfree():
 def test_pk_oracle_rejects_bad_k():
     with pytest.raises(ValueError):
         make_pk_oracle(0)
+
+
+@pytest.mark.parametrize("factory", [make_pk_oracle, make_bruteforce_oracle])
+@pytest.mark.parametrize("value", [True, False, 4.0, "4", None, 0, -1])
+def test_oracle_factories_refuse_a_non_positive_or_non_int_size(factory, value):
+    with pytest.raises(ValueError):
+        factory(value)
 
 
 def test_bruteforce_oracle_cap():
@@ -284,30 +291,110 @@ def test_a_lying_oracle_is_a_witness_failure():
     assert err.value.rule == "witness"
 
 
+def counting(oracle: ComponentOracle, calls: list) -> ComponentOracle:
+    """oracle, with each invocation's vertex set appended to calls."""
+
+    def solve_with_witness(g: Graph, w):
+        calls.append(g.vertices)
+        return oracle.solve_with_witness(g, w)
+
+    return dataclasses.replace(oracle, solve_with_witness=solve_with_witness)
+
+
+P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+K3_P4 = Graph(range(1, 8), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (6, 7)])
+# The instances of test_golden.py's GOLDEN_HFREE rows.
+GOLDEN_HFREE_SPECS = [GeneratorSpec(kind="random-gnp", size=28, seed=s, p=0.3) for s in (1, 2)]
+
+
 def test_the_solver_calls_only_the_witness_view():
     """Oracles rebuilt with dataclasses.replace, as a call tracer does, solve the same."""
-    from qmwis import GeneratorSpec, generate
-
     def no_weight_view(g: Graph, w) -> int:
         raise AssertionError("the solver called an oracle's solve")
 
     def counted(oracle: ComponentOracle, calls: list) -> ComponentOracle:
-        def solve_with_witness(g: Graph, w):
-            calls.append(g.n)
-            return oracle.solve_with_witness(g, w)
+        return dataclasses.replace(counting(oracle, calls), solve=no_weight_view)
 
-        return dataclasses.replace(oracle, solve=no_weight_view, solve_with_witness=solve_with_witness)
-
-    pattern = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
-    g, w = generate(GeneratorSpec(kind="random-gnp", size=28, seed=1, p=0.3))
+    g, w = generate(GOLDEN_HFREE_SPECS[0])
     oracles = [make_pk_oracle(4), make_bruteforce_oracle()]
-    plain = solve_hfree(pattern, g, w, oracles)
+    plain = solve_hfree(P4_K3, g, w, oracles)
     calls: tuple[list, list] = ([], [])
-    traced = solve_hfree(pattern, g, w, [counted(o, c) for o, c in zip(oracles, calls)])
+    traced = solve_hfree(P4_K3, g, w, [counted(o, c) for o, c in zip(oracles, calls)])
     assert traced.weight == plain.weight == 560
     assert traced.witness == plain.witness
     assert traced.stats.to_dict() == plain.stats.to_dict()
-    assert [len(c) for c in calls] == [traced.stats.oracle_calls_by_index[i] for i in (0, 1)]
+    # Each distinct (index, vertex set) reaches its oracle exactly once;
+    # oracle_calls_by_index counts every leaf, repeated ones too.
+    by_index = traced.stats.oracle_calls_by_index
+    for i, seen in enumerate(calls):
+        assert len(seen) == len(set(seen)) <= by_index[i]
+    assert sum(map(len, calls)) < traced.stats.oracle_calls
+
+
+def _pattern_oracles(name: str) -> tuple[Graph, list[ComponentOracle]]:
+    if name == "p4k3":
+        return P4_K3, [make_pk_oracle(4), make_bruteforce_oracle()]
+    return K3_P4, [make_bruteforce_oracle(), make_pk_oracle(4)]
+
+
+@pytest.mark.parametrize("name", ["p4k3", "k3p4"])
+@pytest.mark.parametrize("spec", GOLDEN_HFREE_SPECS, ids=lambda s: f"gnp-{s.size}-seed{s.seed}")
+def test_with_no_memo_every_leaf_invokes_its_oracle(spec, name, monkeypatch):
+    import qmwis.hfree as hfree
+
+    g, w = generate(spec)
+    pattern, oracles = _pattern_oracles(name)
+    default = solve_hfree(pattern, g, w, oracles)
+    monkeypatch.setattr(hfree, "LEAF_MEMO_CAP", 0)
+    calls: tuple[list, list] = ([], [])
+    capped = solve_hfree(pattern, g, w, [counting(o, c) for o, c in zip(oracles, calls)])
+    by_index = capped.stats.oracle_calls_by_index
+    assert [len(c) for c in calls] == [by_index.get(i, 0) for i in (0, 1)]
+    assert capped.weight == default.weight
+    assert capped.witness == default.witness
+    assert capped.stats.to_dict() == default.stats.to_dict()
+
+
+def test_the_leaf_memo_lives_for_one_run():
+    g, w = generate(GOLDEN_HFREE_SPECS[0])
+    calls: tuple[list, list] = ([], [])
+    oracles = [counting(o, c) for o, c in zip(_pattern_oracles("p4k3")[1], calls)]
+    first = solve_hfree(P4_K3, g, w, oracles)
+    counts = [len(c) for c in calls]
+    second = solve_hfree(P4_K3, g, w, oracles)
+    assert [len(c) for c in calls] == [2 * n for n in counts]
+    assert (second.weight, second.witness) == (first.weight, first.witness)
+
+
+def test_paranoid_verifies_every_oracle_leaf_memo_hits_too(monkeypatch):
+    import qmwis.hfree as hfree
+
+    real_verify, verified = hfree.verify_witness, []
+
+    def verify(*args):
+        verified.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(hfree, "verify_witness", verify)
+    g, w = generate(GOLDEN_HFREE_SPECS[0])
+    calls: tuple[list, list] = ([], [])
+    oracles = [counting(o, c) for o, c in zip(_pattern_oracles("p4k3")[1], calls)]
+    r = solve_hfree(P4_K3, g, w, oracles, assertion_level="paranoid")
+    assert r.weight == 560
+    assert sum(map(len, calls)) < r.stats.oracle_calls == len(verified)
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_a_lying_oracle_with_repeated_leaves_is_a_witness_failure(level):
+    def lying(g: Graph, w) -> tuple[int, frozenset[int]]:
+        weight, witness = brute_force_mwis(g, w)
+        return weight + 1, witness
+
+    liar = ComponentOracle(name="liar", solve=lambda g, w: lying(g, w)[0], solve_with_witness=lying)
+    g, w = generate(GOLDEN_HFREE_SPECS[0])
+    with pytest.raises(InvariantViolation) as err:
+        solve_hfree(P4_K3, g, w, [make_pk_oracle(4), liar], assertion_level=level)
+    assert err.value.rule == "witness"
 
 
 def test_single_vertex_graph_with_single_vertex_component():
@@ -405,7 +492,6 @@ def test_paranoid_checks_the_graph_handed_to_an_oracle(monkeypatch):
 def test_paranoid_computes_at_most_one_potential_per_call(seed, monkeypatch):
     # Cographs are P4-free, so K3+P4 is absent; K3 copies make F grow.
     import qmwis.hfree as hfree
-    from qmwis import GeneratorSpec, generate
 
     real_measure, counted = hfree.measure_h, []
 
@@ -425,7 +511,7 @@ def test_paranoid_computes_at_most_one_potential_per_call(seed, monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_honest_paranoid_runs_on_cographs(seed):
     """Cographs are P4-free, so assume_hfree is true for K3+P4 and P4+K3 alike."""
-    from qmwis import GeneratorSpec, generate, solve_pkfree
+    from qmwis import solve_pkfree
 
     g, w = generate(GeneratorSpec(kind="cograph", size=96, seed=seed))
     assert g.n == 96
