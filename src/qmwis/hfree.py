@@ -21,10 +21,13 @@ fits:
 
 N never changes and there is no component split. solve_hfree and the pk
 oracle start their runs in pkfree._run, the one entry for both schemes,
-whose drive loop begins each recursion at its root. The result is exact for
-every input graph as long as the oracles honor their contract. The
-assume_hfree flag enables the pattern-dependent audit bounds, which are
-proven only for runs whose root graph has no induced H.
+whose drive loop begins each recursion at its root. The pk oracle enters it
+only for graphs above the brute-force cap of DEFAULT_BRUTE_FORCE_CAP
+vertices; it answers smaller ones by brute_force_mwis, and checks the
+witness on both branches. The result is exact for every input graph as long
+as the oracles honor their contract. The assume_hfree flag enables the
+pattern-dependent audit bounds, which are proven only for runs whose root
+graph has no induced H.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .instrumentation import (
     measure_h,
 )
 from .levels import VertexMultiFamily
-from .oracle import DEFAULT_BRUTE_FORCE_CAP, brute_force_mwis
+from .oracle import DEFAULT_BRUTE_FORCE_CAP, GraphTooLarge, brute_force_mwis
 from .pkfree import (
     Scheme,
     SolveResult,
@@ -132,20 +135,26 @@ def make_bruteforce_oracle(max_size: int = DEFAULT_BRUTE_FORCE_CAP) -> Component
 
 
 def make_pk_oracle(k: int) -> ComponentOracle:
-    """Oracle for a path component, backed by the path-free solver.
+    """Oracle for a path component: brute force up to the cap, else the path-free solver.
 
-    The path-free solver is exact on every graph, so the oracle is too; the
-    claimed pattern just records the component it is meant for. It runs that
-    solver's recursion at level "off" and trusts w, which solve_hfree has
-    validated; the witness is still verified. k must be an int >= 1; a
-    bool is refused too.
+    A graph of at most DEFAULT_BRUTE_FORCE_CAP vertices is answered by
+    brute_force_mwis, which is faster there than the recursion; a larger one
+    by the path-free solver's recursion at level "off". Both are exact on
+    every graph, so the oracle is too; the claimed pattern just records the
+    component it is meant for. It trusts w, which solve_hfree has
+    validated, and verifies the witness on both branches. k must be an int
+    >= 1; a bool is refused too.
     """
     _check_positive("path length", k)
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
     def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-        result = _run(_PathScheme(0, None), g, w)
-        return result.weight, result.witness
+        if g.n > DEFAULT_BRUTE_FORCE_CAP:
+            result = _run(_PathScheme(0, None), g, w)
+            return result.weight, result.witness
+        weight, witness = brute_force_mwis(g, w)
+        verify_witness(g, w, weight, witness)
+        return weight, witness
 
     def solve(g: Graph, w: WeightMap) -> int:
         return solve_with_witness(g, w)[0]
@@ -279,7 +288,8 @@ class _PatternScheme(Scheme):
 
         Counted as one oracle call, memo hit or not; only a miss invokes the
         oracle. At "paranoid" g must be free of the oracle's component and
-        the witness is verified here, on hits too.
+        the witness is verified here, on hits too. A GraphTooLarge from the
+        oracle is raised again with the oracle and the leaf size named.
         """
         index = len(family) % self.c
         oracle = self.oracles[index]
@@ -294,7 +304,12 @@ class _PatternScheme(Scheme):
         key = index, g.mask
         answer = self.memo.get(key)
         if answer is None:
-            weight, witness = oracle.solve_with_witness(g, w)
+            try:
+                weight, witness = oracle.solve_with_witness(g, w)
+            except GraphTooLarge as err:
+                raise GraphTooLarge(
+                    f"oracle {index} ({oracle.name}) on a {g.n}-vertex leaf: {err}"
+                ) from err
             if self.level >= 2:
                 verify_witness(g, w, weight, witness)
             try:

@@ -459,6 +459,20 @@ def test_bruteforce_cap_spec(tmp_path, capsys):
     assert json.loads(out)["weight"] == 1
 
 
+def test_a_leaf_past_its_oracles_cap_is_an_input_error_naming_the_oracle(tmp_path, capsys):
+    host = tmp_path / "c30.graph"
+    host.write_text("p 30 30\n" + "".join(f"e {i} {i % 30 + 1}\n" for i in range(1, 31)))
+    pattern = tmp_path / "p4k3.graph"
+    pattern.write_text("p 7 6\ne 1 2\ne 2 3\ne 3 4\ne 5 6\ne 6 7\ne 5 7\n")
+    argv = ["solve-hfree", str(host), "--pattern", str(pattern)]
+    code, out, err = run([*argv, "--oracle", "pk:4", "--oracle", "bruteforce"], capsys)
+    assert (code, out) == (2, "")
+    assert err == cli.error_document(
+        "input-error",
+        "oracle 1 (bruteforce<=25) on a 30-vertex leaf: brute force refuses 30 > 25 vertices",
+    )
+
+
 @pytest.mark.parametrize(
     "argv, name, token",
     [

@@ -204,6 +204,65 @@ def test_bruteforce_oracle_cap():
         o.solve(path_graph(4), {v: 1 for v in range(1, 5)})
 
 
+def test_pk_oracle_answers_graphs_within_the_cap_by_brute_force(monkeypatch):
+    import qmwis.hfree as hfree
+
+    def no_recursion(*args):
+        raise AssertionError("the pk oracle ran the path recursion")
+
+    monkeypatch.setattr(hfree, "_run", no_recursion)
+    rng = random.Random(2207)
+    graphs = []
+    for n in range(26):
+        # Weights 0-3 force ties, so equal witnesses mean the same search.
+        graphs.append(generate(GeneratorSpec(kind="cograph", size=n, seed=n, weight_range=(0, 3))))
+        g, _ = random_graph(rng, n, rng.choice([0.2, 0.5]))
+        graphs.append((g, {v: rng.randint(0, 3) for v in g.vertices}))
+    o = make_pk_oracle(4)
+    for g, w in graphs:
+        assert o.solve_with_witness(g, w) == brute_force_mwis(g, w)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec(kind="cograph", size=26, seed=3),
+        GeneratorSpec(kind="cograph", size=40, seed=1),
+        GeneratorSpec(kind="path", size=30, seed=1),
+    ],
+    ids=lambda s: f"{s.kind}-{s.size}",
+)
+def test_pk_oracle_runs_the_path_recursion_past_the_cap(spec, monkeypatch):
+    import qmwis.hfree as hfree
+
+    real_run, runs = hfree._run, []
+
+    def traced(*args):
+        runs.append(args)
+        return real_run(*args)
+
+    monkeypatch.setattr(hfree, "_run", traced)
+    g, w = generate(spec)
+    weight, witness = make_pk_oracle(4).solve_with_witness(g, w)
+    assert len(runs) == 1
+    assert weight == brute_force_mwis(g, w, max_size=40)[0]
+    assert is_independent_set(g, witness)
+    assert total_weight(w, witness) == weight
+
+
+def test_pk_oracle_verifies_its_brute_force_witness(monkeypatch):
+    import qmwis.hfree as hfree
+
+    def lying(g: Graph, w) -> tuple[int, frozenset[int]]:
+        weight, witness = brute_force_mwis(g, w)
+        return weight + 1, witness
+
+    monkeypatch.setattr(hfree, "brute_force_mwis", lying)
+    with pytest.raises(InvariantViolation) as err:
+        make_pk_oracle(4).solve_with_witness(path_graph(3), {1: 1, 2: 1, 3: 1})
+    assert err.value.rule == "witness"
+
+
 # ------------------------------------------------------------ solving
 
 
@@ -381,7 +440,10 @@ def test_paranoid_verifies_every_oracle_leaf_memo_hits_too(monkeypatch):
     oracles = [counting(o, c) for o, c in zip(_pattern_oracles("p4k3")[1], calls)]
     r = solve_hfree(P4_K3, g, w, oracles, assertion_level="paranoid")
     assert r.weight == 560
-    assert sum(map(len, calls)) < r.stats.oracle_calls == len(verified)
+    assert sum(map(len, calls)) < r.stats.oracle_calls
+    # Every leaf is verified once; each pk invocation, all on brute-force
+    # leaves here, also checks its own witness.
+    assert len(verified) == r.stats.oracle_calls + len(calls[0])
 
 
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
@@ -395,6 +457,21 @@ def test_a_lying_oracle_with_repeated_leaves_is_a_witness_failure(level):
     with pytest.raises(InvariantViolation) as err:
         solve_hfree(P4_K3, g, w, [make_pk_oracle(4), liar], assertion_level=level)
     assert err.value.rule == "witness"
+
+
+def test_a_leaf_past_its_oracles_cap_names_the_oracle():
+    from qmwis import GraphTooLarge
+
+    # C30 is K3-free, and no vertex is branchable once F holds one P4's
+    # neighbourhood, so the whole graph reaches the brute-force oracle.
+    g = cycle_graph(30)
+    oracles = [make_pk_oracle(4), make_bruteforce_oracle()]
+    with pytest.raises(GraphTooLarge) as err:
+        solve_hfree(P4_K3, g, {v: 1 for v in g.vertices}, oracles)
+    assert str(err.value) == (
+        "oracle 1 (bruteforce<=25) on a 30-vertex leaf: brute force refuses 30 > 25 vertices"
+    )
+    assert isinstance(err.value.__cause__, GraphTooLarge)
 
 
 def test_single_vertex_graph_with_single_vertex_component():
