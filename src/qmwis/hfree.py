@@ -23,8 +23,10 @@ N never changes and there is no component split. solve_hfree and the pk
 oracle start their runs in pkfree._run, the one entry for both schemes,
 whose drive loop begins each recursion at its root. The pk oracle enters it
 only for graphs above the brute-force cap of DEFAULT_BRUTE_FORCE_CAP
-vertices; it answers smaller ones by brute_force_mwis, and checks the
-witness on both branches. The result is exact for every input graph as long
+vertices. It answers smaller ones, as the brute-force oracle answers every
+leaf, by brute_force_mwis's trusted mask entry, which searches the leaf on
+the root's shared table; it checks the witness on both branches, the
+brute-force one as a mask. The result is exact for every input graph as long
 as the oracles honor their contract. The assume_hfree flag enables the
 pattern-dependent audit bounds, which are proven only for runs whose root
 graph has no induced H.
@@ -50,7 +52,7 @@ from .instrumentation import (
     measure_h,
 )
 from .levels import VertexMultiFamily
-from .oracle import DEFAULT_BRUTE_FORCE_CAP, GraphTooLarge, brute_force_mwis
+from .oracle import DEFAULT_BRUTE_FORCE_CAP, GraphTooLarge, _brute_force_mask
 from .pkfree import (
     Scheme,
     SolveResult,
@@ -117,15 +119,18 @@ class ComponentOracle:
 def make_bruteforce_oracle(max_size: int = DEFAULT_BRUTE_FORCE_CAP) -> ComponentOracle:
     """Exponential-search oracle, exact on every graph up to max_size.
 
-    max_size must be an int >= 1; a bool is refused too.
+    It answers as brute_force_mwis does, through its trusted mask entry:
+    it trusts w, which solve_hfree has validated. max_size must be an int
+    >= 1; a bool is refused too.
     """
     _check_positive("brute-force cap", max_size)
 
     def solve(g: Graph, w: WeightMap) -> int:
-        return brute_force_mwis(g, w, max_size=max_size)[0]
+        return _brute_force_mask(g, w, max_size)[0]
 
     def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-        return brute_force_mwis(g, w, max_size=max_size)
+        weight, witness = _brute_force_mask(g, w, max_size)
+        return weight, g.table.decode(witness)
 
     return ComponentOracle(
         name=f"bruteforce<={max_size}",
@@ -138,12 +143,13 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     """Oracle for a path component: brute force up to the cap, else the path-free solver.
 
     A graph of at most DEFAULT_BRUTE_FORCE_CAP vertices is answered by
-    brute_force_mwis, which is faster there than the recursion; a larger one
-    by the path-free solver's recursion at level "off". Both are exact on
-    every graph, so the oracle is too; the claimed pattern just records the
-    component it is meant for. It trusts w, which solve_hfree has
-    validated, and verifies the witness on both branches. k must be an int
-    >= 1; a bool is refused too.
+    brute_force_mwis's mask entry, which is faster there than the
+    recursion; a larger one by the path-free solver's recursion at level
+    "off". Both are exact on every graph, so the oracle is too; the claimed
+    pattern just records the component it is meant for. It trusts w, which
+    solve_hfree has validated, and verifies the witness on both branches,
+    the brute-force one as a mask before decoding it. k must be an int >= 1;
+    a bool is refused too.
     """
     _check_positive("path length", k)
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
@@ -152,9 +158,9 @@ def make_pk_oracle(k: int) -> ComponentOracle:
         if g.n > DEFAULT_BRUTE_FORCE_CAP:
             result = _run(_PathScheme(0, None), g, w)
             return result.weight, result.witness
-        weight, witness = brute_force_mwis(g, w)
+        weight, witness = _brute_force_mask(g, w)
         verify_witness(g, w, weight, witness)
-        return weight, witness
+        return weight, g.table.decode(witness)
 
     def solve(g: Graph, w: WeightMap) -> int:
         return solve_with_witness(g, w)[0]
@@ -288,8 +294,9 @@ class _PatternScheme(Scheme):
 
         Counted as one oracle call, memo hit or not; only a miss invokes the
         oracle. At "paranoid" g must be free of the oracle's component and
-        the witness is verified here, on hits too. A GraphTooLarge from the
-        oracle is raised again with the oracle and the leaf size named.
+        the witness is verified here, on hits too, where the stored mask is
+        checked without decoding it. A GraphTooLarge from the oracle is
+        raised again with the oracle and the leaf size named.
         """
         index = len(family) % self.c
         oracle = self.oracles[index]
@@ -322,7 +329,7 @@ class _PatternScheme(Scheme):
             if len(self.memo) < LEAF_MEMO_CAP:
                 self.memo[key] = answer
         elif self.level >= 2:
-            verify_witness(g, w, answer[0], g.table.decode(answer[1]))
+            verify_witness(g, w, *answer)
         return answer
 
 

@@ -5,7 +5,10 @@ compares against. It is deliberately simple: bitmask branch and bound with a
 greedy weighted clique-cover bound, validated in the test suite against a
 raw subset enumeration on small graphs. When the bound finds the candidates
 edgeless, taking them all is the subtree's answer and the search goes no
-deeper there.
+deeper there. The search runs on the graph's shared vertex table, its
+adjacency masks and root ranks, one component at a time. The pattern
+oracles call its trusted mask entry, _brute_force_mask, which skips the
+weight check and the witness decoding of the public brute_force_mwis.
 
 Generators are fully deterministic functions of their spec: the same kind,
 size, parameters, and seed always produce the identical graph and weights
@@ -17,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, WeightMap, component_masks
+from .graph import Graph, VertexTable, WeightMap, component_masks, validate_weights
 from .graphio import MAX_VERTICES, MAX_WEIGHT
 
 DEFAULT_BRUTE_FORCE_CAP = 25
@@ -38,88 +41,118 @@ def brute_force_mwis(
     deleting. The witness is the first leaf of that search that is strictly
     heavier than every leaf before it, whichever bound prunes: a subtree
     with edgeless candidates is answered by its first leaf, which takes
-    every candidate and is the heaviest in the subtree.
+    every candidate and is the heaviest in the subtree. The search runs on
+    g's own vertex table, one component at a time (see _brute_force_mask);
+    the witness is the one the search over all of g would find.
 
     Args:
         g: graph, at most max_size vertices.
-        w: non-negative integer vertex weights.
+        w: non-negative integer vertex weights, defined on every vertex.
         max_size: refusal threshold; exponential search must stay small.
 
     Returns:
         (weight, witness) with witness an independent set of that weight.
 
     Raises:
+        ValueError: when w misses a vertex or a weight is not an int >= 0.
         GraphTooLarge: when |V(g)| > max_size.
     """
-    n = g.n
+    validate_weights(g, w)
+    weight, witness = _brute_force_mask(g, w, max_size)
+    return weight, g.table.decode(witness)
+
+
+def _brute_force_mask(
+    g: Graph, w: WeightMap, max_size: int = DEFAULT_BRUTE_FORCE_CAP
+) -> tuple[int, int]:
+    """brute_force_mwis's (weight, witness), the witness a mask over g's table.
+
+    Trusted: w must already be valid for g. The search reads the shared
+    table's adjacency masks and root ranks, so nothing is re-indexed. Each
+    component is searched apart and the parts are summed. A component's
+    decisions never change another's, so the first leaf of the whole search
+    that reaches the optimum joins each component's first leaf reaching its
+    own optimum. For a component of weight 0 that is its first leaf, the
+    greedy one, where its own search would keep the empty start. A total of
+    0 keeps the empty set: no leaf is strictly heavier than the start.
+    """
+    live = g.mask
+    n = live.bit_count()
     if n > max_size:
         raise GraphTooLarge(f"brute force refuses {n} > {max_size} vertices")
-    if n == 0:
-        return 0, frozenset()
+    table = g.table
+    ids = table.ids
+    total = witness = 0
+    for comp in component_masks(table.adj, live):
+        # One or two vertices need no search: an edge takes its second
+        # vertex (by id, as both have degree 1) only if strictly heavier.
+        low = comp & -comp
+        high = comp ^ low
+        if not high:
+            weight, found = w[ids[low.bit_length() - 1]], low
+        elif not high & (high - 1):
+            weight, found = w[ids[low.bit_length() - 1]], low
+            if w[ids[high.bit_length() - 1]] > weight:
+                weight, found = w[ids[high.bit_length() - 1]], high
+        else:
+            weight, found = _search_component(table, w, comp)
+        total += weight
+        witness |= found
+    return (total, witness) if total else (0, 0)
 
-    # Sort by degree so high-degree vertices are decided first; the stable
-    # sort over increasing ranks breaks ties on id, keeping the search order
-    # deterministic.
-    table, live = g.table, g.mask
-    ranks = sorted(table.ranks(live), key=lambda r: -(table.adj[r] & live).bit_count())
-    index = {r: j for j, r in enumerate(ranks)}
-    adj_mask = [0] * n
-    for j, r in enumerate(ranks):
-        m = 0
-        nbrs = table.adj[r] & live
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            m |= 1 << index[low.bit_length() - 1]
-        adj_mask[j] = m
-    ids = [table.ids[r] for r in ranks]
-    weights = [w[v] for v in ids]
 
-    best_weight = best_set = 0
+def _search_component(table: VertexTable, w: WeightMap, comp: int) -> tuple[int, int]:
+    # The first leaf of comp's search reaching its optimum. The best starts
+    # below every leaf, so the first leaf is kept even when it weighs 0.
+    adj, closed, ids = table.adj, table.closed_adj, table.ids
+    # Decreasing degree; the stable sort over increasing ranks breaks ties
+    # on id, keeping the search order deterministic.
+    order = sorted(table.ranks(comp), key=lambda r: -(adj[r] & comp).bit_count())
+    bits = [1 << r for r in order]
+    weights = {r: w[ids[r]] for r in order}
+    best_weight, best_set = -1, 0
 
-    def clique_cover_bound(cand: int) -> tuple[int, bool]:
-        # Greedily pack candidates into cliques; an independent set takes at
-        # most the heaviest vertex from each clique. Every clique is a single
-        # vertex exactly when cand has no edge, reported as the second value.
+    # Depth-first over (candidates, weight, chosen, next position in order)
+    # on an explicit stack, so the depth is not bounded by the interpreter's
+    # recursion limit. The delete branch is pushed first, so the take branch
+    # is explored first.
+    stack = [(comp, 0, 0, 0)]
+    while stack:
+        cand, current, chosen, j = stack.pop()
+        # Greedily pack the candidates into cliques; an independent set takes
+        # at most the heaviest vertex of each. Every clique is a single
+        # vertex exactly when the candidates have no edge.
         bound = 0
         edgeless = True
         remaining = cand
         while remaining:
-            j = (remaining & -remaining).bit_length() - 1
-            clique = 1 << j
-            clique_max = weights[j]
-            pool = remaining & adj_mask[j]
-            remaining &= ~(1 << j)
+            low = remaining & -remaining
+            remaining ^= low
+            r = low.bit_length() - 1
+            clique_max = weights[r]
+            pool = remaining & adj[r]
             if pool:
                 edgeless = False
-            while pool:
-                t = (pool & -pool).bit_length() - 1
-                clique |= 1 << t
-                if weights[t] > clique_max:
-                    clique_max = weights[t]
-                pool &= adj_mask[t]
-                remaining &= ~(1 << t)
-                pool &= remaining
+                while pool:
+                    low = pool & -pool
+                    remaining ^= low
+                    t = low.bit_length() - 1
+                    if weights[t] > clique_max:
+                        clique_max = weights[t]
+                    pool &= adj[t]
             bound += clique_max
-        return bound, edgeless
-
-    # Depth-first over (candidates, weight, chosen) on an explicit stack, so
-    # the depth is not bounded by the interpreter's recursion limit. The
-    # delete branch is pushed first, so the take branch is explored first.
-    stack = [((1 << n) - 1, 0, 0)]
-    while stack:
-        cand, current, chosen = stack.pop()
-        bound, edgeless = clique_cover_bound(cand)
         if current + bound <= best_weight:
             continue
         if edgeless:
             best_weight, best_set = current + bound, chosen | cand
             continue
-        j = (cand & -cand).bit_length() - 1
-        bit = 1 << j
-        stack.append((cand & ~bit, current, chosen))
-        stack.append((cand & ~bit & ~adj_mask[j], current + weights[j], chosen | bit))
-    return best_weight, frozenset(ids[j] for j in range(n) if best_set >> j & 1)
+        while not cand & bits[j]:
+            j += 1
+        r, bit = order[j], bits[j]
+        j += 1
+        stack.append((cand ^ bit, current, chosen, j))
+        stack.append((cand & ~closed[r], current + weights[r], chosen | bit, j))
+    return best_weight, best_set
 
 
 def longest_induced_path_at_most(g: Graph, k: int) -> bool:

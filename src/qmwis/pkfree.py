@@ -44,13 +44,12 @@ from dataclasses import dataclass
 
 from .graph import (
     Graph,
+    VertexSet,
     WeightMap,
     closed_neighborhood,
     component_masks,
     induced_subgraph,
-    is_independent_set,
     remove_vertices,
-    total_weight,
     validate_weights,
 )
 from .instrumentation import (
@@ -475,21 +474,31 @@ def solve_pkfree(
     return _run(_PathScheme(_parse_level(assertion_level), k_hint), g, w, capacity_n, family)
 
 
-def verify_witness(g: Graph, w: WeightMap, weight: int, witness: frozenset[int]) -> None:
+def verify_witness(g: Graph, w: WeightMap, weight: int, witness: VertexSet) -> None:
     """Raise unless witness is independent in g and weighs exactly weight.
 
-    Runs at every assertion level; the cost is O(|witness|) mask operations.
+    witness is ids, or a mask over g's table, which is checked as it is,
+    without decoding. Runs at every assertion level; the cost is
+    O(|witness|) mask operations.
     """
-    foreign = [v for v in witness if v not in g]
-    if foreign:
-        raise InvariantViolation(
-            "witness", f"witness contains vertices outside the graph: {sorted(foreign)}", {}
-        )
-    if not is_independent_set(g, witness):
+    table = g.table
+    if not isinstance(witness, int):
+        ids = list(witness)
+        foreign = [v for v in ids if v not in g]
+        if foreign:
+            raise InvariantViolation(
+                "witness", f"witness contains vertices outside the graph: {sorted(foreign)}", {}
+            )
+        witness = table.mask(ids)
+        if witness.bit_count() != len(ids):
+            raise InvariantViolation("witness", "reported witness is not independent", {})
+    elif witness & ~g.mask:
+        raise InvariantViolation("witness", "witness mask has bits outside the graph", {})
+    ranks = list(table.ranks(witness))
+    if any(table.adj[r] & witness for r in ranks):
         raise InvariantViolation("witness", "reported witness is not independent", {})
-    if total_weight(w, witness) != weight:
+    got = sum(w[table.ids[r]] for r in ranks)
+    if got != weight:
         raise InvariantViolation(
-            "witness",
-            f"witness weight {total_weight(w, witness)} != reported optimum {weight}",
-            {},
+            "witness", f"witness weight {got} != reported optimum {weight}", {}
         )

@@ -13,6 +13,7 @@ from qmwis import (
     brute_force_mwis,
     find_induced_copy,
     generate,
+    induced_subgraph,
     is_independent_set,
     make_bruteforce_oracle,
     make_pk_oracle,
@@ -252,15 +253,24 @@ def test_pk_oracle_runs_the_path_recursion_past_the_cap(spec, monkeypatch):
 
 def test_pk_oracle_verifies_its_brute_force_witness(monkeypatch):
     import qmwis.hfree as hfree
+    from qmwis.oracle import _brute_force_mask
 
-    def lying(g: Graph, w) -> tuple[int, frozenset[int]]:
-        weight, witness = brute_force_mwis(g, w)
-        return weight + 1, witness
+    # The leaf P3 on 1-2-3 shares the table of P4, whose vertex 4 (rank 3)
+    # lies outside it. The mask entry lies first about the weight, then by
+    # a foreign bit, vertex 4, whose weight 0 keeps the sum right.
+    g = induced_subgraph(path_graph(4), [1, 2, 3])
+    w = {1: 1, 2: 1, 3: 1, 4: 0}
+    lies = [(1, 0, "witness weight 2 != reported optimum 3"), (0, 1 << 3, "outside the graph")]
+    for extra_weight, extra_bits, message in lies:
 
-    monkeypatch.setattr(hfree, "brute_force_mwis", lying)
-    with pytest.raises(InvariantViolation) as err:
-        make_pk_oracle(4).solve_with_witness(path_graph(3), {1: 1, 2: 1, 3: 1})
-    assert err.value.rule == "witness"
+        def lying(g: Graph, w, max_size=25) -> tuple[int, int]:
+            weight, witness = _brute_force_mask(g, w, max_size)
+            return weight + extra_weight, witness | extra_bits
+
+        monkeypatch.setattr(hfree, "_brute_force_mask", lying)
+        with pytest.raises(InvariantViolation, match=message) as err:
+            make_pk_oracle(4).solve_with_witness(g, w)
+        assert err.value.rule == "witness"
 
 
 # ------------------------------------------------------------ solving

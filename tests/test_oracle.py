@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -82,10 +84,42 @@ def test_brute_force_respects_cap():
 
 
 def test_brute_force_depth_is_not_bounded_by_the_recursion_limit():
-    # Every vertex is one level of the search, 1,500 levels in all.
+    # 1,500 isolated vertices are 1,500 one-vertex components.
     g = Graph(range(1500), [])
     w = {v: 1 + v % 7 for v in range(1500)}
     assert brute_force_mwis(g, w, max_size=1500) == (sum(w.values()), g.vertices)
+    # P600 is one component whose first leaf lies 200 takes deep; the search
+    # keeps them on its own stack, within 40 Python frames of the caller's.
+    path = path_graph(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        weight, witness = brute_force_mwis(path, {v: 1 for v in range(1, 601)}, max_size=600)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert weight == 300
+    assert is_independent_set(path, witness)
+
+
+def _stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ({1: 5, 2: -1}, "weight of vertex 2 must be an integer >= 0, got -1"),
+        ({1: True, 2: 2.5}, "weight of vertex 1 must be an integer >= 0, got True"),
+        ({1: 5}, "no weight for vertex 2"),
+    ],
+    ids=["negative", "bool-and-float", "missing"],
+)
+def test_brute_force_refuses_invalid_weights(w, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        brute_force_mwis(Graph([1, 2], []), w)
 
 
 def test_brute_force_matches_exhaustive_enumeration():
@@ -307,4 +341,25 @@ def test_brute_force_witness_is_the_first_strictly_heavier_leaf(data):
     ]
     g = Graph(ids, edges)
     w = {v: data.draw(st.integers(min_value=0, max_value=3), label=f"w{v}") for v in ids}
+    assert brute_force_mwis(g, w) == _unbounded_first_best(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_brute_force_split_keeps_the_first_strictly_heavier_leaf(data):
+    # Unions of small cycles and paths with weights 0-1, under shuffled ids
+    # so the components interleave in the search order. A component of
+    # weight 0 must still add its first leaf when the total is above 0.
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="sizes")
+    n = sum(sizes)
+    ids = data.draw(st.permutations(range(1, n + 1)), label="ids")
+    edges, start = [], 0
+    for size in sizes:
+        part = ids[start : start + size]
+        start += size
+        edges += list(zip(part, part[1:]))
+        if size >= 3 and data.draw(st.booleans(), label=f"cycle{start}"):
+            edges.append((part[-1], part[0]))
+    g = Graph(ids, edges)
+    w = {v: data.draw(st.integers(0, 1), label=f"w{v}") for v in range(1, n + 1)}
     assert brute_force_mwis(g, w) == _unbounded_first_best(g, w)

@@ -15,6 +15,7 @@ from qmwis import (
     VertexMultiFamily,
     brute_force_mwis,
     generate,
+    induced_subgraph,
     is_independent_set,
     max_measure_k,
     measure_k,
@@ -232,15 +233,31 @@ def test_k_hint_and_n_must_be_integers(bad, level):
 
 
 def test_verify_witness_accepts_and_rejects():
-    g = path_graph(3)
-    w = {1: 1, 2: 5, 3: 1}
+    # The leaf 1-2-3 shares the table of P4, whose vertex 4 lies outside it.
+    # A witness is ids or a mask over that table.
+    g = induced_subgraph(path_graph(4), [1, 2, 3])
+    w = {1: 1, 2: 5, 3: 1, 4: 7}
+    rank = g.table.rank
     verify_witness(g, w, 5, frozenset({2}))
+    verify_witness(g, w, 5, 1 << rank[2])
+    verify_witness(g, w, 2, 1 << rank[1] | 1 << rank[3])
+    verify_witness(g, w, 0, 0)
     with pytest.raises(InvariantViolation):
         verify_witness(g, w, 6, frozenset({2}))
     with pytest.raises(InvariantViolation):
         verify_witness(g, w, 2, frozenset({1, 2}))
     with pytest.raises(InvariantViolation):
         verify_witness(g, w, 5, frozenset({9}))
+    bad_masks = [
+        (8, 1 << rank[1] | 1 << rank[4], "outside the graph"),
+        (5, 1 << 9, "outside the graph"),
+        (6, 1 << rank[1] | 1 << rank[2], "not independent"),
+        (6, 1 << rank[2], "witness weight 5 != reported optimum 6"),
+    ]
+    for weight, mask, message in bad_masks:
+        with pytest.raises(InvariantViolation, match=message) as err:
+            verify_witness(g, w, weight, mask)
+        assert err.value.rule == "witness"
 
 
 def test_stats_depth_and_size_tracking():

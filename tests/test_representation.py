@@ -222,14 +222,17 @@ def test_induced_searches_match_the_set_reference(gd, hd, data):
 @settings(max_examples=150, deadline=None)
 @given(gd=graphs(max_n=12), data=st.data())
 def test_brute_force_on_a_subgraph_matches_a_fresh_graph(gd, data):
-    # brute_force_mwis builds its order and adjacency from the shared table
-    # and the live mask; a subgraph must answer as a graph built from scratch.
+    # brute_force_mwis searches the shared table and the live mask, where
+    # ranks skip the dropped vertices and adj still holds them; a subgraph
+    # must answer as a graph built from scratch.
     g, ids, edges = gd
     w = {v: data.draw(st.integers(0, 3), label=f"w{v}") for v in sorted(ids)}
     drop = data.draw(st.sets(st.sampled_from(sorted(ids))) if ids else st.just(set()), label="drop")
     keep = set(ids) - drop
     fresh = Graph(keep, [(u, v) for u, v in edges if u in keep and v in keep])
-    assert brute_force_mwis(remove_vertices(g, drop), w) == brute_force_mwis(fresh, w)
+    want = brute_force_mwis(fresh, w)
+    assert brute_force_mwis(remove_vertices(g, drop), w) == want
+    assert brute_force_mwis(induced_subgraph(g, keep), w) == want
 
 
 def test_sparse_huge_ids_solve_and_compare():
