@@ -47,7 +47,7 @@ from .graph import (
 from .instrumentation import (
     RULE_ADD_NEIGHBORHOOD,
     InvariantViolation,
-    RunStats,
+    _check_positive,
     max_measure_h,
     measure_h,
 )
@@ -56,7 +56,6 @@ from .oracle import DEFAULT_BRUTE_FORCE_CAP, GraphTooLarge, _brute_force_mask
 from .pkfree import (
     Scheme,
     SolveResult,
-    _check_positive,
     _parse_level,
     _PathScheme,
     _run,
@@ -257,7 +256,7 @@ class _PatternScheme(Scheme):
     audit_from_n = 2
 
     def __init__(self, level: int, pattern: PatternGraph, oracles: tuple, assume_hfree: bool):
-        self.level, self.stats = level, RunStats()
+        super().__init__(level)
         self.pattern, self.oracles, self.assume_hfree = pattern, oracles, assume_hfree
         self.size, self.c = pattern.total_size, len(pattern.components)
         self.params = {"pattern_size": self.size, "pattern_components": self.c}

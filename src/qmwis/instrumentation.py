@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
-from .levels import VertexMultiFamily, ceil_log2
+from .levels import VertexMultiFamily
 
 
 class InvariantViolation(AssertionError):
@@ -30,20 +30,38 @@ class InvariantViolation(AssertionError):
         self.details = details or {}
 
 
+def _check_positive(name: str, value: object) -> None:
+    # bool is an int subclass, refused as validate_weights refuses it.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _potential(
-    size_term: int, family: VertexMultiFamily, unit: int, bound: int, label: str, details: dict
+    size_term: int,
+    family: VertexMultiFamily,
+    unit: int,
+    bound: int,
+    label: str,
+    capacity_n: int,
+    k: int | None = None,
 ) -> int:
     # size_term + sum_i |L(F, i)| 2^(i-1) + unit (bound - |F|). The last term's
     # sign is tested, not |F| > bound: at N = 1 unit and bound are both 0, and
-    # no family outgrows them.
+    # no family outgrows them. The details are built only for a violation.
     family_term = unit * (bound - len(family))
     if family_term < 0:
+        details = {"family_size": len(family), "bound": bound, "N": capacity_n}
+        if k is not None:
+            details["k"] = k
         raise InvariantViolation(
-            "family-size",
-            f"|F| = {len(family)} exceeds {label} = {bound}",
-            {"family_size": len(family), "bound": bound, **details},
+            "family-size", f"|F| = {len(family)} exceeds {label} = {bound}", details
         )
-    return size_term + sum(size << i for i, size in enumerate(family.level_sizes())) + family_term
+    level_term = 0
+    for i, size in enumerate(family.level_sizes()):
+        level_term += size << i
+    return size_term + level_term + family_term
 
 
 def measure_k(
@@ -59,17 +77,20 @@ def measure_k(
       level_term     = sum_i |L(F, i)| 2^(i-1)
       family_term    = 16 k N log(N) (10 k log(N) - |F|)
 
+    k and N must be ints >= 1; a bool, float or str raises ValueError.
+
     Raises InvariantViolation if the family term is negative, which would
     mean the family outgrew its proven size bound.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if capacity_n < 1:
-        raise ValueError(f"N must be >= 1, got {capacity_n}")
-    log_n = ceil_log2(capacity_n)
+    # One type test per value on the per-edge path; _check_positive, which
+    # also passes an int subclass other than bool, only when one fails.
+    if type(k) is not int or type(capacity_n) is not int or k < 1 or capacity_n < 1:
+        _check_positive("k", k)
+        _check_positive("N", capacity_n)
+    log_n = (capacity_n - 1).bit_length()
     separator_term = 400 * k * k * log_n * log_n * (capacity_n + graph_size)
     unit, bound = 16 * k * capacity_n * log_n, 10 * k * log_n
-    return _potential(separator_term, family, unit, bound, "10k log(N)", {"N": capacity_n, "k": k})
+    return _potential(separator_term, family, unit, bound, "10k log(N)", capacity_n, k)
 
 
 def measure_h(
@@ -87,26 +108,47 @@ def measure_h(
       level_term  = sum_i |L(F, i)| 2^(i-1)
       family_term = 2 |H| N log(N) (|H| c log(N) - |F|)
 
+    N and both pattern totals must be ints >= 1; a bool, float or str
+    raises ValueError.
+
     Raises InvariantViolation if the family term is negative.
     """
-    if pattern_size < 1 or pattern_components < 1:
-        raise ValueError("pattern totals must be >= 1")
-    if capacity_n < 1:
-        raise ValueError(f"N must be >= 1, got {capacity_n}")
-    log_n = ceil_log2(capacity_n)
+    if (
+        type(pattern_size) is not int
+        or type(pattern_components) is not int
+        or type(capacity_n) is not int
+        or pattern_size < 1
+        or pattern_components < 1
+        or capacity_n < 1
+    ):
+        _check_positive("pattern size", pattern_size)
+        _check_positive("pattern components", pattern_components)
+        _check_positive("N", capacity_n)
+    log_n = (capacity_n - 1).bit_length()
     unit, bound = 2 * pattern_size * capacity_n * log_n, pattern_size * pattern_components * log_n
-    return _potential(graph_size, family, unit, bound, "|H| c log(N)", {"N": capacity_n})
+    return _potential(graph_size, family, unit, bound, "|H| c log(N)", capacity_n)
 
 
 def max_measure_k(capacity_n: int, k: int) -> int:
-    """Proven ceiling 1050 k^2 N log^2(N) for the path-solver potential."""
-    log_n = ceil_log2(capacity_n)
+    """Proven ceiling 1050 k^2 N log^2(N) for the path-solver potential.
+
+    N and k must be ints >= 1, as for measure_k.
+    """
+    _check_positive("N", capacity_n)
+    _check_positive("k", k)
+    log_n = (capacity_n - 1).bit_length()
     return 1050 * k * k * capacity_n * log_n * log_n
 
 
 def max_measure_h(capacity_n: int, pattern_size: int, pattern_components: int) -> int:
-    """Proven ceiling 4 |H|^2 c N log^2(N) for the pattern-solver potential."""
-    log_n = ceil_log2(capacity_n)
+    """Proven ceiling 4 |H|^2 c N log^2(N) for the pattern-solver potential.
+
+    N and both pattern totals must be ints >= 1, as for measure_h.
+    """
+    _check_positive("N", capacity_n)
+    _check_positive("pattern size", pattern_size)
+    _check_positive("pattern components", pattern_components)
+    log_n = (capacity_n - 1).bit_length()
     return 4 * pattern_size * pattern_size * pattern_components * capacity_n * log_n * log_n
 
 
@@ -115,8 +157,9 @@ def check_level_sizes(sizes: tuple[int, ...], family_size: int, bound: int, labe
 
     sizes is F's level_sizes() and family_size is |F|.
     """
+    limit = bound * family_size
     for i, size in enumerate(sizes, 1):
-        if size << (i - 1) > bound * family_size:
+        if size << (i - 1) > limit:
             raise InvariantViolation(
                 "level-size",
                 f"|L(F, {i})| = {size} exceeds its {label} bound",
@@ -173,25 +216,17 @@ def assert_recurrence_step(
     """
     mu = parent_measure
     mu_child = child_measure
-
-    def fail(expected: str) -> None:
-        raise InvariantViolation(
-            rule,
-            f"potential did not decrease as proven: mu = {mu}, mu' = {mu_child}, "
-            f"required {expected}",
-            {"parent": mu, "child": mu_child, "rule": rule, **params},
-        )
-
     if rule == RULE_COMPONENT:
         if 20 * mu_child > 19 * mu:
-            fail("20 mu' <= 19 mu")
+            raise _recurrence_failure(rule, mu, mu_child, params, "20 mu' <= 19 mu")
         return
     if rule == RULE_BRANCH_DELETE:
         if mu_child > mu - 1:
-            fail("mu' <= mu - 1")
+            raise _recurrence_failure(rule, mu, mu_child, params, "mu' <= mu - 1")
         return
 
-    log_mu = ceil_log2(mu) if mu >= 1 else 0
+    # ceil(log2 mu), as ceil_log2 computes it for mu >= 1.
+    log_mu = (mu - 1).bit_length() if mu >= 1 else 0
     if rule == RULE_BRANCH_TAKE:
         if "k" in params:
             denom = 2100 * params["k"] ** 2 * log_mu * log_mu
@@ -205,9 +240,22 @@ def assert_recurrence_step(
         raise ValueError(f"unknown recursion rule {rule!r}")
 
     if denom <= 0:
-        fail("positive decrease denominator (parent potential too small)")
+        raise _recurrence_failure(
+            rule, mu, mu_child, params, "positive decrease denominator (parent potential too small)"
+        )
     if mu_child * denom > mu * (denom - 1):
-        fail(f"mu' <= mu (1 - 1/{denom})")
+        raise _recurrence_failure(rule, mu, mu_child, params, f"mu' <= mu (1 - 1/{denom})")
+
+
+def _recurrence_failure(
+    rule: str, mu: int, mu_child: int, params: dict[str, int], expected: str
+) -> InvariantViolation:
+    return InvariantViolation(
+        rule,
+        f"potential did not decrease as proven: mu = {mu}, mu' = {mu_child}, "
+        f"required {expected}",
+        {"parent": mu, "child": mu_child, "rule": rule, **params},
+    )
 
 
 @dataclass

@@ -50,10 +50,12 @@ class VertexMultiFamily:
     sets L(F, i + 1) |= L(F, i) & m, and subtracting X clears X from every
     level and ORs it into _removed. The members kept in _raw still hold the
     vertices in _removed; masks and iter_masks clear them on every read and
-    hand out _raw itself while _removed is empty. Nothing is cached.
+    hand out _raw itself while _removed is empty. Only level_sizes() is
+    kept, in _sizes, once asked for: the paranoid audit reads it on the edge
+    into a call and again in the call.
     """
 
-    __slots__ = ("table", "_raw", "_removed", "level_masks")
+    __slots__ = ("table", "_raw", "_removed", "level_masks", "_sizes")
 
     def __init__(self, members: Iterable[Iterable[int]] = (), table: VertexTable | None = None):
         sets = [frozenset(m) for m in members]
@@ -62,6 +64,7 @@ class VertexMultiFamily:
         self.table = table
         self._raw = tuple(table.mask(m) for m in sets)
         self._removed = 0
+        self._sizes: tuple[int, ...] | None = None
         self.level_masks: tuple[int, ...] = ()
         for m in self._raw:
             self.level_masks = _with_member(self.level_masks, m)
@@ -72,6 +75,7 @@ class VertexMultiFamily:
     ) -> "VertexMultiFamily":
         fam = object.__new__(cls)
         fam.table, fam._raw, fam._removed, fam.level_masks = table, raw, removed, level_masks
+        fam._sizes = None
         return fam
 
     @property
@@ -91,7 +95,10 @@ class VertexMultiFamily:
 
     def level_sizes(self) -> tuple[int, ...]:
         """|L(F, i)| for every non-empty level, i = 1, 2, ..."""
-        return tuple(map(int.bit_count, self.level_masks))
+        sizes = self._sizes
+        if sizes is None:
+            sizes = self._sizes = tuple(map(int.bit_count, self.level_masks))
+        return sizes
 
     def over(self, table: VertexTable) -> "VertexMultiFamily":
         """The same family over table; ids the table lacks are dropped."""

@@ -59,6 +59,7 @@ from .instrumentation import (
     RULE_COMPONENT,
     InvariantViolation,
     RunStats,
+    _check_positive,
     assert_recurrence_step,
     check_level_growth,
     check_level_sizes,
@@ -109,13 +110,26 @@ class Scheme:
       level_bound(N)       (bound, label, details) of the level-size and
                            level-growth audits, or None when unclaimed;
       potential(n, N, F)   the integer potential, or None when unclaimed;
-      ceiling(N)           the potential's proven ceiling.
+      ceiling(N)           the potential's proven ceiling, or None when
+                           unclaimed.
+
+    The audit reads level_bound and ceiling through bounds(N), which builds
+    them once per N and keeps them for the run the scheme belongs to.
     """
 
-    level: int
-    stats: RunStats
     audit_from_n = 1
     small_leaves = False
+
+    def __init__(self, level: int):
+        self.level, self.stats = level, RunStats()
+        self._bounds: dict[int, tuple[tuple[int, str, dict] | None, int | None]] = {}
+
+    def bounds(self, n_cap: int) -> tuple[tuple[int, str, dict] | None, int | None]:
+        """(level_bound(N), ceiling(N)), built on the first call for N."""
+        bounds = self._bounds.get(n_cap)
+        if bounds is None:
+            bounds = self._bounds[n_cap] = self.level_bound(n_cap), self.ceiling(n_cap)
+        return bounds
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
         return None
@@ -132,13 +146,13 @@ def _check_call(
     family: VertexMultiFamily,
     scheme: Scheme,
     mu: int | None = None,
-    sizes: tuple[int, ...] | None = None,
 ) -> int | None:
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
 
-    At "paranoid", mu is the potential the edge into this call computed and
-    sizes F's level sizes, each None to compute it here; every check runs
-    on the value either way.
+    At "paranoid", mu is the potential the edge into this call computed, or
+    None to compute it here; every check runs on the value either way. F
+    keeps its level sizes once asked for, so the edge's potential and this
+    call share them.
     """
     # The member count, read without the Python-level call of len(family).
     stats, size = scheme.stats, len(family._raw)
@@ -170,18 +184,16 @@ def _check_call(
     if scheme.level < 2:
         return None
 
-    if sizes is None:
-        sizes = family.level_sizes()
+    sizes = family.level_sizes()
     stats.record_levels(sizes)
     scheme.check_members(g, family, n_cap)
-    bound = scheme.level_bound(n_cap)
-    if bound is not None:
-        check_level_sizes(sizes, size, bound[0], bound[1])
+    level_bound, ceiling = scheme.bounds(n_cap)
+    if level_bound is not None:
+        check_level_sizes(sizes, size, level_bound[0], level_bound[1])
     if mu is None:
         mu = scheme.potential(n, n_cap, family)
         if mu is None:
             return None
-    ceiling = scheme.ceiling(n_cap)
     if not 0 <= mu <= ceiling:
         raise InvariantViolation(
             "measure-bounds",
@@ -254,18 +266,14 @@ def drive(
                 _check_call(g, n, n_cap, log_n, family, scheme, mu)
                 results.append((w[g.table.ids[g.mask.bit_length() - 1]], g.mask) if n else (0, 0))
                 continue
-            # At "paranoid" each iteration's potential and level sizes are
-            # carried from where they were first computed: the edge into the
-            # node, and the level-growth audit of the growth before it.
-            sizes = family.level_sizes() if audit else None
-
             # Consecutive growths of F keep the same graph, so they run as a
             # loop in this node rather than as new ones. Every iteration is one
             # call of the recursion and is counted and checked as such; only
-            # the first asks for the split, which depends on G and N alone.
+            # the first asks for the split, which depends on G and N alone. At
+            # "paranoid" each iteration's potential comes from the edge into it.
             adds_in_a_row = 0
             while True:
-                parent_mu = _check_call(g, n, n_cap, log_n, family, scheme, mu, sizes)
+                parent_mu = _check_call(g, n, n_cap, log_n, family, scheme, mu)
 
                 if not adds_in_a_row and (split := scheme.split(g, n_cap)) is not None:
                     stats.component_recursions += 1
@@ -327,11 +335,9 @@ def drive(
                 scheme.record_growth()
                 grown = family.add(member)
                 if audit:
-                    grown_sizes = grown.level_sizes()
-                    bound = scheme.level_bound(n_cap)
-                    if bound is not None:
-                        check_level_growth(sizes, grown_sizes, *bound)
-                    sizes = grown_sizes
+                    level_bound = scheme.bounds(n_cap)[0]
+                    if level_bound is not None:
+                        check_level_growth(family.level_sizes(), grown.level_sizes(), *level_bound)
                 if parent_mu is not None:
                     mu = _check_edge(parent_mu, n, n_cap, grown, scheme.growth_rule, scheme)
                 family = grown
@@ -349,7 +355,8 @@ class _PathScheme(Scheme):
     small_leaves = True
 
     def __init__(self, level: int, k: int | None):
-        self.level, self.stats, self.k, self.params = level, RunStats(), k, {"k": k}
+        super().__init__(level)
+        self.k, self.params = k, {"k": k}
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
         half = n_cap // 2
@@ -391,8 +398,8 @@ class _PathScheme(Scheme):
             return None
         return measure_k(graph_size, n_cap, family, self.k)
 
-    def ceiling(self, n_cap: int) -> int:
-        return max_measure_k(n_cap, self.k)
+    def ceiling(self, n_cap: int) -> int | None:
+        return None if self.k is None else max_measure_k(n_cap, self.k)
 
 
 def _run(
@@ -416,14 +423,6 @@ def _run(
     witness = g.table.decode(mask)
     verify_witness(g, w, weight, witness)
     return SolveResult(weight, witness, scheme.stats)
-
-
-def _check_positive(name: str, value: object) -> None:
-    # bool is an int subclass, refused as validate_weights refuses it.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def solve_pkfree(

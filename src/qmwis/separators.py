@@ -110,6 +110,12 @@ def balanced_separator_core(g: Graph, i: int) -> int:
 
 
 def verify_balanced(g: Graph, separator: VertexSet, bound: Rational) -> bool:
-    """True iff every component of g - separator (ids or a mask) has at most bound vertices."""
-    rest = remove_vertices(g, separator)
-    return all(c.bit_count() <= bound for c in component_masks(g.table.adj, rest.mask))
+    """True iff every component of g - separator (ids or a mask) has at most bound vertices.
+
+    Every component lies inside V(g) - separator, so a remainder of at most
+    bound vertices decides it without labelling a component.
+    """
+    rest = remove_vertices(g, separator).mask
+    if rest.bit_count() <= bound:
+        return True
+    return all(c.bit_count() <= bound for c in component_masks(g.table.adj, rest))

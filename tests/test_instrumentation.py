@@ -87,6 +87,62 @@ def test_measure_h_validates_arguments():
         measure_h(1, 0, EMPTY, 1, 1)
 
 
+PAIR = VertexMultiFamily([{1, 2}])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: measure_k(3, 8, PAIR, True), "k must be an integer, got True"),
+        (lambda: measure_k(3, 8, PAIR, 2.5), "k must be an integer, got 2.5"),
+        (lambda: measure_k(3, 8, PAIR, "4"), "k must be an integer, got '4'"),
+        (lambda: measure_k(3, 8.0, PAIR, 2), "N must be an integer, got 8.0"),
+        (lambda: measure_k(3, True, PAIR, 2), "N must be an integer, got True"),
+        (lambda: max_measure_k(8, 2.5), "k must be an integer, got 2.5"),
+        (lambda: max_measure_k(8, True), "k must be an integer, got True"),
+        (lambda: max_measure_k("8", 2), "N must be an integer, got '8'"),
+        (lambda: max_measure_k(0, 2), "N must be >= 1, got 0"),
+        (lambda: measure_h(3, 8, PAIR, 2.5, 1), "pattern size must be an integer, got 2.5"),
+        (lambda: measure_h(3, 8, PAIR, True, 1), "pattern size must be an integer, got True"),
+        (lambda: measure_h(3, 8, PAIR, 2, "1"), "pattern components must be an integer, got '1'"),
+        (lambda: measure_h(3, 8.0, PAIR, 2, 1), "N must be an integer, got 8.0"),
+        (lambda: max_measure_h(8, 2, 1.0), "pattern components must be an integer, got 1.0"),
+        (lambda: max_measure_h(True, 2, 1), "N must be an integer, got True"),
+    ],
+    ids=[
+        "k-bool",
+        "k-float",
+        "k-str",
+        "N-float",
+        "N-bool",
+        "max-k-float",
+        "max-k-bool",
+        "max-N-str",
+        "max-N-zero",
+        "h-size-float",
+        "h-size-bool",
+        "h-components-str",
+        "h-N-float",
+        "max-h-components-float",
+        "max-h-N-bool",
+    ],
+)
+def test_potentials_refuse_non_integer_parameters(call, message):
+    # A bool would be read as 1 and a float would give a float potential;
+    # both are refused, as solve_pkfree refuses them for k_hint and N.
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_potentials_take_int_subclasses_other_than_bool():
+    class Count(int):
+        pass
+
+    assert measure_k(3, Count(8), PAIR, Count(2)) == measure_k(3, 8, PAIR, 2)
+    assert measure_h(3, Count(8), PAIR, Count(2), Count(1)) == measure_h(3, 8, PAIR, 2, 1)
+
+
 def test_max_measures():
     assert max_measure_k(2, 5) == 1050 * 25 * 2
     assert max_measure_k(1, 5) == 0

@@ -256,3 +256,24 @@ def test_verify_balanced_matches_a_frozenset_reference(g, data):
     bound = data.draw(st.one_of(st.integers(0, g.n + 1), st.fractions(0, g.n + 1)), label="bound")
     comps = _components(g, g.vertices - separator)
     assert verify_balanced(g, separator, bound) == all(len(c) <= bound for c in comps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(), data=st.data())
+def test_verify_balanced_matches_components_of_the_remainder(g, data):
+    # The definition, with the remainder's own size and one below it among
+    # the bounds: there a remainder that is one component is exactly at, or
+    # just over, the bound, which is where a shortcut on |V(G) - S| can err.
+    separator = data.draw(st.sets(st.sampled_from(g.vertex_ids())) if g.n else st.just(set()))
+    rest = g.vertices - separator
+    size = len(rest)
+    bound = data.draw(
+        st.sampled_from([size, size - 1, Fraction(size), Fraction(2 * size - 1, 2), size + 1])
+        | st.integers(-1, g.n + 1)
+        | st.fractions(-1, g.n + 1),
+        label="bound",
+    )
+    components = connected_components(induced_subgraph(g, rest))
+    expected = all(len(c) <= bound for c in components)
+    assert verify_balanced(g, separator, bound) is expected
+    assert verify_balanced(g, g.table.mask(separator), bound) is expected
