@@ -262,8 +262,13 @@ def _recurrence_failure(
 class RunStats:
     """Exact counters for one solver run.
 
-    Mutable during a run. measure_trace is a ring buffer of the last 4,096
-    recorded potential steps, so deep runs stay bounded in memory.
+    Mutable during a run. The counters describe the recursion tree of the
+    paper's algorithm, the quantity its bounds are about, also where the
+    driver answers a repeated split child from its per-run memo instead of
+    running it again. memo_hits counts those answers and memo_calls the
+    calls of the subtrees they replayed, included in calls; neither is in
+    to_dict(). measure_trace is a ring buffer of the last 4,096 recorded
+    potential steps, so deep runs stay bounded in memory.
     """
 
     calls: int = 0
@@ -279,6 +284,8 @@ class RunStats:
     max_level_occupancy: dict[int, int] = field(default_factory=dict)
     assertions_checked: int = 0
     measure_trace: deque = field(default_factory=lambda: deque(maxlen=4096))
+    memo_hits: int = 0
+    memo_calls: int = 0
 
     def on_call(self, graph_size: int, family_size: int) -> None:
         # max_depth is maintained by the stack driver, not per call.

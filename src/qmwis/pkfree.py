@@ -26,6 +26,8 @@ marker that combines their answers, which collect on a results stack. A
 batch's children run one after another, in batch order, so every counter
 comes out the same on every run. The path scheme answers a graph of at
 most one vertex inline; that answer still counts as one node of depth.
+Below "paranoid", a split child whose mask came up before in the run is
+answered from a memo that replays the first one's counts (see drive).
 
 Every run starts in _run, which drives the recursion from its root
 (G, w, N, F), passed as plain arguments, and verifies the witness at every
@@ -226,28 +228,59 @@ def drive(
 
     Answers are (weight, witness mask over g's table). A task is a
     node (depth, g, N, F, potential), the root at depth 1, or a marker that
-    combines the answers on top of the results stack: (0, count) sums a
+    acts on the answers on top of the results stack: (0, count) sums a
     split's count answers, (-1, w(v), bit) picks between a branch's delete
-    and take answers. scheme.stats.max_depth gets the deepest node, also
-    when the run raises. A parent potential exists only at "paranoid" with
-    a claimed bound, so only then are the edges to the children audited.
+    and take answers, and (-2, mask, depth, ...) stores a node's answer in
+    the memo. scheme.stats.max_depth gets the deepest node, also when the
+    run raises. A parent potential exists only at "paranoid" with a claimed
+    bound, so only then are the edges to the children audited.
+
+    At "off" and "fair" the run keeps a memo, local to this call. A split
+    child (C, |C|, empty F) is a function of its mask C alone, so that mask
+    is its key. The first child with a mask runs under a store marker,
+    which records its answer, its subtree's height and what the subtree
+    added to calls, component_recursions, branch_steps, separators_added and
+    assertions_checked; only the path scheme splits, and these are all the
+    counters its subtrees move. A later child with that mask, at its own turn, is
+    answered from the memo and adds those counts, so the stats still
+    describe the whole recursion tree, in tree order also when the run
+    raises. The maxima of family and graph size need no replay: a replayed
+    subtree has them from its first run. At "paranoid" every node runs and
+    is audited, so there is no memo.
     """
     stats = scheme.stats
     audit = scheme.level >= 2
+    memo: dict[int, tuple] | None = None if audit else {}
     tasks: list[tuple] = [(1, g, capacity_n, family, None)]
     results: list[tuple[int, int]] = []
-    deepest = 1
+    # deepest is the run's deepest node; local the deepest node of the
+    # innermost subtree being stored, restored by its store marker.
+    deepest = local = 1
     try:
         while tasks:
             task = tasks.pop()
             depth = task[0]
             if depth < 0:
-                # The take side wins only when strictly heavier, so ties keep
-                # the first-explored (delete) branch's witness.
-                take_weight, take_witness = results.pop()
-                take_weight += task[1]
-                if take_weight > results[-1][0]:
-                    results[-1] = take_weight, take_witness | task[2]
+                if depth == -1:
+                    # The take side wins only when strictly heavier, so ties
+                    # keep the first-explored (delete) branch's witness.
+                    take_weight, take_witness = results.pop()
+                    take_weight += task[1]
+                    if take_weight > results[-1][0]:
+                        results[-1] = take_weight, take_witness | task[2]
+                    continue
+                _, key, node_depth, outer, calls, comps, branches, seps, checks = task
+                memo[key] = (
+                    results[-1],
+                    local - node_depth + 1,
+                    stats.calls - calls,
+                    stats.component_recursions - comps,
+                    stats.branch_steps - branches,
+                    stats.separators_added - seps,
+                    stats.assertions_checked - checks,
+                )
+                if outer > local:
+                    local = outer
                 continue
             if not depth:
                 weight = witness = 0
@@ -258,14 +291,42 @@ def drive(
                 results.append((weight, witness))
                 continue
             _, g, n_cap, family, mu = task
-            if depth > deepest:
-                deepest = depth
+            if depth > local:
+                local = depth
+                if depth > deepest:
+                    deepest = depth
             n = g.mask.bit_count()
             log_n = (n_cap - 1).bit_length()
             if n <= 1 and scheme.small_leaves:
                 _check_call(g, n, n_cap, log_n, family, scheme, mu)
                 results.append((w[g.table.ids[g.mask.bit_length() - 1]], g.mask) if n else (0, 0))
                 continue
+            # A split child (C, |C|, empty F) is a function of its mask alone:
+            # the first one runs under a store marker, a repeat replays it.
+            if n == n_cap and memo is not None and depth > 1 and not family._raw:
+                key = g.mask
+                hit = memo.get(key)
+                if hit is not None:
+                    answer, height, calls, comps, branches, seps, checks = hit
+                    results.append(answer)
+                    stats.calls += calls
+                    stats.component_recursions += comps
+                    stats.branch_steps += branches
+                    stats.separators_added += seps
+                    stats.assertions_checked += checks
+                    stats.memo_hits += 1
+                    stats.memo_calls += calls
+                    bottom = depth + height - 1
+                    if bottom > local:
+                        local = bottom
+                        if bottom > deepest:
+                            deepest = bottom
+                    continue
+                tasks.append((
+                    -2, key, depth, local, stats.calls, stats.component_recursions,
+                    stats.branch_steps, stats.separators_added, stats.assertions_checked,
+                ))
+                local = depth
             # Consecutive growths of F keep the same graph, so they run as a
             # loop in this node rather than as new ones. Every iteration is one
             # call of the recursion and is counted and checked as such; only

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from numbers import Rational
 
-from .graph import Graph, VertexSet, VertexTable, component_masks, remove_vertices
+from .graph import Graph, VertexSet, VertexTable, component_masks
 
 
 def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
@@ -113,9 +113,13 @@ def verify_balanced(g: Graph, separator: VertexSet, bound: Rational) -> bool:
     """True iff every component of g - separator (ids or a mask) has at most bound vertices.
 
     Every component lies inside V(g) - separator, so a remainder of at most
-    bound vertices decides it without labelling a component.
+    bound vertices decides it without labelling a component. Ids outside g
+    are ignored.
     """
-    rest = remove_vertices(g, separator).mask
+    if not isinstance(separator, int):
+        rank = g.table.rank
+        separator = g.table.mask(v for v in separator if v in rank)
+    rest = g.mask & ~separator
     if rest.bit_count() <= bound:
         return True
     return all(c.bit_count() <= bound for c in component_masks(g.table.adj, rest))

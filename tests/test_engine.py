@@ -157,6 +157,38 @@ def test_drive_propagates_exceptions():
     assert scheme.stats.max_depth == 5
 
 
+def test_a_memo_hit_counts_its_subtree_when_the_run_raises():
+    # The root splits into A = {1, 2, 3} and B = {1, ..., 5}; B splits into A
+    # again and C = {4, 5}, whose leaf raises. A is a chain of height 3:
+    # first run from depth 2, it reaches depth 4, and its replay from depth 3
+    # reaches depth 5, which the raised run must still report.
+    a, b, c = 0b111, 0b11111, 0b11000
+
+    class Repeat(Toy):
+        def split(self, g, n_cap):
+            if g.mask == (1 << 6) - 1:
+                return [a, b]
+            if g.mask == b:
+                return [a, c]
+            if g.mask & ~a or g.n < 2:
+                return None
+            return [g.mask & (g.mask - 1)]
+
+        def leaf(self, g, w, family):
+            if g.mask == c:
+                raise RuntimeError("C")
+            return super().leaf(g, w, family)
+
+    scheme = Repeat()
+    with pytest.raises(RuntimeError, match="C"):
+        drive(scheme, *root(edgeless(6)))
+    stats = scheme.stats
+    assert scheme.leaves == [[3]]
+    assert (stats.memo_hits, stats.memo_calls) == (1, 3)
+    # The root, A's three calls, B, A's replayed three and C's call.
+    assert (stats.calls, stats.component_recursions, stats.max_depth) == (9, 6, 5)
+
+
 def test_results_arrive_in_batch_order():
     # The root's children have different depths; each runs to its answer
     # before the next starts, and the answers combine in batch order.

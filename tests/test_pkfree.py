@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmwis import (
@@ -358,14 +358,16 @@ def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
 
 
 def test_growth_retries_never_split_again(monkeypatch):
-    # split depends on G and N alone, so each node of two or more vertices
-    # asks for it once, on its first call, however often F grows afterwards.
-    # A growth retry is one more call on the same graph object.
+    # split depends on G and N alone, so each executed node of two or more
+    # vertices asks for it once, on its first call, however often F grows
+    # afterwards. A growth retry is one more call on the same graph object.
+    # Calls answered from the run's memo execute nothing, so they reach
+    # neither _check_call nor record_growth.
     import qmwis.pkfree as pkfree
-    from qmwis import GeneratorSpec, generate
 
-    checked, split_graphs = [], []
+    checked, split_graphs, growths = [], [], []
     real_check, real_split = pkfree._check_call, pkfree._PathScheme.split
+    real_growth = pkfree._PathScheme.record_growth
 
     def check(g, *args):
         checked.append(g)
@@ -375,16 +377,111 @@ def test_growth_retries_never_split_again(monkeypatch):
         split_graphs.append(g)
         return real_split(self, g, n_cap)
 
+    def record_growth(self):
+        growths.append(self)
+        real_growth(self)
+
     monkeypatch.setattr(pkfree, "_check_call", check)
     monkeypatch.setattr(pkfree._PathScheme, "split", split)
+    monkeypatch.setattr(pkfree._PathScheme, "record_growth", record_growth)
     g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
     stats = solve_pkfree(g, w).stats
     # The lists keep every graph alive, so no two nodes share an id().
     frames = {id(h) for h in checked if h.n >= 2}
-    assert stats.separators_added > 0 and len(checked) == stats.calls
+    assert growths and stats.memo_calls > 0
+    assert len(checked) + stats.memo_calls == stats.calls
     assert len(split_graphs) == len(frames) > 0
     assert {id(h) for h in split_graphs} == frames
-    assert sum(h.n >= 2 for h in checked) - len(frames) == stats.separators_added
+    assert sum(h.n >= 2 for h in checked) - len(frames) == len(growths)
+
+
+# The counters that describe Algorithm 1's recursion tree, which a memo hit
+# replays rather than runs.
+TREE_COUNTERS = (
+    "calls",
+    "component_recursions",
+    "branch_steps",
+    "separators_added",
+    "max_depth",
+    "max_family_size",
+    "max_graph_size",
+    "assertions_checked",
+)
+
+
+def assert_memo_replays_the_tree(g, w):
+    # "paranoid" without k_hint runs every node of the tree; "fair" answers
+    # each repeated split child from the run's memo.
+    memo = solve_pkfree(g, w)
+    full = solve_pkfree(g, w, assertion_level="paranoid")
+    assert full.stats.memo_hits == full.stats.memo_calls == 0
+    assert (memo.weight, memo.witness) == (full.weight, full.witness)
+    for name in TREE_COUNTERS:
+        assert getattr(memo.stats, name) == getattr(full.stats, name), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=30),
+    p=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(n=30, p=0.3, seed=1)
+def test_memo_replays_the_full_tree_on_gnp(n, p, seed):
+    spec = GeneratorSpec(kind="random-gnp", size=n, seed=seed, p=p)
+    assert_memo_replays_the_tree(*generate(spec))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(min_value=0, max_value=120), seed=st.integers(min_value=0, max_value=2**32))
+@example(n=120, seed=1)
+def test_memo_replays_the_full_tree_on_cographs(n, seed):
+    assert_memo_replays_the_tree(*generate(GeneratorSpec(kind="cograph", size=n, seed=seed)))
+
+
+def layered_cograph(n: int) -> Graph:
+    """A cograph over 1..n whose cotree halves each id range, a union at
+    every third depth and a join elsewhere."""
+    edges = []
+
+    def build(lo: int, hi: int, depth: int) -> None:
+        if hi <= lo:
+            return
+        mid = (lo + hi) // 2
+        build(lo, mid, depth + 1)
+        build(mid + 1, hi, depth + 1)
+        if depth % 3 != 2:
+            edges.extend((u, v) for u in range(lo, mid + 1) for v in range(mid + 1, hi + 1))
+
+    build(1, n, 0)
+    return Graph(range(1, n + 1), edges)
+
+
+def test_memo_answers_repeated_components_once_per_run():
+    # Deleting v and taking N[v] leave many components in common. Nothing
+    # outlives a run: a second solve of the same graph hits as often.
+    g = layered_cograph(64)
+    w = {v: v % 7 for v in g.vertex_ids()}
+    first, second = solve_pkfree(g, w).stats, solve_pkfree(g, w).stats
+    assert first.memo_hits > 0 and first.memo_calls >= first.memo_hits
+    assert first.memo_calls < first.calls
+    assert (second.memo_hits, second.memo_calls) == (first.memo_hits, first.memo_calls)
+    assert first.to_dict() == second.to_dict()
+    assert "memo_hits" not in first.to_dict() and "memo_calls" not in first.to_dict()
+
+
+@pytest.mark.parametrize(
+    "kind, size, calls, weight",
+    [("path", 40, 344_926, 1204), ("cograph", 1000, 92_269, 7375)],
+)
+def test_roadmap_table_counts(kind, size, calls, weight):
+    # The default run's counts on instances too slow to pin without the memo;
+    # generate's cograph kind draws what perfbench's make_instance("cograph",
+    # size, 0.5, seed) draws.
+    g, w = generate(GeneratorSpec(kind=kind, size=size, seed=1))
+    result = solve_pkfree(g, w)
+    assert (result.stats.calls, result.weight) == (calls, weight)
+    assert result.stats.memo_hits > 0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -167,6 +167,16 @@ def test_verify_balanced():
     assert verify_balanced(g, frozenset({3}), Fraction(5, 2))
 
 
+def test_verify_balanced_ignores_vertices_outside_the_graph():
+    # 99 is in no table; 1 is in the table but not in the subgraph {2..5},
+    # whose component {4, 5} is left whole either way.
+    g = remove_vertices(path_graph(5), frozenset({1}))
+    assert verify_balanced(g, frozenset({1, 3, 99}), 2)
+    assert not verify_balanced(g, frozenset({1, 3, 99}), 1)
+    assert not verify_balanced(g, g.table.mask({1, 3}), 1)
+    assert verify_balanced(g, g.table.mask({1, 3, 4}), 1)
+
+
 def _components(g: Graph, vertices: frozenset[int]) -> list[frozenset[int]]:
     # Breadth-first search on frozensets, components ordered by smallest id.
     comps, rest = [], set(vertices)
