@@ -13,23 +13,13 @@ fits:
   1. a branchable vertex v exists: best of solving without v and solving
      without N[v] plus w(v);
   2. G has an induced copy X of H_i: grow F by N[X] and retry;
-  3. neither: return the i-th oracle's answer, valid since G is H_i-free.
-     Each distinct (i, vertex set of G) reaches oracle i at most once per
-     run: every leaf graph of a run shares the root's table and w, so a
-     repeated leaf takes the answer stored at its first visit. Every leaf,
-     repeated or not, counts as one oracle call in the run's stats.
+  3. neither: return the i-th oracle's answer, valid since G is H_i-free,
+     at most once per run for each (i, vertex set of G) (see leaf).
 
-N never changes and there is no component split. solve_hfree and the pk
-oracle start their runs in pkfree._run, the one entry for both schemes,
-whose drive loop begins each recursion at its root. The pk oracle enters it
-only for graphs above the brute-force cap of DEFAULT_BRUTE_FORCE_CAP
-vertices. It answers smaller ones, as the brute-force oracle answers every
-leaf, by brute_force_mwis's trusted mask entry, which searches the leaf on
-the root's shared table; it checks the witness on both branches, the
-brute-force one as a mask. The result is exact for every input graph as long
-as the oracles honor their contract. The assume_hfree flag enables the
-pattern-dependent audit bounds, which are proven only for runs whose root
-graph has no induced H.
+N never changes and there is no component split. The result is exact for
+every input graph as long as the oracles honor their contract. The
+assume_hfree flag enables the pattern-dependent audit bounds, which are
+proven only for runs whose root graph has no induced H.
 """
 
 from __future__ import annotations

@@ -263,12 +263,11 @@ class RunStats:
     """Exact counters for one solver run.
 
     Mutable during a run. The counters describe the recursion tree of the
-    paper's algorithm, the quantity its bounds are about, also where the
-    driver answers a repeated split child from its per-run memo instead of
-    running it again. memo_hits counts those answers and memo_calls the
-    calls of the subtrees they replayed, included in calls; neither is in
-    to_dict(). measure_trace is a ring buffer of the last 4,096 recorded
-    potential steps, so deep runs stay bounded in memory.
+    paper's algorithm, the quantity its bounds are about, also where drive's
+    memo answers a subtree. memo_hits counts those answers and memo_calls
+    the calls they replayed, included in calls; neither is in to_dict().
+    measure_trace is a ring buffer of the last 4,096 recorded potential
+    steps, so deep runs stay bounded in memory.
     """
 
     calls: int = 0

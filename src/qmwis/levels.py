@@ -9,11 +9,8 @@ Members and levels are int masks over a VertexTable (see graph.py), where
 bit r stands for the vertex of rank r. Inside the solvers a family shares
 its graph's table, so adding a member updates the levels with one AND/OR
 per level and subtracting X is one AND per level; nothing is recounted.
-The members themselves are masked on read: a family keeps the members it
-was built from and the union of everything subtracted since, and clears
-that union from them when they are asked for. The recursion reads only the
-levels and the member count, so below "paranoid" members are masked only
-when a new member holds vertices subtracted from the others. Frozensets of
+Members are masked only when read, below "paranoid" only when an added
+member overlaps what was subtracted (see VertexMultiFamily). Frozensets of
 ids appear only at the public boundary, members; a caller that wants a
 level as ids decodes its mask with table.decode.
 
@@ -21,8 +18,7 @@ A vertex v is branchable relative to (F, N) when its closed neighborhood
 covers at least Delta_i = N / 2^i vertices of level i for some i >= 1.
 Levels are monotone decreasing in i and Delta_i <= 1 once i >= ceil(log2 N),
 so the search never needs to look past i = ceil(log2 N) + 1: a vertex on a
-later non-empty level already qualifies at the cap. It scans the vertices
-in id order and stops at the first whose score no other vertex can exceed.
+later non-empty level already qualifies at the cap.
 """
 
 from __future__ import annotations
@@ -198,25 +194,40 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     if family.table is not g.table:
         family = family.over(g.table)
     levels, ceiling = [], 0
-    for i, level in enumerate(family.level_masks[:cap], 1):
+    for i, level in enumerate(family.level_masks, 1):
+        if i > cap:
+            break
         if (top := (m := level & live).bit_count() << i) >= capacity_n:
             levels.append((i, m))
-            ceiling = max(ceiling, top)
+            if top > ceiling:
+                ceiling = top
     if not levels:
         return None
     closed_adj = g.table.closed_adj
     # Only a qualifying score, at least N, can become the best.
     best, winner, rest = capacity_n - 1, 0, live
-    while rest:
-        low = rest & -rest
-        closed = closed_adj[low.bit_length() - 1]
-        score = 0
-        for i, m in levels:
-            if (count := (closed & m).bit_count() << i) > score:
-                score = count
-        if score > best:
-            best, winner = score, low
-            if score == ceiling:
-                break
-        rest ^= low
+    if len(levels) == 1:
+        # One level: count << i > best iff count > best >> i.
+        i, m = levels[0]
+        best, ceiling = best >> i, m.bit_count()
+        while rest:
+            low = rest & -rest
+            if (count := (closed_adj[low.bit_length() - 1] & m).bit_count()) > best:
+                best, winner = count, low
+                if count == ceiling:
+                    break
+            rest ^= low
+    else:
+        while rest:
+            low = rest & -rest
+            closed = closed_adj[low.bit_length() - 1]
+            score = 0
+            for i, m in levels:
+                if (count := (closed & m).bit_count() << i) > score:
+                    score = count
+            if score > best:
+                best, winner = score, low
+                if score == ceiling:
+                    break
+            rest ^= low
     return g.table.ids[winner.bit_length() - 1] if winner else None

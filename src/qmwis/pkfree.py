@@ -20,24 +20,12 @@ never fires. The pattern scheme lives in hfree.py.
 
 The depth grows like n * log(N) * k through alternating branch and growth
 steps, far past CPython's recursion limit, so drive runs the recursion as
-one loop over a stack of tasks, each a node (depth, G, N, F, potential). A
-split or a branch pushes its children in reverse batch order behind a
-marker that combines their answers, which collect on a results stack. A
-batch's children run one after another, in batch order, so every counter
-comes out the same on every run. The path scheme answers a graph of at
-most one vertex inline; that answer still counts as one node of depth.
-Below "paranoid", a split child whose mask came up before in the run is
-answered from a memo that replays the first one's counts (see drive).
+one loop over a stack of tasks. The path scheme answers a graph of at most
+one vertex, and a split's one-vertex parts, without a task of its own;
+each such answer still counts as one call at its own depth.
 
-Every run starts in _run, which drives the recursion from its root
-(G, w, N, F), passed as plain arguments, and verifies the witness at every
-assertion level. Input is validated once, before that, by the public
-entry: solve_pkfree or solve_hfree. Inside the recursion a witness is a
-mask over the root graph's table, which _run decodes once.
-
-Correctness never depends on the input being path-free; the quasi-polynomial
-call bound does. The optional k_hint enables the k-dependent audit bounds
-and never influences the result.
+Every run starts in _run, after the public entry, solve_pkfree or
+solve_hfree, has validated its input once.
 """
 
 from __future__ import annotations
@@ -49,7 +37,6 @@ from .graph import (
     VertexSet,
     WeightMap,
     closed_neighborhood,
-    component_masks,
     induced_subgraph,
     remove_vertices,
     validate_weights,
@@ -113,10 +100,7 @@ class Scheme:
                            level-growth audits, or None when unclaimed;
       potential(n, N, F)   the integer potential, or None when unclaimed;
       ceiling(N)           the potential's proven ceiling, or None when
-                           unclaimed.
-
-    The audit reads level_bound and ceiling through bounds(N), which builds
-    them once per N and keeps them for the run the scheme belongs to.
+                           unclaimed; the audit reads both through bounds(N).
     """
 
     audit_from_n = 1
@@ -152,9 +136,7 @@ def _check_call(
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
 
     At "paranoid", mu is the potential the edge into this call computed, or
-    None to compute it here; every check runs on the value either way. F
-    keeps its level sizes once asked for, so the edge's potential and this
-    call share them.
+    None to compute it here; every check runs on the value either way.
     """
     # The member count, read without the Python-level call of len(family).
     stats, size = scheme.stats, len(family._raw)
@@ -208,12 +190,10 @@ def _check_call(
 def _check_edge(
     parent_mu: int, n: int, n_cap: int, family: VertexMultiFamily, rule: str, scheme: Scheme
 ) -> int:
-    """Audit the potential's decrease from a call with potential parent_mu to
-    a child with n vertices, budget n_cap and family F.
+    """Audit the potential's decrease from parent_mu to the child (n, N, F).
 
-    The child's potential is computed here, where a family-size violation
-    inside it is raised, and returned for the child's own _check_call to
-    reuse.
+    Returns the child's potential, for its own _check_call to reuse; a
+    family-size violation inside it is raised here.
     """
     child_mu = scheme.potential(n, n_cap, family)
     assert_recurrence_step(parent_mu, child_mu, rule, scheme.params)
@@ -228,29 +208,37 @@ def drive(
 
     Answers are (weight, witness mask over g's table). A task is a
     node (depth, g, N, F, potential), the root at depth 1, or a marker that
-    acts on the answers on top of the results stack: (0, count) sums a
-    split's count answers, (-1, w(v), bit) picks between a branch's delete
-    and take answers, and (-2, mask, depth, ...) stores a node's answer in
-    the memo. scheme.stats.max_depth gets the deepest node, also when the
-    run raises. A parent potential exists only at "paranoid" with a claimed
-    bound, so only then are the edges to the children audited.
+    acts on the answers on top of the results stack: (0, count, weight,
+    witness) adds a split's count answers to its one-vertex parts' sum,
+    (-1, w(v), bit) picks between a branch's delete and take answers, and
+    (-2, mask, depth, ...) stores a node's answer in the memo. A split or a
+    branch pushes its children in reverse behind its marker, so they run
+    one after another in batch order and every counter comes out the same
+    on every run. scheme.stats.max_depth gets the deepest node, also when
+    the run raises. A parent potential exists only at "paranoid" with a
+    claimed bound, so only then are the edges to the children audited.
 
-    At "off" and "fair" the run keeps a memo, local to this call. A split
-    child (C, |C|, empty F) is a function of its mask C alone, so that mask
-    is its key. The first child with a mask runs under a store marker,
-    which records its answer, its subtree's height and what the subtree
-    added to calls, component_recursions, branch_steps, separators_added and
-    assertions_checked; only the path scheme splits, and these are all the
-    counters its subtrees move. A later child with that mask, at its own turn, is
-    answered from the memo and adds those counts, so the stats still
-    describe the whole recursion tree, in tree order also when the run
-    raises. The maxima of family and graph size need no replay: a replayed
-    subtree has them from its first run. At "paranoid" every node runs and
-    is audited, so there is no memo.
+    Under small_leaves a split's one-vertex parts never become tasks: each
+    is checked, counted and given its depth when its parent splits, before
+    its larger siblings run. Sums and maxima do not depend on that order,
+    so it shows only in the partial stats of a run that raises.
+
+    At "off" and "fair" the run keeps a memo, local to this call, keyed by
+    a split child's mask C: the child (C, |C|, empty F) is a function of C
+    alone. The first child with a mask runs under a store marker, which
+    records its answer, its subtree's height and what the subtree added to
+    calls, component_recursions, branch_steps, separators_added and
+    assertions_checked, the only counters a path-scheme subtree moves. A
+    later child with that mask is answered from the memo at its own turn
+    and adds those counts, so the stats still describe the whole tree, also
+    when the run raises after it; the maxima of family and graph size need
+    no replay. At "paranoid" every node runs and is audited: no memo.
     """
     stats = scheme.stats
-    audit = scheme.level >= 2
+    audit, small_leaves = scheme.level >= 2, scheme.small_leaves
     memo: dict[int, tuple] | None = None if audit else {}
+    # Every split child starts from this family; a family is immutable.
+    empty = VertexMultiFamily(table=g.table)
     tasks: list[tuple] = [(1, g, capacity_n, family, None)]
     results: list[tuple[int, int]] = []
     # deepest is the run's deepest node; local the deepest node of the
@@ -283,8 +271,8 @@ def drive(
                     local = outer
                 continue
             if not depth:
-                weight = witness = 0
-                for _ in range(task[1]):
+                _, count, weight, witness = task
+                for _ in range(count):
                     answer = results.pop()
                     weight += answer[0]
                     witness |= answer[1]
@@ -297,7 +285,7 @@ def drive(
                     deepest = depth
             n = g.mask.bit_count()
             log_n = (n_cap - 1).bit_length()
-            if n <= 1 and scheme.small_leaves:
+            if n <= 1 and small_leaves:
                 _check_call(g, n, n_cap, log_n, family, scheme, mu)
                 results.append((w[g.table.ids[g.mask.bit_length() - 1]], g.mask) if n else (0, 0))
                 continue
@@ -338,16 +326,24 @@ def drive(
 
                 if not adds_in_a_row and (split := scheme.split(g, n_cap)) is not None:
                     stats.component_recursions += 1
-                    empty = VertexMultiFamily(table=g.table)
-                    children = []
+                    children, weight, witness = [], 0, 0
                     for comp in split:
                         child, size, child_mu = induced_subgraph(g, comp), comp.bit_count(), None
                         if parent_mu is not None:
                             child_mu = _check_edge(
                                 parent_mu, size, size, empty, RULE_COMPONENT, scheme
                             )
-                        children.append((depth + 1, child, size, empty, child_mu))
-                    tasks.append((0, len(children)))
+                        if size == 1 and small_leaves:
+                            # A one-vertex part is answered here, as its own call.
+                            _check_call(child, 1, 1, 0, empty, scheme, child_mu)
+                            weight += w[g.table.ids[comp.bit_length() - 1]]
+                            witness |= comp
+                        else:
+                            children.append((depth + 1, child, size, empty, child_mu))
+                    if len(children) < len(split) and local == depth:
+                        local += 1
+                        deepest = max(deepest, local)
+                    tasks.append((0, len(children), weight, witness))
                     tasks += reversed(children)
                     break
 
@@ -418,23 +414,43 @@ class _PathScheme(Scheme):
     def __init__(self, level: int, k: int | None):
         super().__init__(level)
         self.k, self.params = k, {"k": k}
+        self._core: tuple[Graph | None, int] = (None, 0)
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
-        half = n_cap // 2
-        components = component_masks(g.table.adj, g.mask, limit=half)
-        return None if components[-1].bit_count() > half else components
+        # component_masks' components, or None as soon as one passes N/2.
+        half, adj, rest, parts = n_cap // 2, g.table.adj, g.mask, []
+        if rest and not half:
+            return None
+        while rest:
+            comp = todo = rest & -rest
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                if new := adj[low.bit_length() - 1] & rest & ~comp:
+                    comp |= new
+                    if comp.bit_count() > half:
+                        return None
+                    if comp == rest:
+                        break
+                    todo |= new
+            parts.append(comp)
+            rest ^= comp
+        return parts
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int:
-        return balanced_separator_core(g, 2)
+        # The core depends on G alone, and consecutive growths keep G.
+        if self._core[0] is not g:
+            self._core = g, balanced_separator_core(g, 2)
+        return self._core[1]
 
     def record_growth(self) -> None:
         self.stats.separators_added += 1
 
     def family_excess(self, size: int, log_n: int) -> tuple[str, int] | None:
-        bound = 10 * (self.k or 0) * log_n
-        if self.k is None or size <= bound:
+        if self.k is None:
             return None
-        return f"|F| = {size} exceeds 10k log(N) = {bound}", bound
+        bound = 10 * self.k * log_n
+        return None if size <= bound else (f"|F| = {size} exceeds 10k log(N) = {bound}", bound)
 
     def check_members(self, g: Graph, family: VertexMultiFamily, n_cap: int) -> None:
         # Component sizes are integers: |C| <= N/4 iff |C| <= N // 4.
@@ -470,7 +486,7 @@ def _run(
     capacity_n: int | None = None,
     family: VertexMultiFamily | None = None,
 ) -> SolveResult:
-    """Drive the validated root (g, w, N, F) and verify the witness.
+    """Drive the validated root (g, w, N, F) and verify the witness at every level.
 
     N defaults to max(1, |V(g)|) and F to the empty family over g's table.
     The recursion's witness mask is decoded here, once, into the result
@@ -497,11 +513,12 @@ def solve_pkfree(
 ) -> SolveResult:
     """Maximum-weight independent set of g under w.
 
-    The result is exact for every input graph. When g has no induced path on
-    k_hint vertices, the k-dependent run invariants are additionally checked
-    (at assertion_level "fair" the family-size bound, at "paranoid" also the
+    The result is exact for every input graph; the quasi-polynomial call
+    bound needs g to have no induced path on k_hint vertices. Given k_hint,
+    the k-dependent run invariants are additionally checked (at
+    assertion_level "fair" the family-size bound, at "paranoid" also the
     per-call separator balance, level bounds, potential bounds, and per-edge
-    potential decreases).
+    potential decreases, and a k_hint of at most 3 against g itself).
 
     The run is Algorithm 1's call on the instance (g, w, N, F). Its root is
     N = max(1, |V(g)|) and F empty unless capacity_n and family say
@@ -531,7 +548,26 @@ def solve_pkfree(
         if not all(v in g for member in family for v in member):
             raise ValueError("family members must be vertex sets of the instance's graph")
         family = family.over(g.table)
-    return _run(_PathScheme(_parse_level(assertion_level), k_hint), g, w, capacity_n, family)
+    level = _parse_level(assertion_level)
+    if level >= 2 and k_hint is not None and k_hint <= 3:
+        _check_claim(g, k_hint)
+    return _run(_PathScheme(level, k_hint), g, w, capacity_n, family)
+
+
+def _check_claim(g: Graph, k: int) -> None:
+    """Raise path-claim unless g, claimed P_k-free for k <= 3, has no vertex,
+    no edge, or only cliques as components: N[u] = N[v] for all u in N[v]."""
+    table, live, rest = g.table, g.mask, g.mask
+    while rest:
+        low = rest & -rest
+        closed = table.closed_adj[low.bit_length() - 1] & live
+        if k == 1 or closed != low and (
+            k == 2 or any(table.closed_adj[r] & live != closed for r in table.ranks(closed))
+        ):
+            v = table.ids[low.bit_length() - 1]
+            message = f"k_hint = {k} claims no induced P_{k}, but vertex {v} is on one"
+            raise InvariantViolation("path-claim", message, {"k": k, "vertex": v})
+        rest &= ~closed
 
 
 def verify_witness(g: Graph, w: WeightMap, weight: int, witness: VertexSet) -> None:

@@ -6,12 +6,16 @@ true claim k_hint=4: cographs are P4-free, so every audit passes on the
 honest solver and a violation can only come from the fault. An audit that
 passes on a faulty solver proves nothing, so these tests pin which rule
 catches which fault, and that a legal variant of a rule is not flagged.
+
+A false claim is a fault of the input, not of the solver: at "paranoid"
+the root of solve_pkfree refutes k_hint 1, 2 and 3 on a graph that holds
+a vertex, an edge or an induced P3 (rule path-claim).
 """
 
 import pytest
 
 import qmwis.pkfree as pkfree
-from qmwis import GeneratorSpec, InvariantViolation, generate, solve_pkfree
+from qmwis import GeneratorSpec, Graph, InvariantViolation, generate, solve_pkfree
 from qmwis.graph import component_masks
 
 SEEDS = range(1, 7)
@@ -95,3 +99,52 @@ def test_an_eager_split_passes(level, monkeypatch, honest):
     for seed in SEEDS:
         assert rule_of(seed, level, honest) is None
     assert eager_only
+
+
+def gnp30():
+    return generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_false_small_path_claim_breaks_path_claim(k):
+    # G(30, 0.3) has vertices, edges and an induced P3, so k_hint 1, 2 and 3
+    # are all false; the paranoid root check refutes each before the run.
+    g, w = gnp30()
+    with pytest.raises(InvariantViolation) as info:
+        solve_pkfree(g, w, k_hint=k, assertion_level="paranoid")
+    assert info.value.rule == "path-claim"
+    assert info.value.details["k"] == k
+    # Below "paranoid" the claim is not checked against the graph.
+    assert solve_pkfree(g, w, k_hint=3).weight == solve_pkfree(g, w).weight
+
+
+@pytest.mark.parametrize(
+    "k, n, edges",
+    [
+        (1, 0, []),
+        (2, 0, []),
+        (2, 6, []),
+        (3, 0, []),
+        (3, 6, []),
+        (3, 10, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9)]),
+    ],
+    ids=["k1-empty", "k2-empty", "k2-edgeless", "k3-empty", "k3-edgeless", "k3-cliques"],
+)
+def test_a_true_small_path_claim_passes(k, n, edges):
+    g = Graph(range(1, n + 1), edges)
+    w = {v: v for v in g.vertex_ids()}
+    paranoid = solve_pkfree(g, w, k_hint=k, assertion_level="paranoid")
+    fair = solve_pkfree(g, w, k_hint=k)
+    assert (paranoid.weight, paranoid.witness) == (fair.weight, fair.witness)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_claims_from_k_4_are_not_checked_at_the_root(k, monkeypatch):
+    # A cograph holds induced P3s but no P4, so k_hint 4 and 5 are true; the
+    # root check must neither refute them nor run for them.
+    checked = []
+    monkeypatch.setattr(pkfree, "_check_claim", lambda g, k: checked.append(k))
+    g, w = cograph(1)
+    paranoid = solve_pkfree(g, w, k_hint=k, assertion_level="paranoid")
+    assert paranoid.weight == solve_pkfree(g, w).weight
+    assert checked == []

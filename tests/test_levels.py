@@ -185,6 +185,9 @@ def _reference_winner(g: Graph, members: list[set[int]], n_cap: int) -> int | No
 @example(case=(4, [(1, 2), (2, 3), (3, 4)], 8, [{1, 2, 3, 4}, {3, 4}, {3, 4}], set()))
 # Level 1 is kept (|L| * 2 = N), yet no vertex covers two of its vertices.
 @example(case=(3, [], 4, [{1, 3}], set()))
+# Level 1 is skipped and level 2 is the one kept: vertex 2 reaches N = 8,
+# and vertex 3 then beats it with the top score 12.
+@example(case=(5, [(1, 2), (2, 3), (3, 4), (4, 5)], 8, [{2, 3, 4}, {2, 3, 4}], set()))
 def test_find_branchable_picks_the_top_score_with_the_smallest_id(case):
     """The exact winner, on a subgraph whose family may hold dropped vertices."""
     n, edges, n_cap, members, dropped = case

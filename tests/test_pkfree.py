@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import re
 
@@ -23,6 +25,7 @@ from qmwis import (
     total_weight,
     verify_witness,
 )
+from qmwis.graph import component_masks, remove_vertices
 
 
 def path_graph(n: int) -> Graph:
@@ -336,9 +339,10 @@ def test_a_potential_over_its_ceiling_is_an_audit_failure(monkeypatch):
     import qmwis.pkfree as pkfree
 
     monkeypatch.setattr(pkfree._PathScheme, "ceiling", lambda self, n_cap: 0)
+    # A 3-vertex path is P_4-free; k_hint=3 would be refused as a false claim.
     g = path_graph(3)
     with pytest.raises(InvariantViolation) as info:
-        solve_pkfree(g, unit_weights(g), k_hint=3, assertion_level="paranoid")
+        solve_pkfree(g, unit_weights(g), k_hint=4, assertion_level="paranoid")
     assert info.value.rule == "measure-bounds"
     assert info.value.details["ceiling"] == 0
 
@@ -514,3 +518,98 @@ def test_paranoid_audit_at_benchmark_scale_matches_fair(seed, size):
         fair.witness,
         fair.stats.calls,
     )
+
+
+def _reference_split(g: Graph, n_cap: int) -> list[int] | None:
+    parts = component_masks(g.table.adj, g.mask)
+    return None if any(c.bit_count() > n_cap // 2 for c in parts) else parts
+
+
+def test_split_equals_labelling_every_component():
+    # The path scheme's split stops at the first part past N/2, but must
+    # answer what labelling every component first answers: the components
+    # in order, or None exactly when one of them has more than N // 2
+    # vertices. N runs from |V(G)| to past 2|V(G)|, so n <= N/2 occurs, and
+    # sparse graphs and dropped vertices make disconnected roots.
+    import qmwis.pkfree as pkfree
+
+    rng = random.Random(26)
+    scheme, seen = pkfree._PathScheme(1, None), {"split": 0, "none": 0, "disconnected": 0}
+    for _ in range(600):
+        n = rng.randint(0, 24)
+        p = rng.choice([0.03, 0.08, 0.15, 0.3, 0.6])
+        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p]
+        dropped = set(rng.sample(range(1, n + 1), n // 4))
+        g = remove_vertices(Graph(range(1, n + 1), edges), dropped)
+        low = max(1, g.n)
+        for n_cap in {low, g.n + 1, 2 * g.n, 2 * g.n + 1, rng.randint(low, 3 * g.n + 2)}:
+            expected = _reference_split(g, n_cap)
+            assert scheme.split(g, n_cap) == expected, (n, edges, g.mask, n_cap)
+            seen["none" if expected is None else "split"] += 1
+        seen["disconnected"] += len(component_masks(g.table.adj, g.mask)) > 1
+    assert min(seen.values()) > 50, seen
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_separator_core_runs_once_per_growing_node(level, monkeypatch):
+    # The core depends on G alone, so an executed node that grows F several
+    # times in a row asks for it once. Every growth calls closed_neighborhood
+    # on its node's graph; the lists keep every graph alive, so no two nodes
+    # share an id(). The memo replays growths at "off" and "fair", which
+    # separators_added counts; it reads 321 on this graph at every level.
+    import qmwis.pkfree as pkfree
+
+    cores, grown = [], []
+    real_core, real_closed = pkfree.balanced_separator_core, pkfree.closed_neighborhood
+
+    def core(g, i):
+        cores.append(g)
+        return real_core(g, i)
+
+    def closed(g, xs):
+        grown.append(g)
+        return real_closed(g, xs)
+
+    monkeypatch.setattr(pkfree, "balanced_separator_core", core)
+    monkeypatch.setattr(pkfree, "closed_neighborhood", closed)
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
+    stats = solve_pkfree(g, w, assertion_level=level).stats
+    assert stats.separators_added == 321
+    assert [id(h) for h in cores] == list(dict.fromkeys(id(h) for h in grown))
+    assert len(cores) == (301 if level == "paranoid" else 187)
+    assert len(grown) == (321 if level == "paranoid" else 207)
+
+
+def _trace_digest(trace) -> str:
+    return hashlib.sha256(json.dumps(trace).encode()).hexdigest()[:16]
+
+
+E6_TRACE = [["component-recurse", 207360, 0]] * 6
+
+
+@pytest.mark.parametrize(
+    "graph, k_hint, calls, max_depth, trace_len, trace_digest",
+    [
+        (Graph(range(1, 7), []), 2, 7, 2, 6, _trace_digest(E6_TRACE)),
+        (path_graph(9), 10, 52, 7, 51, "2bb470df4ec914ec"),
+    ],
+    ids=["edgeless-6", "path-9"],
+)
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_one_vertex_parts_keep_the_counts(
+    graph, k_hint, calls, max_depth, trace_len, trace_digest, level
+):
+    # A split's one-vertex parts are answered in the split step; each still
+    # counts as a call at its own depth, is checked at "fair" and "paranoid"
+    # and has its component edge audited at "paranoid" (with a true k_hint).
+    # The figures are those of the solver that ran every part as its own node.
+    w = {v: v for v in graph.vertex_ids()}
+    k_hint = k_hint if level == "paranoid" else None
+    stats = solve_pkfree(graph, w, k_hint=k_hint, assertion_level=level).stats.to_dict()
+    assert (stats["calls"], stats["max_depth"]) == (calls, max_depth)
+    assert stats["assertions_checked"] == (0 if level == "off" else calls)
+    trace = stats["measure_trace_tail"]
+    if level == "paranoid":
+        assert (len(trace), _trace_digest(trace)) == (trace_len, trace_digest)
+    else:
+        assert trace == []
