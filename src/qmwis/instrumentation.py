@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
 
 from .levels import VertexMultiFamily
@@ -265,9 +266,10 @@ class RunStats:
     Mutable during a run. The counters describe the recursion tree of the
     paper's algorithm, the quantity its bounds are about, also where drive's
     memo answers a subtree. memo_hits counts those answers and memo_calls
-    the calls they replayed, included in calls; neither is in to_dict().
-    measure_trace is a ring buffer of the last 4,096 recorded potential
-    steps, so deep runs stay bounded in memory.
+    the calls they replayed, included in calls. measure_trace is a ring
+    buffer of the last 4,096 recorded potential steps, so deep runs stay
+    bounded in memory; measure_steps counts every step recorded or
+    replayed. None of the three is in to_dict().
     """
 
     calls: int = 0
@@ -285,6 +287,7 @@ class RunStats:
     measure_trace: deque = field(default_factory=lambda: deque(maxlen=4096))
     memo_hits: int = 0
     memo_calls: int = 0
+    measure_steps: int = 0
 
     def on_call(self, graph_size: int, family_size: int) -> None:
         # max_depth is maintained by the stack driver, not per call.
@@ -301,7 +304,19 @@ class RunStats:
                 self.max_level_occupancy[i] = size
 
     def record_measure(self, rule: str, parent_value: int, child_value: int) -> None:
+        self.measure_steps += 1
         self.measure_trace.append((rule, parent_value, child_value))
+
+    def measure_tail(self, steps: int) -> tuple[int, list]:
+        """(steps, the last min(steps, 4,096) trace entries), for replay_measures."""
+        trace = self.measure_trace
+        return steps, list(islice(reversed(trace), min(steps, trace.maxlen)))[::-1]
+
+    def replay_measures(self, replay: tuple[int, list]) -> None:
+        """Record again the steps measure_tail took: the ring ends as if each were recorded."""
+        steps, tail = replay
+        self.measure_steps += steps
+        self.measure_trace.extend(tail)
 
     def record_oracle_call(self, index: int) -> None:
         self.oracle_calls += 1

@@ -60,6 +60,10 @@ from .separators import balanced_separator_core, verify_balanced
 
 _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
 
+# Builds each run's memo. A dict whose get never hits, swapped in here,
+# runs every node: the memo-free reference the memo is tested against.
+_new_memo = dict
+
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
@@ -125,7 +129,7 @@ class Scheme:
 
 
 def _check_call(
-    g: Graph,
+    g: Graph | None,
     n: int,
     n_cap: int,
     log_n: int,
@@ -134,6 +138,9 @@ def _check_call(
     mu: int | None = None,
 ) -> int | None:
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
+
+    g is None for a one-vertex split part: only check_members reads it, and
+    that part's family is empty.
 
     At "paranoid", mu is the potential the edge into this call computed, or
     None to compute it here; every check runs on the value either way.
@@ -223,20 +230,22 @@ def drive(
     its larger siblings run. Sums and maxima do not depend on that order,
     so it shows only in the partial stats of a run that raises.
 
-    At "off" and "fair" the run keeps a memo, local to this call, keyed by
-    a split child's mask C: the child (C, |C|, empty F) is a function of C
-    alone. The first child with a mask runs under a store marker, which
-    records its answer, its subtree's height and what the subtree added to
-    calls, component_recursions, branch_steps, separators_added and
-    assertions_checked, the only counters a path-scheme subtree moves. A
-    later child with that mask is answered from the memo at its own turn
-    and adds those counts, so the stats still describe the whole tree, also
-    when the run raises after it; the maxima of family and graph size need
-    no replay. At "paranoid" every node runs and is audited: no memo.
+    The run keeps a memo, local to this call, keyed by a split child's mask
+    C: the child (C, |C|, empty F) is a function of C alone, and so is every
+    check in its subtree, which reads only C, |C| and the scheme's fixed
+    parameters. The first child with a mask runs, audited in full, under a
+    store marker, which records its answer, its subtree's height, what the
+    subtree added to calls, component_recursions, branch_steps,
+    separators_added and assertions_checked, the only counters a
+    path-scheme subtree moves, and the tail of the measure steps it
+    recorded. A later child with that mask, its edge audited by its parent
+    like any other, is answered from the memo at its own turn and replays
+    those counts and steps, so the stats still describe the whole tree,
+    also when the run raises after it; the maxima need no replay.
     """
     stats = scheme.stats
     audit, small_leaves = scheme.level >= 2, scheme.small_leaves
-    memo: dict[int, tuple] | None = None if audit else {}
+    memo: dict[int, tuple] = _new_memo()
     # Every split child starts from this family; a family is immutable.
     empty = VertexMultiFamily(table=g.table)
     tasks: list[tuple] = [(1, g, capacity_n, family, None)]
@@ -257,7 +266,8 @@ def drive(
                     if take_weight > results[-1][0]:
                         results[-1] = take_weight, take_witness | task[2]
                     continue
-                _, key, node_depth, outer, calls, comps, branches, seps, checks = task
+                _, key, node_depth, outer, calls, comps, branches, seps, checks, steps = task
+                steps = stats.measure_steps - steps
                 memo[key] = (
                     results[-1],
                     local - node_depth + 1,
@@ -266,6 +276,7 @@ def drive(
                     stats.branch_steps - branches,
                     stats.separators_added - seps,
                     stats.assertions_checked - checks,
+                    stats.measure_tail(steps) if steps else None,
                 )
                 if outer > local:
                     local = outer
@@ -291,11 +302,11 @@ def drive(
                 continue
             # A split child (C, |C|, empty F) is a function of its mask alone:
             # the first one runs under a store marker, a repeat replays it.
-            if n == n_cap and memo is not None and depth > 1 and not family._raw:
+            if n == n_cap and depth > 1 and not family._raw:
                 key = g.mask
                 hit = memo.get(key)
                 if hit is not None:
-                    answer, height, calls, comps, branches, seps, checks = hit
+                    answer, height, calls, comps, branches, seps, checks, trace = hit
                     results.append(answer)
                     stats.calls += calls
                     stats.component_recursions += comps
@@ -304,6 +315,8 @@ def drive(
                     stats.assertions_checked += checks
                     stats.memo_hits += 1
                     stats.memo_calls += calls
+                    if trace is not None:
+                        stats.replay_measures(trace)
                     bottom = depth + height - 1
                     if bottom > local:
                         local = bottom
@@ -313,6 +326,7 @@ def drive(
                 tasks.append((
                     -2, key, depth, local, stats.calls, stats.component_recursions,
                     stats.branch_steps, stats.separators_added, stats.assertions_checked,
+                    stats.measure_steps,
                 ))
                 local = depth
             # Consecutive growths of F keep the same graph, so they run as a
@@ -328,18 +342,20 @@ def drive(
                     stats.component_recursions += 1
                     children, weight, witness = [], 0, 0
                     for comp in split:
-                        child, size, child_mu = induced_subgraph(g, comp), comp.bit_count(), None
+                        size, child_mu = comp.bit_count(), None
                         if parent_mu is not None:
                             child_mu = _check_edge(
                                 parent_mu, size, size, empty, RULE_COMPONENT, scheme
                             )
                         if size == 1 and small_leaves:
                             # A one-vertex part is answered here, as its own call.
-                            _check_call(child, 1, 1, 0, empty, scheme, child_mu)
+                            _check_call(None, 1, 1, 0, empty, scheme, child_mu)
                             weight += w[g.table.ids[comp.bit_length() - 1]]
                             witness |= comp
                         else:
-                            children.append((depth + 1, child, size, empty, child_mu))
+                            children.append(
+                                (depth + 1, induced_subgraph(g, comp), size, empty, child_mu)
+                            )
                     if len(children) < len(split) and local == depth:
                         local += 1
                         deepest = max(deepest, local)

@@ -6,11 +6,17 @@ true claim k_hint=4: cographs are P4-free, so every audit passes on the
 honest solver and a violation can only come from the fault. An audit that
 passes on a faulty solver proves nothing, so these tests pin which rule
 catches which fault, and that a legal variant of a rule is not flagged.
+Every run is made twice, with the run's memo and with one that never hits:
+a repeated split child's subtree reads only its own mask, so both runs
+must break the same rule with the same partial stats, or pass with the
+same weight and stats.
 
 A false claim is a fault of the input, not of the solver: at "paranoid"
 the root of solve_pkfree refutes k_hint 1, 2 and 3 on a graph that holds
 a vertex, an edge or an induced P3 (rule path-claim).
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -31,15 +37,29 @@ def honest():
     return {seed: solve_pkfree(*cograph(seed), k_hint=4).weight for seed in SEEDS}
 
 
-def rule_of(seed: int, level: str, honest: dict[int, int]) -> str | None:
-    """The rule the run breaks, or None when it passes with the honest weight."""
+def run(seed: int, level: str, context=nullcontext):
+    """(the rule the run breaks or None, its weight or None, its stats): the
+    run solve_pkfree makes on the seed's cograph with k_hint=4, inside
+    context()."""
     g, w = cograph(seed)
-    try:
-        result = solve_pkfree(g, w, k_hint=4, assertion_level=level)
-    except InvariantViolation as err:
-        return err.rule
-    assert result.weight == honest[seed]
-    return None
+    scheme = pkfree._PathScheme(pkfree._parse_level(level), 4)
+    with context():
+        try:
+            return None, pkfree._run(scheme, g, w).weight, scheme.stats
+        except InvariantViolation as err:
+            return err.rule, None, scheme.stats
+
+
+def rule_of(seed: int, level: str, honest: dict[int, int], without_memo) -> str | None:
+    """The rule the run breaks, or None when it passes with the honest weight."""
+    rule, weight, stats = run(seed, level)
+    full_rule, full_weight, full_stats = run(seed, level, without_memo)
+    assert full_stats.memo_hits == 0
+    assert (rule, weight, stats.to_dict()) == (full_rule, full_weight, full_stats.to_dict())
+    if rule is None:
+        assert weight == honest[seed]
+        assert stats.memo_hits > 0
+    return rule
 
 
 def one_vertex_core(g, i):
@@ -52,35 +72,50 @@ def half_balanced_core(g, i, real=pkfree.balanced_separator_core):
 
 @pytest.mark.parametrize("core", [one_vertex_core, half_balanced_core], ids=["one-vertex", "i=1"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_an_unbalanced_separator_breaks_separator_balance(core, seed, monkeypatch, honest):
+def test_an_unbalanced_separator_breaks_separator_balance(
+    core, seed, monkeypatch, honest, without_memo
+):
     # The path scheme grows F by N[X] for X = balanced_separator_core(G, 2),
     # an N/4-balanced separator; one vertex, or the N/2-balanced core of
     # i = 1, is not, and the paranoid member check sees it.
     monkeypatch.setattr(pkfree, "balanced_separator_core", core)
-    assert rule_of(seed, "paranoid", honest) == "separator-balance"
+    assert rule_of(seed, "paranoid", honest, without_memo) == "separator-balance"
+
+
+@pytest.mark.parametrize("seed, hits", [(2, 59), (3, 13)])
+def test_a_fault_after_memo_hits_keeps_the_partial_stats(seed, hits, monkeypatch):
+    # With the i = 1 core, these seeds raise only after the memo has answered
+    # repeated split children, so the partial stats that rule_of compares
+    # include replayed counts and measure steps.
+    monkeypatch.setattr(pkfree, "balanced_separator_core", half_balanced_core)
+    rule, _, stats = run(seed, "paranoid")
+    assert (rule, stats.memo_hits) == ("separator-balance", hits)
+    assert stats.memo_calls > hits and stats.to_dict()["measure_trace_tail"]
 
 
 @pytest.mark.parametrize("level", ["fair", "paranoid"])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_no_split_breaks_add_separator(level, seed, monkeypatch, honest):
+def test_no_split_breaks_add_separator(level, seed, monkeypatch, honest, without_memo):
     # Without the component split a disconnected graph reaches the separator
     # rule, whose core is then empty.
     monkeypatch.setattr(pkfree._PathScheme, "split", lambda self, g, n_cap: None)
-    assert rule_of(seed, level, honest) == "add-separator"
+    assert rule_of(seed, level, honest, without_memo) == "add-separator"
 
 
 @pytest.mark.parametrize("level, rule", [("fair", "level-emptiness"), ("paranoid", "level-growth")])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_never_branching_breaks_the_level_bounds(level, rule, seed, monkeypatch, honest):
+def test_never_branching_breaks_the_level_bounds(
+    level, rule, seed, monkeypatch, honest, without_memo
+):
     # F keeps growing without a branch, so the levels climb past log(N):
     # "fair" sees a non-empty L(F, log(N) + 1), "paranoid" already sees a
     # level grow by more than one separator neighborhood can add.
     monkeypatch.setattr(pkfree, "find_branchable", lambda g, family, n_cap: None)
-    assert rule_of(seed, level, honest) == rule
+    assert rule_of(seed, level, honest, without_memo) == rule
 
 
 @pytest.mark.parametrize("level", ["fair", "paranoid"])
-def test_an_eager_split_passes(level, monkeypatch, honest):
+def test_an_eager_split_passes(level, monkeypatch, honest, without_memo):
     # Splitting every disconnected graph, even when a component passes N/2,
     # is a legal rule: each part restarts with N = |C| and F empty, and the
     # audit must not flag it. On some seeds no such graph arises, so the
@@ -97,7 +132,7 @@ def test_an_eager_split_passes(level, monkeypatch, honest):
 
     monkeypatch.setattr(pkfree._PathScheme, "split", eager)
     for seed in SEEDS:
-        assert rule_of(seed, level, honest) is None
+        assert rule_of(seed, level, honest, without_memo) is None
     assert eager_only
 
 
@@ -147,4 +182,5 @@ def test_claims_from_k_4_are_not_checked_at_the_root(k, monkeypatch):
     g, w = cograph(1)
     paranoid = solve_pkfree(g, w, k_hint=k, assertion_level="paranoid")
     assert paranoid.weight == solve_pkfree(g, w).weight
+    assert paranoid.stats.memo_hits > 0
     assert checked == []

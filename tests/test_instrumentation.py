@@ -230,6 +230,28 @@ def test_run_stats_trace_ring_buffer():
     assert s.measure_trace[-1] == ("branch-take", 0, 0)
 
 
+@pytest.mark.parametrize("steps", [1, 1000, 4096, 5000])
+def test_replayed_measure_steps_leave_the_ring_as_recording_them(steps):
+    # A subtree's steps, taken after a 3,000-step prefix and replayed after
+    # another, leave the ring and the step count as recording them there
+    # would; past 4,096 steps only the tail survives either way.
+    subtree = [("branch-take", step + 1, step) for step in range(steps)]
+    stored, recorded, replayed = RunStats(), RunStats(), RunStats()
+    for step in range(3000):
+        stored.record_measure("branch-delete", step + 1, step)
+        recorded.record_measure("add-separator", step + 2, step)
+        replayed.record_measure("add-separator", step + 2, step)
+    for entry in subtree:
+        stored.record_measure(*entry)
+        recorded.record_measure(*entry)
+    tail = stored.measure_tail(steps)
+    assert tail == (steps, subtree[-4096:])
+    replayed.replay_measures(tail)
+    assert replayed.measure_trace == recorded.measure_trace
+    assert replayed.measure_steps == recorded.measure_steps == 3000 + steps
+    assert "measure_steps" not in replayed.to_dict()
+
+
 def test_run_stats_to_dict_round_trips_through_json():
     import json
 

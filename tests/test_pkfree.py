@@ -3,11 +3,13 @@ import itertools
 import json
 import random
 import re
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qmwis.pkfree as pkfree
 from qmwis import (
     GeneratorSpec,
     Graph,
@@ -300,8 +302,6 @@ def test_solver_agrees_with_brute_force_property(data):
 
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
 def test_every_level_verifies_the_witness(level, monkeypatch):
-    import qmwis.pkfree as pkfree
-
     real_drive = pkfree.drive
 
     def corrupted(scheme, g, *args, **kwargs):
@@ -325,8 +325,6 @@ def test_every_level_verifies_the_witness(level, monkeypatch):
 
 
 def test_an_empty_separator_neighborhood_is_an_audit_failure(monkeypatch):
-    import qmwis.pkfree as pkfree
-
     monkeypatch.setattr(pkfree, "balanced_separator_core", lambda g, i: 0)
     with pytest.raises(InvariantViolation) as info:
         solve_pkfree(path_graph(8), unit_weights(path_graph(8)))
@@ -336,8 +334,6 @@ def test_an_empty_separator_neighborhood_is_an_audit_failure(monkeypatch):
 
 
 def test_a_potential_over_its_ceiling_is_an_audit_failure(monkeypatch):
-    import qmwis.pkfree as pkfree
-
     monkeypatch.setattr(pkfree._PathScheme, "ceiling", lambda self, n_cap: 0)
     # A 3-vertex path is P_4-free; k_hint=3 would be refused as a false claim.
     g = path_graph(3)
@@ -366,9 +362,8 @@ def test_growth_retries_never_split_again(monkeypatch):
     # vertices asks for it once, on its first call, however often F grows
     # afterwards. A growth retry is one more call on the same graph object.
     # Calls answered from the run's memo execute nothing, so they reach
-    # neither _check_call nor record_growth.
-    import qmwis.pkfree as pkfree
-
+    # neither _check_call nor record_growth. A one-vertex split part reaches
+    # _check_call with no graph.
     checked, split_graphs, growths = [], [], []
     real_check, real_split = pkfree._check_call, pkfree._PathScheme.split
     real_growth = pkfree._PathScheme.record_growth
@@ -391,37 +386,25 @@ def test_growth_retries_never_split_again(monkeypatch):
     g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
     stats = solve_pkfree(g, w).stats
     # The lists keep every graph alive, so no two nodes share an id().
-    frames = {id(h) for h in checked if h.n >= 2}
+    graphs = [h for h in checked if h is not None]
+    frames = {id(h) for h in graphs if h.n >= 2}
     assert growths and stats.memo_calls > 0
     assert len(checked) + stats.memo_calls == stats.calls
     assert len(split_graphs) == len(frames) > 0
     assert {id(h) for h in split_graphs} == frames
-    assert sum(h.n >= 2 for h in checked) - len(frames) == len(growths)
+    assert sum(h.n >= 2 for h in graphs) - len(frames) == len(growths)
 
 
-# The counters that describe Algorithm 1's recursion tree, which a memo hit
-# replays rather than runs.
-TREE_COUNTERS = (
-    "calls",
-    "component_recursions",
-    "branch_steps",
-    "separators_added",
-    "max_depth",
-    "max_family_size",
-    "max_graph_size",
-    "assertions_checked",
-)
-
-
-def assert_memo_replays_the_tree(g, w):
-    # "paranoid" without k_hint runs every node of the tree; "fair" answers
-    # each repeated split child from the run's memo.
-    memo = solve_pkfree(g, w)
-    full = solve_pkfree(g, w, assertion_level="paranoid")
+def assert_memo_replays_the_tree(without_memo, g, w, **kwargs):
+    # The memo answers each repeated split child; without it every node of
+    # the tree runs. The stats, measure trace included, must not tell them
+    # apart.
+    memo = solve_pkfree(g, w, **kwargs)
+    with without_memo():
+        full = solve_pkfree(g, w, **kwargs)
     assert full.stats.memo_hits == full.stats.memo_calls == 0
     assert (memo.weight, memo.witness) == (full.weight, full.witness)
-    for name in TREE_COUNTERS:
-        assert getattr(memo.stats, name) == getattr(full.stats, name), name
+    assert memo.stats.to_dict() == full.stats.to_dict()
 
 
 @settings(max_examples=30, deadline=None)
@@ -431,16 +414,21 @@ def assert_memo_replays_the_tree(g, w):
     seed=st.integers(min_value=0, max_value=2**32),
 )
 @example(n=30, p=0.3, seed=1)
-def test_memo_replays_the_full_tree_on_gnp(n, p, seed):
+def test_memo_replays_the_full_tree_on_gnp(without_memo, n, p, seed):
     spec = GeneratorSpec(kind="random-gnp", size=n, seed=seed, p=p)
-    assert_memo_replays_the_tree(*generate(spec))
+    for level in ("fair", "paranoid"):
+        assert_memo_replays_the_tree(without_memo, *generate(spec), assertion_level=level)
 
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(min_value=0, max_value=120), seed=st.integers(min_value=0, max_value=2**32))
 @example(n=120, seed=1)
-def test_memo_replays_the_full_tree_on_cographs(n, seed):
-    assert_memo_replays_the_tree(*generate(GeneratorSpec(kind="cograph", size=n, seed=seed)))
+def test_memo_replays_the_full_tree_on_cographs(without_memo, n, seed):
+    # Cographs are P4-free, so k_hint=4 is true and paranoid records and
+    # replays the measure trace.
+    g, w = generate(GeneratorSpec(kind="cograph", size=n, seed=seed))
+    assert_memo_replays_the_tree(without_memo, g, w)
+    assert_memo_replays_the_tree(without_memo, g, w, k_hint=4, assertion_level="paranoid")
 
 
 def layered_cograph(n: int) -> Graph:
@@ -488,11 +476,32 @@ def test_roadmap_table_counts(kind, size, calls, weight):
     assert result.stats.memo_hits > 0
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_paranoid_computes_one_potential_per_call(seed, monkeypatch):
-    # The edge into a call computes the child's potential; the call reuses it.
-    import qmwis.pkfree as pkfree
+@pytest.mark.parametrize(
+    "kind, size, k_hint, stats_sha256",
+    [
+        ("cograph", 1000, 4, "83dfb7695133b04de35e61174eded25dfed3e5a2d847ae084dd3af2e400af86a"),
+        ("cograph", 480, 4, "dbe5a4a3f917b81728fe1b35075a40012547eb591fd73c6f78f2f174bb5fea11"),
+        ("path", 40, 41, "802a8dbe764f80427a925b7037113760c2aec98a58ec83ba4d5781005a2cf335"),
+    ],
+)
+def test_paranoid_memo_replays_the_measure_trace(kind, size, k_hint, stats_sha256):
+    # sha256 of the sorted-key JSON of stats.to_dict(), measure trace
+    # included, as a paranoid solver that ran every node computed it (path
+    # n=40 is 344,926 calls). Both cographs store subtrees of more than the
+    # ring's 4,096 steps, whose memo entries keep only the tail.
+    g, w = generate(GeneratorSpec(kind=kind, size=size, seed=1))
+    stats = solve_pkfree(g, w, k_hint=k_hint, assertion_level="paranoid").stats
+    assert stats.memo_hits > 0
+    digest = hashlib.sha256(json.dumps(stats.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == stats_sha256
 
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_paranoid_computes_one_potential_per_call(seed, monkeypatch, without_memo):
+    # The edge into a call computes the child's potential; the call reuses it.
+    # The edge into a memo hit is computed too, but the hit's replayed
+    # memo_calls calls do not run, so with the memo each hit trades them
+    # for one computed potential.
     real_measure, counted = pkfree.measure_k, []
 
     def measure(*args):
@@ -500,10 +509,16 @@ def test_paranoid_computes_one_potential_per_call(seed, monkeypatch):
         return real_measure(*args)
 
     monkeypatch.setattr(pkfree, "measure_k", measure)
-    g, w = generate(GeneratorSpec(kind="cograph", size=40, seed=seed))
+    g, w = generate(GeneratorSpec(kind="cograph", size=64, seed=seed))
     stats = solve_pkfree(g, w, k_hint=4, assertion_level="paranoid").stats
     assert stats.separators_added and stats.branch_steps and stats.component_recursions
-    assert len(counted) == stats.calls
+    assert stats.memo_hits > 0
+    assert len(counted) == stats.calls - stats.memo_calls + stats.memo_hits
+    counted.clear()
+    with without_memo():
+        full = solve_pkfree(g, w, k_hint=4, assertion_level="paranoid").stats
+    assert full.calls == stats.calls
+    assert len(counted) == full.calls
 
 
 @pytest.mark.parametrize("seed, size", [(1, 96), (2, 112), (3, 128)])
@@ -531,8 +546,6 @@ def test_split_equals_labelling_every_component():
     # in order, or None exactly when one of them has more than N // 2
     # vertices. N runs from |V(G)| to past 2|V(G)|, so n <= N/2 occurs, and
     # sparse graphs and dropped vertices make disconnected roots.
-    import qmwis.pkfree as pkfree
-
     rng = random.Random(26)
     scheme, seen = pkfree._PathScheme(1, None), {"split": 0, "none": 0, "disconnected": 0}
     for _ in range(600):
@@ -551,14 +564,13 @@ def test_split_equals_labelling_every_component():
 
 
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
-def test_separator_core_runs_once_per_growing_node(level, monkeypatch):
+def test_separator_core_runs_once_per_growing_node(level, monkeypatch, without_memo):
     # The core depends on G alone, so an executed node that grows F several
     # times in a row asks for it once. Every growth calls closed_neighborhood
     # on its node's graph; the lists keep every graph alive, so no two nodes
-    # share an id(). The memo replays growths at "off" and "fair", which
-    # separators_added counts; it reads 321 on this graph at every level.
-    import qmwis.pkfree as pkfree
-
+    # share an id(). The memo replays growths, which separators_added
+    # counts; it reads 321 on this graph at every level, with the memo
+    # (187 executed growing nodes) or without it (301).
     cores, grown = [], []
     real_core, real_closed = pkfree.balanced_separator_core, pkfree.closed_neighborhood
 
@@ -573,11 +585,14 @@ def test_separator_core_runs_once_per_growing_node(level, monkeypatch):
     monkeypatch.setattr(pkfree, "balanced_separator_core", core)
     monkeypatch.setattr(pkfree, "closed_neighborhood", closed)
     g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
-    stats = solve_pkfree(g, w, assertion_level=level).stats
-    assert stats.separators_added == 321
-    assert [id(h) for h in cores] == list(dict.fromkeys(id(h) for h in grown))
-    assert len(cores) == (301 if level == "paranoid" else 187)
-    assert len(grown) == (321 if level == "paranoid" else 207)
+    for context, nodes, growths in ((nullcontext, 187, 207), (without_memo, 301, 321)):
+        cores.clear()
+        grown.clear()
+        with context():
+            stats = solve_pkfree(g, w, assertion_level=level).stats
+        assert stats.separators_added == 321
+        assert [id(h) for h in cores] == list(dict.fromkeys(id(h) for h in grown))
+        assert (len(cores), len(grown)) == (nodes, growths)
 
 
 def _trace_digest(trace) -> str:
