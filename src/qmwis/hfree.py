@@ -13,8 +13,7 @@ fits:
   1. a branchable vertex v exists: best of solving without v and solving
      without N[v] plus w(v);
   2. G has an induced copy X of H_i: grow F by N[X] and retry;
-  3. neither: return the i-th oracle's answer, valid since G is H_i-free,
-     at most once per run for each (i, vertex set of G) (see leaf).
+  3. neither: return the i-th oracle's answer, valid since G is H_i-free.
 
 N never changes and there is no component split. The result is exact for
 every input graph as long as the oracles honor their contract. The
@@ -94,9 +93,7 @@ class ComponentOracle:
     solver calls only solve_with_witness, and only on graphs with no
     induced copy of claimed_pattern. claimed_pattern None means the oracle
     is exact on every graph. Within one solve_hfree run each distinct
-    (component, vertex set) reaches the oracle at most once; a later leaf
-    on the same vertex set reuses that first answer, so a non-deterministic
-    oracle is not asked again.
+    (component, vertex set) reaches the oracle at most once.
     """
 
     name: str
@@ -225,20 +222,13 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
         pending[pos] = candidates
 
 
-# The most leaf answers one run of the pattern scheme stores; later misses
-# go to their oracle unstored, so a long run's memory stays bounded.
-LEAF_MEMO_CAP = 65_536
-
-
 class _PatternScheme(Scheme):
     """Induced-copy growth and oracle leaves for a pattern with c components.
 
     F grows by N[X] for an induced copy X of component i = |F| mod c, and a
     graph with no such copy goes to oracle i. assume_hfree claims the root
     graph has no induced copy of the whole pattern; only then are the family
-    bound and the potential audited. memo maps (i, live mask) to a leaf's
-    answer; the key is complete because every leaf graph of a run shares
-    the root table and w.
+    bound and the potential audited.
     """
 
     noun = "neighborhood"
@@ -250,7 +240,6 @@ class _PatternScheme(Scheme):
         self.pattern, self.oracles, self.assume_hfree = pattern, oracles, assume_hfree
         self.size, self.c = pattern.total_size, len(pattern.components)
         self.params = {"pattern_size": self.size, "pattern_components": self.c}
-        self.memo: dict[tuple[int, int], tuple[int, int]] = {}
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
         copy = find_induced_copy(g, self.pattern.components[len(family) % self.c])
@@ -279,15 +268,21 @@ class _PatternScheme(Scheme):
         return max_measure_h(n_cap, self.size, self.c)
 
     def leaf(self, g: Graph, w: WeightMap, family: VertexMultiFamily) -> tuple[int, int]:
-        """The oracle's answer, its witness encoded as a mask over g's table.
+        """Oracle i's answer, its witness encoded as a mask over g's table.
 
-        Counted as one oracle call, memo hit or not; only a miss invokes the
-        oracle. At "paranoid" g must be free of the oracle's component and
-        the witness is verified here, on hits too, where the stored mask is
-        checked without decoding it. A GraphTooLarge from the oracle is
-        raised again with the oracle and the leaf size named.
+        The run's memo keeps it under (i, g's mask), a complete key since
+        every leaf graph of a run shares the root table and w; drive states
+        the memo rule. Each leaf counts as one oracle call. At "paranoid" a
+        leaf's first occurrence must be free of the oracle's component, and
+        its witness is verified. A GraphTooLarge from the oracle is raised
+        again with the oracle and the leaf size named.
         """
         index = len(family) % self.c
+        key = index, g.mask
+        answer = self.memo.get(key)
+        if answer is not None:
+            self.stats.record_oracle_call(index)
+            return answer
         oracle = self.oracles[index]
         if self.level >= 2 and find_induced_copy(g, self.pattern.components[index]) is not None:
             raise InvariantViolation(
@@ -297,28 +292,21 @@ class _PatternScheme(Scheme):
                 {"oracle": index, "n": g.n},
             )
         self.stats.record_oracle_call(index)
-        key = index, g.mask
-        answer = self.memo.get(key)
-        if answer is None:
-            try:
-                weight, witness = oracle.solve_with_witness(g, w)
-            except GraphTooLarge as err:
-                raise GraphTooLarge(
-                    f"oracle {index} ({oracle.name}) on a {g.n}-vertex leaf: {err}"
-                ) from err
-            if self.level >= 2:
-                verify_witness(g, w, weight, witness)
-            try:
-                answer = weight, g.table.mask(witness)
-            except KeyError:
-                # An id outside the table, which a mask cannot hold:
-                # verify_witness rejects it as the root's check would have.
-                verify_witness(g, w, weight, witness)
-                raise
-            if len(self.memo) < LEAF_MEMO_CAP:
-                self.memo[key] = answer
-        elif self.level >= 2:
-            verify_witness(g, w, *answer)
+        try:
+            weight, witness = oracle.solve_with_witness(g, w)
+        except GraphTooLarge as err:
+            raise GraphTooLarge(
+                f"oracle {index} ({oracle.name}) on a {g.n}-vertex leaf: {err}"
+            ) from err
+        if self.level >= 2:
+            verify_witness(g, w, weight, witness)
+        try:
+            answer = self.memo[key] = weight, g.table.mask(witness)
+        except KeyError:
+            # An id outside the table, which a mask cannot hold:
+            # verify_witness rejects it as the root's check would have.
+            verify_witness(g, w, weight, witness)
+            raise
         return answer
 
 

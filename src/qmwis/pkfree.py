@@ -60,8 +60,9 @@ from .separators import balanced_separator_core, verify_balanced
 
 _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
 
-# Builds each run's memo. A dict whose get never hits, swapped in here,
-# runs every node: the memo-free reference the memo is tested against.
+# Builds each run's one memo (see drive). A dict whose get never hits,
+# swapped in here, runs every node and invokes an oracle at every leaf: the
+# memo-free reference the memo is tested against.
 _new_memo = dict
 
 
@@ -84,12 +85,12 @@ def _parse_level(assertion_level: str) -> int:
 class Scheme:
     """What one solver supplies to the shared recursion, and the run's state.
 
-    A scheme holds the assertion level and the run's stats, and names the
-    member F grows by (noun, also naming the chain audit's rule), the rule
-    of growth edges, the recurrence parameters (params), the least N at
-    which the emptiness, family and chain bounds are audited (audit_from_n)
-    and whether drive answers a graph of at most one vertex inline, without
-    split, branch or anchor (small_leaves). Hooks:
+    A scheme holds the assertion level, the run's stats and its one memo,
+    and names the member F grows by (noun, also naming the chain audit's
+    rule), the rule of growth edges, the recurrence parameters (params),
+    the least N at which the emptiness, family and chain bounds are audited
+    (audit_from_n) and whether drive answers a graph of at most one vertex
+    inline, without split, branch or anchor (small_leaves). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -111,7 +112,7 @@ class Scheme:
     small_leaves = False
 
     def __init__(self, level: int):
-        self.level, self.stats = level, RunStats()
+        self.level, self.stats, self.memo = level, RunStats(), _new_memo()
         self._bounds: dict[int, tuple[tuple[int, str, dict] | None, int | None]] = {}
 
     def bounds(self, n_cap: int) -> tuple[tuple[int, str, dict] | None, int | None]:
@@ -230,22 +231,26 @@ def drive(
     its larger siblings run. Sums and maxima do not depend on that order,
     so it shows only in the partial stats of a run that raises.
 
-    The run keeps a memo, local to this call, keyed by a split child's mask
-    C: the child (C, |C|, empty F) is a function of C alone, and so is every
-    check in its subtree, which reads only C, |C| and the scheme's fixed
-    parameters. The first child with a mask runs, audited in full, under a
+    The memo rule, at every level. A run keeps one memo, scheme.memo. A key
+    names a subproblem that, with the run's table, w and scheme fixed, is a
+    function of the key alone, and so is every check it makes: drive keys a
+    split child (C, |C|, empty F) by its mask C, and the pattern scheme's
+    leaf keys an oracle leaf by (i, its mask). The first occurrence of a key
+    runs and is audited in full. A repeat is answered from the memo and
+    counted as what it stands for, and none of its own checks run again, as
+    they would read the same inputs; only the edge into it is audited, by
+    its parent like any other. Here the first child with a mask runs under a
     store marker, which records its answer, its subtree's height, what the
     subtree added to calls, component_recursions, branch_steps,
     separators_added and assertions_checked, the only counters a
     path-scheme subtree moves, and the tail of the measure steps it
-    recorded. A later child with that mask, its edge audited by its parent
-    like any other, is answered from the memo at its own turn and replays
-    those counts and steps, so the stats still describe the whole tree,
-    also when the run raises after it; the maxima need no replay.
+    recorded. A repeat replays those counts and steps at its own turn, so
+    the stats still describe the whole tree, also when the run raises after
+    it; the maxima need no replay.
     """
     stats = scheme.stats
     audit, small_leaves = scheme.level >= 2, scheme.small_leaves
-    memo: dict[int, tuple] = _new_memo()
+    memo = scheme.memo
     # Every split child starts from this family; a family is immutable.
     empty = VertexMultiFamily(table=g.table)
     tasks: list[tuple] = [(1, g, capacity_n, family, None)]

@@ -1,8 +1,8 @@
-"""Faults injected into the path solver must end in the audit rule that names them.
+"""Faults injected into the solvers must end in the audit rule that names them.
 
-Each fault is a monkeypatch on qmwis.pkfree, run on generated cographs of
-96 vertices (as `qmwis generate cograph --size 96` draws them) with the
-true claim k_hint=4: cographs are P4-free, so every audit passes on the
+Each path-solver fault is a monkeypatch on qmwis.pkfree, run on generated
+cographs of 96 vertices (as `qmwis generate cograph --size 96` draws them)
+with the true claim k_hint=4: cographs are P4-free, so every audit passes on the
 honest solver and a violation can only come from the fault. An audit that
 passes on a faulty solver proves nothing, so these tests pin which rule
 catches which fault, and that a legal variant of a rule is not flagged.
@@ -14,14 +14,20 @@ same weight and stats.
 A false claim is a fault of the input, not of the solver: at "paranoid"
 the root of solve_pkfree refutes k_hint 1, 2 and 3 on a graph that holds
 a vertex, an edge or an induced P3 (rule path-claim).
+
+The pattern solver's fault, at the end, hands an oracle a graph that holds
+the oracle's own component (rule oracle-validity).
 """
 
+from collections import Counter
 from contextlib import nullcontext
+from dataclasses import replace
 
 import pytest
 
+import qmwis.hfree as hfree
 import qmwis.pkfree as pkfree
-from qmwis import GeneratorSpec, Graph, InvariantViolation, generate, solve_pkfree
+from qmwis import GeneratorSpec, Graph, InvariantViolation, find_induced_copy, generate, solve_pkfree
 from qmwis.graph import component_masks
 
 SEEDS = range(1, 7)
@@ -42,8 +48,8 @@ def run(seed: int, level: str, context=nullcontext):
     run solve_pkfree makes on the seed's cograph with k_hint=4, inside
     context()."""
     g, w = cograph(seed)
-    scheme = pkfree._PathScheme(pkfree._parse_level(level), 4)
     with context():
+        scheme = pkfree._PathScheme(pkfree._parse_level(level), 4)
         try:
             return None, pkfree._run(scheme, g, w).weight, scheme.stats
         except InvariantViolation as err:
@@ -184,3 +190,55 @@ def test_claims_from_k_4_are_not_checked_at_the_root(k, monkeypatch):
     assert paranoid.weight == solve_pkfree(g, w).weight
     assert paranoid.stats.memo_hits > 0
     assert checked == []
+
+
+P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+
+
+def test_a_pattern_leaf_holding_its_component_breaks_oracle_validity(monkeypatch, without_memo):
+    # The pattern scheme hands a graph to oracle i only when it holds no
+    # induced copy of H_i. An anchor that skips the P4 copies of graphs of
+    # at most 6 vertices hands the P4 oracle leaves that hold one, and on
+    # this graph such a leaf repeats. The paranoid validity search runs on
+    # each leaf's first occurrence, so with and without the memo the run
+    # breaks the same rule with the same partial stats.
+    honest_anchor = hfree._PatternScheme.anchor
+
+    def skipping(self, g, family):
+        if len(family) % self.c == 0 and g.n <= 6:
+            return None
+        return honest_anchor(self, g, family)
+
+    monkeypatch.setattr(hfree._PatternScheme, "anchor", skipping)
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=28, seed=3, p=0.3))
+    pattern = hfree.PatternGraph.from_graph(P4_K3)
+
+    def run(level: str, context=nullcontext):
+        """(the rule the run breaks or None, its stats, the P4 oracle's leaves)."""
+        invoked: list[Graph] = []
+
+        def pk(leaf, weights, real=hfree.make_pk_oracle(4).solve_with_witness):
+            invoked.append(leaf)
+            return real(leaf, weights)
+
+        pk_oracle = replace(hfree.make_pk_oracle(4), solve_with_witness=pk)
+        oracles = pk_oracle, hfree.make_bruteforce_oracle()
+        with context():
+            scheme = hfree._PatternScheme(pkfree._parse_level(level), pattern, oracles, False)
+            try:
+                assert pkfree._run(scheme, g, w).weight == solve_pkfree(g, w).weight
+                return None, scheme.stats, invoked
+            except InvariantViolation as err:
+                return err.rule, scheme.stats, invoked
+
+    rule, _, invoked = run("fair", without_memo)
+    holding = Counter(leaf.mask for leaf in invoked if find_induced_copy(leaf, pattern.components[0]))
+    assert rule is None and max(holding.values()) > 1
+    rule, stats, invoked = run("paranoid")
+    full_rule, full_stats, _ = run("paranoid", without_memo)
+    assert rule == full_rule == "oracle-validity"
+    assert stats.to_dict() == full_stats.to_dict()
+    # Leaves that repeated before the fault were answered from the memo; the
+    # faulty leaf is refused before it is counted.
+    assert stats.oracle_calls_by_index == {0: 45, 1: 89}
+    assert len(invoked) == 26

@@ -6,7 +6,6 @@ import pytest
 
 from qmwis import GeneratorSpec, Graph, VertexMultiFamily, generate, solve_pkfree
 from qmwis.hfree import ComponentOracle, make_bruteforce_oracle, make_pk_oracle, solve_hfree
-from qmwis.instrumentation import RunStats
 from qmwis.pkfree import Scheme, _PathScheme, drive
 
 
@@ -33,7 +32,8 @@ class Toy(Scheme):
     growth_rule = "add-toy"
 
     def __init__(self, small_leaves: bool = False):
-        self.level, self.stats, self.small_leaves = 0, RunStats(), small_leaves
+        super().__init__(0)
+        self.small_leaves = small_leaves
         self.leaves: list[list[int]] = []
         self.growths = 0
 
@@ -188,6 +188,21 @@ def test_a_memo_hit_counts_its_subtree_when_the_run_raises():
     # The root, A's three calls, B, A's replayed three and C's call.
     assert (stats.calls, stats.component_recursions, stats.max_depth) == (9, 6, 5)
 
+
+def test_a_run_builds_one_memo_for_split_children_and_leaves(monkeypatch):
+    # drive keys split children by mask, the pattern scheme's leaf by
+    # (component index, mask); both go into the memo the scheme was built with.
+    import qmwis.pkfree as pkfree
+
+    built: list[dict] = []
+    monkeypatch.setattr(pkfree, "_new_memo", lambda: built.append({}) or built[-1])
+    solve_pkfree(*generate(GeneratorSpec(kind="cograph", size=64, seed=1)))
+    assert len(built) == 1 and built[0] and all(isinstance(key, int) for key in built[0])
+    h = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=28, seed=1, p=0.3))
+    r = solve_hfree(h, g, w, [make_pk_oracle(4), make_bruteforce_oracle()])
+    assert len(built) == 2 and len(built[1]) == 219 < r.stats.oracle_calls
+    assert {index for index, _ in built[1]} == {0, 1}
 
 def test_results_arrive_in_batch_order():
     # The root's children have different depths; each runs to its answer

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -408,20 +409,22 @@ def _pattern_oracles(name: str) -> tuple[Graph, list[ComponentOracle]]:
 
 @pytest.mark.parametrize("name", ["p4k3", "k3p4"])
 @pytest.mark.parametrize("spec", GOLDEN_HFREE_SPECS, ids=lambda s: f"gnp-{s.size}-seed{s.seed}")
-def test_with_no_memo_every_leaf_invokes_its_oracle(spec, name, monkeypatch):
-    import qmwis.hfree as hfree
-
+def test_with_no_memo_every_leaf_invokes_its_oracle(spec, name, without_memo):
     g, w = generate(spec)
     pattern, oracles = _pattern_oracles(name)
-    default = solve_hfree(pattern, g, w, oracles)
-    monkeypatch.setattr(hfree, "LEAF_MEMO_CAP", 0)
-    calls: tuple[list, list] = ([], [])
-    capped = solve_hfree(pattern, g, w, [counting(o, c) for o, c in zip(oracles, calls)])
-    by_index = capped.stats.oracle_calls_by_index
-    assert [len(c) for c in calls] == [by_index.get(i, 0) for i in (0, 1)]
-    assert capped.weight == default.weight
-    assert capped.witness == default.witness
-    assert capped.stats.to_dict() == default.stats.to_dict()
+    for level in ("off", "fair", "paranoid"):
+        default = solve_hfree(pattern, g, w, oracles, assertion_level=level)
+        calls: tuple[list, list] = ([], [])
+        counted = [counting(o, c) for o, c in zip(oracles, calls)]
+        with without_memo():
+            full = solve_hfree(pattern, g, w, counted, assertion_level=level)
+        by_index = full.stats.oracle_calls_by_index
+        assert [len(c) for c in calls] == [by_index.get(i, 0) for i in (0, 1)]
+        # Leaves repeat here, so the memo has something to answer.
+        assert sum(len(set(c)) for c in calls) < full.stats.oracle_calls
+        assert full.weight == default.weight
+        assert full.witness == default.witness
+        assert full.stats.to_dict() == default.stats.to_dict()
 
 
 def test_the_leaf_memo_lives_for_one_run():
@@ -435,25 +438,48 @@ def test_the_leaf_memo_lives_for_one_run():
     assert (second.weight, second.witness) == (first.weight, first.witness)
 
 
-def test_paranoid_verifies_every_oracle_leaf_memo_hits_too(monkeypatch):
+def test_paranoid_checks_each_distinct_leaf_once(monkeypatch):
     import qmwis.hfree as hfree
 
-    real_verify, verified = hfree.verify_witness, []
+    real_verify, real_copy = hfree.verify_witness, hfree.find_induced_copy
+    verified, copy_free = [], Counter()
 
     def verify(*args):
         verified.append(args)
         return real_verify(*args)
 
+    def search(g, h):
+        found = real_copy(g, h)
+        if found is None:
+            copy_free[h.n, g.mask] += 1
+        return found
+
     monkeypatch.setattr(hfree, "verify_witness", verify)
+    monkeypatch.setattr(hfree, "find_induced_copy", search)
     g, w = generate(GOLDEN_HFREE_SPECS[0])
-    calls: tuple[list, list] = ([], [])
-    oracles = [counting(o, c) for o, c in zip(_pattern_oracles("p4k3")[1], calls)]
-    r = solve_hfree(P4_K3, g, w, oracles, assertion_level="paranoid")
+    runs = []
+    for level in ("fair", "paranoid"):
+        verified.clear()
+        copy_free.clear()
+        calls: tuple[list, list] = ([], [])
+        oracles = [counting(o, c) for o, c in zip(_pattern_oracles("p4k3")[1], calls)]
+        r = solve_hfree(P4_K3, g, w, oracles, assertion_level=level)
+        runs.append((r, calls, len(verified), Counter(copy_free)))
+    (fair, _, fair_verified, fair_free), (r, calls, paranoid_verified, paranoid_free) = runs
+    invoked = sum(map(len, calls))
+    assert (r.weight, r.witness) == (fair.weight, fair.witness)
     assert r.weight == 560
-    assert sum(map(len, calls)) < r.stats.oracle_calls
-    # Every leaf is verified once; each pk invocation, all on brute-force
-    # leaves here, also checks its own witness.
-    assert len(verified) == r.stats.oracle_calls + len(calls[0])
+    # Every leaf is counted; each distinct (i, vertex set) reaches its oracle once.
+    assert (r.stats.oracle_calls, invoked) == (337, 219)
+    assert all(len(set(c)) == len(c) for c in calls)
+    # Paranoid verifies each oracle answer once, and each pk invocation, all
+    # on brute-force leaves here, also checks its own witness.
+    assert (fair_verified, paranoid_verified) == (len(calls[0]), invoked + len(calls[0])) == (59, 278)
+    # An anchor search finds no copy at every leaf, at both levels; the
+    # oracle-validity search adds one more for each distinct leaf only.
+    extra = paranoid_free - fair_free
+    assert sum(fair_free.values()) == r.stats.oracle_calls
+    assert len(extra) == invoked and set(extra.values()) == {1}
 
 
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
