@@ -237,7 +237,10 @@ def remove_vertices(g: Graph, xs: VertexSet) -> Graph:
     if not isinstance(xs, int):
         rank = g.table.rank
         xs = g.table.mask(x for x in xs if x in rank)
-    return Graph._sub(g.table, g.mask & ~xs)
+    # Graph._sub inlined: the solvers call this twice per branch.
+    sub = object.__new__(Graph)
+    sub.table, sub.mask, sub._plan = g.table, g.mask & ~xs, None
+    return sub
 
 
 def component_masks(adj: list[int], live: int, *, limit: int | None = None) -> list[int]:

@@ -29,9 +29,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any
 
-from .graph import Graph, VertexTable, WeightMap
+from .graph import Graph, VertexTable, WeightMap, _bit_flags
 
 REPORT_FORMAT_VERSION = 1
 
@@ -277,7 +278,13 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
         lines.extend(f"c {part}" for part in comment.removesuffix("\n").split("\n"))
     lines.append(f"p {g.n} {g.edge_count}")
     lines.extend(f"n {v} {w[v]}" for v in ids)
-    lines.extend(f"e {u} {v}" for u, v in g.edges())
+    # One row per vertex: its upper neighbours, named by table rank, since
+    # a subgraph's table may hold ids outside 1..n.
+    table, live = g.table, g.mask
+    adj, names = table.adj, list(map(str, table.ids))
+    for r in table.ranks(live):
+        if upper := adj[r] & live >> (r + 1) << (r + 1):
+            lines += map(f"e {names[r]} ".__add__, compress(names, _bit_flags(upper)))
     return "\n".join(lines) + "\n"
 
 

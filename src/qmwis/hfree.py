@@ -141,7 +141,7 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
     def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-        if g.n > DEFAULT_BRUTE_FORCE_CAP:
+        if g.mask.bit_count() > DEFAULT_BRUTE_FORCE_CAP:
             result = _run(_PathScheme(0, None), g, w)
             return result.weight, result.witness
         weight, witness = _brute_force_mask(g, w)
@@ -177,10 +177,10 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
     the first search for h and kept in h's _plan slot, so a pattern searched
     on every recursion call pays its O(|V(h)|^2) set-up once.
     """
-    size = h.n
+    size = h.mask.bit_count()
     if not size:
         return frozenset()
-    if size > g.n:
+    if size > g.mask.bit_count():
         return None
     if h._plan is None:
         # An image of pattern vertex t (t-th smallest id) must have at least
@@ -237,12 +237,17 @@ class _PatternScheme(Scheme):
 
     def __init__(self, level: int, pattern: PatternGraph, oracles: tuple, assume_hfree: bool):
         super().__init__(level)
-        self.pattern, self.oracles, self.assume_hfree = pattern, oracles, assume_hfree
+        self.pattern, self.oracles, self.claimed = pattern, oracles, assume_hfree
         self.size, self.c = pattern.total_size, len(pattern.components)
         self.params = {"pattern_size": self.size, "pattern_components": self.c}
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
-        copy = find_induced_copy(g, self.pattern.components[len(family) % self.c])
+        # A stored leaf (i, mask) is a search for H_i in this graph that
+        # already failed: its answer waits in the memo.
+        index = len(family._raw) % self.c
+        if self.memo.get((index, g.mask)) is not None:
+            return None
+        copy = find_induced_copy(g, self.pattern.components[index])
         return None if copy is None else g.table.mask(copy)
 
     def record_growth(self) -> None:
@@ -250,7 +255,7 @@ class _PatternScheme(Scheme):
 
     def family_excess(self, size: int, log_n: int) -> tuple[str, int] | None:
         bound = self.c * self.size * log_n
-        if not self.assume_hfree or size < bound:
+        if size < bound:
             return None
         return f"|F| = {size} reached c |H| log(N) = {bound}", bound
 
@@ -260,7 +265,7 @@ class _PatternScheme(Scheme):
         return self.size * n_cap, "|H|", {"N": n_cap, "pattern_size": self.size}
 
     def potential(self, graph_size: int, n_cap: int, family: VertexMultiFamily) -> int | None:
-        if not self.assume_hfree or n_cap < 2:
+        if not self.claimed or n_cap < 2:
             return None
         return measure_h(graph_size, n_cap, family, self.size, self.c)
 
@@ -277,7 +282,7 @@ class _PatternScheme(Scheme):
         its witness is verified. A GraphTooLarge from the oracle is raised
         again with the oracle and the leaf size named.
         """
-        index = len(family) % self.c
+        index = len(family._raw) % self.c
         key = index, g.mask
         answer = self.memo.get(key)
         if answer is not None:

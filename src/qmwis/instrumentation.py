@@ -51,13 +51,14 @@ def _potential(
     # size_term + sum_i |L(F, i)| 2^(i-1) + unit (bound - |F|). The last term's
     # sign is tested, not |F| > bound: at N = 1 unit and bound are both 0, and
     # no family outgrows them. The details are built only for a violation.
-    family_term = unit * (bound - len(family))
+    family_size = len(family._raw)
+    family_term = unit * (bound - family_size)
     if family_term < 0:
-        details = {"family_size": len(family), "bound": bound, "N": capacity_n}
+        details = {"family_size": family_size, "bound": bound, "N": capacity_n}
         if k is not None:
             details["k"] = k
         raise InvariantViolation(
-            "family-size", f"|F| = {len(family)} exceeds {label} = {bound}", details
+            "family-size", f"|F| = {family_size} exceeds {label} = {bound}", details
         )
     level_term = 0
     for i, size in enumerate(family.level_sizes()):
@@ -269,7 +270,9 @@ class RunStats:
     the calls they replayed, included in calls. measure_trace is a ring
     buffer of the last 4,096 recorded potential steps, so deep runs stay
     bounded in memory; measure_steps counts every step recorded or
-    replayed. None of the three is in to_dict().
+    replayed. None of the three is in to_dict(). The recursion's per-call
+    check counts calls and keeps the graph and family maxima; its driver
+    keeps max_depth.
     """
 
     calls: int = 0
@@ -288,14 +291,6 @@ class RunStats:
     memo_hits: int = 0
     memo_calls: int = 0
     measure_steps: int = 0
-
-    def on_call(self, graph_size: int, family_size: int) -> None:
-        # max_depth is maintained by the stack driver, not per call.
-        self.calls += 1
-        if family_size > self.max_family_size:
-            self.max_family_size = family_size
-        if graph_size > self.max_graph_size:
-            self.max_graph_size = graph_size
 
     def record_levels(self, sizes: tuple[int, ...]) -> None:
         """Fold a family's level_sizes() into max_level_occupancy."""

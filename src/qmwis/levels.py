@@ -143,7 +143,11 @@ class VertexMultiFamily:
         levels = [level & keep for level in self.level_masks]
         while levels and not levels[-1]:
             levels.pop()
-        return self._make(self.table, self._raw, self._removed | xs, tuple(levels))
+        # _make inlined: the solvers call this twice per branch.
+        fam = object.__new__(VertexMultiFamily)
+        fam.table, fam._raw, fam._removed = self.table, self._raw, self._removed | xs
+        fam.level_masks, fam._sizes = tuple(levels), None
+        return fam
 
 
 def _with_member(levels: tuple[int, ...], member: int) -> tuple[int, ...]:

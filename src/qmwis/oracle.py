@@ -105,9 +105,9 @@ def _search_component(table: VertexTable, w: WeightMap, comp: int) -> tuple[int,
     # The first leaf of comp's search reaching its optimum. The best starts
     # below every leaf, so the first leaf is kept even when it weighs 0.
     adj, closed, ids = table.adj, table.closed_adj, table.ids
-    # Decreasing degree; the stable sort over increasing ranks breaks ties
-    # on id, keeping the search order deterministic.
-    order = sorted(table.ranks(comp), key=lambda r: -(adj[r] & comp).bit_count())
+    # Decreasing degree, ties broken on the lower rank, which is the lower
+    # id, keeping the search order deterministic.
+    order = [r for _, r in sorted([(-(adj[r] & comp).bit_count(), r) for r in table.ranks(comp)])]
     bits = [1 << r for r in order]
     weights = {r: w[ids[r]] for r in order}
     best_weight, best_set = -1, 0

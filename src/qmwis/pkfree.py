@@ -89,8 +89,9 @@ class Scheme:
     and names the member F grows by (noun, also naming the chain audit's
     rule), the rule of growth edges, the recurrence parameters (params),
     the least N at which the emptiness, family and chain bounds are audited
-    (audit_from_n) and whether drive answers a graph of at most one vertex
-    inline, without split, branch or anchor (small_leaves). Hooks:
+    (audit_from_n), whether the run claims the family bound (claimed) and
+    whether drive answers a graph of at most one vertex inline, without
+    split, branch or anchor (small_leaves). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -99,7 +100,7 @@ class Scheme:
       leaf(g, w, F)        the answer when anchor finds nothing, its witness
                            a mask over g's table;
       family_excess(s, L)  (message, bound) if |F| = s breaks its bound at
-                           log(N) = L;
+                           log(N) = L; asked only when claimed;
       check_members(g, F, N)  paranoid checks of F's members;
       level_bound(N)       (bound, label, details) of the level-size and
                            level-growth audits, or None when unclaimed;
@@ -109,7 +110,7 @@ class Scheme:
     """
 
     audit_from_n = 1
-    small_leaves = False
+    claimed = small_leaves = False
 
     def __init__(self, level: int):
         self.level, self.stats, self.memo = level, RunStats(), _new_memo()
@@ -141,14 +142,18 @@ def _check_call(
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
 
     g is None for a one-vertex split part: only check_members reads it, and
-    that part's family is empty.
+    that part's family is empty, so it is not called.
 
     At "paranoid", mu is the potential the edge into this call computed, or
     None to compute it here; every check runs on the value either way.
     """
     # The member count, read without the Python-level call of len(family).
     stats, size = scheme.stats, len(family._raw)
-    stats.on_call(n, size)
+    stats.calls += 1
+    if size > stats.max_family_size:
+        stats.max_family_size = size
+    if n > stats.max_graph_size:
+        stats.max_graph_size = n
     if scheme.level < 1:
         return None
 
@@ -166,8 +171,7 @@ def _check_call(
                 f"L(F, {log_n + 1}) is non-empty with N = {n_cap}",
                 {"level": log_n + 1, "occupancy": family.level_sizes()[log_n]},
             )
-        excess = scheme.family_excess(size, log_n)
-        if excess is not None:
+        if scheme.claimed and (excess := scheme.family_excess(size, log_n)) is not None:
             message, bound = excess
             raise InvariantViolation(
                 "family-size", message, {"family_size": size, "bound": bound}
@@ -176,12 +180,14 @@ def _check_call(
     if scheme.level < 2:
         return None
 
-    sizes = family.level_sizes()
-    stats.record_levels(sizes)
-    scheme.check_members(g, family, n_cap)
     level_bound, ceiling = scheme.bounds(n_cap)
-    if level_bound is not None:
-        check_level_sizes(sizes, size, level_bound[0], level_bound[1])
+    # An empty F has no level and no member: these checks would read nothing.
+    if size:
+        sizes = family.level_sizes()
+        stats.record_levels(sizes)
+        scheme.check_members(g, family, n_cap)
+        if level_bound is not None:
+            check_level_sizes(sizes, size, level_bound[0], level_bound[1])
     if mu is None:
         mu = scheme.potential(n, n_cap, family)
         if mu is None:
@@ -434,7 +440,7 @@ class _PathScheme(Scheme):
 
     def __init__(self, level: int, k: int | None):
         super().__init__(level)
-        self.k, self.params = k, {"k": k}
+        self.k, self.params, self.claimed = k, {"k": k}, k is not None
         self._core: tuple[Graph | None, int] = (None, 0)
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
@@ -468,8 +474,6 @@ class _PathScheme(Scheme):
         self.stats.separators_added += 1
 
     def family_excess(self, size: int, log_n: int) -> tuple[str, int] | None:
-        if self.k is None:
-            return None
         bound = 10 * self.k * log_n
         return None if size <= bound else (f"|F| = {size} exceeds 10k log(N) = {bound}", bound)
 

@@ -74,13 +74,28 @@ def gyarfas_path(g: Graph, start: int) -> list[int]:
 def _core_mask(table: VertexTable, live: int, n: int, i: int) -> int:
     # Paths are grown inside every component of live - N[X'] that breaks the
     # bound, X' being the level i - 1 core (empty at i = 1), starting at the
-    # component's smallest id.
-    core = 0 if i == 1 else _core_mask(table, live, n, i - 1)
+    # component's smallest id. Components are labelled lowest bit first, and
+    # only while the unlabelled rest could still hold one that breaks it.
     adj = table.adj
-    for comp in component_masks(adj, live & ~table.closed(core)):
+    if i == 1:
+        core, rest = 0, live
+    else:
+        core = _core_mask(table, live, n, i - 1)
+        rest = live & ~table.closed(core)
+    while rest.bit_count() << i > n:
+        comp = todo = rest & -rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if new := adj[low.bit_length() - 1] & rest & ~comp:
+                comp |= new
+                if comp == rest:
+                    break
+                todo |= new
         if comp.bit_count() << i > n:
             for r in _path_ranks(adj, comp, (comp & -comp).bit_length() - 1):
                 core |= 1 << r
+        rest ^= comp
     return core
 
 

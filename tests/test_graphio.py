@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -15,6 +17,7 @@ from qmwis import (
     generate,
     graphio,
     parse_graph,
+    remove_vertices,
 )
 
 
@@ -213,6 +216,41 @@ def test_emit_comment_breaks_lines_only_at_newline(monkeypatch):
     for comment in ("\n", "a\n", "\na", "a\n\nb", "a\nb\n\n", " \n\n"):
         head = "".join(f"c {part}\n" for part in comment.splitlines())
         assert emit_graph(g, {1: 1}, comment=comment) == head + "p 1 0\nn 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "spec, size, digest",
+    [
+        (
+            "cograph --size 300 --seed 1",
+            290655,
+            "c8591b6dcbbb01ba99eff3192971e574520916aa27c7a37725d9c5314cddb16a",
+        ),
+        (
+            "random-gnp --size 200 --p 0.05 --seed 1",
+            10840,
+            "aa57c63937d9d3b4f09077625e70d67ff2bbd3cd8e4e9e812b00d937103a2def",
+        ),
+    ],
+)
+def test_generated_files_keep_their_bytes(tmp_path, spec, size, digest):
+    from qmwis.cli import cli_main
+
+    path = tmp_path / "generated.graph"
+    assert cli_main(["generate", *spec.split(), "--out", str(path)]) == 0
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_emit_names_a_subgraph_by_ids_when_its_table_holds_id_zero():
+    # Without vertex 0 the ids are 1..5, but rank r of the table is id r.
+    g = Graph(range(6), [(0, 1), (1, 2), (1, 5), (2, 5), (3, 4), (0, 5)])
+    sub = remove_vertices(g, {0})
+    w = {v: 10 * v for v in range(1, 6)}
+    text = emit_graph(sub, w)
+    weights = "".join(f"n {v} {10 * v}\n" for v in range(1, 6))
+    assert text == "p 5 4\n" + weights + "e 1 2\ne 1 5\ne 2 5\ne 3 4\n"
+    assert parse_graph(text) == (sub, w)
 
 
 def test_emit_requires_contiguous_ids():
@@ -439,3 +477,49 @@ def test_canonical_files_take_the_one_pass_path(tmp_path, monkeypatch):
     # The line loop holds at least the decoded text, as long as the file;
     # tracing its peak on this file would take seconds.
     assert _peak(parse_graph, large) <= len(large)
+
+
+def _bulk_mutations(lines: list[str], n: int, data) -> None:
+    """One mutation of an emitted file's records, in place, drawn from data."""
+    edges = [i for i, line in enumerate(lines) if line.startswith("e ")]
+    at = data.draw(st.sampled_from(edges), label="edge line")
+    a, b = lines[at].split()[1:]
+    kinds = ["unknown-id", "self-loop", "repeated-edge", "weight-after-edges", "edge-count"]
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "unknown-id":
+        lines[at] = f"e {a} {data.draw(st.sampled_from([0, n + 1, 10**9]), label='id')}"
+    elif kind == "self-loop":
+        lines[at] = f"e {a} {a}"
+    elif kind == "repeated-edge":
+        lines.insert(data.draw(st.sampled_from(edges), label="copy at"), lines[at])
+    elif kind == "weight-after-edges":
+        # A valid file: the weight record moves behind edge records.
+        v = data.draw(st.integers(min_value=1, max_value=n), label="vertex")
+        record = lines.pop(lines.index(f"n {v} {v % 7}"))
+        lines.insert(at, record)
+    else:
+        head = next(i for i, line in enumerate(lines) if line.startswith("p "))
+        m = int(lines[head].split()[2])
+        lines[head] = f"p {n} {m + data.draw(st.sampled_from([-1, 1]), label='off by')}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_one_pass_reader_reads_long_files_as_the_line_loop(data):
+    # 40-70 vertices with half their pairs as edges: 3 to 11 KiB of edge
+    # records, which the one-pass reader takes 1 KiB at a time.
+    n = data.draw(st.integers(min_value=40, max_value=70), label="n")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
+    ids = range(1, n + 1)
+    g = Graph(ids, [(u, v) for u in ids for v in ids if u < v and rng.random() < 0.5])
+    w = {v: v % 7 for v in ids}
+    text = emit_graph(g, w, comment="bulk")
+    assert len(text) > 3 * graphio._CHUNK
+    assert graphio._parse_canonical(text.encode()) == (g, w)
+    lines = text.split("\n")
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2), label="mutations")):
+        _bulk_mutations(lines, n, data)
+    text = "\n".join(lines)
+    expected = _outcome(_line_loop, text)
+    assert _outcome(parse_graph, text.encode()) == expected
+    assert _outcome(parse_graph, text) == expected

@@ -475,10 +475,11 @@ def test_paranoid_checks_each_distinct_leaf_once(monkeypatch):
     # Paranoid verifies each oracle answer once, and each pk invocation, all
     # on brute-force leaves here, also checks its own witness.
     assert (fair_verified, paranoid_verified) == (len(calls[0]), invoked + len(calls[0])) == (59, 278)
-    # An anchor search finds no copy at every leaf, at both levels; the
+    # An anchor search finds no copy once per distinct leaf, at both levels:
+    # a repeated leaf is known from the memo and searched no more. The
     # oracle-validity search adds one more for each distinct leaf only.
     extra = paranoid_free - fair_free
-    assert sum(fair_free.values()) == r.stats.oracle_calls
+    assert sum(fair_free.values()) == len(fair_free) == invoked == 219
     assert len(extra) == invoked and set(extra.values()) == {1}
 
 

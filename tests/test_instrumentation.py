@@ -16,6 +16,7 @@ from qmwis import (
     measure_k,
 )
 from qmwis.instrumentation import check_level_growth, check_level_sizes
+from qmwis.pkfree import Scheme, _check_call
 
 EMPTY = VertexMultiFamily()
 
@@ -203,9 +204,11 @@ def test_recurrence_unknown_rule():
 
 
 def test_run_stats_counters_and_maxima():
-    s = RunStats()
-    s.on_call(5, 2)
-    s.on_call(3, 4)
+    # The per-call check counts each call and keeps the graph and family maxima.
+    scheme = Scheme(0)
+    _check_call(None, 5, 5, 3, VertexMultiFamily([{1}, {2}]), scheme)
+    _check_call(None, 3, 5, 3, VertexMultiFamily([{1}] * 4), scheme)
+    s = scheme.stats
     assert s.calls == 2
     assert s.max_graph_size == 5
     assert s.max_family_size == 4
@@ -255,8 +258,7 @@ def test_replayed_measure_steps_leave_the_ring_as_recording_them(steps):
 def test_run_stats_to_dict_round_trips_through_json():
     import json
 
-    s = RunStats()
-    s.on_call(2, 0)
+    s = RunStats(calls=1)
     s.record_oracle_call(1)
     s.record_measure("branch-delete", 9, 8)
     d = s.to_dict()

@@ -16,7 +16,9 @@ from qmwis import (
     remove_vertices,
     verify_balanced,
 )
+from qmwis.graph import component_masks
 from qmwis.pkfree import _PathScheme
+from qmwis.separators import _core_mask, _path_ranks
 
 
 def path_graph(n: int) -> Graph:
@@ -126,6 +128,33 @@ def test_core_handles_disconnected_graphs():
     for i in (1, 2, 3):
         sep = closed_neighborhood(g, g.table.decode(balanced_separator_core(g, i)))
         assert verify_balanced(g, sep, Fraction(g.n, 2**i))
+
+
+def _core_labelling_every_component(g: Graph, i: int) -> int:
+    # The refinement with every component of g - N[X'] labelled.
+    table, adj = g.table, g.table.adj
+    core = 0 if i == 1 else _core_labelling_every_component(g, i - 1)
+    for comp in component_masks(adj, g.mask & ~table.closed(core)):
+        if comp.bit_count() << i > g.n:
+            for r in _path_ranks(adj, comp, (comp & -comp).bit_length() - 1):
+                core |= 1 << r
+    return core
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_core_labelling_stops_once_no_component_can_break_the_bound(data):
+    # Sparse graphs are mostly disconnected, and removed vertices leave
+    # gaps in the shared table.
+    n = data.draw(st.integers(min_value=0, max_value=40), label="n")
+    rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
+    p = data.draw(st.sampled_from([0.02, 0.06, 0.15, 0.4]), label="p")
+    ids = range(1, n + 1)
+    g = Graph(ids, [(u, v) for u in ids for v in ids if u < v and rng.random() < p])
+    dropped = st.sets(st.sampled_from(ids), max_size=n // 3) if n else st.just(set())
+    g = remove_vertices(g, data.draw(dropped, label="dropped"))
+    for i in range(1, 5):
+        assert _core_mask(g.table, g.mask, g.n, i) == _core_labelling_every_component(g, i), i
 
 
 def test_core_size_bounded_on_short_path_graphs():
