@@ -8,11 +8,14 @@ solve-hfree, bench) take --assert; their reports carry the level. The
 separator exponent --i must lie in 1..MAX_SEPARATOR_I (4096) and --k-hint
 at most MAX_K_HINT (16,385). Integer flags take ASCII decimal integers
 only, as graph files do, and generate --p ASCII digits and at most one '.'.
+One parser serves a process: the first cli_main call builds it, not the
+import, and later calls reuse it, since parsing never changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -112,11 +115,12 @@ def _add_k_hint(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-hint", type=_k_hint, default=None, help="claimed induced-path bound")
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command line parser; given a subcommand name, it registers only that one.
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, with all six subcommands.
 
-    A call runs one subcommand, so cli_main builds only that subcommand's
-    parser; its help, usage and errors are those of the full parser.
+    Built once per process, on first use, and never changed by parsing, so
+    every cli_main call shares it.
     """
     parser = _Parser(
         prog="qmwis",
@@ -124,55 +128,52 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, help_line: str, *shared) -> argparse.ArgumentParser | None:
-        if only not in (None, name):
-            return None
+    def add(name: str, help_line: str, *shared) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line)
         for add_flags in shared:
             add_flags(p)
         return p
 
-    if p := add("solve", "solve one graph file", _add_level, _add_output, _add_k_hint):
-        p.add_argument("file", help="graph file path, or - for stdin")
+    p = add("solve", "solve one graph file", _add_level, _add_output, _add_k_hint)
+    p.add_argument("file", help="graph file path, or - for stdin")
 
-    hfree_help = "solve with a forbidden pattern and oracles"
-    if p := add("solve-hfree", hfree_help, _add_level, _add_output):
-        p.add_argument("file", help="graph file path, or - for stdin")
-        p.add_argument("--pattern", required=True, help="pattern graph file")
-        p.add_argument(
-            "--oracle",
-            action="append",
-            default=None,
-            metavar="SPEC",
-            help="oracle per pattern component, in order: bruteforce | bruteforce:<cap> | pk:<k>",
-        )
-        p.add_argument(
-            "--assume-hfree",
-            action="store_true",
-            help="claim the input is pattern-free; enables the pattern-dependent invariants",
-        )
+    p = add("solve-hfree", "solve with a forbidden pattern and oracles", _add_level, _add_output)
+    p.add_argument("file", help="graph file path, or - for stdin")
+    p.add_argument("--pattern", required=True, help="pattern graph file")
+    p.add_argument(
+        "--oracle",
+        action="append",
+        default=None,
+        metavar="SPEC",
+        help="oracle per pattern component, in order: bruteforce | bruteforce:<cap> | pk:<k>",
+    )
+    p.add_argument(
+        "--assume-hfree",
+        action="store_true",
+        help="claim the input is pattern-free; enables the pattern-dependent invariants",
+    )
 
-    if p := add("separator", "compute a balanced separator core"):
-        p.add_argument("file", help="graph file path, or - for stdin")
-        p.add_argument("--i", dest="parameter_i", type=_decimal, default=2, help="balance exponent")
+    p = add("separator", "compute a balanced separator core")
+    p.add_argument("file", help="graph file path, or - for stdin")
+    p.add_argument("--i", dest="parameter_i", type=_decimal, default=2, help="balance exponent")
 
-    if p := add("check-pkfree", "test for induced paths on k vertices"):
-        p.add_argument("k", type=_decimal, help="path length to forbid")
-        p.add_argument("file", help="graph file path, or - for stdin")
+    p = add("check-pkfree", "test for induced paths on k vertices")
+    p.add_argument("k", type=_decimal, help="path length to forbid")
+    p.add_argument("file", help="graph file path, or - for stdin")
 
-    if p := add("generate", "emit a generated graph file"):
-        p.add_argument("kind", choices=GeneratorSpec.KINDS, help="generator family")
-        p.add_argument("--seed", type=_decimal, default=0, help="generator seed")
-        p.add_argument("--size", type=_decimal, required=True, help="vertex count")
-        p.add_argument("--p", type=_probability, default=None, help="edge probability")
-        p.add_argument("--path-bound", type=_decimal, default=None, help="rejection bound k")
-        p.add_argument("--weight-lo", type=_decimal, default=0, help="minimum weight")
-        p.add_argument("--weight-hi", type=_decimal, default=100, help="maximum weight")
-        p.add_argument("--max-attempts", type=_decimal, default=5000, help="rejection attempt cap")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+    p = add("generate", "emit a generated graph file")
+    p.add_argument("kind", choices=GeneratorSpec.KINDS, help="generator family")
+    p.add_argument("--seed", type=_decimal, default=0, help="generator seed")
+    p.add_argument("--size", type=_decimal, required=True, help="vertex count")
+    p.add_argument("--p", type=_probability, default=None, help="edge probability")
+    p.add_argument("--path-bound", type=_decimal, default=None, help="rejection bound k")
+    p.add_argument("--weight-lo", type=_decimal, default=0, help="minimum weight")
+    p.add_argument("--weight-hi", type=_decimal, default=100, help="maximum weight")
+    p.add_argument("--max-attempts", type=_decimal, default=5000, help="rejection attempt cap")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
 
-    if p := add("bench", "solve every graph in a directory", _add_level, _add_k_hint):
-        p.add_argument("dir", help="directory of .graph files")
+    p = add("bench", "solve every graph in a directory", _add_level, _add_k_hint)
+    p.add_argument("dir", help="directory of .graph files")
 
     return parser
 
@@ -369,9 +370,7 @@ _COMMANDS = {
 
 def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        only = argv[0] if argv and argv[0] in _COMMANDS else None
-        args = build_parser(only).parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.subcommand](args)
     except SystemExit as exc:  # --help
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK

@@ -166,18 +166,25 @@ def longest_induced_path_at_most(g: Graph, k: int) -> bool:
     component, so only components with at least k vertices are searched;
     within them the search still restarts from every start vertex.
     """
+    return _induced_path(g, k) is None
+
+
+def _induced_path(g: Graph, k: int) -> list[int] | None:
+    # The ids, in path order, of the first induced k-vertex path the search
+    # finds, or None when g has none.
     if k < 1:
         raise ValueError(f"path length must be >= 1, got {k}")
+    ids, live = g.table.ids, g.mask
     if k == 1:
-        return g.n == 0
+        return [ids[(live & -live).bit_length() - 1]] if live else None
 
-    adj, live = g.table.adj, g.mask
+    adj = g.table.adj
     # Components are disjoint masks, so their sum is their union.
     large = sum(comp for comp in component_masks(adj, live) if comp.bit_count() >= k)
     for start in g.table.ranks(large):
-        # Frames (tail, banned, untried): banned is N[path before tail] plus
-        # tail (tail lies in N(previous tail)), untried the extensions past
-        # tail not yet explored.
+        # Frames (tail, banned, untried), one per path vertex: banned is
+        # N[path before tail] plus tail (tail lies in N(previous tail)),
+        # untried the extensions past tail not yet explored.
         stack = [(start, 1 << start, adj[start] & live)]
         while stack:
             tail, banned, untried = stack.pop()
@@ -185,12 +192,12 @@ def longest_induced_path_at_most(g: Graph, k: int) -> bool:
                 continue
             low = untried & -untried
             stack.append((tail, banned, untried ^ low))
-            if len(stack) + 1 == k:
-                return False
-            reach = banned | adj[tail]
             nxt = low.bit_length() - 1
+            if len(stack) + 1 == k:
+                return [ids[frame[0]] for frame in stack] + [ids[nxt]]
+            reach = banned | adj[tail]
             stack.append((nxt, reach, adj[nxt] & live & ~reach))
-    return True
+    return None
 
 
 class GenerationError(RuntimeError):

@@ -56,6 +56,7 @@ from .instrumentation import (
     measure_k,
 )
 from .levels import VertexMultiFamily, find_branchable
+from .oracle import _induced_path
 from .separators import balanced_separator_core, verify_balanced
 
 _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
@@ -575,24 +576,12 @@ def solve_pkfree(
         family = family.over(g.table)
     level = _parse_level(assertion_level)
     if level >= 2 and k_hint is not None and k_hint <= 3:
-        _check_claim(g, k_hint)
+        path = _induced_path(g, k_hint)
+        if path:
+            v = path[0]
+            message = f"k_hint = {k_hint} claims no induced P_{k_hint}, but vertex {v} is on one"
+            raise InvariantViolation("path-claim", message, {"k": k_hint, "vertex": v})
     return _run(_PathScheme(level, k_hint), g, w, capacity_n, family)
-
-
-def _check_claim(g: Graph, k: int) -> None:
-    """Raise path-claim unless g, claimed P_k-free for k <= 3, has no vertex,
-    no edge, or only cliques as components: N[u] = N[v] for all u in N[v]."""
-    table, live, rest = g.table, g.mask, g.mask
-    while rest:
-        low = rest & -rest
-        closed = table.closed_adj[low.bit_length() - 1] & live
-        if k == 1 or closed != low and (
-            k == 2 or any(table.closed_adj[r] & live != closed for r in table.ranks(closed))
-        ):
-            v = table.ids[low.bit_length() - 1]
-            message = f"k_hint = {k} claims no induced P_{k}, but vertex {v} is on one"
-            raise InvariantViolation("path-claim", message, {"k": k, "vertex": v})
-        rest &= ~closed
 
 
 def verify_witness(g: Graph, w: WeightMap, weight: int, witness: VertexSet) -> None:

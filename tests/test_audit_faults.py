@@ -19,6 +19,8 @@ The pattern solver's fault, at the end, hands an oracle a graph that holds
 the oracle's own component (rule oracle-validity).
 """
 
+import itertools
+import random
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
@@ -179,12 +181,63 @@ def test_a_true_small_path_claim_passes(k, n, edges):
     assert (paranoid.weight, paranoid.witness) == (fair.weight, fair.witness)
 
 
+def on_induced_paths(g, k):
+    """The vertices that lie on some induced P_k of g, by brute force."""
+    pairs = list(itertools.combinations(range(k), 2))
+    return {
+        v
+        for seq in itertools.permutations(g.vertex_ids(), k)
+        if all(g.has_edge(seq[i], seq[j]) == (j == i + 1) for i, j in pairs)
+        for v in seq
+    }
+
+
+def small_graphs():
+    """Named shapes, then random graphs of up to 8 vertices with scattered ids."""
+    rng = random.Random(3)
+    yield Graph([], [])
+    yield Graph(range(1, 7), [])
+    cliques = [(1, 2), (1, 3), (2, 3), (4, 5), *itertools.combinations(range(6, 10), 2)]
+    yield Graph(range(1, 10), cliques)
+    yield Graph(range(1, 8), [(1, v) for v in range(2, 8)])
+    yield Graph(range(1, 7), [(v, v + 1) for v in range(1, 6)])
+    for _ in range(80):
+        ids = rng.sample(range(50), rng.randint(0, 8))
+        p = rng.choice([0.1, 0.3, 0.5, 0.8])
+        yield Graph(ids, [(u, v) for u, v in itertools.combinations(ids, 2) if rng.random() < p])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_the_small_path_claim_check_agrees_with_brute_force(k):
+    # The paranoid root refutes k_hint = k exactly when g holds an induced
+    # P_k, and names a vertex on one.
+    refuted = 0
+    for g in small_graphs():
+        w = {v: v % 5 + 1 for v in g.vertex_ids()}
+        witnesses = on_induced_paths(g, k)
+        if not witnesses:
+            assert solve_pkfree(g, w, k_hint=k, assertion_level="paranoid").weight == (
+                solve_pkfree(g, w).weight
+            )
+            continue
+        with pytest.raises(InvariantViolation) as info:
+            solve_pkfree(g, w, k_hint=k, assertion_level="paranoid")
+        v = info.value.details["vertex"]
+        assert info.value.rule == "path-claim"
+        assert info.value.details == {"k": k, "vertex": v}
+        message = f"k_hint = {k} claims no induced P_{k}, but vertex {v} is on one"
+        assert str(info.value) == f"path-claim: {message}"
+        assert v in witnesses
+        refuted += 1
+    assert 0 < refuted < 85
+
+
 @pytest.mark.parametrize("k", [4, 5])
 def test_claims_from_k_4_are_not_checked_at_the_root(k, monkeypatch):
     # A cograph holds induced P3s but no P4, so k_hint 4 and 5 are true; the
     # root check must neither refute them nor run for them.
     checked = []
-    monkeypatch.setattr(pkfree, "_check_claim", lambda g, k: checked.append(k))
+    monkeypatch.setattr(pkfree, "_induced_path", lambda g, k: checked.append(k))
     g, w = cograph(1)
     paranoid = solve_pkfree(g, w, k_hint=k, assertion_level="paranoid")
     assert paranoid.weight == solve_pkfree(g, w).weight

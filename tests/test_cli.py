@@ -244,37 +244,73 @@ def test_generate_weight_cap(capsys):
     assert json.loads(err)["error"]["kind"] == "input-error"
 
 
-def _subparsers(parser):
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
-
-
-def _action_fields(parser):
-    fields = ("option_strings", "dest", "default", "choices", "type", "required", "help")
-    return [tuple(getattr(action, f) for f in fields) for action in parser._actions]
-
-
-@pytest.mark.parametrize("name", list(cli._COMMANDS))
-def test_a_subcommand_parser_alone_equals_its_part_of_the_full_parser(name):
-    full = _subparsers(cli.build_parser())
-    alone = _subparsers(cli.build_parser(name))
-    assert list(alone) == [name]
-    assert alone[name].format_help() == full[name].format_help()
-    assert alone[name].format_usage() == full[name].format_usage()
-    assert _action_fields(alone[name]) == _action_fields(full[name])
-
-
-@pytest.mark.parametrize(
-    "argv, only",
-    [([], None), (["--help"], None), (["bogus"], None), (["-h", "solve"], None)]
-    + [([name, "--help"], name) for name in cli._COMMANDS],
-)
-def test_a_call_builds_the_parser_of_its_subcommand_only(argv, only, capsys, monkeypatch):
+def test_one_process_builds_one_parser(c5_file, tmp_path, capsys, monkeypatch):
+    # Every subcommand, every --help, usage errors and an unknown subcommand
+    # share the parser the first call builds: one root and six subcommand
+    # parsers, built once.
     built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
-    run(argv, capsys)
-    assert built == [only]
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda p, **kw: built.append(p) or init(p, **kw))
+    argvs = [
+        ["solve", c5_file],
+        ["solve-hfree", c5_file, "--pattern", c5_file, "--oracle", "bruteforce"],
+        ["separator", c5_file],
+        ["check-pkfree", "3", c5_file],
+        ["generate", "path", "--size", "3"],
+        ["bench", str(tmp_path)],
+        ["--help"],
+        ["-h", "solve"],
+        *([name, "--help"] for name in cli._COMMANDS),
+        ["solve", c5_file, "--nonsense"],
+        ["bogus"],
+        [],
+    ]
+    cli.build_parser.cache_clear()
+    assert [run(argv, capsys)[0] for argv in argvs] == [0] * 14 + [2, 2, 2]
+    assert len(built) == 1 + len(cli._COMMANDS)
+
+
+def test_importing_the_cli_builds_no_parser():
+    # Benchmark workers import qmwis.cli during set-up; the parser waits
+    # for the first call.
+    probe = "import argparse; argparse.ArgumentParser.__init__ = None; import qmwis.cli"
+    env = {**os.environ, "PYTHONPATH": str(Path(qmwis.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_shared_parser_carries_nothing_from_one_call_to_the_next(tmp_path, c5_file, capsys):
+    pattern = tmp_path / "h.graph"
+    pattern.write_text("p 4 2\ne 1 2\ne 3 4\n")
+    hfree = ["solve-hfree", c5_file, "--pattern", str(pattern)]
+    argvs = [
+        [*hfree, "--oracle", "bruteforce", "--oracle", "bruteforce"],
+        hfree,
+        ["solve", c5_file, "--witness", "--k-hint", "3", "--stats", str(tmp_path / "s.json")],
+        ["solve", c5_file],
+        ["solve", c5_file, "--assert", "bogus"],
+        ["solve", "--help"],
+        ["separator", c5_file, "--i", "3"],
+        ["separator", c5_file],
+        ["generate", "star", "--size", "4", "--seed", "2"],
+        ["generate", "star", "--size", "4"],
+    ]
+
+    def outcomes(clear):
+        results = []
+        for argv in argvs:
+            if clear:
+                cli.build_parser.cache_clear()
+            results.append(run(argv, capsys))
+        return results
+
+    fresh = outcomes(clear=True)
+    assert outcomes(clear=False) == fresh
+    assert "(0 given)" in json.loads(fresh[1][2])["error"]["message"]
+    assert "witness" in json.loads(fresh[2][1]) and "witness" not in json.loads(fresh[3][1])
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 2, 0, 0, 0, 0, 0]
 
 
 def test_help_exits_zero(capsys):

@@ -506,9 +506,11 @@ def _bulk_mutations(lines: list[str], n: int, data) -> None:
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_the_one_pass_reader_reads_long_files_as_the_line_loop(data):
-    # 40-70 vertices with half their pairs as edges: 3 to 11 KiB of edge
-    # records, which the one-pass reader takes 1 KiB at a time.
-    n = data.draw(st.integers(min_value=40, max_value=70), label="n")
+    # 48-70 vertices with half their pairs as edges: 4 to 11 KiB of edge
+    # records, which the one-pass reader takes 1 KiB at a time. From 48 on
+    # every file spans more than three chunks (the smallest of 3,000 drawn
+    # at n = 48 was 4,102 bytes; at n = 40 some fell to 2,777).
+    n = data.draw(st.integers(min_value=48, max_value=70), label="n")
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
     ids = range(1, n + 1)
     g = Graph(ids, [(u, v) for u in ids for v in ids if u < v and rng.random() < 0.5])
