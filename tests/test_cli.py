@@ -270,6 +270,34 @@ def test_one_process_builds_one_parser(c5_file, tmp_path, capsys, monkeypatch):
     assert len(built) == 1 + len(cli._COMMANDS)
 
 
+@pytest.mark.parametrize(
+    "argv, only",
+    [([], None), (["--help"], None), (["bogus"], None), (["-h", "solve"], None)]
+    + [([name, "--help"], name) for name in cli._COMMANDS],
+)
+def test_a_call_builds_the_parser_of_its_subcommand_only(argv, only, capsys, monkeypatch):
+    # The first call of a process builds the one shared parser, root and all
+    # six subcommands; it reads the parser of the subcommand it names (`only`,
+    # or the root's for None), and a repeated call builds nothing more.
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda p, **kw: built.append(p) or init(p, **kw))
+    cli.build_parser.cache_clear()
+    first = run(argv, capsys)
+    assert len(built) == 1 + len(cli._COMMANDS)
+    assert run(argv, capsys) == first
+    assert len(built) == 1 + len(cli._COMMANDS)
+    code, out, err = first
+    if only is not None:
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: qmwis {only} ")
+    elif code == 0:
+        assert out.startswith("usage: qmwis [-h]\n")
+    else:
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "input-error"
+
+
 def test_importing_the_cli_builds_no_parser():
     # Benchmark workers import qmwis.cli during set-up; the parser waits
     # for the first call.
