@@ -375,7 +375,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     except InvariantViolation as exc:
-        sys.stderr.write(error_document("invariant-violation", str(exc), {"rule": exc.rule}))
+        details = {**exc.details, "rule": exc.rule}
+        sys.stderr.write(error_document("invariant-violation", str(exc), details))
         return EXIT_VIOLATION
     except GraphParseError as exc:
         details = {"kind": exc.kind, "line": exc.line_no, "file": exc.file}

@@ -42,7 +42,13 @@ class VertexTable:
     neighbour mask of the vertex of rank r in the root graph and closed_adj[r]
     = adj[r] | 1 << r its closed neighbourhood; a subgraph's adjacency is
     adj[r] & its live mask. edges are id pairs; both ends must be ids of
-    the table and differ.
+    the table and differ, and the first pair that breaks this raises.
+
+    With n vertices and m edge pairs, a dense graph (n^2 <= 16 m) is built
+    as one row of ASCII digits per vertex, a "1" at each neighbour's rank,
+    and each row becomes its mask in one base-2 int(); that takes at most
+    16 bytes per pair. A sparser graph ORs two bits into the masks per pair
+    and never holds the rows' n^2 bytes. Both give the same masks.
     """
 
     __slots__ = ("ids", "rank", "adj", "closed_adj")
@@ -50,16 +56,26 @@ class VertexTable:
     def __init__(self, ids: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         self.ids: tuple[int, ...] = tuple(sorted(ids))
         rank = self.rank = {v: r for r, v in enumerate(self.ids)}
-        adj = self.adj = [0] * len(self.ids)
+        n = len(self.ids)
+        edges = tuple(edges)
+        dense = n * n <= 16 * len(edges)
+        rows = [bytearray(b"0" * n) for _ in range(n)] if dense else [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            ru = rank.get(u)
-            rv = rank.get(v)
-            if ru is None or rv is None:
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set")
-            adj[ru] |= 1 << rv
-            adj[rv] |= 1 << ru
+            try:
+                ru, rv = rank[u], rank[v]
+            except KeyError:
+                raise ValueError(f"edge ({u}, {v}) has an endpoint outside the vertex set") from None
+            if dense:
+                rows[ru][rv] = rows[rv][ru] = 49  # ord("1")
+            else:
+                rows[ru] |= 1 << rv
+                rows[rv] |= 1 << ru
+        # Freed before the closed masks, so the edge copy adds nothing to the
+        # peak. Rank 0 is the lowest bit, so a row's digits are read reversed.
+        del edges
+        adj = self.adj = [int(row[::-1], 2) for row in rows] if dense else rows
         self.closed_adj: list[int] = [a | 1 << r for r, a in enumerate(adj)]
 
     @classmethod

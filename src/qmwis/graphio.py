@@ -261,7 +261,11 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
     """Canonical text for a weighted graph; parse(emit(g, w)) == (g, w).
 
     Requires the vertex set to be exactly 1..n (the format has no room for
-    arbitrary ids). Every weight is written explicitly.
+    arbitrary ids). Every weight is written explicitly. Each vertex's row
+    of e records names its higher neighbours in increasing order: a row
+    with fewer set bits than one in 16 of its positions walks those bits,
+    any other row picks the names under its bit flags, which costs one
+    step per position.
     """
     ids = g.vertex_ids()
     if ids != tuple(range(1, g.n + 1)):
@@ -284,7 +288,14 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
     adj, names = table.adj, list(map(str, table.ids))
     for r in table.ranks(live):
         if upper := adj[r] & live >> (r + 1) << (r + 1):
-            lines += map(f"e {names[r]} ".__add__, compress(names, _bit_flags(upper)))
+            head = f"e {names[r]} "
+            if upper.bit_count() << 4 < upper.bit_length():
+                while upper:
+                    low = upper & -upper
+                    lines.append(head + names[low.bit_length() - 1])
+                    upper ^= low
+            else:
+                lines += map(head.__add__, compress(names, _bit_flags(upper)))
     return "\n".join(lines) + "\n"
 
 

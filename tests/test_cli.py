@@ -10,6 +10,7 @@ import pytest
 
 import qmwis
 import qmwis.cli as cli
+import qmwis.pkfree as pkfree
 from qmwis import InvariantViolation, parse_graph
 
 
@@ -125,6 +126,59 @@ def test_invariant_violation_exit_code(c5_file, capsys, monkeypatch):
     doc = json.loads(err)
     assert doc["error"]["kind"] == "invariant-violation"
     assert doc["error"]["details"]["rule"] == "level-emptiness"
+
+
+def violation_documents(argv, call, capsys):
+    """(the CLI's error object for argv, the InvariantViolation call raises)."""
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    with pytest.raises(InvariantViolation) as info:
+        call()
+    error = json.loads(err)["error"]
+    assert (error["kind"], error["message"]) == ("invariant-violation", str(info.value))
+    return error, info.value
+
+
+def test_a_path_claim_error_carries_k_and_vertex(tmp_path, capsys):
+    path = tmp_path / "gnp30.graph"
+    argv = ["generate", "random-gnp", "--size", "30", "--p", "0.3", "--seed", "1", "--out", str(path)]
+    assert run(argv, capsys)[0] == 0
+    g, w = parse_graph(path.read_bytes())
+    error, exc = violation_documents(
+        ["solve", str(path), "--k-hint", "3", "--assert", "paranoid"],
+        lambda: qmwis.solve_pkfree(g, w, k_hint=3, assertion_level="paranoid"),
+        capsys,
+    )
+    assert exc.details == {"k": 3, "vertex": exc.details["vertex"]}
+    assert error["details"] == {"k": 3, "vertex": exc.details["vertex"], "rule": "path-claim"}
+
+
+def test_a_separator_balance_error_carries_the_core(tmp_path, capsys, monkeypatch):
+    # A one-vertex core at the end of a 10-vertex path leaves 8 vertices in
+    # one component, more than 10/2^1.
+    path = tmp_path / "path10.graph"
+    path.write_text("p 10 9\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 10)))
+    monkeypatch.setattr(cli, "balanced_separator_core", lambda g, i: g.mask & -g.mask)
+    code, out, err = run(["separator", str(path), "--i", "1"], capsys)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == {
+        "kind": "invariant-violation",
+        "message": "separator-balance: core neighborhood is not 5-balanced",
+        "details": {"core": [1], "rule": "separator-balance"},
+    }
+
+
+def test_a_recurrence_error_carries_both_potentials(cograph8_file, capsys, monkeypatch):
+    # A potential that never falls breaks the first audited edge's rule.
+    monkeypatch.setattr(pkfree._PathScheme, "potential", lambda *args: 100)
+    g, w = parse_graph(Path(cograph8_file).read_bytes())
+    error, exc = violation_documents(
+        ["solve", cograph8_file, "--k-hint", "4", "--assert", "paranoid"],
+        lambda: qmwis.solve_pkfree(g, w, k_hint=4, assertion_level="paranoid"),
+        capsys,
+    )
+    assert exc.details == {"parent": 100, "child": 100, "rule": exc.rule, "k": 4}
+    assert error["details"] == exc.details
 
 
 @pytest.mark.parametrize(

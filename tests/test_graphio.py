@@ -303,6 +303,42 @@ def test_round_trip_property(data):
     assert (g2, w2) == (g, w)
 
 
+def _edge_lines(edges) -> str:
+    return "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_emitted_rows_list_the_edges_in_order(data):
+    # Each vertex draws its own edge probability, so sparse rows (walked bit
+    # by bit) and dense ones (picked by flags) mix in one file. The graph is
+    # a subgraph of one over 0..n, so rank r names id r, not r + 1.
+    n = data.draw(st.integers(min_value=0, max_value=60), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    p = [rng.choice([0.0, 0.02, 0.1, 0.5, 1.0]) for _ in range(n + 1)]
+    edges = [(u, v) for u in range(n + 1) for v in range(u + 1, n + 1) if rng.random() < p[u]]
+    g = remove_vertices(Graph(range(n + 1), edges), {0})
+    w = {v: v % 10 for v in range(1, n + 1)}
+    weights = "".join(f"n {v} {v % 10}\n" for v in range(1, n + 1))
+    expected = f"p {n} {g.edge_count}\n" + weights + _edge_lines(g.edges())
+    assert emit_graph(g, w) == expected
+
+
+def test_a_cap_size_file_lists_its_random_edges_in_order():
+    # 65,536 random edges over the 16,384 vertices of the format's cap: on
+    # average 4 upper neighbours per row, so nearly every row is walked bit
+    # by bit.
+    n, rng = graphio.MAX_VERTICES, random.Random(16384)
+    edges = set()
+    while len(edges) < 65536:
+        u, v = rng.randint(1, n), rng.randint(1, n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    g, w = Graph(range(1, n + 1), edges), {v: v % 1000 for v in range(1, n + 1)}
+    weights = "".join(f"n {v} {v % 1000}\n" for v in range(1, n + 1))
+    assert emit_graph(g, w) == f"p {n} 65536\n" + weights + _edge_lines(sorted(edges))
+
+
 def test_report_document_shape():
     doc = ReportDocument(command="solve", payload={"assertion_level": "fair", "weight": 9})
     d = doc.to_dict()
