@@ -29,10 +29,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import compress
 from typing import Any
 
-from .graph import Graph, VertexTable, WeightMap, _bit_flags
+from .graph import Graph, VertexTable, WeightMap, _set_items
 
 REPORT_FORMAT_VERSION = 1
 
@@ -262,13 +261,7 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
 
     Requires the vertex set to be exactly 1..n (the format has no room for
     arbitrary ids). Every weight is written explicitly. Each vertex's row
-    of e records names its higher neighbours in increasing order. A row of
-    L positions with k set bits walks those bits when k (L + 512) < 128 L;
-    any other row picks the names under its bit flags. Picking costs one
-    step per position; a walking step costs a constant plus a part that
-    grows with L, since each step makes ints of the row's size. The bound
-    128 L / (L + 512) follows the measured crossover of the two: 14 bits at
-    64 positions, 64 at 512 and 124 at the 16,384 cap.
+    of e records names its higher neighbours in increasing order.
     """
     ids = g.vertex_ids()
     if ids != tuple(range(1, g.n + 1)):
@@ -291,14 +284,7 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
     adj, names = table.adj, list(map(str, table.ids))
     for r in table.ranks(live):
         if upper := adj[r] & live >> (r + 1) << (r + 1):
-            head, length = f"e {names[r]} ", upper.bit_length()
-            if upper.bit_count() * (length + 512) < length << 7:
-                while upper:
-                    low = upper & -upper
-                    lines.append(head + names[low.bit_length() - 1])
-                    upper ^= low
-            else:
-                lines += map(head.__add__, compress(names, _bit_flags(upper)))
+            lines += map(f"e {names[r]} ".__add__, _set_items(upper, names))
     return "\n".join(lines) + "\n"
 
 

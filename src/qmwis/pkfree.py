@@ -107,7 +107,7 @@ class Scheme:
                            level-growth audits, or None when unclaimed;
       potential(n, N, F)   the integer potential, or None when unclaimed;
       ceiling(N)           the potential's proven ceiling, or None when
-                           unclaimed; the audit reads both through bounds(N).
+                           unclaimed.
     """
 
     audit_from_n = 1
@@ -115,14 +115,8 @@ class Scheme:
 
     def __init__(self, level: int):
         self.level, self.stats, self.memo = level, RunStats(), _new_memo()
+        # (level_bound(N), ceiling(N)) per N, built by the first paranoid call with N.
         self._bounds: dict[int, tuple[tuple[int, str, dict] | None, int | None]] = {}
-
-    def bounds(self, n_cap: int) -> tuple[tuple[int, str, dict] | None, int | None]:
-        """(level_bound(N), ceiling(N)), built on the first call for N."""
-        bounds = self._bounds.get(n_cap)
-        if bounds is None:
-            bounds = self._bounds[n_cap] = self.level_bound(n_cap), self.ceiling(n_cap)
-        return bounds
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
         return None
@@ -181,7 +175,10 @@ def _check_call(
     if scheme.level < 2:
         return None
 
-    level_bound, ceiling = scheme.bounds(n_cap)
+    bounds = scheme._bounds.get(n_cap)
+    if bounds is None:
+        bounds = scheme._bounds[n_cap] = scheme.level_bound(n_cap), scheme.ceiling(n_cap)
+    level_bound, ceiling = bounds
     # An empty F has no level and no member: these checks would read nothing.
     if size:
         sizes = family.level_sizes()
@@ -212,7 +209,9 @@ def _check_edge(
     """
     child_mu = scheme.potential(n, n_cap, family)
     assert_recurrence_step(parent_mu, child_mu, rule, scheme.params)
-    scheme.stats.record_measure(rule, parent_mu, child_mu)
+    stats = scheme.stats
+    stats.measure_steps += 1
+    stats.measure_trace.append((rule, parent_mu, child_mu))
     return child_mu
 
 
@@ -226,12 +225,13 @@ def drive(
     acts on the answers on top of the results stack: (0, count, weight,
     witness) adds a split's count answers to its one-vertex parts' sum,
     (-1, w(v), bit) picks between a branch's delete and take answers, and
-    (-2, mask, depth, ...) stores a node's answer in the memo. A split or a
-    branch pushes its children in reverse behind its marker, so they run
-    one after another in batch order and every counter comes out the same
-    on every run. scheme.stats.max_depth gets the deepest node, also when
-    the run raises. A parent potential exists only at "paranoid" with a
-    claimed bound, so only then are the edges to the children audited.
+    (-2, mask, depth, local, mark) stores a node's answer in the memo. A
+    split or a branch pushes its children in reverse behind its marker, so
+    they run one after another in batch order and every counter comes out
+    the same on every run. scheme.stats.max_depth gets the deepest node,
+    also when the run raises. A parent potential exists only at "paranoid"
+    with a claimed bound, so only then are the edges to the children
+    audited.
 
     Under small_leaves a split's one-vertex parts never become tasks: each
     is checked, counted and given its depth when its parent splits, before
@@ -247,13 +247,11 @@ def drive(
     counted as what it stands for, and none of its own checks run again, as
     they would read the same inputs; only the edge into it is audited, by
     its parent like any other. Here the first child with a mask runs under a
-    store marker, which records its answer, its subtree's height, what the
-    subtree added to calls, component_recursions, branch_steps,
-    separators_added and assertions_checked, the only counters a
-    path-scheme subtree moves, and the tail of the measure steps it
-    recorded. A repeat replays those counts and steps at its own turn, so
-    the stats still describe the whole tree, also when the run raises after
-    it; the maxima need no replay.
+    store marker, which records its answer, its subtree's height and
+    stats.since(the marker's mark), the counts and measure steps the
+    subtree added (see RunStats.mark). A repeat replays them at its own
+    turn, so the stats still describe the whole tree, also when the run
+    raises after it; the maxima need no replay.
     """
     stats = scheme.stats
     audit, small_leaves = scheme.level >= 2, scheme.small_leaves
@@ -262,9 +260,9 @@ def drive(
     empty = VertexMultiFamily(table=g.table)
     tasks: list[tuple] = [(1, g, capacity_n, family, None)]
     results: list[tuple[int, int]] = []
-    # deepest is the run's deepest node; local the deepest node of the
-    # innermost subtree being stored, restored by its store marker.
-    deepest = local = 1
+    # The deepest node of the innermost subtree being stored, or of the run
+    # when none is; a store marker keeps the value it sets aside.
+    local = 1
     try:
         while tasks:
             task = tasks.pop()
@@ -278,18 +276,8 @@ def drive(
                     if take_weight > results[-1][0]:
                         results[-1] = take_weight, take_witness | task[2]
                     continue
-                _, key, node_depth, outer, calls, comps, branches, seps, checks, steps = task
-                steps = stats.measure_steps - steps
-                memo[key] = (
-                    results[-1],
-                    local - node_depth + 1,
-                    stats.calls - calls,
-                    stats.component_recursions - comps,
-                    stats.branch_steps - branches,
-                    stats.separators_added - seps,
-                    stats.assertions_checked - checks,
-                    stats.measure_tail(steps) if steps else None,
-                )
+                _, key, node_depth, outer, mark = task
+                memo[key] = results[-1], local - node_depth + 1, stats.since(mark)
                 if outer > local:
                     local = outer
                 continue
@@ -304,8 +292,6 @@ def drive(
             _, g, n_cap, family, mu = task
             if depth > local:
                 local = depth
-                if depth > deepest:
-                    deepest = depth
             n = g.mask.bit_count()
             log_n = (n_cap - 1).bit_length()
             if n <= 1 and small_leaves:
@@ -318,28 +304,14 @@ def drive(
                 key = g.mask
                 hit = memo.get(key)
                 if hit is not None:
-                    answer, height, calls, comps, branches, seps, checks, trace = hit
+                    answer, height, record = hit
                     results.append(answer)
-                    stats.calls += calls
-                    stats.component_recursions += comps
-                    stats.branch_steps += branches
-                    stats.separators_added += seps
-                    stats.assertions_checked += checks
-                    stats.memo_hits += 1
-                    stats.memo_calls += calls
-                    if trace is not None:
-                        stats.replay_measures(trace)
+                    stats.replay(record)
                     bottom = depth + height - 1
                     if bottom > local:
                         local = bottom
-                        if bottom > deepest:
-                            deepest = bottom
                     continue
-                tasks.append((
-                    -2, key, depth, local, stats.calls, stats.component_recursions,
-                    stats.branch_steps, stats.separators_added, stats.assertions_checked,
-                    stats.measure_steps,
-                ))
+                tasks.append((-2, key, depth, local, stats.mark()))
                 local = depth
             # Consecutive growths of F keep the same graph, so they run as a
             # loop in this node rather than as new ones. Every iteration is one
@@ -370,7 +342,6 @@ def drive(
                             )
                     if len(children) < len(split) and local == depth:
                         local += 1
-                        deepest = max(deepest, local)
                     tasks.append((0, len(children), weight, witness))
                     tasks += reversed(children)
                     break
@@ -420,7 +391,8 @@ def drive(
                 scheme.record_growth()
                 grown = family.add(member)
                 if audit:
-                    level_bound = scheme.bounds(n_cap)[0]
+                    # This node's paranoid _check_call built the bounds of N.
+                    level_bound = scheme._bounds[n_cap][0]
                     if level_bound is not None:
                         check_level_growth(family.level_sizes(), grown.level_sizes(), *level_bound)
                 if parent_mu is not None:
@@ -428,8 +400,12 @@ def drive(
                 family = grown
         return results[0]
     finally:
-        if deepest > stats.max_depth:
-            stats.max_depth = deepest
+        # A raise leaves the store markers of its enclosing subtrees open.
+        for task in tasks:
+            if task[0] == -2 and task[3] > local:
+                local = task[3]
+        if local > stats.max_depth:
+            stats.max_depth = local
 
 
 class _PathScheme(Scheme):
@@ -515,17 +491,16 @@ def _run(
     """Drive the validated root (g, w, N, F) and verify the witness at every level.
 
     N defaults to max(1, |V(g)|) and F to the empty family over g's table.
-    The recursion's witness mask is decoded here, once, into the result
-    that also carries the scheme's stats.
+    The recursion's witness mask is verified as it is, then decoded here,
+    once, into the result that also carries the scheme's stats.
     """
     if capacity_n is None:
         capacity_n = max(1, g.n)
     if family is None:
         family = VertexMultiFamily(table=g.table)
     weight, mask = drive(scheme, g, w, capacity_n, family)
-    witness = g.table.decode(mask)
-    verify_witness(g, w, weight, witness)
-    return SolveResult(weight, witness, scheme.stats)
+    verify_witness(g, w, weight, mask)
+    return SolveResult(weight, g.table.decode(mask), scheme.stats)
 
 
 def solve_pkfree(

@@ -1,13 +1,5 @@
 """Constructive balanced separators built from induced dominating paths.
 
-The core routine grows an induced path by repeatedly descending into the
-largest component left after deleting the path's closed neighborhood. Once
-no remaining component holds more than half the current graph, the path's
-closed neighborhood is a |V(G)|/2-balanced separator. The refined form
-drives the residual component bound down to |V(G)|/2^i by recursing on the
-parameter i and re-running the path construction inside each component that
-is still too large.
-
 All balance comparisons are exact: a component C violates the bound
 |V(G)|/2^i iff |C| * 2^i > |V(G)|, checked in integers.
 """

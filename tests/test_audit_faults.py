@@ -102,6 +102,33 @@ def test_a_fault_after_memo_hits_keeps_the_partial_stats(seed, hits, monkeypatch
 
 
 @pytest.mark.parametrize("level", ["fair", "paranoid"])
+def test_a_raise_in_nested_stored_subtrees_keeps_the_run_depth(level, monkeypatch, without_memo):
+    # On seed 2 the last graph whose separator core the run computes lies in
+    # a split child of depth 8 nested in one of depth 3, both still being
+    # stored. A fault there raises after 145 memo hits; the run's deepest
+    # node, at depth 75, ran before the inner child started. The partial
+    # stats keep that depth, as the memo-free run's do.
+    real, cores = pkfree.balanced_separator_core, []
+    monkeypatch.setattr(
+        pkfree, "balanced_separator_core", lambda g, i: cores.append(g.mask) or real(g, i)
+    )
+    honest = run(2, level)[2]
+
+    def planted(g, i):
+        if g.mask == cores[-1]:
+            raise InvariantViolation("planted", "a fault in the last separator core")
+        return real(g, i)
+
+    monkeypatch.setattr(pkfree, "balanced_separator_core", planted)
+    rule, _, stats = run(2, level)
+    full_rule, _, full = run(2, level, without_memo)
+    assert (rule, full_rule, stats.memo_hits) == ("planted", "planted", 145)
+    assert stats.calls < honest.calls
+    assert stats.max_depth == full.max_depth == honest.max_depth == 75
+    assert stats.to_dict() == full.to_dict()
+
+
+@pytest.mark.parametrize("level", ["fair", "paranoid"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_no_split_breaks_add_separator(level, seed, monkeypatch, honest, without_memo):
     # Without the component split a disconnected graph reaches the separator

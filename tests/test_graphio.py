@@ -327,7 +327,8 @@ def test_emitted_rows_list_the_edges_in_order(data):
 def test_a_cap_size_file_lists_its_random_edges_in_order():
     # 65,536 random edges over the 16,384 vertices of the format's cap: on
     # average 4 upper neighbours per row, so nearly every row is walked bit
-    # by bit.
+    # by bit, by emit_graph and by Graph.edges, which equality and hashing
+    # read.
     n, rng = graphio.MAX_VERTICES, random.Random(16384)
     edges = set()
     while len(edges) < 65536:
@@ -336,7 +337,11 @@ def test_a_cap_size_file_lists_its_random_edges_in_order():
             edges.add((min(u, v), max(u, v)))
     g, w = Graph(range(1, n + 1), edges), {v: v % 1000 for v in range(1, n + 1)}
     weights = "".join(f"n {v} {v % 1000}\n" for v in range(1, n + 1))
-    assert emit_graph(g, w) == f"p {n} 65536\n" + weights + _edge_lines(sorted(edges))
+    text = emit_graph(g, w)
+    assert text == f"p {n} 65536\n" + weights + _edge_lines(sorted(edges))
+    assert list(g.edges()) == sorted(edges)
+    back, back_w = parse_graph(text)
+    assert (back, back_w) == (g, w) and hash(back) == hash(g)
 
 
 def test_report_document_shape():

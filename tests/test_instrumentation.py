@@ -7,7 +7,6 @@ from qmwis import (
     RULE_BRANCH_TAKE,
     RULE_COMPONENT,
     InvariantViolation,
-    RunStats,
     VertexMultiFamily,
     assert_recurrence_step,
     max_measure_h,
@@ -16,7 +15,7 @@ from qmwis import (
     measure_k,
 )
 from qmwis.instrumentation import check_level_growth, check_level_sizes
-from qmwis.pkfree import Scheme, _check_call
+from qmwis.pkfree import Scheme, _check_call, _check_edge
 
 EMPTY = VertexMultiFamily()
 
@@ -221,46 +220,74 @@ def test_run_stats_counters_and_maxima():
     assert s.max_level_occupancy == {1: 3, 2: 1}
 
 
+class Steps(Scheme):
+    """A paranoid scheme whose potential is the graph size, so step() makes
+    _check_edge record exactly the step it is given."""
+
+    params = {"k": 1}
+
+    def __init__(self):
+        super().__init__(2)
+
+    def potential(self, n, n_cap, family):
+        return n
+
+
+def step(scheme: Steps, rule: str, parent: int, child: int) -> None:
+    _check_edge(parent, child, child, EMPTY, rule, scheme)
+
+
 def test_run_stats_trace_ring_buffer():
-    s = RunStats()
-    for step in range(4096):
-        s.record_measure("branch-delete", step + 1, step)
-    assert len(s.measure_trace) == 4096
+    # Every audited edge is one measure step; the trace keeps the last 4,096.
+    scheme = Steps()
+    for n in range(4096):
+        step(scheme, RULE_BRANCH_DELETE, n + 1, n)
+    s = scheme.stats
+    assert (len(s.measure_trace), s.measure_steps) == (4096, 4096)
     assert s.measure_trace[0] == ("branch-delete", 1, 0)
-    s.record_measure("branch-take", 0, 0)
-    assert len(s.measure_trace) == 4096
+    step(scheme, RULE_COMPONENT, 20, 19)
+    assert (len(s.measure_trace), s.measure_steps) == (4096, 4097)
     assert s.measure_trace[0] == ("branch-delete", 2, 1)
-    assert s.measure_trace[-1] == ("branch-take", 0, 0)
+    assert s.measure_trace[-1] == ("component-recurse", 20, 19)
 
 
-@pytest.mark.parametrize("steps", [1, 1000, 4096, 5000])
+@pytest.mark.parametrize("steps", [0, 1, 1000, 4096, 5000])
 def test_replayed_measure_steps_leave_the_ring_as_recording_them(steps):
-    # A subtree's steps, taken after a 3,000-step prefix and replayed after
-    # another, leave the ring and the step count as recording them there
-    # would; past 4,096 steps only the tail survives either way.
-    subtree = [("branch-take", step + 1, step) for step in range(steps)]
-    stored, recorded, replayed = RunStats(), RunStats(), RunStats()
-    for step in range(3000):
-        stored.record_measure("branch-delete", step + 1, step)
-        recorded.record_measure("add-separator", step + 2, step)
-        replayed.record_measure("add-separator", step + 2, step)
-    for entry in subtree:
-        stored.record_measure(*entry)
-        recorded.record_measure(*entry)
-    tail = stored.measure_tail(steps)
-    assert tail == (steps, subtree[-4096:])
-    replayed.replay_measures(tail)
-    assert replayed.measure_trace == recorded.measure_trace
-    assert replayed.measure_steps == recorded.measure_steps == 3000 + steps
-    assert "measure_steps" not in replayed.to_dict()
+    # A subtree's counts and steps, taken after a 3,000-step prefix and
+    # replayed after another, leave the counters, the ring and the step
+    # count as recording them there would, plus one memo hit; past 4,096
+    # steps only the tail survives either way.
+    subtree = [(RULE_BRANCH_TAKE, n + 2, n + 1) for n in range(steps)]
+    stored, recorded, replayed = Steps(), Steps(), Steps()
+    for n in range(3000):
+        step(stored, RULE_BRANCH_DELETE, n + 1, n)
+        step(recorded, RULE_ADD_SEPARATOR, n + 2, n)
+        step(replayed, RULE_ADD_SEPARATOR, n + 2, n)
+    mark = stored.stats.mark()
+    for scheme in (stored, recorded):
+        for entry in subtree:
+            step(scheme, *entry)
+        s = scheme.stats
+        s.calls, s.component_recursions, s.branch_steps = 5, 1, 2
+        s.separators_added, s.assertions_checked = 3, 4
+    record = stored.stats.since(mark)
+    assert record[:6] == (5, 1, 2, 3, 4, steps) and list(record[6]) == subtree[-4096:]
+    replayed.stats.replay(record)
+    r, s = replayed.stats, recorded.stats
+    assert r.mark() == s.mark() == (5, 1, 2, 3, 4, 3000 + steps)
+    assert r.measure_trace == s.measure_trace
+    assert (r.memo_hits, r.memo_calls, s.memo_hits) == (1, 5, 0)
+    assert "measure_steps" not in r.to_dict()
 
 
 def test_run_stats_to_dict_round_trips_through_json():
     import json
 
-    s = RunStats(calls=1)
+    scheme = Steps()
+    s = scheme.stats
+    s.calls = 1
     s.record_oracle_call(1)
-    s.record_measure("branch-delete", 9, 8)
+    step(scheme, RULE_BRANCH_DELETE, 9, 8)
     d = s.to_dict()
     assert d["calls"] == 1
     assert d["oracle_calls_by_index"] == {"1": 1}
