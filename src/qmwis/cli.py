@@ -10,6 +10,9 @@ at most MAX_K_HINT (16,385). Integer flags take ASCII decimal integers
 only, as graph files do, and generate --p ASCII digits and at most one '.'.
 One parser serves a process: the first cli_main call builds it, not the
 import, and later calls reuse it, since parsing never changes it.
+The pattern solver (hfree.py) and the generators (oracle.py) load only
+when solve-hfree or generate runs, or generate's kind is checked, so the
+path solving subcommands never load them.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .graph import Graph, WeightMap, closed_neighborhood
 from .graphio import (
@@ -31,18 +33,12 @@ from .graphio import (
     parse_decimal,
     parse_graph,
 )
-from .hfree import ComponentOracle, PatternGraph, make_bruteforce_oracle, make_pk_oracle, solve_hfree
 from .instrumentation import InvariantViolation
-from .oracle import (
-    DEFAULT_BRUTE_FORCE_CAP,
-    GenerationError,
-    GeneratorSpec,
-    GraphTooLarge,
-    generate,
-    longest_induced_path_at_most,
-)
 from .pkfree import _LEVELS, SolveResult, solve_pkfree
-from .separators import balanced_separator_core, verify_balanced
+from .separators import balanced_separator_core, longest_induced_path_at_most, verify_balanced
+
+if TYPE_CHECKING:
+    from .hfree import ComponentOracle
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -92,6 +88,16 @@ def _probability(text: str) -> float:
             f"edge probability must be ASCII digits with at most one '.', got {text!r}"
         )
     return float(text)
+
+
+class _GeneratorKinds:
+    # GeneratorSpec.KINDS, read from oracle.py only when generate's kind is
+    # checked or its help is printed, so building the parser loads no
+    # generator. argparse needs no more of choices than iteration.
+    def __iter__(self) -> Iterator[str]:
+        from .oracle import GeneratorSpec
+
+        return iter(GeneratorSpec.KINDS)
 
 
 # The flags that several subcommands share. Each subcommand takes only the
@@ -162,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="graph file path, or - for stdin")
 
     p = add("generate", "emit a generated graph file")
-    p.add_argument("kind", choices=GeneratorSpec.KINDS, help="generator family")
+    # Set after add_argument, whose metavar check would iterate the kinds.
+    p.add_argument("kind", help="generator family").choices = _GeneratorKinds()
     p.add_argument("--seed", type=_decimal, default=0, help="generator seed")
     p.add_argument("--size", type=_decimal, required=True, help="vertex count")
     p.add_argument("--p", type=_probability, default=None, help="edge probability")
@@ -220,8 +227,10 @@ def _finish_solve(report: ReportDocument, result: SolveResult, args: argparse.Na
 
 
 def _parse_oracle_spec(spec: str, index: int, size: int) -> ComponentOracle:
+    from .hfree import make_bruteforce_oracle, make_pk_oracle
+
     if spec == "bruteforce":
-        return make_bruteforce_oracle(DEFAULT_BRUTE_FORCE_CAP)
+        return make_bruteforce_oracle()
     forms = "(expected bruteforce, bruteforce:<cap>, or pk:<k>)"
     kind, colon, arg = spec.partition(":")
     if not colon or kind not in ("bruteforce", "pk"):
@@ -248,6 +257,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_hfree(args: argparse.Namespace) -> int:
+    from .hfree import PatternGraph, solve_hfree
+
     g, w = _read_graph(args.file)
     pattern_graph, _ = _read_graph(args.pattern)
     pattern = PatternGraph.from_graph(pattern_graph)
@@ -271,6 +282,8 @@ def _cmd_solve_hfree(args: argparse.Namespace) -> int:
 
 
 def _cmd_separator(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     if not 1 <= args.parameter_i <= MAX_SEPARATOR_I:
         raise ValueError(f"--i must be in 1..{MAX_SEPARATOR_I}, got {args.parameter_i}")
     g, _ = _read_graph(args.file)
@@ -306,6 +319,8 @@ def _cmd_check_pkfree(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .oracle import GenerationError, GeneratorSpec, generate
+
     spec = GeneratorSpec(
         kind=args.kind,
         size=args.size,
@@ -315,7 +330,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         weight_range=(args.weight_lo, args.weight_hi),
         max_attempts=args.max_attempts,
     )
-    g, w = generate(spec)
+    try:
+        g, w = generate(spec)
+    except GenerationError as exc:
+        # A RuntimeError; cli_main reports it as the input error it is.
+        raise ValueError(str(exc)) from exc
     text = emit_graph(g, w, comment=f"generated kind={spec.kind} size={spec.size} seed={spec.seed}")
     if args.out:
         Path(args.out).write_text(text)
@@ -382,7 +401,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         details = {"kind": exc.kind, "line": exc.line_no, "file": exc.file}
         sys.stderr.write(error_document("parse-error", str(exc), details))
         return EXIT_INPUT
-    except (GraphTooLarge, GenerationError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(error_document("input-error", str(exc)))
         return EXIT_INPUT
     except OSError as exc:

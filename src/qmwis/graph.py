@@ -168,7 +168,7 @@ class Graph:
 
     @property
     def vertices(self) -> frozenset[int]:
-        return self.table.decode(self.mask)
+        return frozenset(_set_items(self.mask, self.table.ids))
 
     def vertex_ids(self) -> tuple[int, ...]:
         """All vertex ids in increasing order."""
@@ -193,11 +193,11 @@ class Graph:
 
     def adj(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v)."""
-        return self.table.decode(self.table.adj[self._rank(v)] & self.mask)
+        return frozenset(_set_items(self.table.adj[self._rank(v)] & self.mask, self.table.ids))
 
     def closed(self, v: int) -> frozenset[int]:
         """Closed neighborhood N[v]."""
-        return self.table.decode(self.table.closed_adj[self._rank(v)] & self.mask)
+        return frozenset(_set_items(self.table.closed_adj[self._rank(v)] & self.mask, self.table.ids))
 
     def degree(self, v: int) -> int:
         return (self.table.adj[self._rank(v)] & self.mask).bit_count()

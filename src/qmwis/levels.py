@@ -23,10 +23,12 @@ later non-empty level already qualifies at the cap.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .graph import Graph, VertexSet, VertexTable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def ceil_log2(x: int) -> int:
@@ -171,6 +173,8 @@ def branch_threshold(capacity_n: int, i: int) -> Fraction:
         raise ValueError(f"N must be >= 1, got {capacity_n}")
     if i < 1:
         raise ValueError(f"threshold index must be >= 1, got {i}")
+    from fractions import Fraction
+
     return Fraction(capacity_n, 2**i)
 
 

@@ -1,4 +1,4 @@
-"""Ground-truth brute force, induced-path checking, and instance generators.
+"""Ground-truth brute force and instance generators.
 
 The brute-force solver is the independent reference every equivalence test
 compares against. It is deliberately simple: bitmask branch and bound with a
@@ -13,6 +13,9 @@ weight check and the witness decoding of the public brute_force_mwis.
 Generators are fully deterministic functions of their spec: the same kind,
 size, parameters, and seed always produce the identical graph and weights
 (edges are drawn before weights, so the draw order is part of the format).
+The pk-free-rejection kind checks its samples with separators.py's
+induced-path search. The path solver never imports this module; the
+pattern solver and the CLI's solve-hfree and generate do.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 from .graph import Graph, VertexTable, WeightMap, component_masks, validate_weights
 from .graphio import MAX_VERTICES, MAX_WEIGHT
+from .separators import longest_induced_path_at_most
 
 DEFAULT_BRUTE_FORCE_CAP = 25
 
@@ -153,51 +157,6 @@ def _search_component(table: VertexTable, w: WeightMap, comp: int) -> tuple[int,
         stack.append((cand ^ bit, current, chosen, j))
         stack.append((cand & ~closed[r], current + weights[r], chosen | bit, j))
     return best_weight, best_set
-
-
-def longest_induced_path_at_most(g: Graph, k: int) -> bool:
-    """True iff g has no induced path on k vertices.
-
-    Depth-first extension of induced paths: the next vertex must be adjacent
-    to the current endpoint and non-adjacent to every earlier path vertex.
-    Returns as soon as one k-vertex induced path is found. The search keeps
-    one candidate mask per path vertex on an explicit stack, so k is not
-    bounded by the interpreter's recursion limit. A path lies inside one
-    component, so only components with at least k vertices are searched;
-    within them the search still restarts from every start vertex.
-    """
-    return _induced_path(g, k) is None
-
-
-def _induced_path(g: Graph, k: int) -> list[int] | None:
-    # The ids, in path order, of the first induced k-vertex path the search
-    # finds, or None when g has none.
-    if k < 1:
-        raise ValueError(f"path length must be >= 1, got {k}")
-    ids, live = g.table.ids, g.mask
-    if k == 1:
-        return [ids[(live & -live).bit_length() - 1]] if live else None
-
-    adj = g.table.adj
-    # Components are disjoint masks, so their sum is their union.
-    large = sum(comp for comp in component_masks(adj, live) if comp.bit_count() >= k)
-    for start in g.table.ranks(large):
-        # Frames (tail, banned, untried), one per path vertex: banned is
-        # N[path before tail] plus tail (tail lies in N(previous tail)),
-        # untried the extensions past tail not yet explored.
-        stack = [(start, 1 << start, adj[start] & live)]
-        while stack:
-            tail, banned, untried = stack.pop()
-            if not untried:
-                continue
-            low = untried & -untried
-            stack.append((tail, banned, untried ^ low))
-            nxt = low.bit_length() - 1
-            if len(stack) + 1 == k:
-                return [ids[frame[0]] for frame in stack] + [ids[nxt]]
-            reach = banned | adj[tail]
-            stack.append((nxt, reach, adj[nxt] & live & ~reach))
-    return None
 
 
 class GenerationError(RuntimeError):

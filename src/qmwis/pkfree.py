@@ -56,8 +56,7 @@ from .instrumentation import (
     measure_k,
 )
 from .levels import VertexMultiFamily, find_branchable
-from .oracle import _induced_path
-from .separators import balanced_separator_core, verify_balanced
+from .separators import _induced_path, balanced_separator_core, verify_balanced
 
 _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
 

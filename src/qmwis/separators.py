@@ -1,14 +1,19 @@
 """Constructive balanced separators built from induced dominating paths.
 
 All balance comparisons are exact: a component C violates the bound
-|V(G)|/2^i iff |C| * 2^i > |V(G)|, checked in integers.
+|V(G)|/2^i iff |C| * 2^i > |V(G)|, checked in integers. The induced-path
+search beside them decides P_k-freeness: solve_pkfree's root check of a
+claimed k and the CLI's check-pkfree both use it.
 """
 
 from __future__ import annotations
 
-from numbers import Rational
+from typing import TYPE_CHECKING
 
 from .graph import Graph, VertexSet, VertexTable, component_masks
+
+if TYPE_CHECKING:
+    from numbers import Rational
 
 
 def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
@@ -130,3 +135,48 @@ def verify_balanced(g: Graph, separator: VertexSet, bound: Rational) -> bool:
     if rest.bit_count() <= bound:
         return True
     return all(c.bit_count() <= bound for c in component_masks(g.table.adj, rest))
+
+
+def longest_induced_path_at_most(g: Graph, k: int) -> bool:
+    """True iff g has no induced path on k vertices.
+
+    Depth-first extension of induced paths: the next vertex must be adjacent
+    to the current endpoint and non-adjacent to every earlier path vertex.
+    Returns as soon as one k-vertex induced path is found. The search keeps
+    one candidate mask per path vertex on an explicit stack, so k is not
+    bounded by the interpreter's recursion limit. A path lies inside one
+    component, so only components with at least k vertices are searched;
+    within them the search still restarts from every start vertex.
+    """
+    return _induced_path(g, k) is None
+
+
+def _induced_path(g: Graph, k: int) -> list[int] | None:
+    # The ids, in path order, of the first induced k-vertex path the search
+    # finds, or None when g has none.
+    if k < 1:
+        raise ValueError(f"path length must be >= 1, got {k}")
+    ids, live = g.table.ids, g.mask
+    if k == 1:
+        return [ids[(live & -live).bit_length() - 1]] if live else None
+
+    adj = g.table.adj
+    # Components are disjoint masks, so their sum is their union.
+    large = sum(comp for comp in component_masks(adj, live) if comp.bit_count() >= k)
+    for start in g.table.ranks(large):
+        # Frames (tail, banned, untried), one per path vertex: banned is
+        # N[path before tail] plus tail (tail lies in N(previous tail)),
+        # untried the extensions past tail not yet explored.
+        stack = [(start, 1 << start, adj[start] & live)]
+        while stack:
+            tail, banned, untried = stack.pop()
+            if not untried:
+                continue
+            low = untried & -untried
+            stack.append((tail, banned, untried ^ low))
+            nxt = low.bit_length() - 1
+            if len(stack) + 1 == k:
+                return [ids[frame[0]] for frame in stack] + [ids[nxt]]
+            reach = banned | adj[tail]
+            stack.append((nxt, reach, adj[nxt] & live & ~reach))
+    return None

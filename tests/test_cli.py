@@ -511,7 +511,7 @@ def test_solve_hfree_rejects_a_pk_size_before_building_the_path(
     def unbuilt(k):
         raise AssertionError(f"make_pk_oracle({k}) was called")
 
-    monkeypatch.setattr(cli, "make_pk_oracle", unbuilt)
+    monkeypatch.setattr("qmwis.hfree.make_pk_oracle", unbuilt)
     pattern = tmp_path / "h.graph"
     pattern.write_text("p 2 1\ne 1 2\n")
     argv = ["solve-hfree", c5_file, "--pattern", str(pattern), "--oracle", "pk:20000"]

@@ -248,3 +248,30 @@ def test_a_cap_size_sparse_table_holds_no_more_than_its_masks():
     n = 16384
     ids, edges = tuple(range(1, n + 1)), [(i, i + 1) for i in range(1, n)]
     assert _peak(VertexTable, ids, edges) <= _peak(reference_table, ids, edges) + 1024
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_accessors_equal_their_decode_reference(data):
+    # Dense rows, which _set_items picks under bit flags, beside sparse rows,
+    # which it walks, over ids up to 10^12, on the root graph and on an
+    # induced subgraph, whose mask cuts every row.
+    n = data.draw(st.integers(0, 160), label="n")
+    ids = sorted(data.draw(st.sets(st.integers(0, 10**12), min_size=n, max_size=n), label="ids"))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    dense = [rng.random() < 0.5 for _ in ids]
+    edges = [
+        (ids[i], ids[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < (0.9 if dense[i] and dense[j] else 2 / n)
+    ]
+    g = Graph(ids, edges)
+    table = g.table
+    keep = data.draw(st.integers(0, g.mask), label="keep")
+    for h in (g, induced_subgraph(g, keep)):
+        assert h.vertices == table.decode(h.mask)
+        for v in h.vertices:
+            r = table.rank[v]
+            assert h.adj(v) == table.decode(table.adj[r] & h.mask)
+            assert h.closed(v) == table.decode(table.closed_adj[r] & h.mask)

@@ -1,5 +1,14 @@
 """The package's public surface, pinned so that any change to it shows in a diff."""
 
+import inspect
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import pytest
+
 import qmwis
 
 PUBLIC_NAMES = [
@@ -66,3 +75,44 @@ def test_star_import_resolves_every_public_name():
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 51
     assert sorted(qmwis.__all__) == PUBLIC_NAMES
+
+
+# Run in a fresh interpreter: by now the test run has loaded every module.
+# A process that solves P_k-free instances, through the library or the
+# CLI, never loads the pattern solver or the brute-force module.
+IMPORT_PROBE = """
+import sys
+import qmwis
+assert [m for m in sys.modules if m.startswith("qmwis.")] == [], sorted(sys.modules)
+assert set(qmwis.__all__) <= set(dir(qmwis))
+from qmwis import cli
+qmwis.Graph, qmwis.solve_pkfree
+assert {"qmwis.hfree", "qmwis.oracle"}.isdisjoint(sys.modules), sorted(sys.modules)
+"""
+
+
+def test_path_solving_imports_leave_the_pattern_modules_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(qmwis.__file__).parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_each_public_name_is_its_home_modules_object():
+    for name in qmwis.__all__:
+        home = f"qmwis.{qmwis._HOME[name]}"
+        value = getattr(qmwis, name)
+        assert value is getattr(import_module(home), name), name
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == home, name
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'solve_pk'"):
+        qmwis.solve_pk
+    assert not hasattr(qmwis, "oracles")
