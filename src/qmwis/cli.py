@@ -10,9 +10,7 @@ at most MAX_K_HINT (16,385). Integer flags take ASCII decimal integers
 only, as graph files do, and generate --p ASCII digits and at most one '.'.
 One parser serves a process: the first cli_main call builds it, not the
 import, and later calls reuse it, since parsing never changes it.
-The pattern solver (hfree.py) and the generators (oracle.py) load only
-when solve-hfree or generate runs, or generate's kind is checked, so the
-path solving subcommands never load them.
+hfree.py and oracle.py are imported only by the code that calls them.
 """
 
 from __future__ import annotations

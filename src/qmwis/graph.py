@@ -117,7 +117,7 @@ class VertexTable:
 
     def decode(self, mask: int) -> frozenset[int]:
         """The ids of the set bits of mask."""
-        return frozenset(compress(self.ids, _bit_flags(mask)))
+        return frozenset(_set_items(mask, self.ids))
 
     def closed(self, mask: int) -> int:
         """The mask together with every root neighbour of its vertices."""
@@ -168,7 +168,7 @@ class Graph:
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(_set_items(self.mask, self.table.ids))
+        return self.table.decode(self.mask)
 
     def vertex_ids(self) -> tuple[int, ...]:
         """All vertex ids in increasing order."""
@@ -193,11 +193,11 @@ class Graph:
 
     def adj(self, v: int) -> frozenset[int]:
         """Open neighborhood N(v)."""
-        return frozenset(_set_items(self.table.adj[self._rank(v)] & self.mask, self.table.ids))
+        return self.table.decode(self.table.adj[self._rank(v)] & self.mask)
 
     def closed(self, v: int) -> frozenset[int]:
         """Closed neighborhood N[v]."""
-        return frozenset(_set_items(self.table.closed_adj[self._rank(v)] & self.mask, self.table.ids))
+        return self.table.decode(self.table.closed_adj[self._rank(v)] & self.mask)
 
     def degree(self, v: int) -> int:
         return (self.table.adj[self._rank(v)] & self.mask).bit_count()

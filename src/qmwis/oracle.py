@@ -14,8 +14,7 @@ Generators are fully deterministic functions of their spec: the same kind,
 size, parameters, and seed always produce the identical graph and weights
 (edges are drawn before weights, so the draw order is part of the format).
 The pk-free-rejection kind checks its samples with separators.py's
-induced-path search. The path solver never imports this module; the
-pattern solver and the CLI's solve-hfree and generate do.
+induced-path search.
 """
 
 from __future__ import annotations

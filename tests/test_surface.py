@@ -78,23 +78,30 @@ def test_public_names_are_pinned():
 
 
 # Run in a fresh interpreter: by now the test run has loaded every module.
-# A process that solves P_k-free instances, through the library or the
-# CLI, never loads the pattern solver or the brute-force module.
+# The CLI calls build the parser, solve with a path claim checked at the
+# root, and test for induced paths; none may load the pattern solver or the
+# brute-force module.
 IMPORT_PROBE = """
-import sys
+import contextlib, io, sys
 import qmwis
 assert [m for m in sys.modules if m.startswith("qmwis.")] == [], sorted(sys.modules)
 assert set(qmwis.__all__) <= set(dir(qmwis))
 from qmwis import cli
 qmwis.Graph, qmwis.solve_pkfree
+path = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.cli_main(["solve", path, "--assert", "paranoid", "--k-hint", "4"]) == 0
+    assert cli.cli_main(["check-pkfree", "4", path]) == 0
 assert {"qmwis.hfree", "qmwis.oracle"}.isdisjoint(sys.modules), sorted(sys.modules)
 """
 
 
-def test_path_solving_imports_leave_the_pattern_modules_unloaded():
+def test_path_solving_leaves_the_pattern_modules_unloaded(tmp_path):
+    graph = tmp_path / "c4.graph"
+    graph.write_text("p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n")
     env = {**os.environ, "PYTHONPATH": str(Path(qmwis.__file__).parent.parent)}
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", IMPORT_PROBE],
+        [sys.executable, "-W", "error", "-c", IMPORT_PROBE, str(graph)],
         capture_output=True,
         text=True,
         env=env,
