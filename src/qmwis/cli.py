@@ -19,10 +19,11 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .graph import Graph, WeightMap, closed_neighborhood
 from .graphio import (
+    GENERATOR_KINDS,
     MAX_VERTICES,
     GraphParseError,
     ReportDocument,
@@ -86,16 +87,6 @@ def _probability(text: str) -> float:
             f"edge probability must be ASCII digits with at most one '.', got {text!r}"
         )
     return float(text)
-
-
-class _GeneratorKinds:
-    # GeneratorSpec.KINDS, read from oracle.py only when generate's kind is
-    # checked or its help is printed, so building the parser loads no
-    # generator. argparse needs no more of choices than iteration.
-    def __iter__(self) -> Iterator[str]:
-        from .oracle import GeneratorSpec
-
-        return iter(GeneratorSpec.KINDS)
 
 
 # The flags that several subcommands share. Each subcommand takes only the
@@ -166,8 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="graph file path, or - for stdin")
 
     p = add("generate", "emit a generated graph file")
-    # Set after add_argument, whose metavar check would iterate the kinds.
-    p.add_argument("kind", help="generator family").choices = _GeneratorKinds()
+    p.add_argument("kind", choices=GENERATOR_KINDS, help="generator family")
     p.add_argument("--seed", type=_decimal, default=0, help="generator seed")
     p.add_argument("--size", type=_decimal, required=True, help="vertex count")
     p.add_argument("--p", type=_probability, default=None, help="edge probability")

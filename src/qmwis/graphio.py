@@ -39,6 +39,10 @@ MAX_WEIGHT = 10**9
 
 MAX_VERTICES = 2**14
 
+# The graph families qmwis generate draws (GeneratorSpec.KINDS), here so
+# the CLI parser can list them without loading the generators.
+GENERATOR_KINDS = ("random-gnp", "cograph", "pk-free-rejection", "path", "cycle", "star", "complete")
+
 PARSE_ERROR_KINDS = (
     "malformed",
     "header",

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .graph import Graph, VertexTable, WeightMap, component_masks, validate_weights
-from .graphio import MAX_VERTICES, MAX_WEIGHT
+from .graphio import GENERATOR_KINDS, MAX_VERTICES, MAX_WEIGHT
 from .separators import longest_induced_path_at_most
 
 DEFAULT_BRUTE_FORCE_CAP = 25
@@ -181,7 +181,7 @@ class GeneratorSpec:
     weight_range: tuple[int, int] = (0, 100)
     max_attempts: int = 5000
 
-    KINDS = ("random-gnp", "cograph", "pk-free-rejection", "path", "cycle", "star", "complete")
+    KINDS = GENERATOR_KINDS
 
 
 def _gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:

@@ -21,8 +21,8 @@ never fires. The pattern scheme lives in hfree.py.
 The depth grows like n * log(N) * k through alternating branch and growth
 steps, far past CPython's recursion limit, so drive runs the recursion as
 one loop over a stack of tasks. The path scheme answers a graph of at most
-one vertex, and a split's one-vertex parts, without a task of its own;
-each such answer still counts as one call at its own depth.
+one vertex without running it; the answer still counts as one call at its
+own depth.
 
 Every run starts in _run, after the public entry, solve_pkfree or
 solve_hfree, has validated its input once.
@@ -90,8 +90,8 @@ class Scheme:
     rule), the rule of growth edges, the recurrence parameters (params),
     the least N at which the emptiness, family and chain bounds are audited
     (audit_from_n), whether the run claims the family bound (claimed) and
-    whether drive answers a graph of at most one vertex inline, without
-    split, branch or anchor (small_leaves). Hooks:
+    whether drive answers a graph of at most one vertex without running it,
+    with no split, branch or anchor (small_leaves). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -125,7 +125,7 @@ class Scheme:
 
 
 def _check_call(
-    g: Graph | None,
+    g: Graph,
     n: int,
     n_cap: int,
     log_n: int,
@@ -134,9 +134,6 @@ def _check_call(
     mu: int | None = None,
 ) -> int | None:
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
-
-    g is None for a one-vertex split part: only check_members reads it, and
-    that part's family is empty, so it is not called.
 
     At "paranoid", mu is the potential the edge into this call computed, or
     None to compute it here; every check runs on the value either way.
@@ -214,50 +211,55 @@ def _check_edge(
     return child_mu
 
 
+# The kind that starts each of drive's tasks; drive lists their fields.
+_NODE, _SUM, _PICK, _STORE = range(4)
+
+
 def drive(
     scheme: Scheme, g: Graph, w: WeightMap, capacity_n: int, family: VertexMultiFamily
 ) -> tuple[int, int]:
     """Run the shared recursion from the root (g, w, N, F) to its answer.
 
-    Answers are (weight, witness mask over g's table). A task is a
-    node (depth, g, N, F, potential), the root at depth 1, or a marker that
-    acts on the answers on top of the results stack: (0, count, weight,
-    witness) adds a split's count answers to its one-vertex parts' sum,
-    (-1, w(v), bit) picks between a branch's delete and take answers, and
-    (-2, mask, depth, local, mark) stores a node's answer in the memo. A
-    split or a branch pushes its children in reverse behind its marker, so
-    they run one after another in batch order and every counter comes out
-    the same on every run. scheme.stats.max_depth gets the deepest node,
-    also when the run raises. A parent potential exists only at "paranoid"
-    with a claimed bound, so only then are the edges to the children
-    audited.
+    Answers are (weight, witness mask over g's table). A task is one of
 
-    Under small_leaves a split's one-vertex parts never become tasks: each
-    is checked, counted and given its depth when its parent splits, before
-    its larger siblings run. Sums and maxima do not depend on that order,
-    so it shows only in the partial stats of a run that raises.
+      (_NODE, depth, graph, mask, N, F, potential)  the call on G[mask], the
+          root at depth 1; graph is None for a split part until it runs;
+      (_SUM, count)       the sum of the count answers on top;
+      (_PICK, w(v), bit)  the better of a branch's delete and take answers;
+      (_STORE, mask, depth, outer, mark)  the answer on top, kept in the memo.
+
+    A split or a branch pushes its children in reverse above its marker, so
+    they run one after another in batch order and every counter comes out
+    the same on every run. A parent potential exists only at "paranoid"
+    with a claimed bound, so only then are the edges to the children
+    audited. scheme.stats.max_depth gets the deepest node, also when the
+    run raises.
+
+    One place answers a node without running it: under small_leaves a node
+    of at most one vertex, checked as one call, and a repeated split part,
+    from the memo.
 
     The memo rule, at every level. A run keeps one memo, scheme.memo. A key
     names a subproblem that, with the run's table, w and scheme fixed, is a
     function of the key alone, and so is every check it makes: drive keys a
-    split child (C, |C|, empty F) by its mask C, and the pattern scheme's
+    split part (C, |C|, empty F) by its mask C, and the pattern scheme's
     leaf keys an oracle leaf by (i, its mask). The first occurrence of a key
     runs and is audited in full. A repeat is answered from the memo and
     counted as what it stands for, and none of its own checks run again, as
     they would read the same inputs; only the edge into it is audited, by
-    its parent like any other. Here the first child with a mask runs under a
+    its parent like any other. Here the first part with a mask runs under a
     store marker, which records its answer, its subtree's height and
     stats.since(the marker's mark), the counts and measure steps the
     subtree added (see RunStats.mark). A repeat replays them at its own
     turn, so the stats still describe the whole tree, also when the run
     raises after it; the maxima need no replay.
     """
-    stats = scheme.stats
+    stats, memo = scheme.stats, scheme.memo
     audit, small_leaves = scheme.level >= 2, scheme.small_leaves
-    memo = scheme.memo
-    # Every split child starts from this family; a family is immutable.
-    empty = VertexMultiFamily(table=g.table)
-    tasks: list[tuple] = [(1, g, capacity_n, family, None)]
+    root, table = g, g.table
+    # Every split part starts from this family; a family is immutable.
+    empty = VertexMultiFamily(table=table)
+    tasks: list[tuple] = [(_NODE, 1, g, g.mask, capacity_n, family, None)]
     results: list[tuple[int, int]] = []
     # The deepest node of the innermost subtree being stored, or of the run
     # when none is; a store marker keeps the value it sets aside.
@@ -265,53 +267,58 @@ def drive(
     try:
         while tasks:
             task = tasks.pop()
-            depth = task[0]
-            if depth < 0:
-                if depth == -1:
+            kind = task[0]
+            if kind != _NODE:
+                if kind == _PICK:
                     # The take side wins only when strictly heavier, so ties
                     # keep the first-explored (delete) branch's witness.
                     take_weight, take_witness = results.pop()
                     take_weight += task[1]
                     if take_weight > results[-1][0]:
                         results[-1] = take_weight, take_witness | task[2]
-                    continue
-                _, key, node_depth, outer, mark = task
-                memo[key] = results[-1], local - node_depth + 1, stats.since(mark)
-                if outer > local:
-                    local = outer
+                elif kind == _SUM:
+                    weight = witness = 0
+                    for _ in range(task[1]):
+                        answer = results.pop()
+                        weight += answer[0]
+                        witness |= answer[1]
+                    results.append((weight, witness))
+                else:
+                    _, key, node_depth, outer, mark = task
+                    memo[key] = results[-1], local - node_depth + 1, stats.since(mark)
+                    if outer > local:
+                        local = outer
                 continue
-            if not depth:
-                _, count, weight, witness = task
-                for _ in range(count):
-                    answer = results.pop()
-                    weight += answer[0]
-                    witness |= answer[1]
-                results.append((weight, witness))
-                continue
-            _, g, n_cap, family, mu = task
+            _, depth, g, mask, n_cap, family, mu = task
             if depth > local:
                 local = depth
-            n = g.mask.bit_count()
+            n = mask.bit_count()
             log_n = (n_cap - 1).bit_length()
+            # The one place that answers a node without running it.
+            answer = None
             if n <= 1 and small_leaves:
-                _check_call(g, n, n_cap, log_n, family, scheme, mu)
-                results.append((w[g.table.ids[g.mask.bit_length() - 1]], g.mask) if n else (0, 0))
-                continue
-            # A split child (C, |C|, empty F) is a function of its mask alone:
-            # the first one runs under a store marker, a repeat replays it.
-            if n == n_cap and depth > 1 and not family._raw:
-                key = g.mask
-                hit = memo.get(key)
+                # One call, checked on its own graph; a split part's is made
+                # here only for the check.
+                own = Graph._sub(table, mask) if g is None else g
+                _check_call(own, n, n_cap, log_n, family, scheme, mu)
+                answer = (w[table.ids[mask.bit_length() - 1]], mask) if n else (0, 0)
+            elif g is None:
+                # A split part (C, |C|, empty F) is a function of its mask
+                # alone: the first one runs under a store marker, a repeat
+                # replays it.
+                hit = memo.get(mask)
                 if hit is not None:
                     answer, height, record = hit
-                    results.append(answer)
                     stats.replay(record)
-                    bottom = depth + height - 1
-                    if bottom > local:
-                        local = bottom
-                    continue
-                tasks.append((-2, key, depth, local, stats.mark()))
-                local = depth
+                    if depth + height - 1 > local:
+                        local = depth + height - 1
+                else:
+                    tasks.append((_STORE, mask, depth, local, stats.mark()))
+                    local = depth
+                    g = induced_subgraph(root, mask)
+            if answer is not None:
+                results.append(answer)
+                continue
             # Consecutive growths of F keep the same graph, so they run as a
             # loop in this node rather than as new ones. Every iteration is one
             # call of the recursion and is counted and checked as such; only
@@ -323,26 +330,16 @@ def drive(
 
                 if not adds_in_a_row and (split := scheme.split(g, n_cap)) is not None:
                     stats.component_recursions += 1
-                    children, weight, witness = [], 0, 0
+                    parts = []
                     for comp in split:
                         size, child_mu = comp.bit_count(), None
                         if parent_mu is not None:
                             child_mu = _check_edge(
                                 parent_mu, size, size, empty, RULE_COMPONENT, scheme
                             )
-                        if size == 1 and small_leaves:
-                            # A one-vertex part is answered here, as its own call.
-                            _check_call(None, 1, 1, 0, empty, scheme, child_mu)
-                            weight += w[g.table.ids[comp.bit_length() - 1]]
-                            witness |= comp
-                        else:
-                            children.append(
-                                (depth + 1, induced_subgraph(g, comp), size, empty, child_mu)
-                            )
-                    if len(children) < len(split) and local == depth:
-                        local += 1
-                    tasks.append((0, len(children), weight, witness))
-                    tasks += reversed(children)
+                        parts.append((_NODE, depth + 1, None, comp, size, empty, child_mu))
+                    tasks.append((_SUM, len(parts)))
+                    tasks += reversed(parts)
                     break
 
                 # A family with no level has no branchable vertex.
@@ -350,9 +347,9 @@ def drive(
                 if v is not None:
                     stats.branch_steps += 1
                     # The two children drop {v} and N[v].
-                    r = g.table.rank[v]
+                    r = table.rank[v]
                     bit = 1 << r
-                    closed_v = g.table.closed_adj[r] & g.mask
+                    closed_v = table.closed_adj[r] & mask
                     delete_g, delete_f = remove_vertices(g, bit), family.subtract(bit)
                     take_g, take_f = remove_vertices(g, closed_v), family.subtract(closed_v)
                     delete_mu = take_mu = None
@@ -364,9 +361,11 @@ def drive(
                         take_mu = _check_edge(
                             parent_mu, take_n, n_cap, take_f, RULE_BRANCH_TAKE, scheme
                         )
-                    tasks.append((-1, w[v], bit))
-                    tasks.append((depth + 1, take_g, n_cap, take_f, take_mu))
-                    tasks.append((depth + 1, delete_g, n_cap, delete_f, delete_mu))
+                    tasks.append((_PICK, w[v], bit))
+                    tasks.append((_NODE, depth + 1, take_g, take_g.mask, n_cap, take_f, take_mu))
+                    tasks.append(
+                        (_NODE, depth + 1, delete_g, delete_g.mask, n_cap, delete_f, delete_mu)
+                    )
                     break
 
                 anchor = scheme.anchor(g, family)
@@ -401,7 +400,7 @@ def drive(
     finally:
         # A raise leaves the store markers of its enclosing subtrees open.
         for task in tasks:
-            if task[0] == -2 and task[3] > local:
+            if task[0] == _STORE and task[3] > local:
                 local = task[3]
         if local > stats.max_depth:
             stats.max_depth = local

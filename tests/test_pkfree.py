@@ -357,13 +357,28 @@ def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
     assert info.value.rule == "separator-balance"
 
 
+def test_a_split_part_gets_its_graph_only_when_it_runs(monkeypatch):
+    # A split part's graph is cut when the part runs: a repeat answered from
+    # the memo and a one-vertex part build none, so each stored part, one
+    # per distinct mask, built exactly one.
+    built = []
+    real = pkfree.induced_subgraph
+    monkeypatch.setattr(pkfree, "induced_subgraph", lambda g, xs: built.append(xs) or real(g, xs))
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
+    scheme = pkfree._PathScheme(pkfree._parse_level("fair"), None)
+    pkfree._run(scheme, g, w)
+    assert scheme.stats.memo_hits > 0
+    assert sorted(built) == sorted(scheme.memo)
+    assert all(mask.bit_count() > 1 for mask in built)
+
+
 def test_growth_retries_never_split_again(monkeypatch):
     # split depends on G and N alone, so each executed node of two or more
     # vertices asks for it once, on its first call, however often F grows
     # afterwards. A growth retry is one more call on the same graph object.
     # Calls answered from the run's memo execute nothing, so they reach
     # neither _check_call nor record_growth. A one-vertex split part reaches
-    # _check_call with no graph.
+    # _check_call with a one-vertex graph of its own.
     checked, split_graphs, growths = [], [], []
     real_check, real_split = pkfree._check_call, pkfree._PathScheme.split
     real_growth = pkfree._PathScheme.record_growth
