@@ -270,13 +270,16 @@ def remove_vertices(g: Graph, xs: VertexSet) -> Graph:
     return sub
 
 
-def component_masks(adj: list[int], live: int, *, limit: int | None = None) -> list[int]:
+def component_masks(adj: list[int], live: int, *, limit: int | None = None) -> list[int] | None:
     """Connected components of the vertices in live, as masks.
 
     adj is a table's adjacency list. Components come ordered by their lowest
-    bit, which is their smallest id. Given a limit, the scan ends at the
-    first component of more than limit vertices, which is then the last.
+    bit, which is their smallest id. Given a limit, the result is None as
+    soon as a component grows past limit vertices, and at once when limit
+    is below 1 and live is non-empty.
     """
+    if limit is not None and limit < 1 and live:
+        return None
     components = []
     rest = live
     while rest:
@@ -284,16 +287,15 @@ def component_masks(adj: list[int], live: int, *, limit: int | None = None) -> l
         while todo:
             low = todo & -todo
             todo ^= low
-            new = adj[low.bit_length() - 1] & rest & ~comp
-            if new:
+            if new := adj[low.bit_length() - 1] & rest & ~comp:
                 comp |= new
+                if limit is not None and comp.bit_count() > limit:
+                    return None
                 if comp == rest:
                     break
                 todo |= new
         components.append(comp)
-        if limit is not None and comp.bit_count() > limit:
-            break
-        rest &= ~comp
+        rest ^= comp
     return components
 
 

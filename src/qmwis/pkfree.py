@@ -32,11 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import separators
 from .graph import (
     Graph,
     VertexSet,
     WeightMap,
     closed_neighborhood,
+    component_masks,
     induced_subgraph,
     remove_vertices,
     validate_weights,
@@ -419,30 +421,17 @@ class _PathScheme(Scheme):
         self._core: tuple[Graph | None, int] = (None, 0)
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
-        # component_masks' components, or None as soon as one passes N/2.
-        half, adj, rest, parts = n_cap // 2, g.table.adj, g.mask, []
-        if rest and not half:
-            return None
-        while rest:
-            comp = todo = rest & -rest
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                if new := adj[low.bit_length() - 1] & rest & ~comp:
-                    comp |= new
-                    if comp.bit_count() > half:
-                        return None
-                    if comp == rest:
-                        break
-                    todo |= new
-            parts.append(comp)
-            rest ^= comp
-        return parts
+        return component_masks(g.table.adj, g.mask, limit=n_cap // 2)
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int:
         # The core depends on G alone, and consecutive growths keep G.
         if self._core[0] is not g:
-            self._core = g, balanced_separator_core(g, 2)
+            core, k = balanced_separator_core(g, 2), self.k
+            # G[X] is an induced subgraph of G, so an induced P_k inside the
+            # core X refutes a claim of k >= 4; the root decides k <= 3.
+            if self.level >= 2 and k is not None and k >= 4 and core.bit_count() >= k:
+                _check_path_claim(k, separators._induced_path(Graph._sub(g.table, core), k))
+            self._core = g, core
         return self._core[1]
 
     def record_growth(self) -> None:
@@ -517,7 +506,8 @@ def solve_pkfree(
     the k-dependent run invariants are additionally checked (at
     assertion_level "fair" the family-size bound, at "paranoid" also the
     per-call separator balance, level bounds, potential bounds, and per-edge
-    potential decreases, and a k_hint of at most 3 against g itself).
+    potential decreases, and a k_hint of at most 3 against g itself, a
+    larger one against each separator core of at least k_hint vertices).
 
     The run is Algorithm 1's call on the instance (g, w, N, F). Its root is
     N = max(1, |V(g)|) and F empty unless capacity_n and family say
@@ -549,12 +539,16 @@ def solve_pkfree(
         family = family.over(g.table)
     level = _parse_level(assertion_level)
     if level >= 2 and k_hint is not None and k_hint <= 3:
-        path = _induced_path(g, k_hint)
-        if path:
-            v = path[0]
-            message = f"k_hint = {k_hint} claims no induced P_{k_hint}, but vertex {v} is on one"
-            raise InvariantViolation("path-claim", message, {"k": k_hint, "vertex": v})
+        _check_path_claim(k_hint, _induced_path(g, k_hint))
     return _run(_PathScheme(level, k_hint), g, w, capacity_n, family)
+
+
+def _check_path_claim(k: int, path: list[int] | None) -> None:
+    """Raise path-claim, naming path's first vertex, when an induced P_k was found."""
+    if path:
+        v = path[0]
+        message = f"k_hint = {k} claims no induced P_{k}, but vertex {v} is on one"
+        raise InvariantViolation("path-claim", message, {"k": k, "vertex": v})
 
 
 def verify_witness(g: Graph, w: WeightMap, weight: int, witness: VertexSet) -> None:

@@ -2,12 +2,14 @@
 
 All balance comparisons are exact: a component C violates the bound
 |V(G)|/2^i iff |C| * 2^i > |V(G)|, checked in integers. The induced-path
-search beside them decides P_k-freeness: solve_pkfree's root check of a
-claimed k and the CLI's check-pkfree both use it.
+search beside them decides P_k-freeness: solve_pkfree's checks of a
+claimed k, at the root and on separator cores, and the CLI's check-pkfree
+use it.
 """
 
 from __future__ import annotations
 
+from math import floor
 from typing import TYPE_CHECKING
 
 from .graph import Graph, VertexSet, VertexTable, component_masks
@@ -21,10 +23,10 @@ def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
 
     Each step moves into the component C of current - N[tail] with more
     than |current|/2 vertices, at its smallest neighbour, and the path ends
-    when there is none. At most one component is that large, so the search
-    stops at it, and it is skipped when current - N[tail] is no larger than
-    half. N(C) within current lies inside N(tail), so that neighbour is the
-    first vertex of N(tail) adjacent to C.
+    when there is none. At most one component is that large, so C is the
+    largest, and no component is labelled when current - N[tail] is no
+    larger than half. N(C) within current lies inside N(tail), so that
+    neighbour is the first vertex of N(tail) adjacent to C.
     """
     path = [tail]
     while True:
@@ -32,7 +34,7 @@ def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
         rest = current & ~(adj[tail] | 1 << tail)
         if rest.bit_count() <= half:
             return path
-        big = component_masks(adj, rest, limit=half)[-1]
+        big = max(component_masks(adj, rest), key=int.bit_count)
         if big.bit_count() <= half:
             return path
         candidates = adj[tail] & current
@@ -71,28 +73,20 @@ def gyarfas_path(g: Graph, start: int) -> list[int]:
 def _core_mask(table: VertexTable, live: int, n: int, i: int) -> int:
     # Paths are grown inside every component of live - N[X'] that breaks the
     # bound, X' being the level i - 1 core (empty at i = 1), starting at the
-    # component's smallest id. Components are labelled lowest bit first, and
-    # only while the unlabelled rest could still hold one that breaks it.
+    # component's smallest id. A remainder within the bound holds no such
+    # component, so it is not labelled.
     adj = table.adj
     if i == 1:
         core, rest = 0, live
     else:
         core = _core_mask(table, live, n, i - 1)
         rest = live & ~table.closed(core)
-    while rest.bit_count() << i > n:
-        comp = todo = rest & -rest
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            if new := adj[low.bit_length() - 1] & rest & ~comp:
-                comp |= new
-                if comp == rest:
-                    break
-                todo |= new
+    if rest.bit_count() << i <= n:
+        return core
+    for comp in component_masks(adj, rest):
         if comp.bit_count() << i > n:
             for r in _path_ranks(adj, comp, (comp & -comp).bit_length() - 1):
                 core |= 1 << r
-        rest ^= comp
     return core
 
 
@@ -125,8 +119,9 @@ def verify_balanced(g: Graph, separator: VertexSet, bound: Rational) -> bool:
     """True iff every component of g - separator (ids or a mask) has at most bound vertices.
 
     Every component lies inside V(g) - separator, so a remainder of at most
-    bound vertices decides it without labelling a component. Ids outside g
-    are ignored.
+    bound vertices decides it without labelling a component. Otherwise the
+    labelling stops at the first component past floor(bound) vertices, as
+    component sizes are integers. Ids outside g are ignored.
     """
     if not isinstance(separator, int):
         rank = g.table.rank
@@ -134,7 +129,7 @@ def verify_balanced(g: Graph, separator: VertexSet, bound: Rational) -> bool:
     rest = g.mask & ~separator
     if rest.bit_count() <= bound:
         return True
-    return all(c.bit_count() <= bound for c in component_masks(g.table.adj, rest))
+    return component_masks(g.table.adj, rest, limit=floor(bound)) is not None
 
 
 def longest_induced_path_at_most(g: Graph, k: int) -> bool:

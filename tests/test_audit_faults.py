@@ -13,7 +13,8 @@ same weight and stats.
 
 A false claim is a fault of the input, not of the solver: at "paranoid"
 the root of solve_pkfree refutes k_hint 1, 2 and 3 on a graph that holds
-a vertex, an edge or an induced P3 (rule path-claim).
+a vertex, an edge or an induced P3, and a larger k_hint when a separator
+core holds an induced P_k (rule path-claim).
 
 The pattern solver's fault, at the end, hands an oracle a graph that holds
 the oracle's own component (rule oracle-validity).
@@ -29,8 +30,11 @@ import pytest
 
 import qmwis.hfree as hfree
 import qmwis.pkfree as pkfree
+import qmwis.separators as separators
 from qmwis import GeneratorSpec, Graph, InvariantViolation, find_induced_copy, generate, solve_pkfree
 from qmwis.graph import component_masks
+
+from test_past_the_cap import split_graph, split_optimum
 
 SEEDS = range(1, 7)
 
@@ -270,6 +274,59 @@ def test_claims_from_k_4_are_not_checked_at_the_root(k, monkeypatch):
     assert paranoid.weight == solve_pkfree(g, w).weight
     assert paranoid.stats.memo_hits > 0
     assert checked == []
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_a_separator_core_refutes_only_a_false_claim(k):
+    # From k = 4, a paranoid run searches every new separator core X of at
+    # least k vertices for an induced P_k. G[X] is an induced subgraph of G,
+    # so each raise must name a vertex that brute force puts on an induced
+    # P_k of G, and a true claim never raises.
+    rng = random.Random(k)
+    refuted = 0
+    for _ in range(100):
+        n = rng.randint(10, 12)
+        p = rng.choice([0.15, 0.25, 0.4])
+        ids = range(1, n + 1)
+        g = Graph(ids, [e for e in itertools.combinations(ids, 2) if rng.random() < p])
+        w = {v: rng.randint(1, 9) for v in g.vertex_ids()}
+        try:
+            result = solve_pkfree(g, w, k_hint=k, assertion_level="paranoid")
+        except InvariantViolation as err:
+            v = err.details["vertex"]
+            assert err.rule == "path-claim"
+            assert err.details == {"k": k, "vertex": v}
+            message = f"k_hint = {k} claims no induced P_{k}, but vertex {v} is on one"
+            assert str(err) == f"path-claim: {message}"
+            assert v in on_induced_paths(g, k)
+            refuted += 1
+        else:
+            assert result.weight == solve_pkfree(g, w).weight
+    assert refuted > 0
+
+
+def test_true_claims_pass_the_separator_core_search(monkeypatch):
+    # Cographs hold no induced P4 and split graphs no induced P5. The
+    # cographs' cores of 4 vertices are searched at k = 4; every core of
+    # these split graphs has 1 vertex, so there nothing is searched.
+    searched = []
+
+    def search(g, k, real=separators._induced_path):
+        searched.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(separators, "_induced_path", search)
+    for seed in SEEDS:
+        g, w = cograph(seed)
+        paranoid = solve_pkfree(g, w, k_hint=4, assertion_level="paranoid")
+        assert paranoid.weight == solve_pkfree(g, w).weight
+    assert searched and set(searched) == {4}
+    searched.clear()
+    for n in (20, 60, 100, 200):
+        g, w, clique, independent = split_graph(n, n)
+        paranoid = solve_pkfree(g, w, k_hint=5, assertion_level="paranoid")
+        assert paranoid.weight == split_optimum(g, w, clique, independent)
+    assert searched == []
 
 
 P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])

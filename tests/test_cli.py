@@ -153,6 +153,22 @@ def test_a_path_claim_error_carries_k_and_vertex(tmp_path, capsys):
     assert error["details"] == {"k": 3, "vertex": exc.details["vertex"], "rule": "path-claim"}
 
 
+def test_a_false_claim_of_4_is_refuted_from_a_separator_core(tmp_path, capsys):
+    # The root decides only k <= 3. This graph's smallest true claim is 14,
+    # and its first separator core already holds an induced P4.
+    path = tmp_path / "gnp30.graph"
+    argv = ["generate", "random-gnp", "--size", "30", "--p", "0.3", "--seed", "1", "--out", str(path)]
+    assert run(argv, capsys)[0] == 0
+    g, w = parse_graph(path.read_bytes())
+    error, exc = violation_documents(
+        ["solve", str(path), "--k-hint", "4", "--assert", "paranoid"],
+        lambda: qmwis.solve_pkfree(g, w, k_hint=4, assertion_level="paranoid"),
+        capsys,
+    )
+    assert (exc.rule, exc.details) == ("path-claim", {"k": 4, "vertex": 1})
+    assert error["details"] == {"k": 4, "vertex": 1, "rule": "path-claim"}
+
+
 def test_a_separator_balance_error_carries_the_core(tmp_path, capsys, monkeypatch):
     # A one-vertex core at the end of a 10-vertex path leaves 8 vertices in
     # one component, more than 10/2^1.

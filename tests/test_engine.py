@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from qmwis import GeneratorSpec, Graph, VertexMultiFamily, generate, solve_pkfree
+import qmwis.pkfree as pkfree
+from qmwis import (
+    GeneratorSpec,
+    Graph,
+    InvariantViolation,
+    VertexMultiFamily,
+    generate,
+    solve_pkfree,
+)
 from qmwis.hfree import ComponentOracle, make_bruteforce_oracle, make_pk_oracle, solve_hfree
 from qmwis.pkfree import Scheme, _PathScheme, drive
 
@@ -121,6 +129,45 @@ def test_growth_retries_stay_in_one_frame():
     g, scheme = Graph([1, 2, 3], [(1, 2)]), Grow()
     assert drive(scheme, *root(g, capacity_n=10**6)) == (3, 0)
     assert (scheme.stats.calls, scheme.stats.max_depth, scheme.growths) == (4, 1, 3)
+
+
+def test_a_graph_past_its_budget_breaks_the_fair_shape():
+    # solve_pkfree refuses |V(G)| > N before a run starts; at "fair" drive
+    # audits the shape of every call itself.
+    scheme = _PathScheme(1, None)
+    with pytest.raises(InvariantViolation) as info:
+        drive(scheme, *root(edgeless(3), capacity_n=2))
+    assert info.value.rule == "fair-shape"
+    assert str(info.value) == "fair-shape: |V(G)| = 3 exceeds N = 2"
+    assert info.value.details == {"n": 3, "N": 2}
+    assert scheme.stats.calls == 1
+
+
+def test_a_growth_chain_past_n_log_n_breaks_the_chain_rule(monkeypatch):
+    # An anchor that hands out the next vertex on every growth, in a run
+    # where no vertex becomes branchable, grows F without end. At "fair" the
+    # chain audit stops it at growth |V(G)| log(N) + 1 = 9; by then each
+    # vertex lies in 2 members, so no level past log(N) = 2 is non-empty.
+    class Endless(Toy):
+        def __init__(self):
+            super().__init__()
+            self.level = 1
+
+        def split(self, g, n_cap):
+            return None
+
+        def anchor(self, g, family):
+            ranks = list(g.table.ranks(g.mask))
+            return 1 << ranks[self.growths % len(ranks)]
+
+    monkeypatch.setattr(pkfree, "find_branchable", lambda g, family, n_cap: None)
+    scheme = Endless()
+    with pytest.raises(InvariantViolation) as info:
+        drive(scheme, *root(edgeless(4)))
+    assert info.value.rule == "toy-chain"
+    assert str(info.value) == "toy-chain: 9 toy additions in a row exceeds |V(G)| log(N)"
+    assert info.value.details == {"chain": 9, "n": 4, "N": 4}
+    assert (scheme.growths, scheme.stats.calls) == (8, 9)
 
 
 def test_a_branch_with_equal_children_keeps_the_delete_answer_on_ties():

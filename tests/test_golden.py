@@ -26,6 +26,10 @@ from qmwis import (
 )
 from qmwis.cli import cli_main
 
+# Rows: (spec, calls, weight, witness, report sha256, k), where k is the
+# true path claim the paranoid CLI run and stats are checked under: the
+# smallest k with no induced P_k on the gnp graphs, and 4 on the P4-free
+# cographs.
 GOLDEN = [
     (
         GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3),
@@ -33,6 +37,7 @@ GOLDEN = [
         577,
         [3, 6, 9, 11, 13, 17, 20, 25],
         "809efbb68f4f0266f2addde91dc458e6bff3e066dad31305bc3eb2d0952884e5",
+        14,
     ),
     (
         GeneratorSpec(kind="random-gnp", size=30, seed=2, p=0.3),
@@ -40,6 +45,7 @@ GOLDEN = [
         600,
         [1, 2, 11, 12, 15, 16, 24, 27, 28],
         "f967bb23182cd4ffa8944015f4c9fb75f8f5234e40de9d5e731c345065379071",
+        14,
     ),
     (
         GeneratorSpec(kind="random-gnp", size=30, seed=3, p=0.3),
@@ -47,6 +53,7 @@ GOLDEN = [
         659,
         [2, 3, 4, 5, 7, 10, 16, 20, 21, 28],
         "7cf90bca14b474c2061c5d842a4d1a857ef7174a14225b66d018c7492b25a648",
+        15,
     ),
     (
         GeneratorSpec(kind="cograph", size=128, seed=1),
@@ -56,6 +63,7 @@ GOLDEN = [
          49, 50, 51, 71, 72, 78, 81, 82, 83, 84, 85, 86, 93, 94, 95, 97, 99, 100, 102, 105,
          106, 107],
         "b5dfdf130f1e44afacebb3f063e8ad7b0daabad8bbba6ff9f36945523f36d694",
+        4,
     ),
     (
         GeneratorSpec(kind="cograph", size=128, seed=2),
@@ -64,16 +72,17 @@ GOLDEN = [
         [1, 2, 3, 6, 7, 8, 9, 15, 17, 18, 19, 23, 26, 27, 29, 31, 32, 33, 35, 36, 37, 38, 40,
          41, 43],
         "2ea9649a843ff9d9cd50e802eae5aed7ac9dd40860494cc74bdb17bdcc4b85d3",
+        4,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, calls, weight, witness, report_sha256",
+    "spec, calls, weight, witness, report_sha256, k",
     GOLDEN,
     ids=[f"{spec.kind}-{spec.size}-seed{spec.seed}" for spec, *_ in GOLDEN],
 )
-def test_golden_corpus(spec, calls, weight, witness, report_sha256, tmp_path, capsys):
+def test_golden_corpus(spec, calls, weight, witness, report_sha256, k, tmp_path, capsys):
     g, w = generate(spec)
     result = solve_pkfree(g, w)
     assert result.stats.calls == calls
@@ -82,7 +91,7 @@ def test_golden_corpus(spec, calls, weight, witness, report_sha256, tmp_path, ca
 
     path = tmp_path / "g.graph"
     path.write_text(emit_graph(g, w))
-    code = cli_main(["solve", str(path), "--assert", "paranoid", "--k-hint", "4", "--witness"])
+    code = cli_main(["solve", str(path), "--assert", "paranoid", "--k-hint", str(k), "--witness"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == report_sha256
@@ -99,17 +108,17 @@ GOLDEN_STATS = {
     "random-gnp-30-seed1": {
         "off": "cbddecab229c5f8eeaa05785305e66a8eb5d6d3d95a5fb43ee0027297accc822",
         "fair": "f1ec9ff5366a6abbb793ba4416d1c8df5f073fcb4045fa8bfa26828f1631e4a0",
-        "paranoid": "a7c32e34edc02d49dfd8471c135dbee1aae81d48390630f3cf88862c7713625d",
+        "paranoid": "548fd95082e2d0e3f8cd880b45a08adeeb31331ff5649023cda3735132359a9b",
     },
     "random-gnp-30-seed2": {
         "off": "44bba9e380cdae76b15555aa6857aadf6e1181425cfb2c1857f1540e7cfabfc1",
         "fair": "5af795c9068313eb16dc39319aa42b7d0e0ce8c3dc1207df82d24e1714606d4c",
-        "paranoid": "80c07a454790c34404cbe89b6ec67b281e6aab3ad4a324a0375eaa6c9c341be4",
+        "paranoid": "da6254afdcfdbf77d2e12c06bfe663aa2055f2b9de52173f19ae5a97e5713cf4",
     },
     "random-gnp-30-seed3": {
         "off": "c96abca4efe3762b98ad64c914c50946e1fa5c686737492332b379dc70db8db3",
         "fair": "83be144effba825e5648beac560b480f875dde9fc829c28cb3ed6e479426e533",
-        "paranoid": "a4633c3c4bfa13ca8ad0dfb83b4e6b275dfbe0d5c539a60abc675f52ebe6b1e0",
+        "paranoid": "c79308b4f8a3dc05e4e7ac98dd56696789fc78c9cc7e88acacb4be81b54fb579",
     },
     "cograph-128-seed1": {
         "off": "98c11b3c84ff458287c1672b12543cd1f4aeb878a5a85257279e822e2a0d6ecd",
@@ -126,11 +135,13 @@ GOLDEN_STATS = {
 
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
 @pytest.mark.parametrize(
-    "spec", [row[0] for row in GOLDEN], ids=[f"{s.kind}-{s.size}-seed{s.seed}" for s, *_ in GOLDEN]
+    "spec, k",
+    [(row[0], row[-1]) for row in GOLDEN],
+    ids=[f"{s.kind}-{s.size}-seed{s.seed}" for s, *_ in GOLDEN],
 )
-def test_golden_stats(spec, level):
+def test_golden_stats(spec, k, level):
     g, w = generate(spec)
-    k_hint = 4 if level == "paranoid" else None
+    k_hint = k if level == "paranoid" else None
     result = solve_pkfree(g, w, k_hint=k_hint, assertion_level=level)
     assert _stats_sha256(result) == GOLDEN_STATS[f"{spec.kind}-{spec.size}-seed{spec.seed}"][level]
 

@@ -182,10 +182,11 @@ def test_alg1_call_with_preloaded_family_is_still_exact():
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
 def test_alg1_call_returns_the_solve_result_of_solve_pkfree(level):
     # The defaulted root: N = max(1, |V(G)|) and F empty over g's table.
+    # 14 is the smallest true path claim on this graph.
     g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
     family = VertexMultiFamily(table=g.table)
-    got = solve_pkfree(g, w, 4, level, capacity_n=max(1, g.n), family=family)
-    want = solve_pkfree(g, w, k_hint=4, assertion_level=level)
+    got = solve_pkfree(g, w, 14, level, capacity_n=max(1, g.n), family=family)
+    want = solve_pkfree(g, w, k_hint=14, assertion_level=level)
     assert isinstance(got, SolveResult)
     assert (got.weight, got.witness) == (want.weight, want.witness)
     assert got.stats.to_dict() == want.stats.to_dict()
@@ -263,6 +264,14 @@ def test_verify_witness_accepts_and_rejects():
         with pytest.raises(InvariantViolation, match=message) as err:
             verify_witness(g, w, weight, mask)
         assert err.value.rule == "witness"
+
+
+def test_verify_witness_rejects_a_repeated_id():
+    # Two copies of one id make a mask of one vertex: the list is not a set.
+    g = path_graph(3)
+    with pytest.raises(InvariantViolation, match="reported witness is not independent") as err:
+        verify_witness(g, unit_weights(g), 2, [1, 1])
+    assert err.value.rule == "witness"
 
 
 def test_stats_depth_and_size_tracking():

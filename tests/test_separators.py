@@ -316,3 +316,21 @@ def test_verify_balanced_matches_components_of_the_remainder(g, data):
     expected = all(len(c) <= bound for c in components)
     assert verify_balanced(g, separator, bound) is expected
     assert verify_balanced(g, g.table.mask(separator), bound) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_graphs(), data=st.data())
+def test_component_masks_stops_exactly_past_its_limit(g, data):
+    # Unlimited, the labelling is the frozenset reference's. With a limit of
+    # 0 to n it is None exactly when a component has more than limit
+    # vertices, and otherwise the same. verify_balanced labels under
+    # floor(bound), so a bound between two integers must decide the same.
+    live = data.draw(st.integers(0, g.mask), label="live")
+    adj = g.table.adj
+    full = component_masks(adj, live)
+    assert [g.table.decode(c) for c in full] == _components(g, g.table.decode(live))
+    largest = max((c.bit_count() for c in full), default=0)
+    for limit in range(g.n + 1):
+        assert component_masks(adj, live, limit=limit) == (full if largest <= limit else None)
+        for bound in (limit, Fraction(limit), Fraction(2 * limit + 1, 2)):
+            assert verify_balanced(g, g.mask & ~live, bound) is (largest <= bound)
