@@ -319,6 +319,14 @@ def validate_weights(g: Graph, w: WeightMap) -> None:
             raise ValueError(f"weight of vertex {v} must be an integer >= 0, got {wv!r}")
 
 
+def _check_positive(name: str, value: object) -> None:
+    # bool is an int subclass, refused as validate_weights refuses it.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def is_independent_set(g: Graph, xs: Iterable[int]) -> bool:
     """True iff xs has no repeated vertex and no two of its vertices are adjacent."""
     xlist = list(xs)

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 from .graph import (
     Graph,
     WeightMap,
+    _check_positive,
     connected_components,
     induced_subgraph,
     validate_weights,
@@ -36,7 +37,6 @@ from .graph import (
 from .instrumentation import (
     RULE_ADD_NEIGHBORHOOD,
     InvariantViolation,
-    _check_positive,
     max_measure_h,
     measure_h,
 )
@@ -93,7 +93,9 @@ class ComponentOracle:
     solver calls only solve_with_witness, and only on graphs with no
     induced copy of claimed_pattern. claimed_pattern None means the oracle
     is exact on every graph. Within one solve_hfree run each distinct
-    (component, vertex set) reaches the oracle at most once.
+    (component, vertex set) reaches the oracle at most once. The witness
+    may be any optimum, so solve_hfree's is the heaviest independent set,
+    ties to the larger mask, only when every oracle's is, as qmwis's are.
     """
 
     name: str

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any
 
+from .graph import _check_positive
 from .levels import VertexMultiFamily
 
 
@@ -29,14 +30,6 @@ class InvariantViolation(AssertionError):
         super().__init__(f"{rule}: {message}")
         self.rule = rule
         self.details = details or {}
-
-
-def _check_positive(name: str, value: object) -> None:
-    # bool is an int subclass, refused as validate_weights refuses it.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _potential(

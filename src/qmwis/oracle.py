@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Graph, VertexTable, WeightMap, component_masks, validate_weights
+from .graph import Graph, VertexTable, WeightMap, _check_positive, component_masks, validate_weights
 from .graphio import GENERATOR_KINDS, MAX_VERTICES, MAX_WEIGHT
 from .separators import longest_induced_path_at_most
 
@@ -40,26 +40,24 @@ def brute_force_mwis(
 ) -> tuple[int, frozenset[int]]:
     """Exact maximum-weight independent set by branch and bound.
 
-    Vertices are decided by decreasing degree, ties by id, taking before
-    deleting. The witness is the first leaf of that search that is strictly
-    heavier than every leaf before it, whichever bound prunes: a subtree
-    with edgeless candidates is answered by its first leaf, which takes
-    every candidate and is the heaviest in the subtree. The search runs on
-    g's own vertex table, one component at a time (see _brute_force_mask);
-    the witness is the one the search over all of g would find.
+    The witness is the heaviest independent set, ties to the larger mask
+    over g's table: of two tied optima, the one holding the highest id
+    where they differ. It depends on (g, w) alone, not on the search order.
 
     Args:
         g: graph, at most max_size vertices.
         w: non-negative integer vertex weights, defined on every vertex.
-        max_size: refusal threshold; exponential search must stay small.
+        max_size: refusal threshold, an int >= 1; the search is exponential.
 
     Returns:
         (weight, witness) with witness an independent set of that weight.
 
     Raises:
-        ValueError: when w misses a vertex or a weight is not an int >= 0.
+        ValueError: when w misses a vertex, a weight is not an int >= 0 or
+            max_size is not an int >= 1.
         GraphTooLarge: when |V(g)| > max_size.
     """
+    _check_positive("brute-force cap", max_size)
     validate_weights(g, w)
     weight, witness = _brute_force_mask(g, w, max_size)
     return weight, g.table.decode(witness)
@@ -72,12 +70,9 @@ def _brute_force_mask(
 
     Trusted: w must already be valid for g. The search reads the shared
     table's adjacency masks and root ranks, so nothing is re-indexed. Each
-    component is searched apart and the parts are summed. A component's
-    decisions never change another's, so the first leaf of the whole search
-    that reaches the optimum joins each component's first leaf reaching its
-    own optimum. For a component of weight 0 that is its first leaf, the
-    greedy one, where its own search would keep the empty start. A total of
-    0 keeps the empty set: no leaf is strictly heavier than the start.
+    component is searched apart: the heaviest set, ties to the larger mask,
+    of a disjoint union is the union of its components' own, as their
+    weights and their disjoint masks add.
     """
     live = g.mask
     n = live.bit_count()
@@ -87,29 +82,25 @@ def _brute_force_mask(
     ids = table.ids
     total = witness = 0
     for comp in component_masks(table.adj, live):
-        # One or two vertices need no search: an edge takes its second
-        # vertex (by id, as both have degree 1) only if strictly heavier.
+        # One or two vertices need no search: an edge keeps its larger end.
         low = comp & -comp
         high = comp ^ low
         if not high:
             weight, found = w[ids[low.bit_length() - 1]], low
         elif not high & (high - 1):
-            weight, found = w[ids[low.bit_length() - 1]], low
-            if w[ids[high.bit_length() - 1]] > weight:
-                weight, found = w[ids[high.bit_length() - 1]], high
+            weight, found = max(
+                (w[ids[low.bit_length() - 1]], low), (w[ids[high.bit_length() - 1]], high)
+            )
         else:
             weight, found = _search_component(table, w, comp)
         total += weight
         witness |= found
-    return (total, witness) if total else (0, 0)
+    return total, witness
 
 
 def _search_component(table: VertexTable, w: WeightMap, comp: int) -> tuple[int, int]:
-    # The first leaf of comp's search reaching its optimum. The best starts
-    # below every leaf, so the first leaf is kept even when it weighs 0.
+    # The largest (weight, mask) pair of comp, deciding vertices by decreasing degree, then id.
     adj, closed, ids = table.adj, table.closed_adj, table.ids
-    # Decreasing degree, ties broken on the lower rank, which is the lower
-    # id, keeping the search order deterministic.
     order = [r for _, r in sorted([(-(adj[r] & comp).bit_count(), r) for r in table.ranks(comp)])]
     bits = [1 << r for r in order]
     weights = {r: w[ids[r]] for r in order}
@@ -122,16 +113,18 @@ def _search_component(table: VertexTable, w: WeightMap, comp: int) -> tuple[int,
     stack = [(comp, 0, 0, 0)]
     while stack:
         cand, current, chosen, j = stack.pop()
-        # Greedily pack the candidates into cliques; an independent set takes
-        # at most the heaviest vertex of each. Every clique is a single
-        # vertex exactly when the candidates have no edge.
-        bound = 0
+        # Greedily pack the candidates into cliques. A leaf below takes at
+        # most one vertex of each, and to reach current + bound only ones of
+        # greatest weight in their clique, so its mask is at most chosen |
+        # tops, which holds each clique's highest such vertex. Without edges
+        # every clique is one vertex, and taking them all is that leaf.
+        bound = tops = 0
         edgeless = True
         remaining = cand
         while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            r = low.bit_length() - 1
+            top = remaining & -remaining
+            remaining ^= top
+            r = top.bit_length() - 1
             clique_max = weights[r]
             pool = remaining & adj[r]
             if pool:
@@ -140,14 +133,16 @@ def _search_component(table: VertexTable, w: WeightMap, comp: int) -> tuple[int,
                     low = pool & -pool
                     remaining ^= low
                     t = low.bit_length() - 1
-                    if weights[t] > clique_max:
-                        clique_max = weights[t]
+                    if weights[t] >= clique_max:
+                        clique_max, top = weights[t], low
                     pool &= adj[t]
             bound += clique_max
-        if current + bound <= best_weight:
+            tops |= top
+        bound += current
+        if bound < best_weight or bound == best_weight and chosen | tops <= best_set:
             continue
         if edgeless:
-            best_weight, best_set = current + bound, chosen | cand
+            best_weight, best_set = bound, chosen | cand
             continue
         while not cand & bits[j]:
             j += 1

@@ -37,6 +37,7 @@ from .graph import (
     Graph,
     VertexSet,
     WeightMap,
+    _check_positive,
     closed_neighborhood,
     component_masks,
     induced_subgraph,
@@ -50,7 +51,6 @@ from .instrumentation import (
     RULE_COMPONENT,
     InvariantViolation,
     RunStats,
-    _check_positive,
     assert_recurrence_step,
     check_level_growth,
     check_level_sizes,
@@ -222,12 +222,15 @@ def drive(
 ) -> tuple[int, int]:
     """Run the shared recursion from the root (g, w, N, F) to its answer.
 
-    Answers are (weight, witness mask over g's table). A task is one of
+    Answers are (weight, witness mask over g's table). When every leaf's is
+    the heaviest independent set, ties to the larger mask, so is the root's:
+    a branch keeps the larger of its two (weight, mask) pairs, and disjoint
+    parts' pairs add up to the whole's. A task is one of
 
       (_NODE, depth, graph, mask, N, F, potential)  the call on G[mask], the
           root at depth 1; graph is None for a split part until it runs;
       (_SUM, count)       the sum of the count answers on top;
-      (_PICK, w(v), bit)  the better of a branch's delete and take answers;
+      (_PICK, w(v), bit)  the larger of a branch's delete and take answers;
       (_STORE, mask, depth, outer, mark)  the answer on top, kept in the memo.
 
     A split or a branch pushes its children in reverse above its marker, so
@@ -272,12 +275,11 @@ def drive(
             kind = task[0]
             if kind != _NODE:
                 if kind == _PICK:
-                    # The take side wins only when strictly heavier, so ties
-                    # keep the first-explored (delete) branch's witness.
-                    take_weight, take_witness = results.pop()
-                    take_weight += task[1]
-                    if take_weight > results[-1][0]:
-                        results[-1] = take_weight, take_witness | task[2]
+                    weight, witness = results.pop()
+                    weight += task[1]
+                    delete = results[-1]
+                    if weight > delete[0] or weight == delete[0] and witness | task[2] > delete[1]:
+                        results[-1] = weight, witness | task[2]
                 elif kind == _SUM:
                     weight = witness = 0
                     for _ in range(task[1]):

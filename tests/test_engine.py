@@ -170,9 +170,10 @@ def test_a_growth_chain_past_n_log_n_breaks_the_chain_rule(monkeypatch):
     assert (scheme.growths, scheme.stats.calls) == (8, 9)
 
 
-def test_a_branch_with_equal_children_keeps_the_delete_answer_on_ties():
+def test_a_branch_with_equal_children_keeps_the_larger_mask_on_ties():
     # One isolated vertex: growing F by N[v] makes v branchable, and both
-    # children are the empty graph. Take wins only when strictly heavier.
+    # children are the empty graph. At weight 0 the answers tie, and take's
+    # mask, holding v, is the larger.
     class Branch(Toy):
         def split(self, g, n_cap):
             return None
@@ -181,9 +182,9 @@ def test_a_branch_with_equal_children_keeps_the_delete_answer_on_ties():
             return g.mask if g.n and not len(family) else None
 
     g = edgeless(1)
-    for weight, answer in ((0, (0, 0)), (5, (5, g.mask))):
+    for weight in (0, 5):
         scheme = Branch()
-        assert drive(scheme, *root(g, weights={1: weight})) == answer
+        assert drive(scheme, *root(g, weights={1: weight})) == (weight, g.mask)
         stats = scheme.stats
         assert (stats.calls, stats.branch_steps, stats.max_depth) == (4, 1, 2)
         assert scheme.leaves == [[], []]

@@ -2,8 +2,9 @@
 
 Call counts, weights, witnesses, the exact CLI report bytes and the full run
 stats must not move when the graph representation or the recursion's code
-changes: every tie-break ("smallest id wins") is part of the pinned
-behaviour. So are the rule, message and details of the audit failures the
+changes: every tie-break is part of the pinned behaviour, "smallest id wins"
+in a vertex choice and "the larger mask wins" between optima of equal
+weight. So are the rule, message and details of the audit failures the
 shared recursion raises.
 """
 

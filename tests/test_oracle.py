@@ -12,12 +12,19 @@ from qmwis import (
     GeneratorSpec,
     Graph,
     GraphTooLarge,
+    VertexMultiFamily,
     brute_force_mwis,
     generate,
     is_independent_set,
     longest_induced_path_at_most,
+    make_bruteforce_oracle,
+    make_pk_oracle,
+    solve_hfree,
+    solve_pkfree,
     total_weight,
 )
+
+P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
 
 
 def path_graph(n: int) -> Graph:
@@ -29,7 +36,7 @@ def cycle_graph(n: int) -> Graph:
 
 
 def enumerate_mwis(g: Graph, w: dict) -> tuple[int, frozenset[int]]:
-    """Raw 2^n reference used to validate the branch-and-bound oracle."""
+    """Raw 2^n reference: the heaviest independent set, ties to the larger mask."""
     ids = g.vertex_ids()
     n = len(ids)
     index = {v: j for j, v in enumerate(ids)}
@@ -50,7 +57,7 @@ def enumerate_mwis(g: Graph, w: dict) -> tuple[int, frozenset[int]]:
                 break
             weight += w[ids[j]]
             m &= m - 1
-        if ok and weight > best_weight:
+        if ok and weight >= best_weight:
             best_weight = weight
             best_mask = mask
     return best_weight, frozenset(ids[j] for j in range(n) if best_mask >> j & 1)
@@ -106,6 +113,13 @@ def _stack_depth() -> int:
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     return depth
+
+
+@pytest.mark.parametrize("bad", ["3", True, 2.5, 0, -1])
+def test_brute_force_refuses_a_cap_that_is_not_an_int_of_at_least_one(bad):
+    # As make_bruteforce_oracle does: a bool, a float or a string is no cap.
+    with pytest.raises(ValueError, match=f"^brute-force cap must be .*, got {re.escape(repr(bad))}$"):
+        brute_force_mwis(path_graph(3), {1: 1, 2: 1, 3: 1}, max_size=bad)
 
 
 @pytest.mark.parametrize(
@@ -304,35 +318,13 @@ def test_brute_force_witness_property(data):
     assert weight == enumerate_mwis(g, w)[0]
 
 
-def _unbounded_first_best(g: Graph, w: dict) -> tuple[int, frozenset[int]]:
-    # Plain search with no bound: vertices by decreasing degree (stable over
-    # increasing ids), take before delete, and the first leaf strictly
-    # heavier than every earlier leaf wins.
-    order = sorted(g.vertex_ids(), key=lambda v: -g.degree(v))
-    best = [0, frozenset()]
-
-    def search(j: int, cand: frozenset[int], chosen: frozenset[int], weight: int) -> None:
-        while j < len(order) and order[j] not in cand:
-            j += 1
-        if j == len(order):
-            if weight > best[0]:
-                best[:] = [weight, chosen]
-            return
-        v = order[j]
-        search(j + 1, cand - g.closed(v), chosen | {v}, weight + w[v])
-        search(j + 1, cand - {v}, chosen, weight)
-
-    search(0, g.vertices, frozenset(), 0)
-    return tuple(best)
-
-
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_brute_force_witness_is_the_first_strictly_heavier_leaf(data):
-    # Pins the witness independently of the bound: pruning, the edgeless
-    # leaf or any later bound must not move it. Small weights make ties
-    # common, so the tie-break is exercised.
-    n = data.draw(st.integers(min_value=0, max_value=10), label="n")
+def test_every_answer_is_the_heaviest_set_ties_to_the_larger_mask(data):
+    # Small weights make ties common. Every solver, level, root and qmwis
+    # oracle must then report the one optimum the rule picks, whatever path
+    # its search took.
+    n = data.draw(st.integers(min_value=0, max_value=12), label="n")
     ids = list(range(1, n + 1))
     edges = [
         (u, v)
@@ -340,26 +332,34 @@ def test_brute_force_witness_is_the_first_strictly_heavier_leaf(data):
         if data.draw(st.booleans(), label=f"e{u},{v}")
     ]
     g = Graph(ids, edges)
-    w = {v: data.draw(st.integers(min_value=0, max_value=3), label=f"w{v}") for v in ids}
-    assert brute_force_mwis(g, w) == _unbounded_first_best(g, w)
+    hi = data.draw(st.sampled_from([1, 3, 100]), label="hi")
+    w = {v: data.draw(st.integers(min_value=0, max_value=hi), label=f"w{v}") for v in ids}
+    smallest_k = next(k for k in itertools.count(1) if longest_induced_path_at_most(g, k))
+    answers = {"brute force": brute_force_mwis(g, w)}
+    for level in ("off", "fair", "paranoid"):
+        for k_hint in (None, smallest_k):
+            result = solve_pkfree(g, w, k_hint, level)
+            answers[f"pk {level} k_hint={k_hint}"] = result.weight, result.witness
+        oracles = [make_pk_oracle(4), make_bruteforce_oracle()]
+        result = solve_hfree(P4_K3, g, w, oracles, assertion_level=level)
+        answers[f"hfree {level}"] = result.weight, result.witness
+    # A preloaded root: N past |V(G)| and at most log(N) members, so no
+    # level past log(N) is occupied.
+    capacity = data.draw(st.integers(min_value=max(1, n), max_value=2 * n + 2), label="N")
+    members = data.draw(
+        st.lists(st.sets(st.sampled_from(ids)), max_size=(capacity - 1).bit_length())
+        if ids
+        else st.just([]),
+        label="F",
+    )
+    result = solve_pkfree(g, w, capacity_n=capacity, family=VertexMultiFamily(members))
+    answers["pk fair from (N, F)"] = result.weight, result.witness
+    assert answers == dict.fromkeys(answers, enumerate_mwis(g, w))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_brute_force_split_keeps_the_first_strictly_heavier_leaf(data):
-    # Unions of small cycles and paths with weights 0-1, under shuffled ids
-    # so the components interleave in the search order. A component of
-    # weight 0 must still add its first leaf when the total is above 0.
-    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="sizes")
-    n = sum(sizes)
-    ids = data.draw(st.permutations(range(1, n + 1)), label="ids")
-    edges, start = [], 0
-    for size in sizes:
-        part = ids[start : start + size]
-        start += size
-        edges += list(zip(part, part[1:]))
-        if size >= 3 and data.draw(st.booleans(), label=f"cycle{start}"):
-            edges.append((part[-1], part[0]))
-    g = Graph(ids, edges)
-    w = {v: data.draw(st.integers(0, 1), label=f"w{v}") for v in range(1, n + 1)}
-    assert brute_force_mwis(g, w) == _unbounded_first_best(g, w)
+def test_a_pk_oracle_leaf_past_the_brute_force_cap_keeps_the_rule():
+    # Past 25 vertices the pk oracle runs the path recursion, whose answer
+    # the rule fixes as it fixes solve_pkfree's.
+    g, w = generate(GeneratorSpec(kind="cograph", size=60, seed=1, weight_range=(0, 3)))
+    result = solve_pkfree(g, w)
+    assert make_pk_oracle(4).solve_with_witness(g, w) == (result.weight, result.witness)

@@ -212,9 +212,9 @@ def test_collect_witness_take_wins_strictly():
     assert (heavier.witness, heavier.stats.branch_steps) == ({2}, 1)
 
 
-def test_collect_witness_tie_keeps_delete_side():
+def test_collect_witness_tie_keeps_the_larger_mask():
     tie = solve_pkfree(path_graph(3), {1: 1, 2: 2, 3: 1})
-    assert (tie.witness, tie.stats.branch_steps) == ({1, 3}, 1)  # the delete side
+    assert (tie.witness, tie.stats.branch_steps) == ({1, 3}, 1)  # 0b101 > 0b010
 
 
 def test_alg1_call_rejects_k_hint_and_n_below_one():
