@@ -14,7 +14,9 @@ from qmwis import (
     GraphTooLarge,
     VertexMultiFamily,
     brute_force_mwis,
+    connected_components,
     generate,
+    induced_subgraph,
     is_independent_set,
     longest_induced_path_at_most,
     make_bruteforce_oracle,
@@ -355,6 +357,48 @@ def test_every_answer_is_the_heaviest_set_ties_to_the_larger_mask(data):
     result = solve_pkfree(g, w, capacity_n=capacity, family=VertexMultiFamily(members))
     answers["pk fair from (N, F)"] = result.weight, result.witness
     assert answers == dict.fromkeys(answers, enumerate_mwis(g, w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_brute_force_witness_is_the_heaviest_leaf_ties_to_the_larger_mask(data):
+    # Pins brute force's witness independently of its bound: pruning, the
+    # edgeless leaf or any later bound must not move it. Small weights make
+    # ties common, so the tie-break is exercised.
+    n = data.draw(st.integers(min_value=0, max_value=10), label="n")
+    ids = list(range(1, n + 1))
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(ids, 2)
+        if data.draw(st.booleans(), label=f"e{u},{v}")
+    ]
+    g = Graph(ids, edges)
+    w = {v: data.draw(st.integers(min_value=0, max_value=3), label=f"w{v}") for v in ids}
+    assert brute_force_mwis(g, w) == enumerate_mwis(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_brute_force_split_adds_each_components_larger_mask_optimum(data):
+    # Unions of small cycles and paths with weights 0-1, under shuffled ids
+    # so the components interleave in the vertex order. The answer is the
+    # union of each component's own optimum, ties to its larger mask; a
+    # component of weight 0 adds its whole larger-mask witness too.
+    sizes = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4), label="sizes")
+    n = sum(sizes)
+    ids = data.draw(st.permutations(range(1, n + 1)), label="ids")
+    edges, start = [], 0
+    for size in sizes:
+        part = ids[start : start + size]
+        start += size
+        edges += list(zip(part, part[1:]))
+        if size >= 3 and data.draw(st.booleans(), label=f"cycle{start}"):
+            edges.append((part[-1], part[0]))
+    g = Graph(ids, edges)
+    w = {v: data.draw(st.integers(0, 1), label=f"w{v}") for v in range(1, n + 1)}
+    parts = [enumerate_mwis(induced_subgraph(g, c), w) for c in connected_components(g)]
+    expected = sum(p[0] for p in parts), frozenset().union(*(p[1] for p in parts))
+    assert brute_force_mwis(g, w) == expected == enumerate_mwis(g, w)
 
 
 def test_a_pk_oracle_leaf_past_the_brute_force_cap_keeps_the_rule():
