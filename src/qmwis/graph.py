@@ -270,13 +270,17 @@ def remove_vertices(g: Graph, xs: VertexSet) -> Graph:
     return sub
 
 
-def component_masks(adj: list[int], live: int, *, limit: int | None = None) -> list[int] | None:
+def component_masks(
+    adj: list[int], live: int, *, limit: int | None = None, until: int | None = None
+) -> list[int] | None:
     """Connected components of the vertices in live, as masks.
 
     adj is a table's adjacency list. Components come ordered by their lowest
     bit, which is their smallest id. Given a limit, the result is None as
     soon as a component grows past limit vertices, and at once when limit
-    is below 1 and live is non-empty.
+    is below 1 and live is non-empty. Given until, labelling stops after
+    the first component of more than until vertices, which ends the list,
+    or once the vertices left unlabelled are too few to hold one.
     """
     if limit is not None and limit < 1 and live:
         return None
@@ -296,6 +300,8 @@ def component_masks(adj: list[int], live: int, *, limit: int | None = None) -> l
                 todo |= new
         components.append(comp)
         rest ^= comp
+        if until is not None and (comp.bit_count() > until or rest.bit_count() <= until):
+            break
     return components
 
 

@@ -230,7 +230,8 @@ class _PatternScheme(Scheme):
     F grows by N[X] for an induced copy X of component i = |F| mod c, and a
     graph with no such copy goes to oracle i. assume_hfree claims the root
     graph has no induced copy of the whole pattern; only then are the family
-    bound and the potential audited.
+    bound and the potential audited. _searched keeps, per component, the
+    last anchor search's (graph mask, copy mask or None).
     """
 
     noun = "neighborhood"
@@ -242,15 +243,30 @@ class _PatternScheme(Scheme):
         self.pattern, self.oracles, self.claimed = pattern, oracles, assume_hfree
         self.size, self.c = pattern.total_size, len(pattern.components)
         self.params = {"pattern_size": self.size, "pattern_components": self.c}
+        self._searched: list[tuple[int, int | None] | None] = [None] * self.c
 
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
-        # A stored leaf (i, mask) is a search for H_i in this graph that
-        # already failed: its answer waits in the memo.
-        index = len(family._raw) % self.c
-        if self.memo.get((index, g.mask)) is not None:
+        """The mask of find_induced_copy's copy of H_i in g, or None; i = |F| mod c.
+
+        A stored leaf (i, mask) is a search for H_i in this graph that
+        already failed: its answer waits in the memo. Otherwise the last
+        search for H_i answers when g lies inside the graph it searched and
+        its copy, if any, inside g: an induced subgraph of an H_i-free graph
+        is H_i-free, and the lexicographically first copy stays first in
+        any induced subgraph holding it. Only a fresh search is recorded.
+        """
+        index, mask = len(family._raw) % self.c, g.mask
+        if self.memo.get((index, mask)) is not None:
             return None
-        copy = find_induced_copy(g, self.pattern.components[index])
-        return None if copy is None else g.table.mask(copy)
+        last = self._searched[index]
+        if last is not None and not mask & ~last[0]:
+            copy = last[1]
+            if copy is None or not copy & ~mask:
+                return copy
+        found = find_induced_copy(g, self.pattern.components[index])
+        copy = None if found is None else g.table.mask(found)
+        self._searched[index] = mask, copy
+        return copy
 
     def record_growth(self) -> None:
         self.stats.neighborhoods_added_count += 1

@@ -41,19 +41,27 @@ def ceil_log2(x: int) -> int:
 class VertexMultiFamily:
     """Ordered multiset of vertex sets with level-set queries.
 
-    Immutable. masks holds the members and level_masks the non-empty
-    levels L(F, 1), L(F, 2), ... as masks over table. A family built from
-    ids without a table gets its own table over the ids it holds. add and
-    subtract take ids or a mask over the family's table: appending member m
-    sets L(F, i + 1) |= L(F, i) & m, and subtracting X clears X from every
-    level and ORs it into _removed. The members kept in _raw still hold the
-    vertices in _removed; masks and iter_masks clear them on every read and
-    hand out _raw itself while _removed is empty. Only level_sizes() is
-    kept, in _sizes, once asked for: the paranoid audit reads it on the edge
-    into a call and again in the call.
+    Immutable apart from two private caches. masks holds the members and
+    level_masks the non-empty levels L(F, 1), L(F, 2), ... as masks over
+    table. A family built from ids without a table gets its own table over
+    the ids it holds. add and subtract take ids or a mask over the family's
+    table: appending member m sets L(F, i + 1) |= L(F, i) & m, and
+    subtracting X clears X from every level and ORs it into _removed. The
+    members kept in _raw still hold the vertices in _removed; masks and
+    iter_masks clear them on every read and hand out _raw itself while
+    _removed is empty.
+
+    The caches: _sizes keeps level_sizes() once asked for, as the paranoid
+    audit reads it on the edge into a call and again in the call. _refuted
+    is find_branchable's (N, live, refuted): the vertices of refuted scored
+    below N against these levels on the graph with vertex mask live. A
+    score only falls on a subgraph of live and under F - X, whose levels
+    are L(F, i) - X, so subtract hands the cache to its result; add grows
+    the levels and starts with none. find_branchable checks N and that its
+    graph lies inside live on every read.
     """
 
-    __slots__ = ("table", "_raw", "_removed", "level_masks", "_sizes")
+    __slots__ = ("table", "_raw", "_removed", "level_masks", "_sizes", "_refuted")
 
     def __init__(self, members: Iterable[Iterable[int]] = (), table: VertexTable | None = None):
         sets = [frozenset(m) for m in members]
@@ -63,6 +71,7 @@ class VertexMultiFamily:
         self._raw = tuple(table.mask(m) for m in sets)
         self._removed = 0
         self._sizes: tuple[int, ...] | None = None
+        self._refuted: tuple[int, int, int] | None = None
         self.level_masks: tuple[int, ...] = ()
         for m in self._raw:
             self.level_masks = _with_member(self.level_masks, m)
@@ -73,7 +82,7 @@ class VertexMultiFamily:
     ) -> "VertexMultiFamily":
         fam = object.__new__(cls)
         fam.table, fam._raw, fam._removed, fam.level_masks = table, raw, removed, level_masks
-        fam._sizes = None
+        fam._sizes = fam._refuted = None
         return fam
 
     @property
@@ -148,7 +157,7 @@ class VertexMultiFamily:
         # _make inlined: the solvers call this twice per branch.
         fam = object.__new__(VertexMultiFamily)
         fam.table, fam._raw, fam._removed = self.table, self._raw, self._removed | xs
-        fam.level_masks, fam._sizes = tuple(levels), None
+        fam.level_masks, fam._sizes, fam._refuted = tuple(levels), None, self._refuted
         return fam
 
 
@@ -194,15 +203,31 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     vertex. The largest |L(F, i) cap V(G)| * 2^i kept is a ceiling on every
     score, so the scan, lowest id first, stops at the first vertex that
     reaches it: only a strictly higher score replaces the best.
+
+    The scan skips the vertices the family's cache (see VertexMultiFamily)
+    holds as refuted at this N on a graph containing g: none of them can
+    qualify, so the winner is unchanged, and None comes at once when they
+    cover V(g). The cache then records what this scan refuted on g; the
+    winner, other qualifying vertices and vertices past an early stop stay
+    open.
     """
     if capacity_n < 1:
         raise ValueError(f"N must be >= 1, got {capacity_n}")
     live = g.mask
-    cap = (capacity_n - 1).bit_length() + 1
     if family.table is not g.table:
         family = family.over(g.table)
-    levels, ceiling = [], 0
-    for i, level in enumerate(family.level_masks, 1):
+    hint = family._refuted
+    if hint is not None and hint[0] == capacity_n and not live & ~hint[1]:
+        refuted = hint[2]
+        start = live & ~refuted
+        if not start:
+            return None
+    else:
+        refuted, start = 0, live
+    cap = (capacity_n - 1).bit_length() + 1
+    levels, ceiling, i = [], 0, 0
+    for level in family.level_masks:
+        i += 1
         if i > cap:
             break
         if (top := (m := level & live).bit_count() << i) >= capacity_n:
@@ -212,18 +237,22 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     if not levels:
         return None
     closed_adj = g.table.closed_adj
-    # Only a qualifying score, at least N, can become the best.
-    best, winner, rest = capacity_n - 1, 0, live
+    # Only a qualifying score, at least N, can become the best; qualifying
+    # vertices gather in opened.
+    best, winner, opened, rest = capacity_n - 1, 0, 0, start
     if len(levels) == 1:
-        # One level: count << i > best iff count > best >> i.
+        # One level: count << i >= N iff count > (N - 1) >> i.
         i, m = levels[0]
-        best, ceiling = best >> i, m.bit_count()
+        least = best = best >> i
+        ceiling = m.bit_count()
         while rest:
             low = rest & -rest
-            if (count := (closed_adj[low.bit_length() - 1] & m).bit_count()) > best:
-                best, winner = count, low
-                if count == ceiling:
-                    break
+            if (count := (closed_adj[low.bit_length() - 1] & m).bit_count()) > least:
+                opened |= low
+                if count > best:
+                    best, winner = count, low
+                    if count == ceiling:
+                        break
             rest ^= low
     else:
         while rest:
@@ -233,9 +262,13 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
             for i, m in levels:
                 if (count := (closed & m).bit_count() << i) > score:
                     score = count
-            if score > best:
-                best, winner = score, low
-                if score == ceiling:
-                    break
+            if score >= capacity_n:
+                opened |= low
+                if score > best:
+                    best, winner = score, low
+                    if score == ceiling:
+                        break
             rest ^= low
+    # rest still holds the winner and what follows it after an early stop.
+    family._refuted = capacity_n, live, refuted | start & ~rest & ~opened
     return g.table.ids[winner.bit_length() - 1] if winner else None

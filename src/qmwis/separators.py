@@ -23,8 +23,9 @@ def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
 
     Each step moves into the component C of current - N[tail] with more
     than |current|/2 vertices, at its smallest neighbour, and the path ends
-    when there is none. At most one component is that large, so C is the
-    largest, and no component is labelled when current - N[tail] is no
+    when there is none. At most one component is that large, so labelling
+    stops at the first one past half, or once too few vertices are left
+    for one, and no component is labelled when current - N[tail] is no
     larger than half. N(C) within current lies inside N(tail), so that
     neighbour is the first vertex of N(tail) adjacent to C.
     """
@@ -34,7 +35,7 @@ def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
         rest = current & ~(adj[tail] | 1 << tail)
         if rest.bit_count() <= half:
             return path
-        big = max(component_masks(adj, rest), key=int.bit_count)
+        big = component_masks(adj, rest, until=half)[-1]
         if big.bit_count() <= half:
             return path
         candidates = adj[tail] & current

@@ -475,12 +475,55 @@ def test_paranoid_checks_each_distinct_leaf_once(monkeypatch):
     # Paranoid verifies each oracle answer once, and each pk invocation, all
     # on brute-force leaves here, also checks its own witness.
     assert (fair_verified, paranoid_verified) == (len(calls[0]), invoked + len(calls[0])) == (59, 278)
-    # An anchor search finds no copy once per distinct leaf, at both levels:
-    # a repeated leaf is known from the memo and searched no more. The
-    # oracle-validity search adds one more for each distinct leaf only.
+    # An anchor search finds no copy at most once per distinct leaf, at both
+    # levels: a repeated leaf is known from the memo and searched no more,
+    # and a leaf inside a graph the last search found copy-free is answered
+    # by that search. The oracle-validity search adds one more for each
+    # distinct leaf only.
     extra = paranoid_free - fair_free
-    assert sum(fair_free.values()) == len(fair_free) == invoked == 219
+    assert sum(fair_free.values()) == len(fair_free) == 125 < invoked
     assert len(extra) == invoked and set(extra.values()) == {1}
+
+
+class _Forgetful(list):
+    """A last-search record that keeps nothing, so every anchor search runs."""
+
+    def __setitem__(self, index, value):
+        pass
+
+
+@pytest.mark.parametrize("weights", [(0, 100), (0, 3)], ids=["weights0-100", "weights0-3"])
+@pytest.mark.parametrize("name", ["p4k3", "k3p4"])
+@pytest.mark.parametrize("spec", GOLDEN_HFREE_SPECS, ids=lambda s: f"gnp-{s.size}-seed{s.seed}")
+def test_the_last_search_record_moves_no_answer_and_no_count(spec, name, weights, monkeypatch):
+    import qmwis.hfree as hfree
+
+    class NoRecord(hfree._PatternScheme):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self._searched = _Forgetful(self._searched)
+
+    real_copy, searches = hfree.find_induced_copy, []
+
+    def search(g, h):
+        searches.append(g.mask)
+        return real_copy(g, h)
+
+    monkeypatch.setattr(hfree, "find_induced_copy", search)
+    g, w = generate(dataclasses.replace(spec, weight_range=weights))
+    pattern, oracles = _pattern_oracles(name)
+    for level in ("off", "fair", "paranoid"):
+        searches.clear()
+        kept = solve_hfree(pattern, g, w, oracles, assertion_level=level)
+        with_record = len(searches)
+        searches.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(hfree, "_PatternScheme", NoRecord)
+            fresh = solve_hfree(pattern, g, w, oracles, assertion_level=level)
+        assert (kept.weight, kept.witness) == (fresh.weight, fresh.witness)
+        assert kept.stats.to_dict() == fresh.stats.to_dict()
+        # The record answers searches here, so the two runs took different paths.
+        assert with_record < len(searches)
 
 
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])

@@ -115,6 +115,29 @@ def test_find_branchable_qualifies_at_cap():
     assert find_branchable(g, VertexMultiFamily([{1}, {1}, {1}]), 2) == 1
 
 
+def test_find_branchable_ignores_refutations_from_another_n_or_a_smaller_graph():
+    # Path 1-2-3 and vertex 4, all on level 1. At N = 6 vertex 2 scores
+    # |N[2] cap L(F, 1)| * 2 = 6 and wins; without vertex 3 nothing reaches 6.
+    g = Graph([1, 2, 3, 4], [(1, 2), (2, 3)])
+    fam = VertexMultiFamily([{1, 2, 3, 4}], table=g.table)
+    small = remove_vertices(g, {3})
+    assert find_branchable(small, fam, 6) is None
+    assert fam._refuted == (6, small.mask, small.mask)
+    # The whole graph is not inside the one the cache was recorded on.
+    assert find_branchable(g, fam, 6) == 2
+    # At N = 7 every vertex is refuted; at N = 5 vertex 2 wins again.
+    assert find_branchable(g, fam, 7) is None
+    assert fam._refuted == (7, g.mask, g.mask)
+    assert find_branchable(g, fam, 5) == 2
+    # subtract hands the cache on; add drops it, also when the new member
+    # holds a vertex the others lost.
+    assert find_branchable(g, fam, 7) is None
+    cut = fam.subtract({4})
+    assert cut._refuted == fam._refuted
+    assert fam.add({1})._refuted is None
+    assert cut.add({4})._refuted is None
+
+
 def _qualifies(g: Graph, family: VertexMultiFamily, n_cap: int, v: int) -> bool:
     closed = g.closed(v)
     for i in range(1, ceil_log2(n_cap) + 2):

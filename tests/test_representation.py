@@ -177,6 +177,61 @@ def test_family_levels_and_branching_match_the_set_reference(gd, data):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(gd=graphs(), data=st.data())
+def test_find_branchable_reuses_refutations_along_subtract_and_add(gd, data):
+    """find_branchable along a random run of branches, growths and other graphs.
+
+    "branch" drops a set from the graph and the family, as a branch child
+    does; "shrink" drops it from the graph alone, as when subtract hands
+    back the family itself; "add" grows the family; "restore" goes back to
+    the whole graph with the current family, a graph the cache's own does
+    not contain. After each step the answer matches the set reference and
+    a fresh family's, whatever the cache holds.
+    """
+    g, ids, edges = gd
+    adj = reference(ids, edges)
+    ids = sorted(ids)
+    subsets = st.sets(st.sampled_from(ids)) if ids else st.just(set())
+    model = [set(m) for m in data.draw(st.lists(subsets, max_size=4), label="members")]
+    n_cap = data.draw(st.integers(max(1, len(ids)), 2 * max(1, len(ids))), label="N")
+    fam = VertexMultiFamily(table=g.table)
+    for m in model:
+        fam = fam.add(g.table.mask(m))
+    graph, keep = g, set(ids)
+    kinds = st.sampled_from(["branch", "shrink", "add", "restore"])
+    ops = data.draw(st.lists(kinds, max_size=8), label="ops")
+    for op in [None] + ops:
+        if op == "restore":
+            graph, keep = g, set(ids)
+        elif op is not None:
+            xs = data.draw(subsets, label=op)
+            if op == "add":
+                fam, model = fam.add(g.table.mask(xs)), model + [xs]
+            else:
+                graph, keep = remove_vertices(graph, xs), keep - xs
+                if op == "branch":
+                    fam, model = fam.subtract(xs), [m - xs for m in model]
+        got = find_branchable(graph, fam, n_cap)
+        assert got == ref_find_branchable(ref_induced(adj, keep), model, n_cap)
+        assert got == find_branchable(graph, VertexMultiFamily(model, table=g.table), n_cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gd=graphs(max_n=8), hd=graphs(max_n=4), data=st.data())
+def test_an_induced_subgraph_keeps_the_first_copy_it_holds(gd, hd, data):
+    """The heredity the pattern scheme's last-search record rests on."""
+    g, ids, _ = gd
+    h = hd[0]
+    keep = data.draw(st.sets(st.sampled_from(sorted(ids))) if ids else st.just(set()), label="keep")
+    sub = induced_subgraph(g, keep)
+    copy, inner = find_induced_copy(g, h), find_induced_copy(sub, h)
+    if copy is None:
+        assert inner is None
+    elif copy <= keep:
+        assert inner == copy
+
+
 def ref_first_copy(adj, h):
     # The first embedding of h's vertices (in id order) into g's vertex
     # sequences in lexicographic order.
