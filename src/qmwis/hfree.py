@@ -13,7 +13,8 @@ fits:
   1. a branchable vertex v exists: best of solving without v and solving
      without N[v] plus w(v);
   2. G has an induced copy X of H_i: grow F by N[X] and retry;
-  3. neither: return the i-th oracle's answer, valid since G is H_i-free.
+  3. neither: return the i-th oracle's answer, valid since G is H_i-free,
+     one connected component of G at a time.
 
 N never changes and there is no component split. The result is exact for
 every input graph as long as the oracles honor their contract. The
@@ -30,6 +31,7 @@ from .graph import (
     Graph,
     WeightMap,
     _check_positive,
+    component_masks,
     connected_components,
     induced_subgraph,
     validate_weights,
@@ -41,7 +43,12 @@ from .instrumentation import (
     measure_h,
 )
 from .levels import VertexMultiFamily
-from .oracle import DEFAULT_BRUTE_FORCE_CAP, GraphTooLarge, _brute_force_mask
+from .oracle import (
+    DEFAULT_BRUTE_FORCE_CAP,
+    GraphTooLarge,
+    _brute_force_mask,
+    _small_component,
+)
 from .pkfree import (
     Scheme,
     SolveResult,
@@ -90,12 +97,14 @@ class ComponentOracle:
 
     solve_with_witness returns (weight, witness), the witness a set of ids
     of g; solve returns the same weight alone. Both are required. The
-    solver calls only solve_with_witness, and only on graphs with no
-    induced copy of claimed_pattern. claimed_pattern None means the oracle
-    is exact on every graph. Within one solve_hfree run each distinct
-    (component, vertex set) reaches the oracle at most once. The witness
-    may be any optimum, so solve_hfree's is the heaviest independent set,
-    ties to the larger mask, only when every oracle's is, as qmwis's are.
+    solver calls only solve_with_witness, and only on connected graphs of
+    at least 3 vertices with no induced copy of claimed_pattern; a leaf's
+    smaller components it answers itself. claimed_pattern None means the
+    oracle is exact on every graph. Within one solve_hfree run each
+    distinct (pattern component, vertex set) reaches an oracle at most
+    once. The witness may be any optimum, so solve_hfree's is the heaviest
+    independent set, ties to the larger mask, only when every oracle's is,
+    as qmwis's are.
     """
 
     name: str
@@ -133,11 +142,12 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     A graph of at most DEFAULT_BRUTE_FORCE_CAP vertices is answered by
     brute_force_mwis's mask entry, which is faster there than the
     recursion; a larger one by the path-free solver's recursion at level
-    "off". Both are exact on every graph, so the oracle is too; the claimed
-    pattern just records the component it is meant for. It trusts w, which
-    solve_hfree has validated, and verifies the witness on both branches,
-    the brute-force one as a mask before decoding it. k must be an int >= 1;
-    a bool is refused too.
+    "off". solve_hfree hands it only connected graphs, so that size is one
+    leaf component's. Both are exact on every graph, so the oracle is too;
+    the claimed pattern just records the component it is meant for. It
+    trusts w, which solve_hfree has validated, and verifies the witness on
+    both branches, the brute-force one as a mask before decoding it. k must
+    be an int >= 1; a bool is refused too.
     """
     _check_positive("path length", k)
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
@@ -228,10 +238,11 @@ class _PatternScheme(Scheme):
     """Induced-copy growth and oracle leaves for a pattern with c components.
 
     F grows by N[X] for an induced copy X of component i = |F| mod c, and a
-    graph with no such copy goes to oracle i. assume_hfree claims the root
-    graph has no induced copy of the whole pattern; only then are the family
-    bound and the potential audited. _searched keeps, per component, the
-    last anchor search's (graph mask, copy mask or None).
+    graph with no such copy goes to oracle i, one connected component at a
+    time. assume_hfree claims the root graph has no induced copy of the
+    whole pattern; only then are the family bound and the potential
+    audited. _searched keeps, per component, the last anchor search's
+    (graph mask, copy mask or None).
     """
 
     noun = "neighborhood"
@@ -248,8 +259,9 @@ class _PatternScheme(Scheme):
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
         """The mask of find_induced_copy's copy of H_i in g, or None; i = |F| mod c.
 
-        A stored leaf (i, mask) is a search for H_i in this graph that
-        already failed: its answer waits in the memo. Otherwise the last
+        A stored (i, mask) is an H_i-free graph whose answer waits in the
+        memo: a leaf, or a component of one that reached the oracle, which
+        is H_i-free as an induced subgraph of that leaf. Otherwise the last
         search for H_i answers when g lies inside the graph it searched and
         its copy, if any, inside g: an induced subgraph of an H_i-free graph
         is H_i-free, and the lexicographically first copy stays first in
@@ -293,16 +305,23 @@ class _PatternScheme(Scheme):
     def leaf(self, g: Graph, w: WeightMap, family: VertexMultiFamily) -> tuple[int, int]:
         """Oracle i's answer, its witness encoded as a mask over g's table.
 
-        The run's memo keeps it under (i, g's mask), a complete key since
-        every leaf graph of a run shares the root table and w; drive states
-        the memo rule. Each leaf counts as one oracle call. At "paranoid" a
-        leaf's first occurrence must be free of the oracle's component, and
-        its witness is verified. A GraphTooLarge from the oracle is raised
-        again with the oracle and the leaf size named.
+        g is H_i-free, and so is each of its components; the heaviest set,
+        ties to the larger mask, of g is the union of theirs. A component of
+        one or two vertices is answered here, as brute force answers it. A
+        larger one goes to oracle i, the whole g when g is connected, and
+        the run's memo keeps its answer under (i, its mask); g's own answer
+        is kept under (i, g's mask). These keys are complete, since every
+        leaf graph of a run shares the root table and w; drive states the
+        memo rule. Each leaf counts as one oracle call, however many
+        components reach the oracle. At "paranoid" a leaf's first occurrence
+        must be free of the oracle's component, and each oracle witness is
+        verified. A GraphTooLarge from the oracle is raised again, naming
+        the oracle and the size of the graph it was given.
         """
         index = len(family._raw) % self.c
         key = index, g.mask
-        answer = self.memo.get(key)
+        memo = self.memo
+        answer = memo.get(key)
         if answer is not None:
             self.stats.record_oracle_call(index)
             return answer
@@ -315,6 +334,24 @@ class _PatternScheme(Scheme):
                 {"oracle": index, "n": g.n},
             )
         self.stats.record_oracle_call(index)
+        table = g.table
+        weight = witness = 0
+        for comp in component_masks(table.adj, g.mask):
+            part = _small_component(table.ids, w, comp)
+            if part is None:
+                part = memo.get((index, comp))
+                if part is None:
+                    part = memo[index, comp] = self._oracle_answer(
+                        index, g if comp == g.mask else Graph._sub(table, comp), w
+                    )
+            weight += part[0]
+            witness |= part[1]
+        answer = memo[key] = weight, witness
+        return answer
+
+    def _oracle_answer(self, index: int, g: Graph, w: WeightMap) -> tuple[int, int]:
+        """Oracle index's answer on the connected graph g, its witness a mask."""
+        oracle = self.oracles[index]
         try:
             weight, witness = oracle.solve_with_witness(g, w)
         except GraphTooLarge as err:
@@ -324,13 +361,12 @@ class _PatternScheme(Scheme):
         if self.level >= 2:
             verify_witness(g, w, weight, witness)
         try:
-            answer = self.memo[key] = weight, g.table.mask(witness)
+            return weight, g.table.mask(witness)
         except KeyError:
             # An id outside the table, which a mask cannot hold:
             # verify_witness rejects it as the root's check would have.
             verify_witness(g, w, weight, witness)
             raise
-        return answer
 
 
 def solve_hfree(

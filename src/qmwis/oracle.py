@@ -82,20 +82,24 @@ def _brute_force_mask(
     ids = table.ids
     total = witness = 0
     for comp in component_masks(table.adj, live):
-        # One or two vertices need no search: an edge keeps its larger end.
-        low = comp & -comp
-        high = comp ^ low
-        if not high:
-            weight, found = w[ids[low.bit_length() - 1]], low
-        elif not high & (high - 1):
-            weight, found = max(
-                (w[ids[low.bit_length() - 1]], low), (w[ids[high.bit_length() - 1]], high)
-            )
-        else:
-            weight, found = _search_component(table, w, comp)
+        weight, found = _small_component(ids, w, comp) or _search_component(table, w, comp)
         total += weight
         witness |= found
     return total, witness
+
+
+def _small_component(ids: tuple[int, ...], w: WeightMap, comp: int) -> tuple[int, int] | None:
+    """The largest (weight, mask) pair of a component of one or two vertices, else None.
+
+    Such a component needs no search: an edge keeps its larger end.
+    """
+    low = comp & -comp
+    high = comp ^ low
+    if not high:
+        return w[ids[low.bit_length() - 1]], low
+    if high & (high - 1):
+        return None
+    return max((w[ids[low.bit_length() - 1]], low), (w[ids[high.bit_length() - 1]], high))
 
 
 def _search_component(table: VertexTable, w: WeightMap, comp: int) -> tuple[int, int]:

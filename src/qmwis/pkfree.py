@@ -63,8 +63,9 @@ from .separators import _induced_path, balanced_separator_core, verify_balanced
 _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
 
 # Builds each run's one memo (see drive). A dict whose get never hits,
-# swapped in here, runs every node and invokes an oracle at every leaf: the
-# memo-free reference the memo is tested against.
+# swapped in here, runs every node and invokes an oracle on every leaf
+# component of at least 3 vertices: the memo-free reference the memo is
+# tested against.
 _new_memo = dict
 
 
@@ -248,14 +249,15 @@ def drive(
     names a subproblem that, with the run's table, w and scheme fixed, is a
     function of the key alone, and so is every check it makes: drive keys a
     split part (C, |C|, empty F) by its mask C, and the pattern scheme's
-    leaf keys an oracle leaf by (i, its mask). The first occurrence of a key
-    runs and is audited in full. A repeat is answered from the memo and
-    counted as what it stands for, and none of its own checks run again, as
-    they would read the same inputs; only the edge into it is audited, by
-    its parent like any other. Here the first part with a mask runs under a
-    store marker, which records its answer, its subtree's height and
-    stats.since(the marker's mark), the counts and measure steps the
-    subtree added (see RunStats.mark). A repeat replays them at its own
+    leaf keys an oracle leaf, and each of its components of at least 3
+    vertices, by (i, its mask). The first occurrence of a key runs and is
+    audited in full, a component within its leaf. A repeat is answered from
+    the memo and counted as what it stands for, and none of its own checks
+    run again, as they would read the same inputs; only the edge into it is
+    audited, by its parent like any other. Here the first part with a mask
+    runs under a store marker, which records its answer, its subtree's
+    height and stats.since(the marker's mark), the counts and measure steps
+    the subtree added (see RunStats.mark). A repeat replays them at its own
     turn, so the stats still describe the whole tree, also when the run
     raises after it; the maxima need no replay.
     """

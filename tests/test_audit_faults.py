@@ -378,4 +378,4 @@ def test_a_pattern_leaf_holding_its_component_breaks_oracle_validity(monkeypatch
     # Leaves that repeated before the fault were answered from the memo; the
     # faulty leaf is refused before it is counted.
     assert stats.oracle_calls_by_index == {0: 45, 1: 89}
-    assert len(invoked) == 26
+    assert len(invoked) == 4

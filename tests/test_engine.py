@@ -238,8 +238,9 @@ def test_a_memo_hit_counts_its_subtree_when_the_run_raises():
 
 
 def test_a_run_builds_one_memo_for_split_children_and_leaves(monkeypatch):
-    # drive keys split children by mask, the pattern scheme's leaf by
-    # (component index, mask); both go into the memo the scheme was built with.
+    # drive keys split children by mask, the pattern scheme's leaf and each
+    # of its components of at least 3 vertices by (component index, mask);
+    # all go into the memo the scheme was built with.
     import qmwis.pkfree as pkfree
 
     built: list[dict] = []
@@ -249,7 +250,7 @@ def test_a_run_builds_one_memo_for_split_children_and_leaves(monkeypatch):
     h = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
     g, w = generate(GeneratorSpec(kind="random-gnp", size=28, seed=1, p=0.3))
     r = solve_hfree(h, g, w, [make_pk_oracle(4), make_bruteforce_oracle()])
-    assert len(built) == 2 and len(built[1]) == 219 < r.stats.oracle_calls
+    assert len(built) == 2 and len(built[1]) == 260 < r.stats.oracle_calls
     assert {index for index, _ in built[1]} == {0, 1}
 
 def test_results_arrive_in_batch_order():

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmwis import (
     ComponentOracle,
@@ -12,6 +14,7 @@ from qmwis import (
     InvariantViolation,
     PatternGraph,
     brute_force_mwis,
+    connected_components,
     find_induced_copy,
     generate,
     induced_subgraph,
@@ -407,24 +410,124 @@ def _pattern_oracles(name: str) -> tuple[Graph, list[ComponentOracle]]:
     return K3_P4, [make_bruteforce_oracle(), make_pk_oracle(4)]
 
 
+def recording_leaves(monkeypatch) -> list[tuple[int, int]]:
+    """The (component index, mask) of every pattern-scheme leaf, in run order."""
+    import qmwis.hfree as hfree
+
+    leaves: list[tuple[int, int]] = []
+    real_leaf = hfree._PatternScheme.leaf
+
+    def leaf(self, g, w, family):
+        leaves.append((len(family) % self.c, g.mask))
+        return real_leaf(self, g, w, family)
+
+    monkeypatch.setattr(hfree._PatternScheme, "leaf", leaf)
+    return leaves
+
+
+def oracle_components(g: Graph, leaves: list[tuple[int, int]]) -> list[tuple[int, frozenset[int]]]:
+    """(index, vertex set) of each component of at least 3 vertices of each leaf, in order."""
+    return [
+        (index, part)
+        for index, mask in leaves
+        for part in connected_components(induced_subgraph(g, mask))
+        if len(part) >= 3
+    ]
+
+
 @pytest.mark.parametrize("name", ["p4k3", "k3p4"])
 @pytest.mark.parametrize("spec", GOLDEN_HFREE_SPECS, ids=lambda s: f"gnp-{s.size}-seed{s.seed}")
-def test_with_no_memo_every_leaf_invokes_its_oracle(spec, name, without_memo):
+def test_with_no_memo_every_leaf_invokes_its_oracle(spec, name, without_memo, monkeypatch):
+    # Every leaf component of at least 3 vertices invokes its oracle; a
+    # leaf's smaller components are answered without one.
     g, w = generate(spec)
     pattern, oracles = _pattern_oracles(name)
+    leaves = recording_leaves(monkeypatch)
     for level in ("off", "fair", "paranoid"):
         default = solve_hfree(pattern, g, w, oracles, assertion_level=level)
         calls: tuple[list, list] = ([], [])
         counted = [counting(o, c) for o, c in zip(oracles, calls)]
+        leaves.clear()
         with without_memo():
             full = solve_hfree(pattern, g, w, counted, assertion_level=level)
         by_index = full.stats.oracle_calls_by_index
-        assert [len(c) for c in calls] == [by_index.get(i, 0) for i in (0, 1)]
-        # Leaves repeat here, so the memo has something to answer.
-        assert sum(len(set(c)) for c in calls) < full.stats.oracle_calls
+        parts = oracle_components(g, leaves)
+        assert [Counter(c) for c in calls] == [
+            Counter(part for i, part in parts if i == index) for index in (0, 1)
+        ]
+        assert len(leaves) == sum(by_index.values()) == full.stats.oracle_calls
+        # Components repeat here, so the memo has something to answer.
+        assert sum(len(set(c)) for c in calls) < sum(map(len, calls))
         assert full.weight == default.weight
         assert full.witness == default.witness
         assert full.stats.to_dict() == default.stats.to_dict()
+
+
+def outside_oracle(seen: list[Graph]) -> ComponentOracle:
+    """An oracle built outside qmwis, exact on every graph, that keeps each graph it gets."""
+
+    def solve_with_witness(g: Graph, w) -> tuple[int, frozenset[int]]:
+        seen.append(g)
+        return brute_force_mwis(g, w, g.n + 1)
+
+    return ComponentOracle(
+        name="outside",
+        solve=lambda g, w: solve_with_witness(g, w)[0],
+        solve_with_witness=solve_with_witness,
+    )
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+@pytest.mark.parametrize("pattern", [P4_K3, K3_P4, two_k2()], ids=["p4k3", "k3p4", "2k2"])
+@pytest.mark.parametrize("spec", GOLDEN_HFREE_SPECS, ids=lambda s: f"gnp-{s.size}-seed{s.seed}")
+def test_an_outside_oracle_gets_each_connected_free_graph_of_3_or_more_vertices_once(
+    spec, pattern, level
+):
+    # Oracle i is asked only where it must be exact: on a connected H_i-free
+    # graph. Components of one or two vertices never reach it, and no
+    # (i, vertex set) reaches it twice in one run.
+    from qmwis import solve_pkfree
+
+    g, w = generate(spec)
+    parts = PatternGraph.from_graph(pattern).components
+    seen: list[list[Graph]] = [[] for _ in parts]
+    r = solve_hfree(pattern, g, w, [outside_oracle(s) for s in seen], assertion_level=level)
+    want = solve_pkfree(g, w)
+    assert (r.weight, r.witness) == (want.weight, want.witness)
+    assert r.stats.oracle_calls >= sum(map(len, seen))
+    for part, graphs in zip(parts, seen):
+        # A leaf free of a piece of at most 2 vertices is edgeless, so that
+        # piece's oracle is never asked.
+        assert bool(graphs) == (part.n >= 3)
+        assert len({h.vertices for h in graphs}) == len(graphs)
+        for h in graphs:
+            assert h.n >= 3 and len(connected_components(h)) == 1
+            assert find_induced_copy(h, part) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_solve_hfree_matches_brute_force_with_small_weights(data):
+    # Weights 0-3 make ties common: the witness must be brute force's, the
+    # heaviest independent set, ties to the larger mask, at every level.
+    n = data.draw(st.integers(min_value=0, max_value=14), label="n")
+    ids = list(range(1, n + 1))
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(ids, 2)
+        if data.draw(st.booleans(), label=f"e{u},{v}")
+    ]
+    g = Graph(ids, edges)
+    w = {v: data.draw(st.integers(min_value=0, max_value=3), label=f"w{v}") for v in ids}
+    expected = brute_force_mwis(g, w)
+    for pattern, oracles in (
+        (P4_K3, [make_pk_oracle(4), make_bruteforce_oracle()]),
+        (K3_P4, [make_bruteforce_oracle(), make_pk_oracle(4)]),
+        (two_k2(), [make_pk_oracle(2), make_bruteforce_oracle()]),
+    ):
+        for level in ("off", "fair", "paranoid"):
+            r = solve_hfree(pattern, g, w, oracles, assertion_level=level)
+            assert (r.weight, r.witness) == expected
 
 
 def test_the_leaf_memo_lives_for_one_run():
@@ -456,11 +559,13 @@ def test_paranoid_checks_each_distinct_leaf_once(monkeypatch):
 
     monkeypatch.setattr(hfree, "verify_witness", verify)
     monkeypatch.setattr(hfree, "find_induced_copy", search)
+    leaves = recording_leaves(monkeypatch)
     g, w = generate(GOLDEN_HFREE_SPECS[0])
     runs = []
     for level in ("fair", "paranoid"):
         verified.clear()
         copy_free.clear()
+        leaves.clear()
         calls: tuple[list, list] = ([], [])
         oracles = [counting(o, c) for o, c in zip(_pattern_oracles("p4k3")[1], calls)]
         r = solve_hfree(P4_K3, g, w, oracles, assertion_level=level)
@@ -469,20 +574,29 @@ def test_paranoid_checks_each_distinct_leaf_once(monkeypatch):
     invoked = sum(map(len, calls))
     assert (r.weight, r.witness) == (fair.weight, fair.witness)
     assert r.weight == 560
-    # Every leaf is counted; each distinct (i, vertex set) reaches its oracle once.
-    assert (r.stats.oracle_calls, invoked) == (337, 219)
+    # Every leaf is counted; each distinct (i, vertex set) of a leaf
+    # component of at least 3 vertices reaches its oracle once.
+    assert (r.stats.oracle_calls, len(leaves), len(set(leaves)), invoked) == (337, 337, 219, 62)
     assert all(len(set(c)) == len(c) for c in calls)
+    assert invoked == len(set(oracle_components(g, leaves)))
     # Paranoid verifies each oracle answer once, and each pk invocation, all
-    # on brute-force leaves here, also checks its own witness.
-    assert (fair_verified, paranoid_verified) == (len(calls[0]), invoked + len(calls[0])) == (59, 278)
+    # on brute-force components here, also checks its own witness.
+    assert (fair_verified, paranoid_verified) == (len(calls[0]), invoked + len(calls[0])) == (11, 73)
+    # A leaf misses the memo when it is neither an earlier leaf nor a
+    # component of one that reached an oracle.
+    known, missed = set(), 0
+    for leaf in leaves:
+        if leaf not in known:
+            missed += 1
+            known.add(leaf)
+            known.update((i, g.table.mask(c)) for i, c in oracle_components(g, [leaf]))
     # An anchor search finds no copy at most once per distinct leaf, at both
-    # levels: a repeated leaf is known from the memo and searched no more,
-    # and a leaf inside a graph the last search found copy-free is answered
-    # by that search. The oracle-validity search adds one more for each
-    # distinct leaf only.
+    # levels: a leaf the memo knows is searched no more, and a leaf inside a
+    # graph the last search found copy-free is answered by that search. The
+    # oracle-validity search adds one more for each leaf that missed only.
     extra = paranoid_free - fair_free
-    assert sum(fair_free.values()) == len(fair_free) == 125 < invoked
-    assert len(extra) == invoked and set(extra.values()) == {1}
+    assert sum(fair_free.values()) == len(fair_free) == 125 < missed == 216
+    assert len(extra) == missed and set(extra.values()) == {1}
 
 
 class _Forgetful(list):
@@ -606,8 +720,16 @@ def test_off_level_verifies_the_witness(monkeypatch):
     assert info.value.rule == "witness"
 
 
+# K4 on 1-4 with the path 4-5-6-7 hanging off it. It holds induced P3s, so
+# its leaves lie deeper than the root, and one holds a triangle: the P3-free
+# leaves of C7 have components of at most 2 vertices, which no oracle gets.
+LOLLIPOP = Graph(
+    range(1, 8), list(itertools.combinations(range(1, 5), 2)) + [(4, 5), (5, 6), (6, 7)]
+)
+
+
 @pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
-@pytest.mark.parametrize("g", [complete_graph(3), cycle_graph(7)], ids=["root-leaf", "deep-leaf"])
+@pytest.mark.parametrize("g", [complete_graph(3), LOLLIPOP], ids=["root-leaf", "deep-leaf"])
 def test_an_oracle_witness_outside_the_graph_is_a_witness_failure(g, level):
     def foreign(g: Graph, w) -> tuple[int, frozenset[int]]:
         weight, witness = brute_force_mwis(g, w)

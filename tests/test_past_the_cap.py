@@ -5,8 +5,8 @@ increasing order (the DP over a path decomposition of Arnborg and
 Proskurowski, 1989). Its state is the set of chosen vertices that still
 have a later neighbour, so it runs in O(n 2^width), width being the
 largest such frontier, and it shares no code with the solvers. Paths,
-cycles, ladders numbered column by column and band graphs have width at
-most 2, 2, 2 and b, at any size.
+cycles, ladders and grids of r rows, both numbered column by column, and
+band graphs have width at most 2, 2, 2, r and b, at any size.
 
 Split graphs (a clique K joined to an independent set I) have no induced
 P5, and their optimum is I itself or one clique vertex with the part of I
@@ -80,6 +80,14 @@ def ladder_edges(length: int) -> list[tuple[int, int]]:
     return rungs + rails
 
 
+def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    # Column j holds j * rows + 1 .. (j + 1) * rows, so the id order walks
+    # the grid column by column and the frontier holds at most rows vertices.
+    down = [(v, v + 1) for v in range(1, rows * cols + 1) if v % rows]
+    across = [(v, v + rows) for v in range(1, rows * (cols - 1) + 1)]
+    return down + across
+
+
 def band_edges(n: int, b: int, p: float, seed: int) -> list[tuple[int, int]]:
     # Each pair i < j with j - i <= b is an edge with probability p.
     rng = random.Random(seed)
@@ -95,11 +103,15 @@ WIDE = {
     "band-60-b4": (60, band_edges(60, 4, 0.5, 1)),
     "band-100-b4": (100, band_edges(100, 4, 0.5, 2)),
     "band-80-b6": (80, band_edges(80, 6, 0.5, 3)),
+    "grid-3x12": (36, grid_edges(3, 12)),
+    "grid-4x10": (40, grid_edges(4, 10)),
+    "grid-5x10": (50, grid_edges(5, 10)),
 }
 
-# Past the cap, yet small enough for the pattern solver. It hands a
-# triangle-free graph above whole to P4+K3's brute-force K3 oracle, which
-# refuses more than 25 vertices, and it took over 8 s on band n=60, b=4.
+# Past the cap, yet small enough for the pattern solver. It hands each
+# component of a triangle-free graph above whole to P4+K3's brute-force K3
+# oracle, which refuses more than 25 vertices, and it took over 8 s on band
+# n=60, b=4.
 WIDE_HFREE = {
     "band-30-b4": (30, band_edges(30, 4, 0.5, 4)),
     "band-30-b6": (30, band_edges(30, 6, 0.5, 5)),
@@ -141,6 +153,19 @@ def test_solve_hfree_matches_the_frontier_dp_past_the_cap(name):
     oracles = [make_pk_oracle(4), make_bruteforce_oracle()]
     assert n > 25
     assert solve_hfree(P4_K3, g, w, oracles).weight == frontier_mwis(range(1, n + 1), edges, w)[0]
+
+
+def test_solve_hfree_solves_a_union_of_components_each_within_the_cap():
+    # Two disjoint C15s are K3-free. Once F holds a P4's neighbourhood no
+    # vertex is branchable, so a 30-vertex leaf reaches the brute-force K3
+    # oracle, which refuses more than 25 vertices; each 15-vertex component
+    # of it is within that cap. One C30 still raises (tests/test_hfree.py).
+    edges = cycle_edges(15) + [(u + 15, v + 15) for u, v in cycle_edges(15)]
+    g, w = graph_and_weights(30, edges, 30)
+    oracles = [make_pk_oracle(4), make_bruteforce_oracle()]
+    for level in ("off", "fair", "paranoid"):
+        result = solve_hfree(P4_K3, g, w, oracles, assertion_level=level)
+        assert result.weight == frontier_mwis(range(1, 31), edges, w)[0]
 
 
 def split_graph(n: int, seed: int) -> tuple[Graph, dict[int, int], list[int], list[int]]:
