@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .graph import Graph, VertexTable, WeightMap, _set_items
 
@@ -292,8 +291,7 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ReportDocument:
+class ReportDocument(NamedTuple):
     """One command's machine-readable result.
 
     payload carries the command-specific fields (weight, witness, core, the

@@ -24,6 +24,10 @@ proven only for runs whose root graph has no induced H.
 
 from __future__ import annotations
 
+# The package's last dataclasses, loaded only with this module; the other
+# records are typing.NamedTuple classes. ComponentOracle stays one because
+# call tracers and tests rebuild it with dataclasses.replace, PatternGraph
+# because it validates in __post_init__.
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -356,7 +360,7 @@ class _PatternScheme(Scheme):
             weight, witness = oracle.solve_with_witness(g, w)
         except GraphTooLarge as err:
             raise GraphTooLarge(
-                f"oracle {index} ({oracle.name}) on a {g.n}-vertex leaf: {err}"
+                f"oracle {index} ({oracle.name}) on a {g.n}-vertex leaf component: {err}"
             ) from err
         if self.level >= 2:
             verify_witness(g, w, weight, witness)

@@ -15,7 +15,6 @@ independent of the weight function.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any
 
@@ -253,7 +252,6 @@ def _recurrence_failure(
     )
 
 
-@dataclass
 class RunStats:
     """Exact counters for one solver run.
 
@@ -269,22 +267,23 @@ class RunStats:
     keeps max_depth.
     """
 
-    calls: int = 0
-    component_recursions: int = 0
-    branch_steps: int = 0
-    separators_added: int = 0
-    neighborhoods_added_count: int = 0
-    oracle_calls: int = 0
-    oracle_calls_by_index: dict[int, int] = field(default_factory=dict)
-    max_family_size: int = 0
-    max_depth: int = 0
-    max_graph_size: int = 0
-    max_level_occupancy: dict[int, int] = field(default_factory=dict)
-    assertions_checked: int = 0
-    measure_trace: deque = field(default_factory=lambda: deque(maxlen=4096))
-    memo_hits: int = 0
-    memo_calls: int = 0
-    measure_steps: int = 0
+    def __init__(self) -> None:
+        self.calls = 0
+        self.component_recursions = 0
+        self.branch_steps = 0
+        self.separators_added = 0
+        self.neighborhoods_added_count = 0
+        self.oracle_calls = 0
+        self.oracle_calls_by_index: dict[int, int] = {}
+        self.max_family_size = 0
+        self.max_depth = 0
+        self.max_graph_size = 0
+        self.max_level_occupancy: dict[int, int] = {}
+        self.assertions_checked = 0
+        self.measure_trace: deque = deque(maxlen=4096)
+        self.memo_hits = 0
+        self.memo_calls = 0
+        self.measure_steps = 0
 
     def record_levels(self, sizes: tuple[int, ...]) -> None:
         """Fold a family's level_sizes() into max_level_occupancy."""

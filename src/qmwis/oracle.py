@@ -20,7 +20,7 @@ induced-path search.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, VertexTable, WeightMap, _check_positive, component_masks, validate_weights
 from .graphio import GENERATOR_KINDS, MAX_VERTICES, MAX_WEIGHT
@@ -161,8 +161,7 @@ class GenerationError(RuntimeError):
     """Rejection sampling ran out of attempts."""
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Deterministic description of one generated instance.
 
     kind is one of random-gnp, cograph, pk-free-rejection, path, cycle,

@@ -30,7 +30,7 @@ solve_hfree, has validated its input once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import separators
 from .graph import (
@@ -69,8 +69,7 @@ _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
 _new_memo = dict
 
 
-@dataclass(frozen=True, eq=False)
-class SolveResult:
+class SolveResult(NamedTuple):
     weight: int
     witness: frozenset[int]
     stats: RunStats

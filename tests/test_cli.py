@@ -603,7 +603,7 @@ def test_a_leaf_past_its_oracles_cap_is_an_input_error_naming_the_oracle(tmp_pat
     assert (code, out) == (2, "")
     assert err == cli.error_document(
         "input-error",
-        "oracle 1 (bruteforce<=25) on a 30-vertex leaf: brute force refuses 30 > 25 vertices",
+        "oracle 1 (bruteforce<=25) on a 30-vertex leaf component: brute force refuses 30 > 25 vertices",
     )
 
 

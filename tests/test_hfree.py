@@ -624,7 +624,7 @@ def test_the_last_search_record_moves_no_answer_and_no_count(spec, name, weights
         return real_copy(g, h)
 
     monkeypatch.setattr(hfree, "find_induced_copy", search)
-    g, w = generate(dataclasses.replace(spec, weight_range=weights))
+    g, w = generate(spec._replace(weight_range=weights))
     pattern, oracles = _pattern_oracles(name)
     for level in ("off", "fair", "paranoid"):
         searches.clear()
@@ -663,7 +663,7 @@ def test_a_leaf_past_its_oracles_cap_names_the_oracle():
     with pytest.raises(GraphTooLarge) as err:
         solve_hfree(P4_K3, g, {v: 1 for v in g.vertices}, oracles)
     assert str(err.value) == (
-        "oracle 1 (bruteforce<=25) on a 30-vertex leaf: brute force refuses 30 > 25 vertices"
+        "oracle 1 (bruteforce<=25) on a 30-vertex leaf component: brute force refuses 30 > 25 vertices"
     )
     assert isinstance(err.value.__cause__, GraphTooLarge)
 
