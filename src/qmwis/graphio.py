@@ -263,8 +263,9 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
     """Canonical text for a weighted graph; parse(emit(g, w)) == (g, w).
 
     Requires the vertex set to be exactly 1..n (the format has no room for
-    arbitrary ids). Every weight is written explicitly. Each vertex's row
-    of e records names its higher neighbours in increasing order.
+    arbitrary ids). Every weight is written explicitly, so each must be one
+    parse_graph reads back: an int, not a bool, in 0..MAX_WEIGHT. Each
+    vertex's row of e records names its higher neighbours in increasing order.
     """
     ids = g.vertex_ids()
     if ids != tuple(range(1, g.n + 1)):
@@ -272,6 +273,9 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
     missing = [v for v in ids if v not in w]
     if missing:
         raise ValueError(f"weights missing for vertices {missing[:5]}")
+    untyped = [v for v in ids if not isinstance(w[v], int) or isinstance(w[v], bool)]
+    if untyped:
+        raise ValueError(f"weights must be integers; not for vertices {untyped[:5]}")
     outside = [v for v in ids if not 0 <= w[v] <= MAX_WEIGHT]
     if outside:
         raise ValueError(f"weights outside 0..{MAX_WEIGHT} for vertices {outside[:5]}")

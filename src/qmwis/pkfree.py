@@ -24,8 +24,8 @@ one loop over a stack of tasks. The path scheme answers a graph of at most
 one vertex without running it; the answer still counts as one call at its
 own depth.
 
-Every run starts in _run, after the public entry, solve_pkfree or
-solve_hfree, has validated its input once.
+Every run starts in _run, which builds its one root, after the public
+entry, solve_pkfree or solve_hfree, has validated its input once.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ class Scheme:
 
 
 def _check_call(
-    g: Graph,
+    g: Graph | None,
     n: int,
     n_cap: int,
     log_n: int,
@@ -136,6 +136,9 @@ def _check_call(
     mu: int | None = None,
 ) -> int | None:
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
+
+    g is read only by the member checks of a non-empty F, so a split part,
+    whose F is empty, may pass None.
 
     At "paranoid", mu is the potential the edge into this call computed, or
     None to compute it here; every check runs on the value either way.
@@ -220,7 +223,7 @@ _NODE, _SUM, _PICK, _STORE = range(4)
 def drive(
     scheme: Scheme, g: Graph, w: WeightMap, capacity_n: int, family: VertexMultiFamily
 ) -> tuple[int, int]:
-    """Run the shared recursion from the root (g, w, N, F) to its answer.
+    """Run the shared recursion from the root (g, w, N, F), F over g's table, to its answer.
 
     Answers are (weight, witness mask over g's table). When every leaf's is
     the heaviest independent set, ties to the larger mask, so is the root's:
@@ -302,10 +305,8 @@ def drive(
             # The one place that answers a node without running it.
             answer = None
             if n <= 1 and small_leaves:
-                # One call, checked on its own graph; a split part's is made
-                # here only for the check.
-                own = Graph._sub(table, mask) if g is None else g
-                _check_call(own, n, n_cap, log_n, family, scheme, mu)
+                # One call, checked as such; a split part's graph stays None.
+                _check_call(g, n, n_cap, log_n, family, scheme, mu)
                 answer = (w[table.ids[mask.bit_length() - 1]], mask) if n else (0, 0)
             elif g is None:
                 # A split part (C, |C|, empty F) is a function of its mask
@@ -355,6 +356,19 @@ def drive(
                     r = table.rank[v]
                     bit = 1 << r
                     closed_v = table.closed_adj[r] & mask
+                    if audit:
+                        # Rule 2 fires only on a vertex that meets some level's threshold.
+                        i = 0
+                        for level in family.level_masks:
+                            i += 1
+                            if (closed_v & level).bit_count() << i >= n_cap:
+                                break
+                        else:
+                            raise InvariantViolation(
+                                "branch-threshold",
+                                f"vertex {v} meets no threshold N / 2^i (N = {n_cap})",
+                                {"vertex": v, "N": n_cap},
+                            )
                     delete_g, delete_f = remove_vertices(g, bit), family.subtract(bit)
                     take_g, take_f = remove_vertices(g, closed_v), family.subtract(closed_v)
                     delete_mu = take_mu = None
@@ -471,36 +485,19 @@ class _PathScheme(Scheme):
         return None if self.k is None else max_measure_k(n_cap, self.k)
 
 
-def _run(
-    scheme: Scheme,
-    g: Graph,
-    w: WeightMap,
-    capacity_n: int | None = None,
-    family: VertexMultiFamily | None = None,
-) -> SolveResult:
-    """Drive the validated root (g, w, N, F) and verify the witness at every level.
+def _run(scheme: Scheme, g: Graph, w: WeightMap) -> SolveResult:
+    """Drive the validated root (g, w, max(1, |V(g)|), empty F) and verify the witness.
 
-    N defaults to max(1, |V(g)|) and F to the empty family over g's table.
-    The recursion's witness mask is verified as it is, then decoded here,
-    once, into the result that also carries the scheme's stats.
+    The witness mask is verified at every level as it is, then decoded
+    here, once, into the result that also carries the scheme's stats.
     """
-    if capacity_n is None:
-        capacity_n = max(1, g.n)
-    if family is None:
-        family = VertexMultiFamily(table=g.table)
-    weight, mask = drive(scheme, g, w, capacity_n, family)
+    weight, mask = drive(scheme, g, w, max(1, g.n), VertexMultiFamily(table=g.table))
     verify_witness(g, w, weight, mask)
     return SolveResult(weight, g.table.decode(mask), scheme.stats)
 
 
 def solve_pkfree(
-    g: Graph,
-    w: WeightMap,
-    k_hint: int | None = None,
-    assertion_level: str = "fair",
-    *,
-    capacity_n: int | None = None,
-    family: VertexMultiFamily | None = None,
+    g: Graph, w: WeightMap, k_hint: int | None = None, assertion_level: str = "fair"
 ) -> SolveResult:
     """Maximum-weight independent set of g under w.
 
@@ -512,38 +509,22 @@ def solve_pkfree(
     potential decreases, and a k_hint of at most 3 against g itself, a
     larger one against each separator core of at least k_hint vertices).
 
-    The run is Algorithm 1's call on the instance (g, w, N, F). Its root is
-    N = max(1, |V(g)|) and F empty unless capacity_n and family say
-    otherwise; 1 <= N and |V(g)| <= N is the shape every rule preserves and
-    what guarantees termination.
-
     Args:
         g: input graph.
         w: non-negative integer weights, defined on every vertex.
         k_hint: claimed induced-path bound, an integer >= 1; instrumentation only.
         assertion_level: "off", "fair", or "paranoid".
-        capacity_n: the vertex budget N, an integer with |V(g)| <= N.
-        family: a preloaded family F whose members are vertex sets of g.
 
     Returns:
         SolveResult with weight, a witness independent set, and run stats.
     """
     if k_hint is not None:
         _check_positive("k_hint", k_hint)
-    if capacity_n is not None:
-        _check_positive("N", capacity_n)
-        if g.n > capacity_n:
-            raise ValueError(f"instance is not fair-shaped: |V(G)| = {g.n} > N = {capacity_n}")
     validate_weights(g, w)
-    if family is not None:
-        # The recursion keeps F over the graph's table.
-        if not all(v in g for member in family for v in member):
-            raise ValueError("family members must be vertex sets of the instance's graph")
-        family = family.over(g.table)
     level = _parse_level(assertion_level)
     if level >= 2 and k_hint is not None and k_hint <= 3:
         _check_path_claim(k_hint, _induced_path(g, k_hint))
-    return _run(_PathScheme(level, k_hint), g, w, capacity_n, family)
+    return _run(_PathScheme(level, k_hint), g, w)
 
 
 def _check_path_claim(k: int, path: list[int] | None) -> None:

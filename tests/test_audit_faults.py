@@ -153,6 +153,22 @@ def test_never_branching_breaks_the_level_bounds(
     assert rule_of(seed, level, honest, without_memo) == rule
 
 
+def lowest_on_level_one(g, family, n_cap):
+    live = family.level_masks[0] & g.mask if family.level_masks else 0
+    return g.table.ids[(live & -live).bit_length() - 1] if live else None
+
+
+@pytest.mark.parametrize("level, rule", [("fair", None), ("paranoid", "branch-threshold")])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_branching_below_the_threshold_breaks_branch_threshold(
+    level, rule, seed, monkeypatch, honest, without_memo
+):
+    # Branching on the lowest vertex of L(F, 1), whatever it covers, keeps
+    # the answer exact, so only the paranoid check of rule 2 sees it.
+    monkeypatch.setattr(pkfree, "find_branchable", lowest_on_level_one)
+    assert rule_of(seed, level, honest, without_memo) == rule
+
+
 @pytest.mark.parametrize("level", ["fair", "paranoid"])
 def test_an_eager_split_passes(level, monkeypatch, honest, without_memo):
     # Splitting every disconnected graph, even when a component passes N/2,

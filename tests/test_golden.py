@@ -26,6 +26,7 @@ from qmwis import (
     solve_pkfree,
 )
 from qmwis.cli import cli_main
+from qmwis.pkfree import _parse_level, _PathScheme, drive
 
 # Rows: (spec, calls, weight, witness, report sha256, k), where k is the
 # true path claim the paranoid CLI run and stats are checked under: the
@@ -329,7 +330,8 @@ def test_golden_audit_failures(n, members, options, rule, message, details):
     g = _path(n)
     w, family = {v: 1 for v in g.vertex_ids()}, VertexMultiFamily(members)
     with pytest.raises(InvariantViolation) as info:
-        solve_pkfree(g, w, capacity_n=n, family=family, **options)
+        scheme = _PathScheme(_parse_level(options.get("assertion_level", "fair")), options.get("k_hint"))
+        drive(scheme, g, w, n, family.over(g.table))
     assert info.value.rule == rule
     assert str(info.value) == message
     assert info.value.details == details

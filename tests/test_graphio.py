@@ -272,6 +272,14 @@ def test_emit_enforces_the_weight_cap():
         generate(GeneratorSpec(kind="path", size=2, seed=0, weight_range=(0, 10**9 + 1)))
 
 
+@pytest.mark.parametrize("bad", [True, 2.5, 2.0], ids=["bool", "float", "integral-float"])
+def test_emit_refuses_a_weight_that_is_no_int(bad):
+    # parse_graph reads only decimal integers, so "n 1 True" or "n 1 2.0"
+    # would break parse after emit; a bool is no weight, as in validate_weights.
+    with pytest.raises(ValueError, match=r"weights must be integers; not for vertices \[1\]"):
+        emit_graph(Graph([1, 2], [(1, 2)]), {1: bad, 2: 3})
+
+
 def test_round_trip_identity():
     for seed in range(20):
         g, w = generate(GeneratorSpec(kind="random-gnp", size=15, seed=seed, p=0.3))

@@ -25,6 +25,7 @@ from qmwis import (
     solve_pkfree,
     total_weight,
 )
+from qmwis.pkfree import _parse_level, _PathScheme, drive
 
 P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
 
@@ -354,8 +355,9 @@ def test_every_answer_is_the_heaviest_set_ties_to_the_larger_mask(data):
         else st.just([]),
         label="F",
     )
-    result = solve_pkfree(g, w, capacity_n=capacity, family=VertexMultiFamily(members))
-    answers["pk fair from (N, F)"] = result.weight, result.witness
+    family = VertexMultiFamily(members).over(g.table)
+    weight, mask = drive(_PathScheme(_parse_level("fair"), None), g, w, capacity, family)
+    answers["pk fair from (N, F)"] = weight, g.table.decode(mask)
     assert answers == dict.fromkeys(answers, enumerate_mwis(g, w))
 
 

@@ -15,7 +15,6 @@ from qmwis import (
     Graph,
     InvariantViolation,
     RunStats,
-    SolveResult,
     VertexMultiFamily,
     brute_force_mwis,
     generate,
@@ -47,6 +46,12 @@ def petersen() -> Graph:
 
 def unit_weights(g: Graph) -> dict[int, int]:
     return {v: 1 for v in g.vertices}
+
+
+def drive_from(g: Graph, w: dict, n_cap: int, members: list, level: str = "fair") -> tuple:
+    """drive's answer (weight, witness mask) from the root (g, w, N, F of members)."""
+    scheme = pkfree._PathScheme(pkfree._parse_level(level), None)
+    return pkfree.drive(scheme, g, w, n_cap, VertexMultiFamily(members).over(g.table))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> tuple[Graph, dict[int, int]]:
@@ -158,53 +163,20 @@ def test_weights_validated():
         solve_pkfree(path_graph(2), {1: 1, 2: -4})
 
 
-def test_alg1_call_rejects_oversized_graph():
-    # Algorithm 1's call on (G, w, N, F) needs |V(G)| <= N.
-    g = path_graph(3)
-    with pytest.raises(ValueError, match=r"not fair-shaped: \|V\(G\)\| = 3 > N = 2"):
-        solve_pkfree(g, unit_weights(g), capacity_n=2)
-
-
 def test_alg1_call_with_preloaded_family_is_still_exact():
     g = path_graph(4)
     w = {1: 2, 2: 9, 3: 9, 4: 2}
-    family = VertexMultiFamily([{1, 2, 3, 4}])
-    result = solve_pkfree(g, w, assertion_level="off", capacity_n=4, family=family)
-    assert result.weight == 11
-    assert is_independent_set(g, result.witness)
-    assert total_weight(w, result.witness) == 11
-    with pytest.raises(ValueError, match="family members must be vertex sets"):
-        solve_pkfree(g, w, capacity_n=4, family=VertexMultiFamily([{1, 9}]))
-    with pytest.raises(ValueError, match="family members must be vertex sets"):
-        solve_pkfree(g, w, family=VertexMultiFamily([{5}]))
-
-
-@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
-def test_alg1_call_returns_the_solve_result_of_solve_pkfree(level):
-    # The defaulted root: N = max(1, |V(G)|) and F empty over g's table.
-    # 14 is the smallest true path claim on this graph.
-    g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
-    family = VertexMultiFamily(table=g.table)
-    got = solve_pkfree(g, w, 14, level, capacity_n=max(1, g.n), family=family)
-    want = solve_pkfree(g, w, k_hint=14, assertion_level=level)
-    assert isinstance(got, SolveResult)
-    assert (got.weight, got.witness) == (want.weight, want.witness)
-    assert got.stats.to_dict() == want.stats.to_dict()
+    weight, mask = drive_from(g, w, 4, [{1, 2, 3, 4}], level="off")
+    witness = g.table.decode(mask)
+    assert weight == 11
+    assert is_independent_set(g, witness)
+    assert total_weight(w, witness) == 11
 
 
 def test_alg1_call_takes_no_stats():
     g = path_graph(3)
     with pytest.raises(TypeError):
         solve_pkfree(g, unit_weights(g), stats=RunStats())
-
-
-def test_the_root_keywords_are_keyword_only():
-    g = path_graph(3)
-    w = unit_weights(g)
-    with pytest.raises(TypeError):
-        solve_pkfree(g, w, None, "fair", 3)
-    with pytest.raises(TypeError):
-        solve_pkfree(g, w, None, "fair", 3, VertexMultiFamily())
 
 
 def test_collect_witness_take_wins_strictly():
@@ -217,25 +189,21 @@ def test_collect_witness_tie_keeps_the_larger_mask():
     assert (tie.witness, tie.stats.branch_steps) == ({1, 3}, 1)  # 0b101 > 0b010
 
 
-def test_alg1_call_rejects_k_hint_and_n_below_one():
+def test_alg1_call_rejects_k_hint_below_one():
     g = path_graph(3)
     with pytest.raises(ValueError, match="k_hint must be >= 1, got 0"):
-        solve_pkfree(g, unit_weights(g), k_hint=0, capacity_n=3)
-    with pytest.raises(ValueError, match="N must be >= 1, got 0"):
-        solve_pkfree(Graph([], []), {}, capacity_n=0)
+        solve_pkfree(g, unit_weights(g), k_hint=0)
 
 
 @pytest.mark.parametrize("level", ["fair", "paranoid"])
 @pytest.mark.parametrize("bad", [4.0, True, "4"], ids=["float", "bool", "str"])
-def test_k_hint_and_n_must_be_integers(bad, level):
+def test_k_hint_must_be_an_integer(bad, level):
     # Refused before the run, as validate_weights refuses a weight: a bool
     # is no integer here, and a float would reach int-only code mid-run.
     g = path_graph(3)
     w = unit_weights(g)
     with pytest.raises(ValueError, match=f"k_hint must be an integer, got {re.escape(repr(bad))}$"):
         solve_pkfree(g, w, k_hint=bad, assertion_level=level)
-    with pytest.raises(ValueError, match=f"N must be an integer, got {re.escape(repr(bad))}$"):
-        solve_pkfree(g, w, assertion_level=level, capacity_n=bad)
 
 
 def test_verify_witness_accepts_and_rejects():
@@ -322,15 +290,6 @@ def test_every_level_verifies_the_witness(level, monkeypatch):
     with pytest.raises(InvariantViolation) as info:
         solve_pkfree(path_graph(3), {1: 1, 2: 1, 3: 1}, assertion_level=level)
     assert info.value.rule == "witness"
-    with pytest.raises(InvariantViolation) as info:
-        solve_pkfree(
-            path_graph(3),
-            {1: 1, 2: 1, 3: 1},
-            assertion_level=level,
-            capacity_n=3,
-            family=VertexMultiFamily(),
-        )
-    assert info.value.rule == "witness"
 
 
 def test_an_empty_separator_neighborhood_is_an_audit_failure(monkeypatch):
@@ -357,12 +316,12 @@ def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
     # {1} is no N/4-balanced separator of the 8-vertex path; only the
     # paranoid per-call audit of F's members notices.
     g = path_graph(8)
-    w, family = {v: 1 for v in g.vertex_ids()}, VertexMultiFamily([{1}])
+    w = {v: 1 for v in g.vertex_ids()}
     if level != "paranoid":
-        assert solve_pkfree(g, w, assertion_level=level, capacity_n=8, family=family).weight == 4
+        assert drive_from(g, w, 8, [{1}], level)[0] == 4
         return
     with pytest.raises(InvariantViolation) as info:
-        solve_pkfree(g, w, assertion_level=level, capacity_n=8, family=family)
+        drive_from(g, w, 8, [{1}], level)
     assert info.value.rule == "separator-balance"
 
 

@@ -134,6 +134,20 @@ def test_generating_loads_no_dataclasses():
     _probe(GENERATE_PROBE)
 
 
+def test_the_public_solvers_parameters_are_pinned():
+    # A new option is a deliberate edit of this pin; the root (N, F) is no option.
+    params = {
+        qmwis.solve_pkfree: ["g", "w", "k_hint", "assertion_level"],
+        qmwis.solve_hfree: ["pattern", "g", "w", "oracles", "assume_hfree", "assertion_level"],
+    }
+    for solver, names in params.items():
+        assert list(inspect.signature(solver).parameters) == names
+    g = qmwis.Graph([1, 2], [(1, 2)])
+    for option in ({"capacity_n": 3}, {"family": qmwis.VertexMultiFamily()}):
+        with pytest.raises(TypeError):
+            qmwis.solve_pkfree(g, {1: 1, 2: 1}, **option)
+
+
 def test_the_records_are_immutable():
     records = [
         (qmwis.SolveResult(1, frozenset({1}), qmwis.RunStats()), "weight"),
