@@ -8,8 +8,6 @@ solve-hfree, bench) take --assert; their reports carry the level. The
 separator exponent --i must lie in 1..MAX_SEPARATOR_I (4096) and --k-hint
 at most MAX_K_HINT (16,385). Integer flags take ASCII decimal integers
 only, as graph files do, and generate --p ASCII digits and at most one '.'.
-One parser serves a process: the first cli_main call builds it, not the
-import, and later calls reuse it, since parsing never changes it.
 hfree.py and oracle.py are imported only by the code that calls them.
 """
 
@@ -114,8 +112,8 @@ def _add_k_hint(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, with all six subcommands.
 
-    Built once per process, on first use, and never changed by parsing, so
-    every cli_main call shares it.
+    Built by the first cli_main call, not the import, and shared by later
+    calls, since parsing never changes it.
     """
     parser = _Parser(
         prog="qmwis",

@@ -49,11 +49,11 @@ def _set_items(mask: int, items: Sequence) -> Iterable:
 class VertexTable:
     """Sorted vertex ids, their ranks and adjacency masks, shared by subgraphs.
 
-    Built once per root graph and never changed afterwards. adj[r] is the
-    neighbour mask of the vertex of rank r in the root graph and closed_adj[r]
-    = adj[r] | 1 << r its closed neighbourhood; a subgraph's adjacency is
-    adj[r] & its live mask. edges are id pairs; both ends must be ids of
-    the table and differ, and the first pair that breaks this raises.
+    Never changed once built. adj[r] is the neighbour mask of the vertex of
+    rank r in the root graph and closed_adj[r] = adj[r] | 1 << r its closed
+    neighbourhood; a subgraph's adjacency is adj[r] & its live mask. edges
+    are id pairs; both ends must be ids of the table and differ, and the
+    first pair that breaks this raises.
 
     With n vertices and m edge pairs, a dense graph (n^2 <= 16 m) is built
     as one row of ASCII digits per vertex, a "1" at each neighbour's rank,
@@ -131,13 +131,11 @@ class VertexTable:
 class Graph:
     """Simple undirected graph over non-negative integer vertex ids.
 
-    Instances are immutable after construction and safe for unrestricted
-    concurrent reads. table is the VertexTable shared with the root graph
-    and mask the live vertices; both are read by the package's algorithms
-    and must not be changed. Adjacency is exposed as frozensets; all
-    iteration helpers yield vertices in sorted order so downstream
-    algorithms are deterministic. _plan holds the search plan that
-    find_induced_copy builds the first time the graph is used as a pattern.
+    Immutable, so safe for unrestricted concurrent reads: table, the
+    VertexTable shared with the root graph, and mask, the live vertices,
+    must not be changed. Adjacency is exposed as frozensets; all iteration
+    helpers yield vertices in sorted order so downstream algorithms are
+    deterministic. _plan is find_induced_copy's.
     """
 
     __slots__ = ("table", "mask", "_plan")

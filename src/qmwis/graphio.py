@@ -14,12 +14,6 @@ record sets a weight (default 1). The p line may declare at most
 MAX_VERTICES (16,384) vertices. Lines end at "\n" only; other whitespace,
 a CRLF ending's "\r" included, just separates tokens.
 
-A canonical file, the form emit_graph writes (comment lines, the p line,
-then n and e records with single spaces and "\n" endings), is read in one
-pass over its bytes. Any other valid spelling is read line by line, with
-the same result; so is every invalid file, which gives each error its
-kind and line.
-
 Reports are emitted with sorted keys and no timestamps, so identical
 inputs produce byte-identical documents.
 """
@@ -90,9 +84,6 @@ _RECORDS = {
 def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
     """Read a weighted graph from text.
 
-    A canonical file is read in one pass (see _parse_canonical); any other
-    input is read line by line, with the same result or error.
-
     Returns:
         (graph, weights) with vertices 1..n and every vertex weighted
         (missing n records default to weight 1).
@@ -111,10 +102,6 @@ def parse_graph(data: bytes | str) -> tuple[Graph, WeightMap]:
     return _parse_lines(data)
 
 
-# The canonical form, as emit_graph writes it: comment lines, the p line,
-# then n and e records, each number 1 to 10 ASCII digits, each field one
-# space apart and each line ended by "\n". Ten digits bound the int()
-# work per number.
 _CANONICAL_HEAD = re.compile(rb"(?:c(?: [^\n]*)?\n)*p ([0-9]{1,10}) ([0-9]{1,10})\n")
 _CANONICAL_RECORDS = re.compile(rb"(?:[ne] [0-9]{1,10} [0-9]{1,10}\n)*")
 
@@ -127,13 +114,18 @@ _CHUNK = 1024
 def _parse_canonical(data: bytes | str) -> tuple[Graph, WeightMap] | None:
     """parse_graph's result for a valid file in canonical form, else None.
 
-    Each chunk of records is checked by one regular expression and split
-    into tokens. An id token is looked up in a table of the spellings
-    "1".."n" to get its rank, and each edge sets two bits of the adjacency
-    masks directly; a self-loop or a repeated edge sets fewer, which the
-    masks' bit count shows at the end. None means only that this reader
-    cannot vouch for the input: it may be valid in a spelling the form
-    leaves out (such as an id with a leading zero), or invalid.
+    The canonical form is what emit_graph writes: comment lines, the p
+    line, then n and e records, each number 1 to 10 ASCII digits (which
+    bounds the int() work per number), fields one space apart and every
+    line ended by "\n". It is read in one pass: each chunk of records is
+    checked by one regular expression and split into tokens. An id token is
+    looked up in a table of the spellings "1".."n" to get its rank, and
+    each edge sets two bits of the adjacency masks directly; a self-loop or
+    a repeated edge sets fewer, which the masks' bit count shows at the
+    end. None means only that this reader cannot vouch for the input: it
+    may be valid in a spelling the form leaves out (such as an id with a
+    leading zero), or invalid. parse_graph then reads it line by line,
+    with the same result or error.
     """
     if isinstance(data, str):
         try:
@@ -186,11 +178,7 @@ def _parse_canonical(data: bytes | str) -> tuple[Graph, WeightMap] | None:
 
 
 def _parse_lines(text: str) -> tuple[Graph, WeightMap]:
-    """The graph format's definition: every record and every error.
-
-    Lines end at "\n" alone. Any other whitespace, the "\r" of a CRLF
-    ending included, only separates the tokens of a line.
-    """
+    """The graph format's definition: every record and every error."""
     n: int | None = None
     declared_m = 0
     weights: dict[int, int] = {}
@@ -285,8 +273,7 @@ def emit_graph(g: Graph, w: WeightMap, comment: str | None = None) -> str:
         lines.extend(f"c {part}" for part in comment.removesuffix("\n").split("\n"))
     lines.append(f"p {g.n} {g.edge_count}")
     lines.extend(f"n {v} {w[v]}" for v in ids)
-    # One row per vertex: its upper neighbours, named by table rank, since
-    # a subgraph's table may hold ids outside 1..n.
+    # Named by table rank, since a subgraph's table may hold ids outside 1..n.
     table, live = g.table, g.mask
     adj, names = table.adj, list(map(str, table.ids))
     for r in table.ranks(live):
@@ -299,8 +286,7 @@ class ReportDocument(NamedTuple):
     """One command's machine-readable result.
 
     payload carries the command-specific fields (weight, witness, core, the
-    assertion level of a solving command, ...). Serialization sorts keys
-    and contains no wall-clock data, so equal runs give equal bytes.
+    assertion level of a solving command, ...).
     """
 
     command: str

@@ -1,25 +1,14 @@
 """Exact MWIS for graphs excluding a disconnected pattern, via oracles.
 
-The pattern H is a disjoint union of connected graphs H_0 .. H_{c-1}. The
-solver owns one oracle per component; an oracle returns a maximum-weight
-independent set with its weight and must be exact on graphs with no induced
-copy of its component. It may do anything elsewhere, because the solver only
-consults it on graphs it has verified to be that-component-free.
+The pattern H is a disjoint union of connected graphs H_0 .. H_{c-1}, and
+the solver owns one oracle per component, exact on graphs with no induced
+copy of that component (see ComponentOracle).
 
-The pattern scheme below drives the shared recursion of pkfree.py. Each
-call on (G, w, N, F) picks i = |F| mod c and applies the first rule that
-fits:
-
-  1. a branchable vertex v exists: best of solving without v and solving
-     without N[v] plus w(v);
-  2. G has an induced copy X of H_i: grow F by N[X] and retry;
-  3. neither: return the i-th oracle's answer, valid since G is H_i-free,
-     one connected component of G at a time.
-
-N never changes and there is no component split. The result is exact for
-every input graph as long as the oracles honor their contract. The
-assume_hfree flag enables the pattern-dependent audit bounds, which are
-proven only for runs whose root graph has no induced H.
+The pattern scheme below drives the shared recursion of pkfree.py with no
+component split, so N never changes. A call on (G, w, N, F) takes
+i = |F| mod c: its X is an induced copy of H_i, and when G has none, its
+leaf is the i-th oracle's answer, valid since G is H_i-free, one connected
+component of G at a time.
 """
 
 from __future__ import annotations
@@ -101,14 +90,13 @@ class ComponentOracle:
 
     solve_with_witness returns (weight, witness), the witness a set of ids
     of g; solve returns the same weight alone. Both are required. The
-    solver calls only solve_with_witness, and only on connected graphs of
-    at least 3 vertices with no induced copy of claimed_pattern; a leaf's
-    smaller components it answers itself. claimed_pattern None means the
-    oracle is exact on every graph. Within one solve_hfree run each
-    distinct (pattern component, vertex set) reaches an oracle at most
-    once. The witness may be any optimum, so solve_hfree's is the heaviest
-    independent set, ties to the larger mask, only when every oracle's is,
-    as qmwis's are.
+    solver calls only solve_with_witness, with a validated w, on connected
+    graphs of at least 3 vertices with no induced copy of the oracle's
+    component, at most once per graph and run (pkfree.drive's memo rule);
+    it may answer anything elsewhere. claimed_pattern records that
+    component; None means the oracle is exact on every graph. The witness
+    may be any optimum; the solver's follows drive's tie rule only when
+    every oracle's does, as qmwis's do.
     """
 
     name: str
@@ -120,9 +108,8 @@ class ComponentOracle:
 def make_bruteforce_oracle(max_size: int = DEFAULT_BRUTE_FORCE_CAP) -> ComponentOracle:
     """Exponential-search oracle, exact on every graph up to max_size.
 
-    It answers as brute_force_mwis does, through its trusted mask entry:
-    it trusts w, which solve_hfree has validated. max_size must be an int
-    >= 1; a bool is refused too.
+    It answers as brute_force_mwis does, through its mask entry, which
+    trusts w. max_size must be an int >= 1; a bool is refused too.
     """
     _check_positive("brute-force cap", max_size)
 
@@ -146,12 +133,10 @@ def make_pk_oracle(k: int) -> ComponentOracle:
     A graph of at most DEFAULT_BRUTE_FORCE_CAP vertices is answered by
     brute_force_mwis's mask entry, which is faster there than the
     recursion; a larger one by the path-free solver's recursion at level
-    "off". solve_hfree hands it only connected graphs, so that size is one
-    leaf component's. Both are exact on every graph, so the oracle is too;
-    the claimed pattern just records the component it is meant for. It
-    trusts w, which solve_hfree has validated, and verifies the witness on
-    both branches, the brute-force one as a mask before decoding it. k must
-    be an int >= 1; a bool is refused too.
+    "off". Both are exact on every graph, so the oracle is too; the claimed
+    pattern just records the component it is meant for. It trusts w and
+    verifies the witness on both branches, the brute-force one as a mask
+    before decoding it. k must be an int >= 1; a bool is refused too.
     """
     _check_positive("path length", k)
     path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
@@ -180,14 +165,13 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
 
     Deterministic: mapping h's vertices in increasing id order, the chosen
     embedding is the lexicographically smallest image sequence. Works for
-    disconnected h too (component images must be mutually non-adjacent, as
-    induced embedding already requires). The backtracking search keeps one
-    candidate mask per pattern position on an explicit stack, so its depth
-    is not bounded by the interpreter's recursion limit. The mask of
-    position t holds exactly the live vertices that extend the images
-    placed so far: adjacent to the image of every earlier neighbour of t in
-    h, and neither equal nor adjacent to any other earlier image. Only the
-    degree filter is left to test per candidate.
+    disconnected h too. The backtracking search keeps one candidate mask
+    per pattern position on an explicit stack, so its depth is not bounded
+    by the interpreter's recursion limit. The mask of position t holds
+    exactly the live vertices that extend the images placed so far:
+    adjacent to the image of every earlier neighbour of t in h, and neither
+    equal nor adjacent to any other earlier image. Only the degree filter
+    is left to test per candidate.
 
     The plan, h's anchors and degrees, depends on h alone. It is built on
     the first search for h and kept in h's _plan slot, so a pattern searched
@@ -199,9 +183,6 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
     if size > g.mask.bit_count():
         return None
     if h._plan is None:
-        # An image of pattern vertex t (t-th smallest id) must have at least
-        # its degree and, among the images already placed, be adjacent to
-        # exactly those of anchors[t].
         h_adj, h_live = h.table.adj, h.mask
         order = list(h.table.ranks(h_live))
         h._plan = (
@@ -239,14 +220,10 @@ def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
 
 
 class _PatternScheme(Scheme):
-    """Induced-copy growth and oracle leaves for a pattern with c components.
+    """The pattern scheme of the module docstring; claimed is assume_hfree.
 
-    F grows by N[X] for an induced copy X of component i = |F| mod c, and a
-    graph with no such copy goes to oracle i, one connected component at a
-    time. assume_hfree claims the root graph has no induced copy of the
-    whole pattern; only then are the family bound and the potential
-    audited. _searched keeps, per component, the last anchor search's
-    (graph mask, copy mask or None).
+    _searched keeps, per component, the last anchor search's (graph mask,
+    copy mask or None).
     """
 
     noun = "neighborhood"
@@ -263,13 +240,12 @@ class _PatternScheme(Scheme):
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
         """The mask of find_induced_copy's copy of H_i in g, or None; i = |F| mod c.
 
-        A stored (i, mask) is an H_i-free graph whose answer waits in the
-        memo: a leaf, or a component of one that reached the oracle, which
-        is H_i-free as an induced subgraph of that leaf. Otherwise the last
-        search for H_i answers when g lies inside the graph it searched and
-        its copy, if any, inside g: an induced subgraph of an H_i-free graph
-        is H_i-free, and the lexicographically first copy stays first in
-        any induced subgraph holding it. Only a fresh search is recorded.
+        A graph the memo holds under (i, its mask) is H_i-free, as a leaf or
+        a component of one. Otherwise the last search for H_i answers when g
+        lies inside the graph it searched and its copy, if any, inside g: an
+        induced subgraph of an H_i-free graph is H_i-free, and the
+        lexicographically first copy stays first in any induced subgraph
+        holding it. Only a fresh search is recorded.
         """
         index, mask = len(family._raw) % self.c, g.mask
         if self.memo.get((index, mask)) is not None:
@@ -299,7 +275,7 @@ class _PatternScheme(Scheme):
         return self.size * n_cap, "|H|", {"N": n_cap, "pattern_size": self.size}
 
     def potential(self, graph_size: int, n_cap: int, family: VertexMultiFamily) -> int | None:
-        if not self.claimed or n_cap < 2:
+        if n_cap < 2:
             return None
         return measure_h(graph_size, n_cap, family, self.size, self.c)
 
@@ -309,18 +285,15 @@ class _PatternScheme(Scheme):
     def leaf(self, g: Graph, w: WeightMap, family: VertexMultiFamily) -> tuple[int, int]:
         """Oracle i's answer, its witness encoded as a mask over g's table.
 
-        g is H_i-free, and so is each of its components; the heaviest set,
-        ties to the larger mask, of g is the union of theirs. A component of
-        one or two vertices is answered here, as brute force answers it. A
-        larger one goes to oracle i, the whole g when g is connected, and
-        the run's memo keeps its answer under (i, its mask); g's own answer
-        is kept under (i, g's mask). These keys are complete, since every
-        leaf graph of a run shares the root table and w; drive states the
-        memo rule. Each leaf counts as one oracle call, however many
-        components reach the oracle. At "paranoid" a leaf's first occurrence
-        must be free of the oracle's component, and each oracle witness is
-        verified. A GraphTooLarge from the oracle is raised again, naming
-        the oracle and the size of the graph it was given.
+        g is H_i-free, and so is each of its components, whose answers add
+        up to g's. A component of one or two vertices is answered here, as
+        brute force answers it, a larger one by oracle i, the whole g when g
+        is connected. g and each oracle component are memo keys (i, mask).
+        Each leaf counts as one oracle call, however many components reach
+        the oracle. At "paranoid" a leaf's first occurrence must be free of
+        the oracle's component, and each oracle witness is verified. A
+        GraphTooLarge from the oracle is raised again, naming the oracle and
+        the size of the graph it was given.
         """
         index = len(family._raw) % self.c
         key = index, g.mask

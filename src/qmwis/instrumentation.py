@@ -1,15 +1,11 @@
 """Potential measures, per-step decrease assertions, and run statistics.
 
-Both solvers carry an integer potential over their instances. The potential
-is built from three addends (a size term, a weighted sum of level-set sizes,
-and a slack term for how much the family may still grow) and strictly
+Both solvers carry an integer potential over their instances that strictly
 decreases along every recursion edge by a rule-specific margin. The
 functions here compute the potentials exactly, check the per-edge decrease
-inequalities in cross-multiplied integer form, and accumulate counters for a
-whole run.
-
-All logarithms are ceil(log2 ...); the potentials are plain integers and are
-independent of the weight function.
+inequalities in cross-multiplied integer form, and accumulate counters for
+a whole run. All logarithms are ceil(log2 ...); the potentials are plain
+integers and are independent of the weight function.
 """
 
 from __future__ import annotations
@@ -40,9 +36,9 @@ def _potential(
     capacity_n: int,
     k: int | None = None,
 ) -> int:
-    # size_term + sum_i |L(F, i)| 2^(i-1) + unit (bound - |F|). The last term's
-    # sign is tested, not |F| > bound: at N = 1 unit and bound are both 0, and
-    # no family outgrows them. The details are built only for a violation.
+    # The family term's sign is tested, not |F| > bound: at N = 1 unit and
+    # bound are both 0, and no family outgrows them. The details are built
+    # only for a violation.
     family_size = len(family._raw)
     family_term = unit * (bound - family_size)
     if family_term < 0:
@@ -98,8 +94,7 @@ def measure_h(
 
     pattern_size is |H| (total vertices over all components) and
     pattern_components is the number of components c. The potential is
-    |V(G)| + level_term + family_term where
-      level_term  = sum_i |L(F, i)| 2^(i-1)
+    |V(G)| + level_term + family_term, with measure_k's level_term and
       family_term = 2 |H| N log(N) (|H| c log(N) - |F|)
 
     N and both pattern totals must be ints >= 1; a bool, float or str
@@ -256,15 +251,13 @@ class RunStats:
     """Exact counters for one solver run.
 
     Mutable during a run. The counters describe the recursion tree of the
-    paper's algorithm, the quantity its bounds are about, also where drive's
-    memo answers a subtree: mark, since and replay carry the subtree's
-    counts to each repeat. memo_hits counts those answers and memo_calls
-    the calls they replayed, included in calls. measure_trace is a ring
-    buffer of the last 4,096 recorded potential steps, so deep runs stay
-    bounded in memory; measure_steps counts every step recorded or
-    replayed. None of the three is in to_dict(). The recursion's per-call
-    check counts calls and keeps the graph and family maxima; its driver
-    keeps max_depth.
+    paper's algorithm, the quantity its bounds are about, memo hits
+    included (see drive). memo_hits counts those hits, memo_calls the calls
+    they replayed (included in calls) and measure_steps every potential
+    step recorded or replayed; none of the three is in to_dict().
+    measure_trace is a ring buffer of the last 4,096 recorded steps, so
+    deep runs stay bounded in memory. The recursion's per-call check counts
+    calls and keeps the graph and family maxima; its driver keeps max_depth.
     """
 
     def __init__(self) -> None:

@@ -5,20 +5,10 @@ members are kept and counted: subtraction replaces each member S by S - X
 without dropping anything, so the family size is invariant under subtraction.
 The i-th level L(F, i) collects the vertices lying in at least i members.
 
-Members and levels are int masks over a VertexTable (see graph.py), where
-bit r stands for the vertex of rank r. Inside the solvers a family shares
-its graph's table, so adding a member updates the levels with one AND/OR
-per level and subtracting X is one AND per level; nothing is recounted.
-Members are masked only when read, below "paranoid" only when an added
-member overlaps what was subtracted (see VertexMultiFamily). Frozensets of
-ids appear only at the public boundary, members; a caller that wants a
-level as ids decodes its mask with table.decode.
-
-A vertex v is branchable relative to (F, N) when its closed neighborhood
-covers at least Delta_i = N / 2^i vertices of level i for some i >= 1.
-Levels are monotone decreasing in i and Delta_i <= 1 once i >= ceil(log2 N),
-so the search never needs to look past i = ceil(log2 N) + 1: a vertex on a
-later non-empty level already qualifies at the cap.
+Members and levels are int masks over a VertexTable (see graph.py). Inside
+the solvers a family shares its graph's table, so adding a member updates
+the levels with one AND/OR per level and subtracting X is one AND per
+level; nothing is recounted.
 """
 
 from __future__ import annotations
@@ -44,21 +34,16 @@ class VertexMultiFamily:
     Immutable apart from two private caches. masks holds the members and
     level_masks the non-empty levels L(F, 1), L(F, 2), ... as masks over
     table. A family built from ids without a table gets its own table over
-    the ids it holds. add and subtract take ids or a mask over the family's
-    table: appending member m sets L(F, i + 1) |= L(F, i) & m, and
-    subtracting X clears X from every level and ORs it into _removed. The
-    members kept in _raw still hold the vertices in _removed; masks and
-    iter_masks clear them on every read and hand out _raw itself while
-    _removed is empty.
+    the ids it holds. Subtracting X clears X from every level and ORs it
+    into _removed. The members kept in _raw still hold the vertices in
+    _removed; masks and iter_masks clear them on every read and hand out
+    _raw itself while _removed is empty.
 
     The caches: _sizes keeps level_sizes() once asked for, as the paranoid
     audit reads it on the edge into a call and again in the call. _refuted
-    is find_branchable's (N, live, refuted): the vertices of refuted scored
-    below N against these levels on the graph with vertex mask live. A
-    score only falls on a subgraph of live and under F - X, whose levels
-    are L(F, i) - X, so subtract hands the cache to its result; add grows
-    the levels and starts with none. find_branchable checks N and that its
-    graph lies inside live on every read.
+    is find_branchable's. A score only falls under F - X, whose levels are
+    L(F, i) - X, so subtract hands it to its result; add grows the levels
+    and starts with none.
     """
 
     __slots__ = ("table", "_raw", "_removed", "level_masks", "_sizes", "_refuted")
@@ -194,8 +179,9 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     1 <= i <= ceil(log2 N) + 1, checked as the integer comparison
     |N[v] cap L(F, i)| * 2^i >= N. Among qualifying vertices the one with
     the largest violation max_i |N[v] cap L(F, i)| * 2^i wins; ties go to
-    the smallest vertex id. Each count is one popcount,
-    (closed_adj[r] & level_i).bit_count().
+    the smallest vertex id. The cap on i loses nothing: levels are nested
+    and N / 2^i <= 1 from i = ceil(log2 N) on, so a vertex on a later
+    non-empty level already qualifies at the cap.
 
     Level i is skipped when |L(F, i) cap V(G)| * 2^i < N: no vertex reaches
     N on it, and a qualifying vertex reaches its score on a level that is
@@ -204,8 +190,9 @@ def find_branchable(g: Graph, family: VertexMultiFamily, capacity_n: int) -> int
     score, so the scan, lowest id first, stops at the first vertex that
     reaches it: only a strictly higher score replaces the best.
 
-    The scan skips the vertices the family's cache (see VertexMultiFamily)
-    holds as refuted at this N on a graph containing g: none of them can
+    The family's _refuted is (N, live, refuted): each vertex of refuted
+    scored below N against these levels on the graph with vertex mask live.
+    When N matches and g lies inside live, the scan skips them: none can
     qualify, so the winner is unchanged, and None comes at once when they
     cover V(g). The cache then records what this scan refuted on g; the
     winner, other qualifying vertices and vertices past an early stop stay

@@ -3,18 +3,11 @@
 The brute-force solver is the independent reference every equivalence test
 compares against. It is deliberately simple: bitmask branch and bound with a
 greedy weighted clique-cover bound, validated in the test suite against a
-raw subset enumeration on small graphs. When the bound finds the candidates
-edgeless, taking them all is the subtree's answer and the search goes no
-deeper there. The search runs on the graph's shared vertex table, its
-adjacency masks and root ranks, one component at a time. The pattern
-oracles call its trusted mask entry, _brute_force_mask, which skips the
-weight check and the witness decoding of the public brute_force_mwis.
+raw subset enumeration on small graphs.
 
 Generators are fully deterministic functions of their spec: the same kind,
 size, parameters, and seed always produce the identical graph and weights
 (edges are drawn before weights, so the draw order is part of the format).
-The pk-free-rejection kind checks its samples with separators.py's
-induced-path search.
 """
 
 from __future__ import annotations
@@ -70,9 +63,8 @@ def _brute_force_mask(
 
     Trusted: w must already be valid for g. The search reads the shared
     table's adjacency masks and root ranks, so nothing is re-indexed. Each
-    component is searched apart: the heaviest set, ties to the larger mask,
-    of a disjoint union is the union of its components' own, as their
-    weights and their disjoint masks add.
+    component is searched apart, which keeps brute_force_mwis's tie rule,
+    as weights and disjoint masks add.
     """
     live = g.mask
     n = live.bit_count()
@@ -89,7 +81,7 @@ def _brute_force_mask(
 
 
 def _small_component(ids: tuple[int, ...], w: WeightMap, comp: int) -> tuple[int, int] | None:
-    """The largest (weight, mask) pair of a component of one or two vertices, else None.
+    """(weight, mask) of a component of one or two vertices, as brute force answers it, else None.
 
     Such a component needs no search: an edge keeps its larger end.
     """
@@ -164,11 +156,10 @@ class GenerationError(RuntimeError):
 class GeneratorSpec(NamedTuple):
     """Deterministic description of one generated instance.
 
-    kind is one of random-gnp, cograph, pk-free-rejection, path, cycle,
-    star, complete. Edge probability p applies to the gnp-based kinds and
-    path_bound k to pk-free-rejection. Weights are drawn uniformly from
-    weight_range after the edges; the range must lie in [0, MAX_WEIGHT] so
-    every generated instance can be written in the graph format.
+    kind is one of KINDS. Edge probability p applies to the gnp-based kinds
+    and path_bound k to pk-free-rejection. Weights are drawn uniformly from
+    weight_range; the range must lie in [0, MAX_WEIGHT] so every generated
+    instance can be written in the graph format.
     """
 
     kind: str

@@ -12,20 +12,8 @@ these rules that fits:
      grow until rule 2 can fire);
   4. otherwise: the scheme's leaf answer.
 
-drive runs the recursion and a Scheme supplies only what differs. The
-path scheme here (solve_pkfree) splits a graph whose components all have
-at most N/2 vertices, each with N reset to its size and F to empty, and
-grows F by the closed neighborhood of a balanced separator core, so rule 4
-never fires. The pattern scheme lives in hfree.py.
-
-The depth grows like n * log(N) * k through alternating branch and growth
-steps, far past CPython's recursion limit, so drive runs the recursion as
-one loop over a stack of tasks. The path scheme answers a graph of at most
-one vertex without running it; the answer still counts as one call at its
-own depth.
-
-Every run starts in _run, which builds its one root, after the public
-entry, solve_pkfree or solve_hfree, has validated its input once.
+drive runs the recursion from _run and a Scheme supplies only what differs:
+the path scheme (solve_pkfree) here, the pattern scheme in hfree.py.
 """
 
 from __future__ import annotations
@@ -62,10 +50,7 @@ from .separators import _induced_path, balanced_separator_core, verify_balanced
 
 _LEVELS = {"off": 0, "fair": 1, "paranoid": 2}
 
-# Builds each run's one memo (see drive). A dict whose get never hits,
-# swapped in here, runs every node and invokes an oracle on every leaf
-# component of at least 3 vertices: the memo-free reference the memo is
-# tested against.
+# Builds each run's memo (see drive); tests swap in one that never hits.
 _new_memo = dict
 
 
@@ -91,9 +76,10 @@ class Scheme:
     and names the member F grows by (noun, also naming the chain audit's
     rule), the rule of growth edges, the recurrence parameters (params),
     the least N at which the emptiness, family and chain bounds are audited
-    (audit_from_n), whether the run claims the family bound (claimed) and
-    whether drive answers a graph of at most one vertex without running it,
-    with no split, branch or anchor (small_leaves). Hooks:
+    (audit_from_n), whether the run claims the family bound and the
+    potential (claimed) and whether drive answers a graph of at most one
+    vertex without running it, with no split, branch or anchor
+    (small_leaves). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -102,13 +88,14 @@ class Scheme:
       leaf(g, w, F)        the answer when anchor finds nothing, its witness
                            a mask over g's table;
       family_excess(s, L)  (message, bound) if |F| = s breaks its bound at
-                           log(N) = L; asked only when claimed;
+                           log(N) = L;
       check_members(g, F, N)  paranoid checks of F's members;
       level_bound(N)       (bound, label, details) of the level-size and
                            level-growth audits, or None when unclaimed;
-      potential(n, N, F)   the integer potential, or None when unclaimed;
-      ceiling(N)           the potential's proven ceiling, or None when
-                           unclaimed.
+      potential(n, N, F)   the integer potential, or None where unproven;
+      ceiling(N)           the potential's proven ceiling.
+
+    family_excess, potential and ceiling are asked only when claimed.
     """
 
     audit_from_n = 1
@@ -116,7 +103,7 @@ class Scheme:
 
     def __init__(self, level: int):
         self.level, self.stats, self.memo = level, RunStats(), _new_memo()
-        # (level_bound(N), ceiling(N)) per N, built by the first paranoid call with N.
+        # (level_bound(N), ceiling(N) if claimed) per N, built by N's first paranoid call.
         self._bounds: dict[int, tuple[tuple[int, str, dict] | None, int | None]] = {}
 
     def split(self, g: Graph, n_cap: int) -> list[int] | None:
@@ -138,10 +125,9 @@ def _check_call(
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
 
     g is read only by the member checks of a non-empty F, so a split part,
-    whose F is empty, may pass None.
-
-    At "paranoid", mu is the potential the edge into this call computed, or
-    None to compute it here; every check runs on the value either way.
+    whose F is empty, may pass None. At "paranoid", mu is the potential the
+    edge into this call computed, or None to compute it here; every check
+    runs on the value either way.
     """
     # The member count, read without the Python-level call of len(family).
     stats, size = scheme.stats, len(family._raw)
@@ -178,7 +164,8 @@ def _check_call(
 
     bounds = scheme._bounds.get(n_cap)
     if bounds is None:
-        bounds = scheme._bounds[n_cap] = scheme.level_bound(n_cap), scheme.ceiling(n_cap)
+        ceiling = scheme.ceiling(n_cap) if scheme.claimed else None
+        bounds = scheme._bounds[n_cap] = scheme.level_bound(n_cap), ceiling
     level_bound, ceiling = bounds
     # An empty F has no level and no member: these checks would read nothing.
     if size:
@@ -188,8 +175,7 @@ def _check_call(
         if level_bound is not None:
             check_level_sizes(sizes, size, level_bound[0], level_bound[1])
     if mu is None:
-        mu = scheme.potential(n, n_cap, family)
-        if mu is None:
+        if not scheme.claimed or (mu := scheme.potential(n, n_cap, family)) is None:
             return None
     if not 0 <= mu <= ceiling:
         raise InvariantViolation(
@@ -225,10 +211,14 @@ def drive(
 ) -> tuple[int, int]:
     """Run the shared recursion from the root (g, w, N, F), F over g's table, to its answer.
 
-    Answers are (weight, witness mask over g's table). When every leaf's is
-    the heaviest independent set, ties to the larger mask, so is the root's:
-    a branch keeps the larger of its two (weight, mask) pairs, and disjoint
-    parts' pairs add up to the whole's. A task is one of
+    The tie rule. Answers are (weight, witness mask over g's table). When
+    every leaf's is the heaviest independent set, ties to the larger mask,
+    so is the root's: a branch keeps the larger of its two (weight, mask)
+    pairs, and disjoint parts' pairs add up to the whole's.
+
+    The depth grows like n * log(N) * k through alternating branch and
+    growth steps, far past CPython's recursion limit, so the recursion runs
+    as one loop over a stack of tasks, each one of
 
       (_NODE, depth, graph, mask, N, F, potential)  the call on G[mask], the
           root at depth 1; graph is None for a split part until it runs;
@@ -241,27 +231,22 @@ def drive(
     the same on every run. A parent potential exists only at "paranoid"
     with a claimed bound, so only then are the edges to the children
     audited. scheme.stats.max_depth gets the deepest node, also when the
-    run raises.
-
-    One place answers a node without running it: under small_leaves a node
-    of at most one vertex, checked as one call, and a repeated split part,
-    from the memo.
+    run raises. Under small_leaves a node of at most one vertex is answered
+    without running it, checked as one call at its own depth.
 
     The memo rule, at every level. A run keeps one memo, scheme.memo. A key
     names a subproblem that, with the run's table, w and scheme fixed, is a
-    function of the key alone, and so is every check it makes: drive keys a
-    split part (C, |C|, empty F) by its mask C, and the pattern scheme's
-    leaf keys an oracle leaf, and each of its components of at least 3
-    vertices, by (i, its mask). The first occurrence of a key runs and is
-    audited in full, a component within its leaf. A repeat is answered from
-    the memo and counted as what it stands for, and none of its own checks
-    run again, as they would read the same inputs; only the edge into it is
-    audited, by its parent like any other. Here the first part with a mask
-    runs under a store marker, which records its answer, its subtree's
-    height and stats.since(the marker's mark), the counts and measure steps
-    the subtree added (see RunStats.mark). A repeat replays them at its own
-    turn, so the stats still describe the whole tree, also when the run
-    raises after it; the maxima need no replay.
+    function of the key alone, and so is every check it makes: a split part
+    (C, |C|, empty F) is keyed by its mask C, and a pattern leaf, and each
+    of its components of at least 3 vertices, by (i, its mask). The first
+    occurrence of a key runs and is audited in full, a component within its
+    leaf. A repeat is answered from the memo and counted as what it stands
+    for; none of its own checks run again, as they would read the same
+    inputs, and only the edge into it is audited. A split part's first
+    occurrence runs under a store marker, which records its answer, its
+    subtree's height and stats.since(the marker's mark); a repeat replays
+    them at its own turn, so the stats still describe the whole tree, also
+    when the run raises after it.
     """
     stats, memo = scheme.stats, scheme.memo
     audit, small_leaves = scheme.level >= 2, scheme.small_leaves
@@ -302,16 +287,11 @@ def drive(
                 local = depth
             n = mask.bit_count()
             log_n = (n_cap - 1).bit_length()
-            # The one place that answers a node without running it.
             answer = None
             if n <= 1 and small_leaves:
-                # One call, checked as such; a split part's graph stays None.
                 _check_call(g, n, n_cap, log_n, family, scheme, mu)
                 answer = (w[table.ids[mask.bit_length() - 1]], mask) if n else (0, 0)
             elif g is None:
-                # A split part (C, |C|, empty F) is a function of its mask
-                # alone: the first one runs under a store marker, a repeat
-                # replays it.
                 hit = memo.get(mask)
                 if hit is not None:
                     answer, height, record = hit
@@ -328,8 +308,8 @@ def drive(
             # Consecutive growths of F keep the same graph, so they run as a
             # loop in this node rather than as new ones. Every iteration is one
             # call of the recursion and is counted and checked as such; only
-            # the first asks for the split, which depends on G and N alone. At
-            # "paranoid" each iteration's potential comes from the edge into it.
+            # the first asks for the split. At "paranoid" each iteration's
+            # potential comes from the edge into it.
             adds_in_a_row = 0
             while True:
                 parent_mu = _check_call(g, n, n_cap, log_n, family, scheme, mu)
@@ -426,7 +406,12 @@ def drive(
 
 
 class _PathScheme(Scheme):
-    """Component split and separator growth; k is the claimed path bound."""
+    """The path scheme; k is the claimed path bound.
+
+    It splits a graph whose components all have at most N/2 vertices, and
+    grows F by the closed neighborhood of a balanced separator core, which
+    a non-empty graph always has, so it needs no leaf.
+    """
 
     noun = "separator"
     growth_rule = RULE_ADD_SEPARATOR
@@ -476,21 +461,15 @@ class _PathScheme(Scheme):
             return None
         return 8 * self.k * n_cap, "8k", {"N": n_cap, "k": self.k}
 
-    def potential(self, graph_size: int, n_cap: int, family: VertexMultiFamily) -> int | None:
-        if self.k is None:
-            return None
+    def potential(self, graph_size: int, n_cap: int, family: VertexMultiFamily) -> int:
         return measure_k(graph_size, n_cap, family, self.k)
 
-    def ceiling(self, n_cap: int) -> int | None:
-        return None if self.k is None else max_measure_k(n_cap, self.k)
+    def ceiling(self, n_cap: int) -> int:
+        return max_measure_k(n_cap, self.k)
 
 
 def _run(scheme: Scheme, g: Graph, w: WeightMap) -> SolveResult:
-    """Drive the validated root (g, w, max(1, |V(g)|), empty F) and verify the witness.
-
-    The witness mask is verified at every level as it is, then decoded
-    here, once, into the result that also carries the scheme's stats.
-    """
+    """Drive the validated root (g, w, max(1, |V(g)|), empty F); verify and decode its witness."""
     weight, mask = drive(scheme, g, w, max(1, g.n), VertexMultiFamily(table=g.table))
     verify_witness(g, w, weight, mask)
     return SolveResult(weight, g.table.decode(mask), scheme.stats)

@@ -2,9 +2,7 @@
 
 All balance comparisons are exact: a component C violates the bound
 |V(G)|/2^i iff |C| * 2^i > |V(G)|, checked in integers. The induced-path
-search beside them decides P_k-freeness: solve_pkfree's checks of a
-claimed k, at the root and on separator cores, and the CLI's check-pkfree
-use it.
+search beside them decides P_k-freeness.
 """
 
 from __future__ import annotations
@@ -24,10 +22,10 @@ def _path_ranks(adj: list[int], current: int, tail: int) -> list[int]:
     Each step moves into the component C of current - N[tail] with more
     than |current|/2 vertices, at its smallest neighbour, and the path ends
     when there is none. At most one component is that large, so labelling
-    stops at the first one past half, or once too few vertices are left
-    for one, and no component is labelled when current - N[tail] is no
-    larger than half. N(C) within current lies inside N(tail), so that
-    neighbour is the first vertex of N(tail) adjacent to C.
+    stops early (component_masks' until), and none is labelled when
+    current - N[tail] is no larger than half. N(C) within current lies
+    inside N(tail), so that neighbour is the first vertex of N(tail)
+    adjacent to C.
     """
     path = [tail]
     while True:
@@ -72,10 +70,9 @@ def gyarfas_path(g: Graph, start: int) -> list[int]:
 
 
 def _core_mask(table: VertexTable, live: int, n: int, i: int) -> int:
-    # Paths are grown inside every component of live - N[X'] that breaks the
-    # bound, X' being the level i - 1 core (empty at i = 1), starting at the
-    # component's smallest id. A remainder within the bound holds no such
-    # component, so it is not labelled.
+    # X' is the level i - 1 core, empty at i = 1. Each path starts at its
+    # component's smallest id. A remainder within the bound holds no
+    # component that breaks it, so it is not labelled.
     adj = table.adj
     if i == 1:
         core, rest = 0, live

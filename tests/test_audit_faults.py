@@ -9,7 +9,10 @@ catches which fault, and that a legal variant of a rule is not flagged.
 Every run is made twice, with the run's memo and with one that never hits:
 a repeated split child's subtree reads only its own mask, so both runs
 must break the same rule with the same partial stats, or pass with the
-same weight and stats.
+same weight and stats. The faults that keep the recursion's shape but not
+its answer run on instances brute force can check: G(20, 0.3) graphs,
+which hold induced P4s and so run with no claim, and cographs of 24
+vertices with k_hint=4.
 
 A false claim is a fault of the input, not of the solver: at "paranoid"
 the root of solve_pkfree refutes k_hint 1, 2 and 3 on a graph that holds
@@ -31,7 +34,18 @@ import pytest
 import qmwis.hfree as hfree
 import qmwis.pkfree as pkfree
 import qmwis.separators as separators
-from qmwis import GeneratorSpec, Graph, InvariantViolation, find_induced_copy, generate, solve_pkfree
+from qmwis import (
+    RULE_BRANCH_DELETE,
+    RULE_BRANCH_TAKE,
+    GeneratorSpec,
+    Graph,
+    InvariantViolation,
+    VertexMultiFamily,
+    brute_force_mwis,
+    find_induced_copy,
+    generate,
+    solve_pkfree,
+)
 from qmwis.graph import component_masks
 
 from test_past_the_cap import split_graph, split_optimum
@@ -49,13 +63,13 @@ def honest():
     return {seed: solve_pkfree(*cograph(seed), k_hint=4).weight for seed in SEEDS}
 
 
-def run(seed: int, level: str, context=nullcontext):
+def run(seed: int, level: str, context=nullcontext, instance=cograph, k=4):
     """(the rule the run breaks or None, its weight or None, its stats): the
-    run solve_pkfree makes on the seed's cograph with k_hint=4, inside
+    run solve_pkfree makes on instance(seed) with k_hint=k, inside
     context()."""
-    g, w = cograph(seed)
+    g, w = instance(seed)
     with context():
-        scheme = pkfree._PathScheme(pkfree._parse_level(level), 4)
+        scheme = pkfree._PathScheme(pkfree._parse_level(level), k)
         try:
             return None, pkfree._run(scheme, g, w).weight, scheme.stats
         except InvariantViolation as err:
@@ -189,6 +203,89 @@ def test_an_eager_split_passes(level, monkeypatch, honest, without_memo):
     for seed in SEEDS:
         assert rule_of(seed, level, honest, without_memo) is None
     assert eager_only
+
+
+def gnp20(seed: int):
+    return generate(GeneratorSpec(kind="random-gnp", size=20, seed=seed, p=0.3))
+
+
+def cograph24(seed: int):
+    return generate(GeneratorSpec(kind="cograph", size=24, seed=seed))
+
+
+SMALL = pytest.mark.parametrize(
+    "instance, k", [(gnp20, None), (cograph24, 4)], ids=["gnp-20", "cograph-24"]
+)
+
+
+def small_rule(instance, k: int | None, seed: int, level: str, without_memo) -> str | None:
+    """The rule the run on instance(seed) breaks, or None when it returns
+    brute force's weight; the run without the memo must agree."""
+    rule, weight, stats = run(seed, level, instance=instance, k=k)
+    full_rule, full_weight, full_stats = run(seed, level, without_memo, instance, k)
+    assert (rule, weight, stats.to_dict()) == (full_rule, full_weight, full_stats.to_dict())
+    if rule is None:
+        assert weight == brute_force_mwis(*instance(seed))[0]
+    return rule
+
+
+@pytest.mark.parametrize(
+    "level, rule", [("off", None), ("fair", None), ("paranoid", "separator-balance")]
+)
+@SMALL
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_growing_f_by_the_core_alone_breaks_separator_balance(
+    level, rule, instance, k, seed, monkeypatch, without_memo
+):
+    # F must grow by N[X], the closed neighborhood of the core X. A member
+    # of X alone keeps the answer exact, and only the paranoid member check
+    # sees that it does not separate G.
+    monkeypatch.setattr(pkfree, "closed_neighborhood", lambda g, xs: xs)
+    assert small_rule(instance, k, seed, level, without_memo) == rule
+
+
+def take_child_keeps_neighbours(monkeypatch):
+    """Plant a take child that drops only v from G and F, as the delete child does.
+
+    drive gets v from find_branchable, builds each child with
+    remove_vertices and F.subtract, and audits the delete edge just before
+    the take edge, whose child now has the delete child's size.
+    """
+    real_find, real_remove = pkfree.find_branchable, pkfree.remove_vertices
+    real_subtract, real_edge = VertexMultiFamily.subtract, pkfree._check_edge
+    last = {}
+
+    def find(g, family, n_cap):
+        v = real_find(g, family, n_cap)
+        if v is not None:
+            last["bit"] = 1 << g.table.rank[v]
+        return v
+
+    def edge(parent_mu, n, n_cap, family, rule, scheme):
+        if rule == RULE_BRANCH_DELETE:
+            last["n"] = n
+        elif rule == RULE_BRANCH_TAKE:
+            n = last["n"]
+        return real_edge(parent_mu, n, n_cap, family, rule, scheme)
+
+    monkeypatch.setattr(pkfree, "find_branchable", find)
+    monkeypatch.setattr(pkfree, "remove_vertices", lambda g, xs: real_remove(g, last["bit"]))
+    monkeypatch.setattr(VertexMultiFamily, "subtract", lambda f, xs: real_subtract(f, last["bit"]))
+    monkeypatch.setattr(pkfree, "_check_edge", edge)
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+@SMALL
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_a_take_child_keeping_n_v_breaks_only_the_witness(
+    level, instance, k, seed, monkeypatch, without_memo
+):
+    # The take child must drop N[v]. One that drops only v lets the answer
+    # hold v beside a neighbour. At every level only the witness check sees
+    # it: at "paranoid" under k_hint=4 the take edge's potential still
+    # decreases enough, so rule branch-take does not fire.
+    take_child_keeps_neighbours(monkeypatch)
+    assert small_rule(instance, k, seed, level, without_memo) == "witness"
 
 
 def gnp30():

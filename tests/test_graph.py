@@ -72,6 +72,8 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Graph([1, 2, 3], [(1, 3)])
+    assert not a == object() and a != object()
+    assert repr(a) == "Graph(n=3, m=1)"
 
 
 def test_neighborhood_helpers():

@@ -37,6 +37,7 @@ def test_family_levels_count_multiplicity():
     fam = VertexMultiFamily([{1, 2}, {2, 3}])
     assert [fam.table.decode(level) for level in fam.level_masks] == [{1, 2, 3}, {2}]
     assert fam.level_sizes() == (3, 1)
+    assert fam.over(fam.table) is fam
 
 
 def test_empty_family():
@@ -50,6 +51,8 @@ def test_subtract_keeps_order_and_empty_members():
     fam = VertexMultiFamily([{1, 2}, {2, 3}, {2}])
     out = fam.subtract({2})
     assert out.members == (frozenset({1}), frozenset({3}), frozenset())
+    assert list(out) == list(out.members)
+    assert repr(out) == "VertexMultiFamily([[1], [3], []])"
     assert len(out) == 3
     drained = fam.subtract({1, 2, 3})
     assert len(drained) == 3
@@ -66,6 +69,7 @@ def test_add_appends():
 def test_family_equality_is_ordered():
     assert VertexMultiFamily([{1}, {2}]) != VertexMultiFamily([{2}, {1}])
     assert VertexMultiFamily([{1}, {2}]) == VertexMultiFamily([{1}, {2}])
+    assert VertexMultiFamily([{1}]) != [{1}] and not VertexMultiFamily() == object()
 
 
 def test_branch_threshold():

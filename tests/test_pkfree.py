@@ -163,7 +163,7 @@ def test_weights_validated():
         solve_pkfree(path_graph(2), {1: 1, 2: -4})
 
 
-def test_alg1_call_with_preloaded_family_is_still_exact():
+def test_drive_from_a_preloaded_family_is_still_exact():
     g = path_graph(4)
     w = {1: 2, 2: 9, 3: 9, 4: 2}
     weight, mask = drive_from(g, w, 4, [{1, 2, 3, 4}], level="off")
@@ -173,23 +173,23 @@ def test_alg1_call_with_preloaded_family_is_still_exact():
     assert total_weight(w, witness) == 11
 
 
-def test_alg1_call_takes_no_stats():
+def test_solve_pkfree_takes_no_stats():
     g = path_graph(3)
     with pytest.raises(TypeError):
         solve_pkfree(g, unit_weights(g), stats=RunStats())
 
 
-def test_collect_witness_take_wins_strictly():
+def test_a_heavier_take_child_wins_the_branch():
     heavier = solve_pkfree(path_graph(3), {1: 1, 2: 3, 3: 1})
     assert (heavier.witness, heavier.stats.branch_steps) == ({2}, 1)
 
 
-def test_collect_witness_tie_keeps_the_larger_mask():
+def test_a_branch_tie_keeps_the_larger_mask():
     tie = solve_pkfree(path_graph(3), {1: 1, 2: 2, 3: 1})
     assert (tie.witness, tie.stats.branch_steps) == ({1, 3}, 1)  # 0b101 > 0b010
 
 
-def test_alg1_call_rejects_k_hint_below_one():
+def test_solve_pkfree_rejects_k_hint_below_one():
     g = path_graph(3)
     with pytest.raises(ValueError, match="k_hint must be >= 1, got 0"):
         solve_pkfree(g, unit_weights(g), k_hint=0)

@@ -76,6 +76,7 @@ def test_star_import_resolves_every_public_name():
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 51
     assert sorted(qmwis.__all__) == PUBLIC_NAMES
+    assert set(qmwis.__all__) <= set(dir(qmwis))
 
 
 # Run in a fresh interpreter: by now the test run has loaded every module.
