@@ -213,7 +213,7 @@ def _finish_solve(report: ReportDocument, result: SolveResult, args: argparse.Na
 
 
 def _parse_oracle_spec(spec: str, index: int, size: int) -> ComponentOracle:
-    from .hfree import make_bruteforce_oracle, make_pk_oracle
+    from .hfree import _not_isomorphic, make_bruteforce_oracle, make_pk_oracle
 
     if spec == "bruteforce":
         return make_bruteforce_oracle()
@@ -228,10 +228,7 @@ def _parse_oracle_spec(spec: str, index: int, size: int) -> ComponentOracle:
         # A K-vertex path, K >= 1, of another size cannot be the component,
         # and it takes O(K^2) bits to build: refuse it with solve_hfree's message.
         if value >= 1 and value != size:
-            raise ValueError(
-                f"oracle {index} (p{value}) claims a pattern that is not "
-                f"isomorphic to component {index}"
-            )
+            raise _not_isomorphic(index, f"p{value}")
         return make_pk_oracle(value)
     return make_bruteforce_oracle(value)
 

@@ -47,6 +47,7 @@ from .pkfree import (
     SolveResult,
     _parse_level,
     _PathScheme,
+    _root,
     _run,
     verify_witness,
 )
@@ -105,6 +106,25 @@ class ComponentOracle:
     claimed_pattern: Graph | None = None
 
 
+def _oracle(
+    name: str, answer: Callable[[Graph, WeightMap], tuple[int, int]], claimed: Graph | None = None
+) -> ComponentOracle:
+    """The oracle of answer(g, w) = (weight, witness mask over g's table):
+    solve_with_witness decodes the mask, solve returns the weight."""
+
+    def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
+        weight, witness = answer(g, w)
+        return weight, g.table.decode(witness)
+
+    return ComponentOracle(name, lambda g, w: answer(g, w)[0], solve_with_witness, claimed)
+
+
+def _not_isomorphic(index: int, name: str) -> ValueError:
+    """The refusal of oracle index, named name, whose claimed pattern is not component index."""
+    message = f"oracle {index} ({name}) claims a pattern that is not isomorphic to component {index}"
+    return ValueError(message)
+
+
 def make_bruteforce_oracle(max_size: int = DEFAULT_BRUTE_FORCE_CAP) -> ComponentOracle:
     """Exponential-search oracle, exact on every graph up to max_size.
 
@@ -112,19 +132,7 @@ def make_bruteforce_oracle(max_size: int = DEFAULT_BRUTE_FORCE_CAP) -> Component
     trusts w. max_size must be an int >= 1; a bool is refused too.
     """
     _check_positive("brute-force cap", max_size)
-
-    def solve(g: Graph, w: WeightMap) -> int:
-        return _brute_force_mask(g, w, max_size)[0]
-
-    def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
-        weight, witness = _brute_force_mask(g, w, max_size)
-        return weight, g.table.decode(witness)
-
-    return ComponentOracle(
-        name=f"bruteforce<={max_size}",
-        solve=solve,
-        solve_with_witness=solve_with_witness,
-    )
+    return _oracle(f"bruteforce<={max_size}", lambda g, w: _brute_force_mask(g, w, max_size))
 
 
 def make_pk_oracle(k: int) -> ComponentOracle:
@@ -132,32 +140,22 @@ def make_pk_oracle(k: int) -> ComponentOracle:
 
     A graph of at most DEFAULT_BRUTE_FORCE_CAP vertices is answered by
     brute_force_mwis's mask entry, which is faster there than the
-    recursion; a larger one by the path-free solver's recursion at level
-    "off". Both are exact on every graph, so the oracle is too; the claimed
-    pattern just records the component it is meant for. It trusts w and
-    verifies the witness on both branches, the brute-force one as a mask
-    before decoding it. k must be an int >= 1; a bool is refused too.
+    recursion; a larger one by the path-free solver's verified root entry
+    at level "off". Both are exact on every graph, so the oracle is too; the
+    claimed pattern just records the component it is meant for. It trusts w
+    and verifies the witness mask on both branches. k must be an int >= 1;
+    a bool is refused too.
     """
     _check_positive("path length", k)
-    path = Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)])
 
-    def solve_with_witness(g: Graph, w: WeightMap) -> tuple[int, frozenset[int]]:
+    def answer(g: Graph, w: WeightMap) -> tuple[int, int]:
         if g.mask.bit_count() > DEFAULT_BRUTE_FORCE_CAP:
-            result = _run(_PathScheme(0, None), g, w)
-            return result.weight, result.witness
+            return _root(_PathScheme(0, None), g, w)
         weight, witness = _brute_force_mask(g, w)
         verify_witness(g, w, weight, witness)
-        return weight, g.table.decode(witness)
+        return weight, witness
 
-    def solve(g: Graph, w: WeightMap) -> int:
-        return solve_with_witness(g, w)[0]
-
-    return ComponentOracle(
-        name=f"p{k}",
-        solve=solve,
-        solve_with_witness=solve_with_witness,
-        claimed_pattern=path,
-    )
+    return _oracle(f"p{k}", answer, Graph(range(1, k + 1), [(i, i + 1) for i in range(1, k)]))
 
 
 def find_induced_copy(g: Graph, h: Graph) -> frozenset[int] | None:
@@ -228,7 +226,6 @@ class _PatternScheme(Scheme):
 
     noun = "neighborhood"
     growth_rule = RULE_ADD_NEIGHBORHOOD
-    audit_from_n = 2
 
     def __init__(self, level: int, pattern: PatternGraph, oracles: tuple, assume_hfree: bool):
         super().__init__(level)
@@ -240,16 +237,13 @@ class _PatternScheme(Scheme):
     def anchor(self, g: Graph, family: VertexMultiFamily) -> int | None:
         """The mask of find_induced_copy's copy of H_i in g, or None; i = |F| mod c.
 
-        A graph the memo holds under (i, its mask) is H_i-free, as a leaf or
-        a component of one. Otherwise the last search for H_i answers when g
-        lies inside the graph it searched and its copy, if any, inside g: an
-        induced subgraph of an H_i-free graph is H_i-free, and the
-        lexicographically first copy stays first in any induced subgraph
-        holding it. Only a fresh search is recorded.
+        The last search for H_i answers when g lies inside the graph it
+        searched and its copy, if any, inside g: an induced subgraph of an
+        H_i-free graph is H_i-free, and the lexicographically first copy
+        stays first in any induced subgraph holding it. Only a fresh search
+        is recorded.
         """
         index, mask = len(family._raw) % self.c, g.mask
-        if self.memo.get((index, mask)) is not None:
-            return None
         last = self._searched[index]
         if last is not None and not mask & ~last[0]:
             copy = last[1]
@@ -387,9 +381,6 @@ def solve_hfree(
             continue
         component = pattern.components[idx]
         if claimed.n != component.n or find_induced_copy(claimed, component) is None:
-            raise ValueError(
-                f"oracle {idx} ({oracle.name}) claims a pattern that is not "
-                f"isomorphic to component {idx}"
-            )
+            raise _not_isomorphic(idx, oracle.name)
     scheme = _PatternScheme(_parse_level(assertion_level), pattern, oracles, assume_hfree)
     return _run(scheme, g, w)

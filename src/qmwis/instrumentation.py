@@ -266,7 +266,6 @@ class RunStats:
         self.branch_steps = 0
         self.separators_added = 0
         self.neighborhoods_added_count = 0
-        self.oracle_calls = 0
         self.oracle_calls_by_index: dict[int, int] = {}
         self.max_family_size = 0
         self.max_depth = 0
@@ -320,8 +319,12 @@ class RunStats:
         self.memo_hits += 1
         self.memo_calls += calls
 
+    @property
+    def oracle_calls(self) -> int:
+        """Every oracle call, summed over the component indices."""
+        return sum(self.oracle_calls_by_index.values())
+
     def record_oracle_call(self, index: int) -> None:
-        self.oracle_calls += 1
         self.oracle_calls_by_index[index] = self.oracle_calls_by_index.get(index, 0) + 1
 
     def to_dict(self) -> dict[str, Any]:

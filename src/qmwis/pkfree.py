@@ -75,11 +75,9 @@ class Scheme:
     A scheme holds the assertion level, the run's stats and its one memo,
     and names the member F grows by (noun, also naming the chain audit's
     rule), the rule of growth edges, the recurrence parameters (params),
-    the least N at which the emptiness, family and chain bounds are audited
-    (audit_from_n), whether the run claims the family bound and the
-    potential (claimed) and whether drive answers a graph of at most one
-    vertex without running it, with no split, branch or anchor
-    (small_leaves). Hooks:
+    whether the run claims the family bound and the potential (claimed) and
+    whether drive answers a graph of at most one vertex without running it,
+    with no split, branch or anchor (small_leaves). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -98,7 +96,6 @@ class Scheme:
     family_excess, potential and ceiling are asked only when claimed.
     """
 
-    audit_from_n = 1
     claimed = small_leaves = False
 
     def __init__(self, level: int):
@@ -143,10 +140,11 @@ def _check_call(
         raise InvariantViolation(
             "fair-shape", f"|V(G)| = {n} exceeds N = {n_cap}", {"n": n, "N": n_cap}
         )
-    # Level emptiness rests on a pigeonhole over level log(N). The pattern
-    # scheme audits it and the family and chain bounds only from N = 2: at
-    # N = 1 a lone-vertex component legitimately adds a member to level 1.
-    if n_cap >= scheme.audit_from_n:
+    # Level emptiness rests on a pigeonhole over level log(N). It and the
+    # family and chain bounds are audited only from N = 2: at N = 1 a pattern
+    # run's lone-vertex component legitimately adds a member to level 1, and
+    # a path run's node has an empty F and at most one vertex.
+    if n_cap >= 2:
         if len(family.level_masks) > log_n:
             raise InvariantViolation(
                 "level-emptiness",
@@ -379,7 +377,8 @@ def drive(
                         {"n": n, "N": n_cap},
                     )
                 adds_in_a_row += 1
-                if adds_in_a_row > n * log_n and scheme.level >= 1 and n_cap >= scheme.audit_from_n:
+                # Audited from N = 2, as _check_call's bounds are.
+                if adds_in_a_row > n * log_n and scheme.level >= 1 and n_cap >= 2:
                     raise InvariantViolation(
                         f"{scheme.noun}-chain",
                         f"{adds_in_a_row} {scheme.noun} additions in a row exceeds |V(G)| log(N)",
@@ -468,10 +467,16 @@ class _PathScheme(Scheme):
         return max_measure_k(n_cap, self.k)
 
 
-def _run(scheme: Scheme, g: Graph, w: WeightMap) -> SolveResult:
-    """Drive the validated root (g, w, max(1, |V(g)|), empty F); verify and decode its witness."""
+def _root(scheme: Scheme, g: Graph, w: WeightMap) -> tuple[int, int]:
+    """Drive the validated root (g, w, max(1, |V(g)|), empty F); verify its witness mask."""
     weight, mask = drive(scheme, g, w, max(1, g.n), VertexMultiFamily(table=g.table))
     verify_witness(g, w, weight, mask)
+    return weight, mask
+
+
+def _run(scheme: Scheme, g: Graph, w: WeightMap) -> SolveResult:
+    """_root's answer with its witness decoded, and the run's stats."""
+    weight, mask = _root(scheme, g, w)
     return SolveResult(weight, g.table.decode(mask), scheme.stats)
 
 

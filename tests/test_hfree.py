@@ -215,7 +215,7 @@ def test_pk_oracle_answers_graphs_within_the_cap_by_brute_force(monkeypatch):
     def no_recursion(*args):
         raise AssertionError("the pk oracle ran the path recursion")
 
-    monkeypatch.setattr(hfree, "_run", no_recursion)
+    monkeypatch.setattr(hfree, "_root", no_recursion)
     rng = random.Random(2207)
     graphs = []
     for n in range(26):
@@ -223,9 +223,14 @@ def test_pk_oracle_answers_graphs_within_the_cap_by_brute_force(monkeypatch):
         graphs.append(generate(GeneratorSpec(kind="cograph", size=n, seed=n, weight_range=(0, 3))))
         g, _ = random_graph(rng, n, rng.choice([0.2, 0.5]))
         graphs.append((g, {v: rng.randint(0, 3) for v in g.vertices}))
-    o = make_pk_oracle(4)
+    # The brute-force oracle answers the same way, and each solve is the
+    # weight of its solve_with_witness.
+    oracles = make_pk_oracle(4), make_bruteforce_oracle()
     for g, w in graphs:
-        assert o.solve_with_witness(g, w) == brute_force_mwis(g, w)
+        expected = brute_force_mwis(g, w)
+        for o in oracles:
+            assert o.solve_with_witness(g, w) == expected
+            assert o.solve(g, w) == expected[0]
 
 
 @pytest.mark.parametrize(
@@ -240,19 +245,26 @@ def test_pk_oracle_answers_graphs_within_the_cap_by_brute_force(monkeypatch):
 def test_pk_oracle_runs_the_path_recursion_past_the_cap(spec, monkeypatch):
     import qmwis.hfree as hfree
 
-    real_run, runs = hfree._run, []
+    real_root, runs = hfree._root, []
 
     def traced(*args):
         runs.append(args)
-        return real_run(*args)
+        return real_root(*args)
 
-    monkeypatch.setattr(hfree, "_run", traced)
+    monkeypatch.setattr(hfree, "_root", traced)
     g, w = generate(spec)
-    weight, witness = make_pk_oracle(4).solve_with_witness(g, w)
+    o = make_pk_oracle(4)
+    weight, witness = o.solve_with_witness(g, w)
     assert len(runs) == 1
     assert weight == brute_force_mwis(g, w, max_size=40)[0]
     assert is_independent_set(g, witness)
     assert total_weight(w, witness) == weight
+    # Past the cap too, solve is the weight of solve_with_witness, for the
+    # brute-force oracle at a cap that admits g as well.
+    assert o.solve(g, w) == weight
+    assert len(runs) == 2
+    brute = make_bruteforce_oracle(40)
+    assert brute.solve(g, w) == brute.solve_with_witness(g, w)[0] == weight
 
 
 def test_pk_oracle_verifies_its_brute_force_witness(monkeypatch):
@@ -590,12 +602,13 @@ def test_paranoid_checks_each_distinct_leaf_once(monkeypatch):
             missed += 1
             known.add(leaf)
             known.update((i, g.table.mask(c)) for i, c in oracle_components(g, [leaf]))
-    # An anchor search finds no copy at most once per distinct leaf, at both
-    # levels: a leaf the memo knows is searched no more, and a leaf inside a
-    # graph the last search found copy-free is answered by that search. The
+    # An anchor search finds no copy in fewer graphs than there are missed
+    # leaves, at both levels: a leaf inside a graph the last search found
+    # copy-free is answered by that search. A graph is searched again only
+    # when another search for the same component came between. The
     # oracle-validity search adds one more for each leaf that missed only.
     extra = paranoid_free - fair_free
-    assert sum(fair_free.values()) == len(fair_free) == 125 < missed == 216
+    assert (sum(fair_free.values()), len(fair_free), missed) == (130, 127, 216)
     assert len(extra) == missed and set(extra.values()) == {1}
 
 

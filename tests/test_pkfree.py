@@ -28,6 +28,8 @@ from qmwis import (
 )
 from qmwis.graph import component_masks, remove_vertices
 
+from test_past_the_cap import split_graph
+
 
 def path_graph(n: int) -> Graph:
     return Graph(range(1, n + 1), [(i, i + 1) for i in range(1, n)])
@@ -144,6 +146,44 @@ def test_k_hint_on_cographs_runs_clean_at_paranoid():
         assert r.weight == want
         mu = measure_k(g.n, max(1, g.n), VertexMultiFamily(), 4)
         assert 0 <= mu <= max_measure_k(max(1, g.n), 4)
+
+
+def _path_free_instances(kind: str) -> list[tuple[Graph, dict[int, int], int]]:
+    """(g, w, a true k_hint) for n = 0..40: gnp graphs have no induced path
+    on n + 1 vertices, cographs none on 4 and split graphs none on 5."""
+    if kind == "split":
+        return [(*split_graph(n, n)[:2], 5) for n in range(41)]
+    if kind == "cograph":
+        return [(*generate(GeneratorSpec(kind="cograph", size=n, seed=n)), 4) for n in range(41)]
+    specs = [GeneratorSpec(kind="random-gnp", size=n, seed=n, p=0.3) for n in range(41)]
+    return [(*generate(spec), spec.size + 1) for spec in specs]
+
+
+@pytest.mark.parametrize("claim", [False, True], ids=["no-k-hint", "k-hint"])
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+@pytest.mark.parametrize("kind", ["gnp", "cograph", "split"])
+def test_a_path_run_checks_each_n1_node_as_a_small_leaf(kind, level, claim, monkeypatch):
+    # The emptiness, family-size and chain audits run from N = 2. A path
+    # run loses none that could fire: each of its N = 1 nodes has an empty
+    # F and at most one vertex, and is answered as a small leaf, so never
+    # reaches the split or a growth of F.
+    real_check, real_split, small, reached = pkfree._check_call, pkfree._PathScheme.split, [], []
+
+    def check(g, n, n_cap, log_n, family, scheme, mu=None):
+        if n_cap < 2:
+            small.append((n, len(family)))
+        return real_check(g, n, n_cap, log_n, family, scheme, mu)
+
+    def split(self, g, n_cap):
+        reached.append(n_cap)
+        return real_split(self, g, n_cap)
+
+    monkeypatch.setattr(pkfree, "_check_call", check)
+    monkeypatch.setattr(pkfree._PathScheme, "split", split)
+    for g, w, k in _path_free_instances(kind):
+        solve_pkfree(g, w, k_hint=k if claim else None, assertion_level=level)
+    assert small and all(n <= 1 and not size for n, size in small)
+    assert reached and min(reached) >= 2
 
 
 def test_k_hint_must_be_positive():
