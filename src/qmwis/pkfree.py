@@ -77,7 +77,8 @@ class Scheme:
     rule), the rule of growth edges, the recurrence parameters (params),
     whether the run claims the family bound and the potential (claimed) and
     whether drive answers a graph of at most one vertex without running it,
-    with no split, branch or anchor (small_leaves). Hooks:
+    with no split, branch or anchor (small_leaves) or keys a split part of 2
+    to 4 vertices by shape, for hooks blind to w and ids (shape_keys). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -96,7 +97,7 @@ class Scheme:
     family_excess, potential and ceiling are asked only when claimed.
     """
 
-    claimed = small_leaves = False
+    claimed = small_leaves = shape_keys = False
 
     def __init__(self, level: int):
         self.level, self.stats, self.memo = level, RunStats(), _new_memo()
@@ -203,6 +204,41 @@ def _check_edge(
 # The kind that starts each of drive's tasks; drive lists their fields.
 _NODE, _SUM, _PICK, _STORE = range(4)
 
+_MAXIMAL_SETS: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+
+def _shape(adj: list[int], mask: int) -> tuple[tuple[int, int], list[int]]:
+    """The part mask's shape key, (n, upper-triangle adjacency bits in rank order), and ranks."""
+    ranks, code = [], 0
+    while mask:
+        r = (mask & -mask).bit_length() - 1
+        for s in ranks:
+            code = code << 1 | adj[s] >> r & 1
+        ranks.append(r)
+        mask ^= 1 << r
+    if (key := (len(ranks), code)) not in _MAXIMAL_SETS:
+        sets = []
+        for chosen in range(1, 1 << len(ranks)):
+            picked = sum(1 << r for i, r in enumerate(ranks) if chosen >> i & 1)
+            # Independent, and every vertex left out has a neighbor in it.
+            if all(not adj[r] & picked if 1 << r & picked else adj[r] & picked for r in ranks):
+                sets.append(tuple(i for i in range(len(ranks)) if chosen >> i & 1))
+        _MAXIMAL_SETS[key] = sets  # Published whole: concurrent runs see no partial entry.
+    return key, ranks
+
+
+def _heaviest(sets: list, ranks: list[int], w: WeightMap, ids: tuple[int, ...]) -> tuple[int, int]:
+    """The heaviest of a part's maximal independent sets, ties to the larger mask."""
+    best = -1, 0
+    for s in sets:
+        weight = mask = 0
+        for i in s:
+            weight += w[ids[ranks[i]]]
+            mask |= 1 << ranks[i]
+        if (weight, mask) > best:
+            best = weight, mask
+    return best
+
 
 def drive(
     scheme: Scheme, g: Graph, w: WeightMap, capacity_n: int, family: VertexMultiFamily
@@ -222,7 +258,7 @@ def drive(
           root at depth 1; graph is None for a split part until it runs;
       (_SUM, count)       the sum of the count answers on top;
       (_PICK, w(v), bit)  the larger of a branch's delete and take answers;
-      (_STORE, mask, depth, outer, mark)  the answer on top, kept in the memo.
+      (_STORE, key, depth, outer, mark, sets)  memoizes sets, else the answer on top.
 
     A split or a branch pushes its children in reverse above its marker, so
     they run one after another in batch order and every counter comes out
@@ -233,21 +269,22 @@ def drive(
     without running it, checked as one call at its own depth.
 
     The memo rule, at every level. A run keeps one memo, scheme.memo. A key
-    names a subproblem that, with the run's table, w and scheme fixed, is a
-    function of the key alone, and so is every check it makes: a split part
-    (C, |C|, empty F) is keyed by its mask C, and a pattern leaf, and each
-    of its components of at least 3 vertices, by (i, its mask). The first
-    occurrence of a key runs and is audited in full, a component within its
-    leaf. A repeat is answered from the memo and counted as what it stands
-    for; none of its own checks run again, as they would read the same
-    inputs, and only the edge into it is audited. A split part's first
-    occurrence runs under a store marker, which records its answer, its
-    subtree's height and stats.since(the marker's mark); a repeat replays
-    them at its own turn, so the stats still describe the whole tree, also
-    when the run raises after it.
+    names a subtree whose calls and checks depend on the key alone, with the
+    run's table, w and scheme fixed: a split part (C, |C|, empty F) is keyed
+    by its mask C, or under shape_keys, if of 2 to 4 vertices, by its
+    _shape, and a pattern leaf, and each of its components of at least 3
+    vertices, by (i, its mask). The first occurrence of a key runs and is
+    audited in full, a component within its leaf. A repeat is answered from
+    the memo and counted as what it stands for; only the edge into it is
+    audited. A split part's first occurrence runs under a store marker that
+    records its answer, its subtree's height and stats.since(its mark); a
+    repeat replays them at its own turn, so the stats still describe the
+    whole tree, also when the run raises after it. A shape's answer is
+    derived, not stored: by the tie rule and w >= 0 it is the heaviest of
+    its maximal independent sets, ties to the larger mask.
     """
     stats, memo = scheme.stats, scheme.memo
-    audit, small_leaves = scheme.level >= 2, scheme.small_leaves
+    audit, small_leaves, shape_keys = scheme.level >= 2, scheme.small_leaves, scheme.shape_keys
     root, table = g, g.table
     # Every split part starts from this family; a family is immutable.
     empty = VertexMultiFamily(table=table)
@@ -275,8 +312,8 @@ def drive(
                         witness |= answer[1]
                     results.append((weight, witness))
                 else:
-                    _, key, node_depth, outer, mark = task
-                    memo[key] = results[-1], local - node_depth + 1, stats.since(mark)
+                    _, key, node_depth, outer, mark, sets = task
+                    memo[key] = sets or results[-1], local - node_depth + 1, stats.since(mark)
                     if outer > local:
                         local = outer
                 continue
@@ -290,14 +327,17 @@ def drive(
                 _check_call(g, n, n_cap, log_n, family, scheme, mu)
                 answer = (w[table.ids[mask.bit_length() - 1]], mask) if n else (0, 0)
             elif g is None:
-                hit = memo.get(mask)
+                key, ranks = _shape(table.adj, mask) if shape_keys and n <= 4 else (mask, None)
+                hit = memo.get(key)
                 if hit is not None:
                     answer, height, record = hit
+                    if key is not mask:
+                        answer = _heaviest(answer, ranks, w, table.ids)
                     stats.replay(record)
                     if depth + height - 1 > local:
                         local = depth + height - 1
                 else:
-                    tasks.append((_STORE, mask, depth, local, stats.mark()))
+                    tasks.append((_STORE, key, depth, local, stats.mark(), _MAXIMAL_SETS.get(key)))
                     local = depth
                     g = induced_subgraph(root, mask)
             if answer is not None:
@@ -414,7 +454,7 @@ class _PathScheme(Scheme):
 
     noun = "separator"
     growth_rule = RULE_ADD_SEPARATOR
-    small_leaves = True
+    small_leaves = shape_keys = True
 
     def __init__(self, level: int, k: int | None):
         super().__init__(level)

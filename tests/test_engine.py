@@ -238,20 +238,45 @@ def test_a_memo_hit_counts_its_subtree_when_the_run_raises():
 
 
 def test_a_run_builds_one_memo_for_split_children_and_leaves(monkeypatch):
-    # drive keys split children by mask, the pattern scheme's leaf and each
-    # of its components of at least 3 vertices by (component index, mask);
-    # all go into the memo the scheme was built with.
+    # drive keys the path scheme's split children of 2 to 4 vertices by
+    # shape, (n, adjacency bits), and larger ones by mask; the pattern
+    # scheme's leaf and each of its components of at least 3 vertices by
+    # (component index, mask). All go into the memo the scheme was built with.
     import qmwis.pkfree as pkfree
 
     built: list[dict] = []
     monkeypatch.setattr(pkfree, "_new_memo", lambda: built.append({}) or built[-1])
     solve_pkfree(*generate(GeneratorSpec(kind="cograph", size=64, seed=1)))
-    assert len(built) == 1 and built[0] and all(isinstance(key, int) for key in built[0])
+    shapes = [key for key in built[0] if not isinstance(key, int)]
+    assert len(built) == 1 and shapes and len(shapes) < len(built[0])
+    assert all(key.bit_count() > 4 for key in built[0] if isinstance(key, int))
+    # The 2-vertex shape has one pair bit, a 3-vertex one three, a 4-vertex one six.
+    assert all(2 <= n <= 4 and 0 <= code < 1 << n * (n - 1) // 2 for n, code in shapes)
     h = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
     g, w = generate(GeneratorSpec(kind="random-gnp", size=28, seed=1, p=0.3))
     r = solve_hfree(h, g, w, [make_pk_oracle(4), make_bruteforce_oracle()])
     assert len(built) == 2 and len(built[1]) == 260 < r.stats.oracle_calls
     assert {index for index, _ in built[1]} == {0, 1}
+
+def test_a_scheme_without_shape_keys_keys_every_part_by_mask():
+    # Toy reads ids at its leaves, so it leaves shape_keys off: its edgeless
+    # parts of 1, 2 and 4 vertices, of one shape per size, are keyed by mask
+    # and each runs to its own leaf. With the attribute on, the parts of one
+    # size share an entry and only the first runs, down to a single leaf.
+    scheme = Toy()
+    assert drive(scheme, *root(edgeless(16))) == (16, (1 << 16) - 1)
+    assert scheme.memo and all(isinstance(key, int) for key in scheme.memo)
+    assert (len(scheme.leaves), scheme.stats.memo_hits) == (16, 0)
+
+    class Shaped(Toy):
+        shape_keys = True
+
+    shaped = Shaped()
+    assert drive(shaped, *root(edgeless(16))) == (16, (1 << 16) - 1)
+    assert {key for key in shaped.memo if not isinstance(key, int)} == {(1, 0), (2, 0), (4, 0)}
+    assert (shaped.leaves, shaped.stats.memo_hits) == ([[1]], 5)
+    assert shaped.stats.calls == scheme.stats.calls
+
 
 def test_results_arrive_in_batch_order():
     # The root's children have different depths; each runs to its answer

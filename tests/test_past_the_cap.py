@@ -21,8 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmwis import (
+    GeneratorSpec,
     Graph,
     brute_force_mwis,
+    connected_components,
+    generate,
     is_independent_set,
     make_bruteforce_oracle,
     make_pk_oracle,
@@ -119,6 +122,7 @@ WIDE_HFREE = {
 }
 
 P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
+P4 = Graph(range(1, 5), path_edges(4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,6 +189,24 @@ def split_optimum(g: Graph, w: dict[int, int], clique: list[int], independent: l
     for v in clique:
         best = max(best, w[v] + total_weight(w, (u for u in independent if not g.has_edge(u, v))))
     return best
+
+
+@pytest.mark.parametrize("n, seed", [(40, 1), (60, 3), (80, 2)])
+def test_the_pk_oracle_past_the_cap_answers_alike_with_and_without_the_memo(
+    without_memo, n, seed
+):
+    # These cographs are connected and hold no P4, so the P4 oracle gets the
+    # whole graph, past brute force's cap, and runs the path-free recursion
+    # on it, whose memo keys its small split parts by shape.
+    g, w = generate(GeneratorSpec(kind="cograph", size=n, seed=seed))
+    assert g.n == n > 25 and len(connected_components(g)) == 1
+    for level in ("off", "fair", "paranoid"):
+        memo = solve_hfree(P4, g, w, [make_pk_oracle(4)], assertion_level=level)
+        with without_memo():
+            full = solve_hfree(P4, g, w, [make_pk_oracle(4)], assertion_level=level)
+        assert (memo.weight, memo.witness) == (full.weight, full.witness)
+        assert memo.stats.to_dict() == full.stats.to_dict()
+        assert memo.stats.measure_steps == full.stats.measure_steps
 
 
 @pytest.mark.parametrize("n", [20, 60, 100, 200])

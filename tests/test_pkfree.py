@@ -368,7 +368,8 @@ def test_separator_balance_of_family_members_is_audited_only_at_paranoid(level):
 def test_a_split_part_gets_its_graph_only_when_it_runs(monkeypatch):
     # A split part's graph is cut when the part runs: a repeat answered from
     # the memo and a one-vertex part build none, so each stored part, one
-    # per distinct mask, built exactly one.
+    # per distinct key, built exactly one. A part of 2 to 4 vertices is keyed
+    # by its shape, a larger one by its mask.
     built = []
     real = pkfree.induced_subgraph
     monkeypatch.setattr(pkfree, "induced_subgraph", lambda g, xs: built.append(xs) or real(g, xs))
@@ -376,8 +377,11 @@ def test_a_split_part_gets_its_graph_only_when_it_runs(monkeypatch):
     scheme = pkfree._PathScheme(pkfree._parse_level("fair"), None)
     pkfree._run(scheme, g, w)
     assert scheme.stats.memo_hits > 0
-    assert sorted(built) == sorted(scheme.memo)
+    keys = [pkfree._shape(g.table.adj, m)[0] if m.bit_count() <= 4 else m for m in built]
+    assert len(set(keys)) == len(keys) == len(scheme.memo)
+    assert set(keys) == set(scheme.memo)
     assert all(mask.bit_count() > 1 for mask in built)
+    assert any(isinstance(key, tuple) for key in keys) and any(isinstance(key, int) for key in keys)
 
 
 def test_growth_retries_never_split_again(monkeypatch):
@@ -428,6 +432,7 @@ def assert_memo_replays_the_tree(without_memo, g, w, **kwargs):
     assert full.stats.memo_hits == full.stats.memo_calls == 0
     assert (memo.weight, memo.witness) == (full.weight, full.witness)
     assert memo.stats.to_dict() == full.stats.to_dict()
+    assert memo.stats.measure_steps == full.stats.measure_steps
 
 
 @settings(max_examples=30, deadline=None)
@@ -452,6 +457,103 @@ def test_memo_replays_the_full_tree_on_cographs(without_memo, n, seed):
     g, w = generate(GeneratorSpec(kind="cograph", size=n, seed=seed))
     assert_memo_replays_the_tree(without_memo, g, w)
     assert_memo_replays_the_tree(without_memo, g, w, k_hint=4, assertion_level="paranoid")
+
+
+def connected_shapes() -> list[tuple[int, list[tuple[int, int]]]]:
+    """Every connected graph on the positions 0..n-1 for n from 2 to 4, as
+    (n, edges): the shapes drive keys a path-scheme split part by."""
+    shapes = []
+    for n in (2, 3, 4):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            edges = [pair for i, pair in enumerate(pairs) if chosen >> i & 1]
+            table = Graph(range(n), edges).table
+            if len(component_masks(table.adj, (1 << n) - 1)) == 1:
+                shapes.append((n, edges))
+    return shapes
+
+
+SHAPES = connected_shapes()
+
+
+def test_each_of_the_43_shapes_has_its_own_key():
+    keys = set()
+    for n, edges in SHAPES:
+        key, ranks = pkfree._shape(Graph(range(n), edges).table.adj, (1 << n) - 1)
+        assert key[0] == n and ranks == list(range(n))
+        keys.add(key)
+    assert len(SHAPES) == len(keys) == 43
+
+
+@pytest.mark.parametrize("n, edges", SHAPES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_a_repeated_shape_answers_as_brute_force_at_any_ranks(n, edges, data):
+    # Two copies of the shape keep its rank order at random ranks of a table
+    # of up to 14 vertices, the rest isolated. The root splits them apart,
+    # or, with a hub joined to every vertex, its branch that deletes the hub
+    # does, so each copy's table rows also hold a vertex outside it. The
+    # second copy is answered from the first's shape entry. Weights of 0 and
+    # all-equal weights make ties, which go to the larger mask.
+    size = data.draw(st.integers(min_value=2 * n + 2, max_value=14))
+    free = data.draw(st.permutations(range(size)))
+    copies = [sorted(free[:n]), sorted(free[n : 2 * n])]
+    edge_list = [(c[u] + 1, c[v] + 1) for c in copies for u, v in edges]
+    if data.draw(st.booleans()):
+        edge_list += [(free[-1] + 1, v) for v in range(1, size + 1) if v != free[-1] + 1]
+    weights = data.draw(
+        st.one_of(
+            st.lists(st.integers(min_value=0, max_value=2), min_size=size, max_size=size),
+            st.integers(min_value=0, max_value=3).map(lambda x: [x] * size),
+        )
+    )
+    g = Graph(range(1, size + 1), edge_list)
+    w = dict(zip(range(1, size + 1), weights))
+    result = solve_pkfree(g, w)
+    assert (result.weight, result.witness) == brute_force_mwis(g, w)
+    assert result.stats.memo_hits > 0
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32), tied=st.booleans())
+def test_memo_replays_the_full_tree_on_unions_of_every_shape(without_memo, level, seed, tied):
+    # Two copies of each shape over shuffled ids, so the copies of a shape
+    # often read as different shapes in rank order, and different shapes as
+    # one. None holds an induced P5, so k_hint=5 is true and paranoid
+    # records the measure trace.
+    rng = random.Random(seed)
+    ids = list(range(1, 2 * sum(n for n, _ in SHAPES) + 1))
+    rng.shuffle(ids)
+    edge_list, start = [], 0
+    for n, edges in SHAPES * 2:
+        edge_list += [(ids[start + u], ids[start + v]) for u, v in edges]
+        start += n
+    g = Graph(ids, edge_list)
+    w = {v: 1 if tied else rng.randint(0, 2) for v in ids}
+    assert_memo_replays_the_tree(without_memo, g, w, k_hint=5, assertion_level=level)
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    n=st.integers(min_value=30, max_value=60),
+    p=st.sampled_from([0.05, 0.1, 0.2, 0.3]),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(n=60, p=0.05, seed=1)
+def test_memo_replays_the_full_tree_on_larger_gnp(without_memo, n, p, seed):
+    # Sparse graphs split into many parts of 2 to 4 vertices.
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=n, seed=seed, p=p))
+    for level in ("off", "fair", "paranoid"):
+        assert_memo_replays_the_tree(without_memo, g, w, assertion_level=level)
+
+
+@pytest.mark.parametrize("n, seed", [(20, 1), (40, 2), (60, 3)])
+def test_memo_replays_the_full_tree_on_split_graphs(without_memo, n, seed):
+    # Split graphs have no induced P5; separators fire on them.
+    g, w, _, _ = split_graph(n, seed)
+    for level in ("off", "fair", "paranoid"):
+        assert_memo_replays_the_tree(without_memo, g, w, k_hint=5, assertion_level=level)
 
 
 def layered_cograph(n: int) -> Graph:
@@ -593,7 +695,7 @@ def test_separator_core_runs_once_per_growing_node(level, monkeypatch, without_m
     # on its node's graph; the lists keep every graph alive, so no two nodes
     # share an id(). The memo replays growths, which separators_added
     # counts; it reads 321 on this graph at every level, with the memo
-    # (187 executed growing nodes) or without it (301).
+    # (119 executed growing nodes) or without it (301).
     cores, grown = [], []
     real_core, real_closed = pkfree.balanced_separator_core, pkfree.closed_neighborhood
 
@@ -608,7 +710,7 @@ def test_separator_core_runs_once_per_growing_node(level, monkeypatch, without_m
     monkeypatch.setattr(pkfree, "balanced_separator_core", core)
     monkeypatch.setattr(pkfree, "closed_neighborhood", closed)
     g, w = generate(GeneratorSpec(kind="random-gnp", size=30, seed=1, p=0.3))
-    for context, nodes, growths in ((nullcontext, 187, 207), (without_memo, 301, 321)):
+    for context, nodes, growths in ((nullcontext, 119, 139), (without_memo, 301, 321)):
         cores.clear()
         grown.clear()
         with context():
