@@ -1,10 +1,10 @@
 """Command line front end.
 
-Subcommands: solve, solve-hfree, separator, check-pkfree, generate, bench.
+Subcommands: solve, solve-hfree, separator, check-pkfree, generate.
 Reports go to stdout as JSON; diagnostics go to stderr as JSON. Exit codes:
 0 success, 2 input error, 3 invariant violation, 4 recursion limit,
-5 out of memory, 130 interrupted. Only the solving subcommands (solve,
-solve-hfree, bench) take --assert; their reports carry the level. The
+5 out of memory, 130 interrupted. Only the solving subcommands (solve and
+solve-hfree) take --assert; their reports carry the level. The
 separator exponent --i must lie in 1..MAX_SEPARATOR_I (4096) and --k-hint
 at most MAX_K_HINT (16,385). Integer flags take ASCII decimal integers
 only, as graph files do, and generate --p ASCII digits and at most one '.'.
@@ -104,13 +104,9 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--witness", action="store_true", help="include the witness in the report")
 
 
-def _add_k_hint(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-hint", type=_k_hint, default=None, help="claimed induced-path bound")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, with all six subcommands.
+    """The command line parser, with all five subcommands.
 
     Built by the first cli_main call, not the import, and shared by later
     calls, since parsing never changes it.
@@ -127,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
             add_flags(p)
         return p
 
-    p = add("solve", "solve one graph file", _add_level, _add_output, _add_k_hint)
+    p = add("solve", "solve one graph file", _add_level, _add_output)
+    p.add_argument("--k-hint", type=_k_hint, default=None, help="claimed induced-path bound")
     p.add_argument("file", help="graph file path, or - for stdin")
 
     p = add("solve-hfree", "solve with a forbidden pattern and oracles", _add_level, _add_output)
@@ -164,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-hi", type=_decimal, default=100, help="maximum weight")
     p.add_argument("--max-attempts", type=_decimal, default=5000, help="rejection attempt cap")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p = add("bench", "solve every graph in a directory", _add_level, _add_k_hint)
-    p.add_argument("dir", help="directory of .graph files")
 
     return parser
 
@@ -326,47 +320,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    root = Path(args.dir)
-    if not root.is_dir():
-        raise ValueError(f"{args.dir} is not a directory")
-    rows: list[dict[str, Any]] = []
-    total_weight = 0
-    total_calls = 0
-    for path in sorted(root.glob("*.graph")):
-        g, w = _read_graph(str(path))
-        result = solve_pkfree(g, w, k_hint=args.k_hint, assertion_level=args.assertion_level)
-        total_weight += result.weight
-        total_calls += result.stats.calls
-        rows.append(
-            {
-                "file": path.name,
-                "vertices": g.n,
-                "edges": g.edge_count,
-                "weight": result.weight,
-                "calls": result.stats.calls,
-                "max_depth": result.stats.max_depth,
-            }
-        )
-    report = ReportDocument(
-        "bench",
-        {
-            "assertion_level": args.assertion_level,
-            "directory": args.dir,
-            "graphs": rows,
-            "totals": {"graphs": len(rows), "weight": total_weight, "calls": total_calls},
-        },
-    )
-    return _finish(report)
-
-
 _COMMANDS = {
     "solve": _cmd_solve,
     "solve-hfree": _cmd_solve_hfree,
     "separator": _cmd_separator,
     "check-pkfree": _cmd_check_pkfree,
     "generate": _cmd_generate,
-    "bench": _cmd_bench,
 }
 
 

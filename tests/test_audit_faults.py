@@ -131,16 +131,32 @@ def test_a_raise_in_nested_stored_subtrees_keeps_the_run_depth(level, monkeypatc
         pkfree, "balanced_separator_core", lambda g, i: cores.append(g.mask) or real(g, i)
     )
     honest = run(2, level)[2]
+    stores, open_at_fault = Counter(), []
+
+    class CountingMemo(dict):
+        # Only split parts touch the path scheme's memo: a get that misses
+        # opens a store marker, and the store's set closes it.
+        def get(self, key, default=None):
+            hit = super().get(key, default)
+            stores["open"] += hit is None
+            return hit
+
+        def __setitem__(self, key, value):
+            stores["open"] -= 1
+            super().__setitem__(key, value)
 
     def planted(g, i):
         if g.mask == cores[-2]:
+            open_at_fault.append(stores["open"])
             raise InvariantViolation("planted", "a fault in the last separator core but one")
         return real(g, i)
 
     monkeypatch.setattr(pkfree, "balanced_separator_core", planted)
+    monkeypatch.setattr(pkfree, "_new_memo", CountingMemo)
     rule, _, stats = run(2, level)
+    assert (rule, open_at_fault) == ("planted", [2])
     full_rule, _, full = run(2, level, without_memo)
-    assert (rule, full_rule, stats.memo_hits) == ("planted", "planted", 106)
+    assert (full_rule, stats.memo_hits) == ("planted", 106)
     assert stats.calls < honest.calls
     assert stats.max_depth == full.max_depth == honest.max_depth == 75
     assert stats.to_dict() == full.to_dict()
