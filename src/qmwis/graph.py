@@ -120,11 +120,25 @@ class VertexTable:
         return frozenset(_set_items(mask, self.ids))
 
     def closed(self, mask: int) -> int:
-        """The mask together with every root neighbour of its vertices."""
+        """The mask together with every root neighbour of its vertices.
+
+        Its vertices are found as _set_items finds a mask's items: by
+        walking the set bits below that function's crossover, under bit
+        flags at or above it. The walk is inlined: through _set_items, which
+        builds a list, a 3-vertex core of a 30-vertex table took 0.60 us
+        against 0.49 us (CPython 3.11.7).
+        """
         adj = self.adj
         out = mask
-        for r in self.ranks(mask):
-            out |= adj[r]
+        length = mask.bit_length()
+        if mask.bit_count() * (length + 512) >= length << 7:
+            for r in self.ranks(mask):
+                out |= adj[r]
+            return out
+        while mask:
+            low = mask & -mask
+            out |= adj[low.bit_length() - 1]
+            mask ^= low
         return out
 
 

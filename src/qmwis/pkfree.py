@@ -77,8 +77,9 @@ class Scheme:
     rule), the rule of growth edges, the recurrence parameters (params),
     whether the run claims the family bound and the potential (claimed) and
     whether drive answers a graph of at most one vertex without running it,
-    with no split, branch or anchor (small_leaves) or keys a split part of 2
-    to 4 vertices by shape, for hooks blind to w and ids (shape_keys). Hooks:
+    with no split, branch or anchor (small_leaves) or looks a split part of
+    2 to 4 vertices up by mask first, then by shape, which holds its maximal
+    sets, for hooks blind to w and ids (shape_keys). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
                            once per graph, as growing F cannot change it;
@@ -258,7 +259,8 @@ def drive(
           root at depth 1; graph is None for a split part until it runs;
       (_SUM, count)       the sum of the count answers on top;
       (_PICK, w(v), bit)  the larger of a branch's delete and take answers;
-      (_STORE, key, depth, outer, mark, sets)  memoizes sets, else the answer on top.
+      (_STORE, mask, depth, outer, mark, shape)  memoizes the answer on top,
+          and under a shape key also its maximal sets.
 
     A split or a branch pushes its children in reverse above its marker, so
     they run one after another in batch order and every counter comes out
@@ -271,17 +273,20 @@ def drive(
     The memo rule, at every level. A run keeps one memo, scheme.memo. A key
     names a subtree whose calls and checks depend on the key alone, with the
     run's table, w and scheme fixed: a split part (C, |C|, empty F) is keyed
-    by its mask C, or under shape_keys, if of 2 to 4 vertices, by its
-    _shape, and a pattern leaf, and each of its components of at least 3
-    vertices, by (i, its mask). The first occurrence of a key runs and is
-    audited in full, a component within its leaf. A repeat is answered from
-    the memo and counted as what it stands for; only the edge into it is
-    audited. A split part's first occurrence runs under a store marker that
-    records its answer, its subtree's height and stats.since(its mark); a
-    repeat replays them at its own turn, so the stats still describe the
-    whole tree, also when the run raises after it. A shape's answer is
-    derived, not stored: by the tie rule and w >= 0 it is the heaviest of
-    its maximal independent sets, ties to the larger mask.
+    by its mask C, and a pattern leaf, and each of its components of at
+    least 3 vertices, by (i, its mask). The first occurrence of a key runs
+    and is audited in full, a component within its leaf. A repeat is
+    answered from the memo and counted as what it stands for; only the edge
+    into it is audited. A split part's first occurrence runs under a store
+    marker that records its answer, its subtree's height and
+    stats.since(its mark); a repeat replays them at its own turn, so the
+    stats still describe the whole tree, also when the run raises after it.
+    Under shape_keys a part of 2 to 4 vertices is looked up by mask first,
+    then by its _shape, which holds (maximal sets, height, record) in place
+    of the answer: by the tie rule and w >= 0 the answer is the heaviest of
+    its maximal independent sets, ties to the larger mask. A part's first
+    occurrence by mask stores the answer under its mask, and, on a first
+    occurrence of its shape too, the sets under the shape.
     """
     stats, memo = scheme.stats, scheme.memo
     audit, small_leaves, shape_keys = scheme.level >= 2, scheme.small_leaves, scheme.shape_keys
@@ -312,8 +317,11 @@ def drive(
                         witness |= answer[1]
                     results.append((weight, witness))
                 else:
-                    _, key, node_depth, outer, mark, sets = task
-                    memo[key] = sets or results[-1], local - node_depth + 1, stats.since(mark)
+                    _, key, node_depth, outer, mark, shape = task
+                    height, record = local - node_depth + 1, stats.since(mark)
+                    memo[key] = results[-1], height, record
+                    if shape is not None:
+                        memo[shape] = _MAXIMAL_SETS[shape], height, record
                     if outer > local:
                         local = outer
                 continue
@@ -327,17 +335,20 @@ def drive(
                 _check_call(g, n, n_cap, log_n, family, scheme, mu)
                 answer = (w[table.ids[mask.bit_length() - 1]], mask) if n else (0, 0)
             elif g is None:
-                key, ranks = _shape(table.adj, mask) if shape_keys and n <= 4 else (mask, None)
-                hit = memo.get(key)
+                hit, shape = memo.get(mask), None
+                if hit is None and shape_keys and n <= 4:
+                    shape, ranks = _shape(table.adj, mask)
+                    hit = memo.get(shape)
+                    if hit is not None:
+                        sets, height, record = hit
+                        hit = memo[mask] = _heaviest(sets, ranks, w, table.ids), height, record
                 if hit is not None:
                     answer, height, record = hit
-                    if key is not mask:
-                        answer = _heaviest(answer, ranks, w, table.ids)
                     stats.replay(record)
                     if depth + height - 1 > local:
                         local = depth + height - 1
                 else:
-                    tasks.append((_STORE, key, depth, local, stats.mark(), _MAXIMAL_SETS.get(key)))
+                    tasks.append((_STORE, mask, depth, local, stats.mark(), shape))
                     local = depth
                     g = induced_subgraph(root, mask)
             if answer is not None:

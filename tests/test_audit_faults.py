@@ -134,15 +134,16 @@ def test_a_raise_in_nested_stored_subtrees_keeps_the_run_depth(level, monkeypatc
     stores, open_at_fault = Counter(), []
 
     class CountingMemo(dict):
-        # Only split parts touch the path scheme's memo: a get that misses
-        # opens a store marker, and the store's set closes it.
+        # Only split parts touch the path scheme's memo: a get by mask that
+        # misses opens a store marker or finds the part's shape, and the set
+        # under the mask, by the store or the shape hit, closes it.
         def get(self, key, default=None):
             hit = super().get(key, default)
-            stores["open"] += hit is None
+            stores["open"] += hit is None and isinstance(key, int)
             return hit
 
         def __setitem__(self, key, value):
-            stores["open"] -= 1
+            stores["open"] -= isinstance(key, int)
             super().__setitem__(key, value)
 
     def planted(g, i):

@@ -238,18 +238,25 @@ def test_a_memo_hit_counts_its_subtree_when_the_run_raises():
 
 
 def test_a_run_builds_one_memo_for_split_children_and_leaves(monkeypatch):
-    # drive keys the path scheme's split children of 2 to 4 vertices by
-    # shape, (n, adjacency bits), and larger ones by mask; the pattern
-    # scheme's leaf and each of its components of at least 3 vertices by
-    # (component index, mask). All go into the memo the scheme was built with.
-    import qmwis.pkfree as pkfree
-
+    # drive keys the path scheme's split children by mask, and those of 2
+    # to 4 vertices also by shape, (n, adjacency bits); the pattern scheme's
+    # leaf and each of its components of at least 3 vertices by (component
+    # index, mask). All go into the memo the scheme was built with.
     built: list[dict] = []
     monkeypatch.setattr(pkfree, "_new_memo", lambda: built.append({}) or built[-1])
-    solve_pkfree(*generate(GeneratorSpec(kind="cograph", size=64, seed=1)))
-    shapes = [key for key in built[0] if not isinstance(key, int)]
-    assert len(built) == 1 and shapes and len(shapes) < len(built[0])
-    assert all(key.bit_count() > 4 for key in built[0] if isinstance(key, int))
+    g, w = generate(GeneratorSpec(kind="cograph", size=64, seed=1))
+    solve_pkfree(g, w)
+    memo = built[0]
+    shapes = [key for key in memo if not isinstance(key, int)]
+    small = [key for key in memo if isinstance(key, int) and key.bit_count() <= 4]
+    assert len(built) == 1 and shapes and small and len(shapes) < len(memo)
+    # A small part's mask holds the heaviest answer of its shape's maximal
+    # sets, with the height and record stored under the shape.
+    for key in small:
+        shape, ranks = pkfree._shape(g.table.adj, key)
+        sets, height, record = memo[shape]
+        answer = pkfree._heaviest(sets, ranks, w, g.table.ids)
+        assert key.bit_count() >= 2 and memo[key] == (answer, height, record)
     # The 2-vertex shape has one pair bit, a 3-vertex one three, a 4-vertex one six.
     assert all(2 <= n <= 4 and 0 <= code < 1 << n * (n - 1) // 2 for n, code in shapes)
     h = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])

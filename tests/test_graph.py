@@ -281,3 +281,31 @@ def test_decode_and_the_accessors_pick_each_set_bit(data):
             r = table.rank[v]
             assert h.adj(v) == reference(table.adj[r] & h.mask)
             assert h.closed(v) == reference(table.closed_adj[r] & h.mask)
+
+
+@pytest.mark.parametrize("n, crossover", [(64, 14), (16_384, 124)])
+def test_closed_equals_a_per_rank_or_on_both_sides_of_the_crossover(monkeypatch, n, crossover):
+    # A mask reaching rank n - 1 walks its bits up to the crossover and is
+    # picked under bit flags above it, as is the empty mask, which has no
+    # position; both give the per-rank OR.
+    import qmwis.graph as graph
+
+    rng = random.Random(n)
+    edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)}
+    table = VertexTable(range(n), edges)
+    flagged, real = [], graph._bit_flags
+
+    def spy(mask):
+        flagged.append(mask.bit_count())
+        return real(mask)
+
+    monkeypatch.setattr(graph, "_bit_flags", spy)
+    for k in sorted({k for k in (0, 1, 3, 14, 15, 123, 124, 125) if k <= n} | {n}):
+        mask = sum(1 << r for r in rng.sample(range(n - 1), k - 1)) | 1 << n - 1 if k else 0
+        expected = mask
+        for r in range(n):
+            if mask >> r & 1:
+                expected |= table.adj[r]
+        flagged.clear()
+        assert table.closed(mask) == expected
+        assert bool(flagged) == (k > crossover or not k)

@@ -369,7 +369,8 @@ def test_a_split_part_gets_its_graph_only_when_it_runs(monkeypatch):
     # A split part's graph is cut when the part runs: a repeat answered from
     # the memo and a one-vertex part build none, so each stored part, one
     # per distinct key, built exactly one. A part of 2 to 4 vertices is keyed
-    # by its shape, a larger one by its mask.
+    # by its shape, a larger one by its mask; every part that ran is also
+    # stored under its mask, as is a small part answered by its shape.
     built = []
     real = pkfree.induced_subgraph
     monkeypatch.setattr(pkfree, "induced_subgraph", lambda g, xs: built.append(xs) or real(g, xs))
@@ -378,8 +379,9 @@ def test_a_split_part_gets_its_graph_only_when_it_runs(monkeypatch):
     pkfree._run(scheme, g, w)
     assert scheme.stats.memo_hits > 0
     keys = [pkfree._shape(g.table.adj, m)[0] if m.bit_count() <= 4 else m for m in built]
-    assert len(set(keys)) == len(keys) == len(scheme.memo)
-    assert set(keys) == set(scheme.memo)
+    masks = {key for key in scheme.memo if isinstance(key, int)}
+    assert len(set(keys)) == len(keys) and set(built) <= masks
+    assert set(keys) == set(scheme.memo) - {m for m in masks if m.bit_count() <= 4}
     assert all(mask.bit_count() > 1 for mask in built)
     assert any(isinstance(key, tuple) for key in keys) and any(isinstance(key, int) for key in keys)
 
@@ -568,6 +570,29 @@ def test_memo_replays_the_full_tree_on_larger_gnp(without_memo, n, p, seed):
     g, w = generate(GeneratorSpec(kind="random-gnp", size=n, seed=seed, p=p))
     for level in ("off", "fair", "paranoid"):
         assert_memo_replays_the_tree(without_memo, g, w, assertion_level=level)
+
+
+@pytest.mark.parametrize("n, p, hits, replayed", [(30, 0.3, 172, 829), (60, 0.05, 9837, 220625)])
+def test_a_small_part_is_shaped_at_most_once_per_run(
+    monkeypatch, without_memo, n, p, hits, replayed
+):
+    # A split part of 2 to 4 vertices is looked up by its mask before its
+    # shape, so _shape runs only on a mask the run has not answered yet. The
+    # answer and stats are those of a run without the memo, and the memo
+    # counts those of looking every repeat up by its shape.
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=n, seed=1, p=p))
+    shaped, real = [], pkfree._shape
+    monkeypatch.setattr(pkfree, "_shape", lambda adj, mask: shaped.append(mask) or real(adj, mask))
+    for level in ("off", "fair", "paranoid"):
+        shaped.clear()
+        result = solve_pkfree(g, w, assertion_level=level)
+        assert shaped and len(set(shaped)) == len(shaped)
+        assert all(2 <= mask.bit_count() <= 4 for mask in shaped)
+        assert (result.stats.memo_hits, result.stats.memo_calls) == (hits, replayed)
+        with without_memo():
+            full = solve_pkfree(g, w, assertion_level=level)
+        assert (result.weight, result.witness) == (full.weight, full.witness)
+        assert result.stats.to_dict() == full.stats.to_dict()
 
 
 @pytest.mark.parametrize("n, seed", [(20, 1), (40, 2), (60, 3)])
