@@ -282,42 +282,38 @@ class _PatternScheme(Scheme):
         g is H_i-free, and so is each of its components, whose answers add
         up to g's. A component of one or two vertices is answered here, as
         brute force answers it, a larger one by oracle i, the whole g when g
-        is connected. g and each oracle component are memo keys (i, mask).
-        Each leaf counts as one oracle call, however many components reach
-        the oracle. At "paranoid" a leaf's first occurrence must be free of
-        the oracle's component, and each oracle witness is verified. A
+        is connected. g and each oracle component are memo keys (i, mask),
+        each looked up once. Each leaf counts as one oracle call, however
+        many components reach the oracle, before any of them does. At
+        "paranoid" a leaf's first occurrence must be free of the oracle's
+        component before it counts, and each oracle witness is verified. A
         GraphTooLarge from the oracle is raised again, naming the oracle and
         the size of the graph it was given.
         """
-        index = len(family._raw) % self.c
+        index, memo = len(family._raw) % self.c, self.memo
         key = index, g.mask
-        memo = self.memo
         answer = memo.get(key)
-        if answer is not None:
-            self.stats.record_oracle_call(index)
-            return answer
-        oracle = self.oracles[index]
-        if self.level >= 2 and find_induced_copy(g, self.pattern.components[index]) is not None:
-            raise InvariantViolation(
-                "oracle-validity",
-                f"graph handed to oracle {index} ({oracle.name}) has an induced copy "
-                "of its forbidden component",
-                {"oracle": index, "n": g.n},
-            )
+        if answer is None and self.level >= 2:
+            if find_induced_copy(g, self.pattern.components[index]) is not None:
+                raise InvariantViolation(
+                    "oracle-validity",
+                    f"graph handed to oracle {index} ({self.oracles[index].name}) has an "
+                    "induced copy of its forbidden component",
+                    {"oracle": index, "n": g.n},
+                )
         self.stats.record_oracle_call(index)
-        table = g.table
-        weight = witness = 0
-        for comp in component_masks(table.adj, g.mask):
-            part = _small_component(table.ids, w, comp)
-            if part is None:
-                part = memo.get((index, comp))
+        if answer is None:
+            table = g.table
+            weight = witness = 0
+            for comp in component_masks(table.adj, g.mask):
+                part = _small_component(table.ids, w, comp) or memo.get((index, comp))
                 if part is None:
                     part = memo[index, comp] = self._oracle_answer(
                         index, g if comp == g.mask else Graph._sub(table, comp), w
                     )
-            weight += part[0]
-            witness |= part[1]
-        answer = memo[key] = weight, witness
+                weight += part[0]
+                witness |= part[1]
+            answer = memo[key] = weight, witness
         return answer
 
     def _oracle_answer(self, index: int, g: Graph, w: WeightMap) -> tuple[int, int]:
@@ -329,15 +325,15 @@ class _PatternScheme(Scheme):
             raise GraphTooLarge(
                 f"oracle {index} ({oracle.name}) on a {g.n}-vertex leaf component: {err}"
             ) from err
-        if self.level >= 2:
-            verify_witness(g, w, weight, witness)
         try:
-            return weight, g.table.mask(witness)
+            mask = g.table.mask(witness)
         except KeyError:
             # An id outside the table, which a mask cannot hold:
             # verify_witness rejects it as the root's check would have.
+            mask = None
+        if mask is None or self.level >= 2:
             verify_witness(g, w, weight, witness)
-            raise
+        return weight, mask
 
 
 def solve_hfree(

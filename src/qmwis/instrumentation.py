@@ -256,8 +256,13 @@ class RunStats:
     they replayed (included in calls) and measure_steps every potential
     step recorded or replayed; none of the three is in to_dict().
     measure_trace is a ring buffer of the last 4,096 recorded steps, so
-    deep runs stay bounded in memory. The recursion's per-call check counts
-    calls and keeps the graph and family maxima; its driver keeps max_depth.
+    deep runs stay bounded in memory. Each statistic is set where it
+    changes: the recursion's per-call check counts calls; drive sets
+    max_graph_size from the root and max_family_size from the root family
+    and each growth, at "paranoid" folds their levels into
+    max_level_occupancy, and keeps max_depth; the root entry sets
+    assertions_checked, the checked calls, to calls at "fair" and
+    "paranoid" when the run returns (0 at "off" and after a raise).
     """
 
     def __init__(self) -> None:
@@ -284,36 +289,36 @@ class RunStats:
                 self.max_level_occupancy[i] = size
 
     def mark(self) -> tuple[int, ...]:
-        """The counters a memo hit replays, as they stand: those a path-scheme
-        subtree moves (the maxima need no replay), and measure_steps. since
-        and replay spell them out in this order; each then runs about 1 us
-        faster than a loop over their names would (CPython 3.11.7)."""
+        """The five counters a memo hit replays, as they stand: the four a
+        path-scheme subtree moves (drive and the root entry set the others),
+        and measure_steps. since and replay spell them out in this order; each
+        then runs about 1 us faster than a loop over their names would
+        (CPython 3.11.7)."""
         return (
             self.calls, self.component_recursions, self.branch_steps,
-            self.separators_added, self.assertions_checked, self.measure_steps,
+            self.separators_added, self.measure_steps,
         )
 
     def since(self, mark: tuple[int, ...]) -> tuple:
         """What each counter of mark grew by since, then the trace entries
         the new measure steps left (at most 4,096): the record replay takes."""
-        calls, comps, branches, seps, checks, steps = mark
+        calls, comps, branches, seps, steps = mark
         steps = self.measure_steps - steps
         trace = self.measure_trace
         return (
             self.calls - calls, self.component_recursions - comps, self.branch_steps - branches,
-            self.separators_added - seps, self.assertions_checked - checks, steps,
+            self.separators_added - seps, steps,
             list(islice(reversed(trace), min(steps, trace.maxlen)))[::-1] if steps else (),
         )
 
     def replay(self, record: tuple) -> None:
         """Count one memo hit and add record's counts and steps again: the
         ring ends as if each step were recorded here."""
-        calls, comps, branches, seps, checks, steps, tail = record
+        calls, comps, branches, seps, steps, tail = record
         self.calls += calls
         self.component_recursions += comps
         self.branch_steps += branches
         self.separators_added += seps
-        self.assertions_checked += checks
         self.measure_steps += steps
         self.measure_trace.extend(tail)
         self.memo_hits += 1

@@ -123,20 +123,17 @@ def _check_call(
 ) -> int | None:
     """Per-call checks on g, n = |V(g)|, log_n = ceil(log2 N); the potential when measurable.
 
-    g is read only by the member checks of a non-empty F, so a split part,
-    whose F is empty, may pass None. At "paranoid", mu is the potential the
-    edge into this call computed, or None to compute it here; every check
-    runs on the value either way.
+    Of the stats it counts the call alone (see RunStats). g is read only by
+    the member checks of a non-empty F, so a split part, whose F is empty,
+    may pass None. At "paranoid", mu is the potential the edge into this
+    call computed, or None to compute it here; every check runs on the
+    value either way.
     """
-    # The member count, read without the Python-level call of len(family).
-    stats, size = scheme.stats, len(family._raw)
-    stats.calls += 1
-    if size > stats.max_family_size:
-        stats.max_family_size = size
-    if n > stats.max_graph_size:
-        stats.max_graph_size = n
+    scheme.stats.calls += 1
     if scheme.level < 1:
         return None
+    # The member count, read without the Python-level call of len(family).
+    size = len(family._raw)
 
     if n > n_cap:
         raise InvariantViolation(
@@ -158,7 +155,6 @@ def _check_call(
             raise InvariantViolation(
                 "family-size", message, {"family_size": size, "bound": bound}
             )
-    stats.assertions_checked += 1
     if scheme.level < 2:
         return None
 
@@ -169,11 +165,9 @@ def _check_call(
     level_bound, ceiling = bounds
     # An empty F has no level and no member: these checks would read nothing.
     if size:
-        sizes = family.level_sizes()
-        stats.record_levels(sizes)
         scheme.check_members(g, family, n_cap)
         if level_bound is not None:
-            check_level_sizes(sizes, size, level_bound[0], level_bound[1])
+            check_level_sizes(family.level_sizes(), size, level_bound[0], level_bound[1])
     if mu is None:
         if not scheme.claimed or (mu := scheme.potential(n, n_cap, family)) is None:
             return None
@@ -266,9 +260,9 @@ def drive(
     they run one after another in batch order and every counter comes out
     the same on every run. A parent potential exists only at "paranoid"
     with a claimed bound, so only then are the edges to the children
-    audited. scheme.stats.max_depth gets the deepest node, also when the
-    run raises. Under small_leaves a node of at most one vertex is answered
-    without running it, checked as one call at its own depth.
+    audited. drive sets scheme.stats' maxima (see RunStats), max_depth
+    also when the run raises. Under small_leaves a node of at most one
+    vertex is answered without running it, checked as one call at its own depth.
 
     The memo rule, at every level. A run keeps one memo, scheme.memo. A key
     names a subtree whose calls and checks depend on the key alone, with the
@@ -293,6 +287,11 @@ def drive(
     root, table = g, g.table
     # Every split part starts from this family; a family is immutable.
     empty = VertexMultiFamily(table=table)
+    # Each node's graph lies in the root's, and only a growth adds to F: a
+    # subtraction keeps |F| and only shrinks levels; split parts start empty.
+    stats.max_graph_size, stats.max_family_size = g.n, len(family._raw)
+    if audit:
+        stats.record_levels(family.level_sizes())
     tasks: list[tuple] = [(_NODE, 1, g, g.mask, capacity_n, family, None)]
     results: list[tuple[int, int]] = []
     # The deepest node of the innermost subtree being stored, or of the run
@@ -439,12 +438,15 @@ def drive(
                 grown = family.add(member)
                 if audit:
                     # This node's paranoid _check_call built the bounds of N.
-                    level_bound = scheme._bounds[n_cap][0]
+                    level_bound, sizes = scheme._bounds[n_cap][0], grown.level_sizes()
                     if level_bound is not None:
-                        check_level_growth(family.level_sizes(), grown.level_sizes(), *level_bound)
+                        check_level_growth(family.level_sizes(), sizes, *level_bound)
+                    stats.record_levels(sizes)
                 if parent_mu is not None:
                     mu = _check_edge(parent_mu, n, n_cap, grown, scheme.growth_rule, scheme)
                 family = grown
+                if (size := len(family._raw)) > stats.max_family_size:
+                    stats.max_family_size = size
         return results[0]
     finally:
         # A raise leaves the store markers of its enclosing subtrees open.
@@ -521,6 +523,8 @@ class _PathScheme(Scheme):
 def _root(scheme: Scheme, g: Graph, w: WeightMap) -> tuple[int, int]:
     """Drive the validated root (g, w, max(1, |V(g)|), empty F); verify its witness mask."""
     weight, mask = drive(scheme, g, w, max(1, g.n), VertexMultiFamily(table=g.table))
+    # A run that returns checked each of its calls at "fair" and "paranoid".
+    scheme.stats.assertions_checked = scheme.stats.calls if scheme.level else 0
     verify_witness(g, w, weight, mask)
     return weight, mask
 

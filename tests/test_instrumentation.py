@@ -6,6 +6,7 @@ from qmwis import (
     RULE_BRANCH_DELETE,
     RULE_BRANCH_TAKE,
     RULE_COMPONENT,
+    Graph,
     InvariantViolation,
     VertexMultiFamily,
     assert_recurrence_step,
@@ -15,7 +16,7 @@ from qmwis import (
     measure_k,
 )
 from qmwis.instrumentation import check_level_growth, check_level_sizes
-from qmwis.pkfree import Scheme, _check_call, _check_edge
+from qmwis.pkfree import Scheme, _check_call, _check_edge, _PathScheme, drive
 
 EMPTY = VertexMultiFamily()
 
@@ -203,14 +204,18 @@ def test_recurrence_unknown_rule():
 
 
 def test_run_stats_counters_and_maxima():
-    # The per-call check counts each call and keeps the graph and family maxima.
+    # The per-call check counts each call alone; drive sets the graph
+    # maximum from the root and the family maximum from the root family and
+    # each growth of F (two on a 9-vertex path).
     scheme = Scheme(0)
     _check_call(None, 5, 5, 3, VertexMultiFamily([{1}, {2}]), scheme)
     _check_call(None, 3, 5, 3, VertexMultiFamily([{1}] * 4), scheme)
     s = scheme.stats
-    assert s.calls == 2
-    assert s.max_graph_size == 5
-    assert s.max_family_size == 4
+    assert (s.calls, s.max_graph_size, s.max_family_size) == (2, 0, 0)
+    g, path = Graph(range(1, 10), [(i, i + 1) for i in range(1, 9)]), _PathScheme(0, None)
+    drive(path, g, dict.fromkeys(range(1, 10), 1), 9, VertexMultiFamily(table=g.table))
+    p = path.stats
+    assert (p.calls, p.max_graph_size, p.max_family_size) == (52, 9, 2)
     s.record_oracle_call(0)
     s.record_oracle_call(0)
     s.record_oracle_call(1)
@@ -268,13 +273,12 @@ def test_replayed_measure_steps_leave_the_ring_as_recording_them(steps):
         for entry in subtree:
             step(scheme, *entry)
         s = scheme.stats
-        s.calls, s.component_recursions, s.branch_steps = 5, 1, 2
-        s.separators_added, s.assertions_checked = 3, 4
+        s.calls, s.component_recursions, s.branch_steps, s.separators_added = 5, 1, 2, 3
     record = stored.stats.since(mark)
-    assert record[:6] == (5, 1, 2, 3, 4, steps) and list(record[6]) == subtree[-4096:]
+    assert record[:5] == (5, 1, 2, 3, steps) and list(record[5]) == subtree[-4096:]
     replayed.stats.replay(record)
     r, s = replayed.stats, recorded.stats
-    assert r.mark() == s.mark() == (5, 1, 2, 3, 4, 3000 + steps)
+    assert r.mark() == s.mark() == (5, 1, 2, 3, 3000 + steps)
     assert r.measure_trace == s.measure_trace
     assert (r.memo_hits, r.memo_calls, s.memo_hits) == (1, 5, 0)
     assert "measure_steps" not in r.to_dict()

@@ -20,14 +20,18 @@ from qmwis import (
     generate,
     induced_subgraph,
     is_independent_set,
+    make_bruteforce_oracle,
+    make_pk_oracle,
     max_measure_k,
     measure_k,
+    solve_hfree,
     solve_pkfree,
     total_weight,
     verify_witness,
 )
 from qmwis.graph import component_masks, remove_vertices
 
+from test_golden import GOLDEN, GOLDEN_HFREE, P4_K3
 from test_past_the_cap import split_graph
 
 
@@ -800,3 +804,83 @@ def test_one_vertex_parts_keep_the_counts(
         assert (len(trace), _trace_digest(trace)) == (trace_len, trace_digest)
     else:
         assert trace == []
+
+
+def _stats_runs(level: str) -> list:
+    """(graph, result) of solve_pkfree on the golden corpus, with its path
+    claim at "paranoid", and on G(60, 0.05), and of solve_hfree under P4+K3
+    on the golden G(28, 0.3) graphs."""
+    runs = []
+    for spec, *_, k in GOLDEN:
+        g, w = generate(spec)
+        runs.append((g, solve_pkfree(g, w, k if level == "paranoid" else None, level)))
+    g, w = generate(GeneratorSpec(kind="random-gnp", size=60, seed=1, p=0.05))
+    runs.append((g, solve_pkfree(g, w, assertion_level=level)))
+    for spec, *_ in GOLDEN_HFREE:
+        g, w = generate(spec)
+        oracles = [make_pk_oracle(4), make_bruteforce_oracle()]
+        runs.append((g, solve_hfree(P4_K3, g, w, oracles, assertion_level=level)))
+    return runs
+
+
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_the_per_call_check_writes_only_calls(level, monkeypatch):
+    # Each statistic is set where its value changes, so the check that every
+    # executed call passes through writes one counter and folds no levels.
+    # inside holds, while a check runs, where its writes start in writes.
+    writes, inside, checks = [], [], []
+
+    class LoggedStats(RunStats):
+        def __setattr__(self, name, value):
+            if inside:
+                writes.append(name)
+            super().__setattr__(name, value)
+
+        def record_levels(self, sizes):
+            if inside:
+                writes.append("max_level_occupancy")
+            super().record_levels(sizes)
+
+    real = pkfree._check_call
+
+    def check(*args):
+        inside.append(len(writes))
+        try:
+            return real(*args)
+        finally:
+            checks.append(writes[inside.pop():])
+
+    monkeypatch.setattr(pkfree, "RunStats", LoggedStats)
+    monkeypatch.setattr(pkfree, "_check_call", check)
+    runs = _stats_runs(level)
+    assert all(isinstance(result.stats, LoggedStats) for _, result in runs)
+    assert checks and all(written == ["calls"] for written in checks)
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_each_maximum_equals_a_fold_over_the_calls(level, memo, monkeypatch, without_memo):
+    # max_graph_size comes from the root, max_family_size from the root
+    # family and each growth, and at "paranoid" max_level_occupancy from the
+    # root family and each grown family. Each equals the fold of n, |F| and
+    # the level sizes over every executed call; a memo hit's subtree ran, and
+    # was folded, at its first occurrence.
+    folds, real = {}, pkfree._check_call
+
+    def check(g, n, n_cap, log_n, family, scheme, mu=None):
+        fold = folds.setdefault(scheme.stats, [0, 0, {}])
+        fold[0], fold[1] = max(fold[0], n), max(fold[1], len(family))
+        if scheme.level >= 2:
+            for i, size in enumerate(family.level_sizes(), 1):
+                fold[2][i] = max(fold[2].get(i, 0), size)
+        return real(g, n, n_cap, log_n, family, scheme, mu)
+
+    monkeypatch.setattr(pkfree, "_check_call", check)
+    with nullcontext() if memo else without_memo():
+        runs = _stats_runs(level)
+    assert any(result.stats.memo_hits for _, result in runs) is memo
+    for g, result in runs:
+        s = result.stats
+        assert [s.max_graph_size, s.max_family_size, s.max_level_occupancy] == folds[s]
+        assert s.max_graph_size == g.n
+        assert s.assertions_checked == (0 if level == "off" else s.calls)
