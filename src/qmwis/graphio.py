@@ -32,7 +32,7 @@ MAX_WEIGHT = 10**9
 
 MAX_VERTICES = 2**14
 
-# The graph families qmwis generate draws (GeneratorSpec.KINDS), here so
+# The graph families qmwis generate draws (see GeneratorSpec), here so
 # the CLI parser can list them without loading the generators.
 GENERATOR_KINDS = ("random-gnp", "cograph", "pk-free-rejection", "path", "cycle", "star", "complete")
 

@@ -16,7 +16,7 @@ import random
 from typing import NamedTuple
 
 from .graph import Graph, VertexTable, WeightMap, _check_positive, component_masks, validate_weights
-from .graphio import GENERATOR_KINDS, MAX_VERTICES, MAX_WEIGHT
+from .graphio import MAX_VERTICES, MAX_WEIGHT
 from .separators import longest_induced_path_at_most
 
 DEFAULT_BRUTE_FORCE_CAP = 25
@@ -156,10 +156,10 @@ class GenerationError(RuntimeError):
 class GeneratorSpec(NamedTuple):
     """Deterministic description of one generated instance.
 
-    kind is one of KINDS. Edge probability p applies to the gnp-based kinds
-    and path_bound k to pk-free-rejection. Weights are drawn uniformly from
-    weight_range; the range must lie in [0, MAX_WEIGHT] so every generated
-    instance can be written in the graph format.
+    kind is one of graphio.GENERATOR_KINDS. Edge probability p applies to
+    the gnp-based kinds and path_bound k to pk-free-rejection. Weights are
+    drawn uniformly from weight_range; the range must lie in [0, MAX_WEIGHT]
+    so every generated instance can be written in the graph format.
     """
 
     kind: str
@@ -169,8 +169,6 @@ class GeneratorSpec(NamedTuple):
     path_bound: int | None = None
     weight_range: tuple[int, int] = (0, 100)
     max_attempts: int = 5000
-
-    KINDS = GENERATOR_KINDS
 
 
 def _gnp_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:

@@ -77,12 +77,13 @@ class Scheme:
     rule), the rule of growth edges, the recurrence parameters (params),
     whether the run claims the family bound and the potential (claimed) and
     whether drive answers a graph of at most one vertex without running it,
-    with no split, branch or anchor (small_leaves) or looks a split part of
-    2 to 4 vertices up by mask first, then by shape, which holds its maximal
-    sets, for hooks blind to w and ids (shape_keys). Hooks:
+    with no split, branch or anchor (small_leaves). Hooks:
 
       split(g, N)          component masks to solve apart, or None; asked
-                           once per graph, as growing F cannot change it;
+                           once per graph, as growing F cannot change it.
+                           A scheme that splits reads neither w nor ids
+                           when it splits, branches or grows F, so a
+                           part's subtree depends on its shape alone;
       anchor(g, F)         the mask of X whose N[X] grows F, or None;
       record_growth()      count one growth of F in stats;
       leaf(g, w, F)        the answer when anchor finds nothing, its witness
@@ -98,7 +99,7 @@ class Scheme:
     family_excess, potential and ceiling are asked only when claimed.
     """
 
-    claimed = small_leaves = shape_keys = False
+    claimed = small_leaves = False
 
     def __init__(self, level: int):
         self.level, self.stats, self.memo = level, RunStats(), _new_memo()
@@ -275,15 +276,19 @@ def drive(
     marker that records its answer, its subtree's height and
     stats.since(its mark); a repeat replays them at its own turn, so the
     stats still describe the whole tree, also when the run raises after it.
-    Under shape_keys a part of 2 to 4 vertices is looked up by mask first,
-    then by its _shape, which holds (maximal sets, height, record) in place
-    of the answer: by the tie rule and w >= 0 the answer is the heaviest of
-    its maximal independent sets, ties to the larger mask. A part's first
+    A part of 2 to 4 vertices is looked up by mask first, then by its
+    _shape, which holds (maximal sets, height, record) in place of the
+    answer: by the split hook's premise its subtree depends on its shape
+    alone, and by the tie rule and w >= 0 the answer is the heaviest of its
+    maximal independent sets, ties to the larger mask. A part's first
     occurrence by mask stores the answer under its mask, and, on a first
-    occurrence of its shape too, the sets under the shape.
+    occurrence of its shape too, the sets under the shape. Shape keys
+    (n, code) and the pattern leaf's keys (i, mask) are both pairs of ints
+    in the one memo; they never meet, as only the path scheme splits and
+    only the pattern scheme has leaves.
     """
     stats, memo = scheme.stats, scheme.memo
-    audit, small_leaves, shape_keys = scheme.level >= 2, scheme.small_leaves, scheme.shape_keys
+    audit, small_leaves = scheme.level >= 2, scheme.small_leaves
     root, table = g, g.table
     # Every split part starts from this family; a family is immutable.
     empty = VertexMultiFamily(table=table)
@@ -335,7 +340,7 @@ def drive(
                 answer = (w[table.ids[mask.bit_length() - 1]], mask) if n else (0, 0)
             elif g is None:
                 hit, shape = memo.get(mask), None
-                if hit is None and shape_keys and n <= 4:
+                if hit is None and n <= 4:
                     shape, ranks = _shape(table.adj, mask)
                     hit = memo.get(shape)
                     if hit is not None:
@@ -467,7 +472,7 @@ class _PathScheme(Scheme):
 
     noun = "separator"
     growth_rule = RULE_ADD_SEPARATOR
-    small_leaves = shape_keys = True
+    small_leaves = True
 
     def __init__(self, level: int, k: int | None):
         super().__init__(level)

@@ -190,14 +190,16 @@ def test_a_branch_with_equal_children_keeps_the_larger_mask_on_ties():
         assert scheme.leaves == [[], []]
 
 
-def test_drive_propagates_exceptions():
+def test_drive_propagates_exceptions(without_memo):
     class Unlucky(Toy):
         def leaf(self, g, w, family):
             if 13 in g:
                 raise RuntimeError("unlucky")
             return super().leaf(g, w, family)
 
-    scheme = Unlucky()
+    # Every one-vertex part has one shape; without the memo each reaches its leaf.
+    with without_memo():
+        scheme = Unlucky()
     with pytest.raises(RuntimeError, match="unlucky"):
         drive(scheme, *root(edgeless(16)))
     # The leaves before 13 ran, and the depth reached is still recorded.
@@ -209,7 +211,8 @@ def test_a_memo_hit_counts_its_subtree_when_the_run_raises():
     # The root splits into A = {1, 2, 3} and B = {1, ..., 5}; B splits into A
     # again and C = {4, 5}, whose leaf raises. A is a chain of height 3:
     # first run from depth 2, it reaches depth 4, and its replay from depth 3
-    # reaches depth 5, which the raised run must still report.
+    # reaches depth 5, which the raised run must still report. The edge
+    # (4, 5) gives C a shape of its own, apart from A's chain child {2, 3}.
     a, b, c = 0b111, 0b11111, 0b11000
 
     class Repeat(Toy):
@@ -229,7 +232,7 @@ def test_a_memo_hit_counts_its_subtree_when_the_run_raises():
 
     scheme = Repeat()
     with pytest.raises(RuntimeError, match="C"):
-        drive(scheme, *root(edgeless(6)))
+        drive(scheme, *root(Graph(range(1, 7), [(4, 5)])))
     stats = scheme.stats
     assert scheme.leaves == [[3]]
     assert (stats.memo_hits, stats.memo_calls) == (1, 3)
@@ -265,27 +268,21 @@ def test_a_run_builds_one_memo_for_split_children_and_leaves(monkeypatch):
     assert len(built) == 2 and len(built[1]) == 260 < r.stats.oracle_calls
     assert {index for index, _ in built[1]} == {0, 1}
 
-def test_a_scheme_without_shape_keys_keys_every_part_by_mask():
-    # Toy reads ids at its leaves, so it leaves shape_keys off: its edgeless
-    # parts of 1, 2 and 4 vertices, of one shape per size, are keyed by mask
-    # and each runs to its own leaf. With the attribute on, the parts of one
-    # size share an entry and only the first runs, down to a single leaf.
+def test_split_parts_of_one_shape_share_one_entry(without_memo):
+    # Toy's edgeless parts of 1, 2 and 4 vertices have one shape per size:
+    # the parts of one size share an entry and only the first runs, down to
+    # a single leaf, counted as the full tree a run without the memo executes.
     scheme = Toy()
     assert drive(scheme, *root(edgeless(16))) == (16, (1 << 16) - 1)
-    assert scheme.memo and all(isinstance(key, int) for key in scheme.memo)
-    assert (len(scheme.leaves), scheme.stats.memo_hits) == (16, 0)
-
-    class Shaped(Toy):
-        shape_keys = True
-
-    shaped = Shaped()
-    assert drive(shaped, *root(edgeless(16))) == (16, (1 << 16) - 1)
-    assert {key for key in shaped.memo if not isinstance(key, int)} == {(1, 0), (2, 0), (4, 0)}
-    assert (shaped.leaves, shaped.stats.memo_hits) == ([[1]], 5)
-    assert shaped.stats.calls == scheme.stats.calls
+    assert {key for key in scheme.memo if not isinstance(key, int)} == {(1, 0), (2, 0), (4, 0)}
+    assert (scheme.leaves, scheme.stats.memo_hits) == ([[1]], 5)
+    with without_memo():
+        full = Toy()
+    assert drive(full, *root(edgeless(16))) == (16, (1 << 16) - 1)
+    assert len(full.leaves) == 16 and full.stats.calls == scheme.stats.calls
 
 
-def test_results_arrive_in_batch_order():
+def test_results_arrive_in_batch_order(without_memo):
     # The root's children have different depths; each runs to its answer
     # before the next starts, and the answers combine in batch order.
     class Uneven(Toy):
@@ -294,20 +291,22 @@ def test_results_arrive_in_batch_order():
                 return [g.table.mask(part) for part in ({1, 2, 3}, {4}, {5, 6, 7})]
             return super().split(g, n_cap)
 
-    g, scheme = edgeless(7), Uneven()
+    with without_memo():
+        g, scheme = edgeless(7), Uneven()
     weights = {v: 10**v for v in g.vertex_ids()}
     assert drive(scheme, *root(g, weights=weights)) == (sum(weights.values()), g.mask)
     assert scheme.leaves == [[v] for v in range(1, 8)]
     assert scheme.stats.max_depth == 4
 
 
-def test_a_frameless_answer_counts_as_one_frame():
+def test_a_frameless_answer_counts_as_one_frame(without_memo):
     # Answering a one-vertex graph inline gives the same answer, call count
     # and max_depth as a node that reaches its leaf.
     for n in (1, 2, 5, 16):
         outcomes = []
         for small_leaves in (False, True):
-            scheme = Toy(small_leaves)
+            with without_memo():
+                scheme = Toy(small_leaves)
             answer = drive(scheme, *root(edgeless(n)))
             outcomes.append((answer, scheme.stats.calls, scheme.stats.max_depth))
             assert len(scheme.leaves) == (0 if small_leaves else n)

@@ -7,12 +7,31 @@ sorted ids, so the witness is predicted too: an order-preserving
 relabelling maps it, an isolated weight-0 vertex joins it, a disjoint union
 with its ids kept unites its parts' witnesses, and both solvers return the
 same one. Weights of 0-3 make ties common.
+
+The run's counts are predicted as well: the solvers' choices read the
+adjacency in id order and never w, so redrawing the weights or relabelling
+the ids in order keeps every statistic and memo count.
 """
 
+import random
+from contextlib import nullcontext
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmwis import Graph, make_bruteforce_oracle, make_pk_oracle, solve_hfree, solve_pkfree
+import qmwis.pkfree as pkfree
+from qmwis import (
+    GeneratorSpec,
+    Graph,
+    GraphTooLarge,
+    RunStats,
+    generate,
+    make_bruteforce_oracle,
+    make_pk_oracle,
+    solve_hfree,
+    solve_pkfree,
+)
 
 P4_K3 = Graph(range(1, 8), [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (5, 7)])
 
@@ -95,3 +114,58 @@ def test_a_disjoint_union_adds_the_optima(first, second):
 @given(gw=weighted_graphs(14, weight_caps=(3,)))
 def test_both_solvers_return_the_same_witness(gw):
     assert pk(*gw) == hfree(*gw)
+
+
+# (spec, k_hint), solved by solve_pkfree; the gnp graphs also by solve_hfree
+# under P4+K3. G(60, 0.05) splits into many parts of 2 to 4 vertices.
+COUNTED = [
+    (GeneratorSpec(kind="random-gnp", size=24, seed=1, p=0.3), None),
+    (GeneratorSpec(kind="cograph", size=60, seed=1), 4),
+    (GeneratorSpec(kind="random-gnp", size=60, seed=1, p=0.05), None),
+]
+
+
+@pytest.mark.parametrize("memo", [True, False], ids=["memo", "no-memo"])
+@pytest.mark.parametrize("level", ["off", "fair", "paranoid"])
+def test_the_counts_read_neither_weights_nor_ids(level, memo, monkeypatch, without_memo):
+    # A split part's subtree depends on its shape alone, which makes the
+    # memo's shape keys exact; so the whole run's counts, memo hits included,
+    # read neither w nor the ids. Under P4+K3, G(60, 0.05) has a leaf
+    # component past the brute force cap, so a run's stats are read from its
+    # RunStats, the first one built, also when it raises GraphTooLarge.
+    built = []
+
+    class Kept(RunStats):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    def path_run(g, w, k):
+        solve_pkfree(g, w, k, level)
+
+    def pattern_run(g, w, k):
+        solve_hfree(P4_K3, g, w, [make_pk_oracle(4), make_bruteforce_oracle()], assertion_level=level)
+
+    def counts(solve, g, w, k):
+        built.clear()
+        try:
+            solve(g, w, k)
+            raised = None
+        except GraphTooLarge as error:
+            raised = str(error)
+        stats = built[0]
+        return raised, stats.to_dict(), stats.memo_hits, stats.memo_calls
+
+    monkeypatch.setattr(pkfree, "RunStats", Kept)
+    rng, hits = random.Random(f"{level}-{memo}"), 0
+    with nullcontext() if memo else without_memo():
+        for spec, k in COUNTED:
+            g, w = generate(spec)
+            redrawn = {v: rng.randint(0, 100) for v in w}
+            h, x = relabel(g, w, sorted(rng.sample(range(10**6 + 1), g.n)))
+            for solve in (path_run, pattern_run) if spec.kind == "random-gnp" else (path_run,):
+                expected = counts(solve, g, w, k)
+                assert counts(solve, g, redrawn, k) == expected
+                assert counts(solve, h, x, k) == expected
+                hits += expected[2]
+    assert (hits > 0) is memo

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import qmwis
+from qmwis.hfree import _PatternScheme
+from qmwis.pkfree import Scheme, _PathScheme
 
 PUBLIC_NAMES = [
     "ComponentOracle",
@@ -147,6 +149,16 @@ def test_the_public_solvers_parameters_are_pinned():
     for option in ({"capacity_n": 3}, {"family": qmwis.VertexMultiFamily()}):
         with pytest.raises(TypeError):
             qmwis.solve_pkfree(g, {1: 1, 2: 1}, **option)
+
+
+def test_the_scheme_switches_are_pinned():
+    # A new option is a deliberate edit of this pin: each boolean a scheme
+    # sets doubles the configurations drive runs in. The two solvers' schemes
+    # set values for these names only.
+    switches = ["claimed", "small_leaves"]
+    assert [name for name, value in vars(Scheme).items() if isinstance(value, bool)] == switches
+    for scheme in (_PathScheme, _PatternScheme):
+        assert {name for name in dir(scheme) if isinstance(getattr(scheme, name), bool)} == set(switches)
 
 
 def test_the_records_are_immutable():
